@@ -15,11 +15,10 @@ from .freealg import (
     AlgebraError,
     Element,
     Kind,
-    Variety,
     VarietyMismatch,
     standard_factorization,
 )
-from .envelope import EnvElement, TraceClass, left_mul, trace_class, _merge
+from .envelope import EnvElement, left_mul, trace_class, _merge
 from .fox import fox_derivative, jacobian_of_tuple
 
 

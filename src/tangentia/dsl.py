@@ -20,14 +20,13 @@ bind the result.  ``#`` starts a comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import (
     AlgebraError,
     Element,
     Kind,
-    Variety,
     free_associative,
     free_lie,
     metabelian_lie,
@@ -51,7 +50,8 @@ from . import wildness
 class DslError(AlgebraError):
     def __init__(self, message, line=None, col=None):
         if line is not None:
-            message = f"line {line}, column {col}: {message}"
+            where = f"line {line}" if col is None else f"line {line}, column {col}"
+            message = f"{where}: {message}"
         super().__init__(message)
         self.line = line
         self.col = col
@@ -612,11 +612,16 @@ class Session:
     def _record(self, command, output):
         self.results.append({"command": command, "output": output})
 
-    def _int_flag(self, flags, name, default):
-        v = flags.get(name, default)
-        if isinstance(v, bool) or not isinstance(v, int):
+    def _int_flag(self, flags, name, default, many=False):
+        """The integer value of flag --name, or ``default`` if it is absent;
+        with ``many``, the list of its one or more integer values."""
+        if name not in flags:
+            return default
+        v = flags[name]
+        values = v if many and isinstance(v, list) else [v]
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
             raise DslError(f"flag --{name} needs an integer value", None, None)
-        return v
+        return values if many else v
 
     def _do_command(self, stmt):
         self._require_variety(stmt.line)
@@ -683,7 +688,7 @@ class Session:
         maps = [self.lookup(n, stmt.line, Endomorphism) for n in stmt.args]
         if len(maps) < 2:
             raise DslError("compose needs at least two maps", stmt.line, None)
-        k = stmt.flags.get("max-degree")
+        k = self._int_flag(stmt.flags, "max-degree", None)
         out = maps[0]
         for m in maps[1:]:
             out = compose(out, m, max_degree=k)
@@ -737,11 +742,9 @@ class Session:
         if tag == "var-m2k":
             return wildness.var_m2k_context(self.variety, evidence)
         if tag == "polynilpotent":
-            cs = flags.get("c")
+            cs = self._int_flag(flags, "c", None, many=True)
             if cs is None:
                 raise DslError("polynilpotent context needs --c", line, None)
-            if isinstance(cs, int):
-                cs = [cs]
             return wildness.polynilpotent_context(self.variety, tuple(cs), evidence)
         if tag == "user":
             d = self._int_flag(flags, "min-degree", 2)
@@ -776,11 +779,9 @@ class Session:
         )
 
     def _cmd_build_polynilpotent(self, stmt):
-        cs = stmt.flags.get("c")
+        cs = self._int_flag(stmt.flags, "c", None, many=True)
         if cs is None:
             raise DslError("build-polynilpotent needs --c", stmt.line, None)
-        if isinstance(cs, int):
-            cs = [cs]
         rank = self._int_flag(stmt.flags, "rank", max(self.variety.rank, 3))
         limit = self._int_flag(stmt.flags, "limit", self.max_degree)
         u, psi, rep = wildness.build_polynilpotent_witness(tuple(cs), rank, limit)

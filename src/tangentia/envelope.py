@@ -17,6 +17,12 @@ The trace codomain U/([U,U]+R) has a necklace normal form: every word key
 is replaced by its lexicographically minimal rotation (per tensor factor
 in the associative case); commutative cases pass through.
 
+``EnvElement`` and ``TraceClass`` are linear combinations of these keys
+and take their linear arithmetic from ``freealg.LinearCombination``; the
+two classes never mix.  ``env_mul`` reuses the free-algebra product kernel
+for exponent-vector keys (polynomial kind) and word keys (associative
+kind), and keeps its own loop only for the associative tensor pairs.
+
 Radical registry: R = 0 for polynomial, free associative, and free Lie
 algebras (recorded as a modeling assumption for the tensor-of-free-algebra
 cases); R = (L_{[a,b]}) for metabelian Lie algebras.
@@ -26,12 +32,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freealg import (
-    AlgebraError,
     Element,
     Kind,
-    Variety,
+    LinearCombination,
     VarietyMismatch,
+    _product,
     assoc_of_lie_coeffs,
+    mono_str,
 )
 
 
@@ -50,14 +57,10 @@ def _merge(d, k, c):
         d.pop(k, None)
 
 
-class EnvElement:
+class EnvElement(LinearCombination):
     """Element of U(A) in the variety-specific representation."""
 
-    __slots__ = ("variety", "terms")
-
-    def __init__(self, variety, terms):
-        self.variety = variety
-        self.terms = {k: c for k, c in terms.items() if c}
+    __slots__ = ()
 
     @classmethod
     def zero(cls, variety):
@@ -76,61 +79,10 @@ class EnvElement:
             key = (0,) * variety.rank
         return cls(variety, {key: Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if (
-            other.variety.kind is not self.variety.kind
-            or other.variety.rank != self.variety.rank
-        ):
-            raise VarietyMismatch("envelope elements from different varieties")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return EnvElement(self.variety, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EnvElement(self.variety, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return EnvElement(self.variety, {})
-        return EnvElement(self.variety, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return env_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return (
-            self.variety.kind is other.variety.kind
-            and self.variety.rank == other.variety.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.variety.kind, self.variety.rank, frozenset(self.terms.items()))
-        )
-
-    def __repr__(self):
-        return f"EnvElement({self.variety.kind.value}, {self.terms!r})"
 
 
 def left_mul(a):
@@ -167,21 +119,17 @@ def env_mul(u, v):
     """Associative product of U in the chosen representation."""
     u._check(v)
     kind = u.variety.kind
-    out = {}
-    if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
-        for k1, c1 in u.terms.items():
-            for k2, c2 in v.terms.items():
-                _merge(out, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
-    elif kind is Kind.FREE_ASSOCIATIVE:
+    if kind is Kind.FREE_ASSOCIATIVE:
         # (a(x)b)(c(x)d) = ac (x) db: right factors compose in A^op
+        out = {}
         for (a, b), c1 in u.terms.items():
             for (c, d), c2 in v.terms.items():
                 _merge(out, (a + c, d + b), c1 * c2)
-    else:  # free Lie: word concatenation
-        for k1, c1 in u.terms.items():
-            for k2, c2 in v.terms.items():
-                _merge(out, k1 + k2, c1 * c2)
-    return EnvElement(u.variety, out)
+        return EnvElement._raw(u.variety, out)
+    # exponent vectors multiply like commutative monomials, free-Lie
+    # keys (words) like associative ones
+    mono_kind = Kind.FREE_ASSOCIATIVE if kind is Kind.FREE_LIE else Kind.POLYNOMIAL
+    return EnvElement._raw(u.variety, _product(mono_kind, u.terms, v.terms, None))
 
 
 def env_apply(u, m):
@@ -224,55 +172,10 @@ def env_apply(u, m):
     return out
 
 
-class TraceClass:
+class TraceClass(LinearCombination):
     """Normal form in U/([U,U]+R), the codomain of divergence."""
 
-    __slots__ = ("variety", "terms")
-
-    def __init__(self, variety, terms):
-        self.variety = variety
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if (
-            other.variety.kind is not self.variety.kind
-            or other.variety.rank != self.variety.rank
-        ):
-            raise VarietyMismatch("trace classes from different varieties")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return TraceClass(self.variety, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TraceClass(self.variety, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TraceClass(self.variety, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TraceClass):
-            return NotImplemented
-        return (
-            self.variety.kind is other.variety.kind
-            and self.variety.rank == other.variety.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.variety.kind, self.variety.rank, frozenset(self.terms.items()))
-        )
-
-    def __repr__(self):
-        return f"TraceClass({self.variety.kind.value}, {self.terms!r})"
+    __slots__ = ()
 
     def lift(self):
         """Some EnvElement representative (necklace keys read as words)."""
@@ -293,8 +196,6 @@ def _env_key_str(variety, key):
     kind = variety.kind
     names = variety.names
     if kind is Kind.POLYNOMIAL:
-        from .freealg import mono_str
-
         return mono_str(variety, key)
     if kind is Kind.FREE_ASSOCIATIVE:
         a, b = key

@@ -12,9 +12,9 @@ from .freealg import (
     AlgebraError,
     Element,
     Kind,
-    Variety,
     VarietyMismatch,
     free_lie,
+    lyndon_expand,
     standard_factorization,
 )
 from .envelope import EnvElement, env_mul, left_mul, _merge
@@ -82,25 +82,12 @@ def _fox_lyndon(w, i, memo):
         res = {}
         for pre, s in ((u, 1), (v, -1)):
             other = v if s == 1 else u
-            la = _lyndon_assoc(pre)
+            la = lyndon_expand(pre)
             for wd, c in _fox_lyndon(other, i, memo).items():
                 for aw, ac in la.items():
                     _merge(res, aw + wd, s * ac * c)
     memo[(w, i)] = res
     return res
-
-
-_LYNDON_ASSOC_CACHE = {}
-
-
-def _lyndon_assoc(w):
-    from .freealg import lyndon_expand
-
-    got = _LYNDON_ASSOC_CACHE.get(w)
-    if got is None:
-        got = {k: Fraction(c) for k, c in lyndon_expand(w).items()}
-        _LYNDON_ASSOC_CACHE[w] = got
-    return got
 
 
 def _mb_lift_mono(mono, lie):

@@ -16,14 +16,25 @@ Monomial keys per variety:
                        encoding the left-normed bracket
                        ``[y_i1, y_i2, y_i3, ..., y_im]``
 
+One sparse core serves the whole package.  ``LinearCombination`` holds a
+variety and a dict from canonical keys to nonzero rationals, and owns the
+linear arithmetic (sum, difference, negation, scaling, equality, hashing);
+``Element`` here and the envelope's ``EnvElement`` and ``TraceClass`` are
+its subclasses.  ``_product`` is the one product kernel, with one loop per
+variety; it truncates at a degree ``k`` by never forming the pairs past it,
+and serves ``Element.__mul__``, ``Element.mul_trunc`` and, for envelope
+keys that add or concatenate, ``envelope.env_mul``.
+
 All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import add
 
 
 class AlgebraError(ValueError):
@@ -281,11 +292,14 @@ def _mono_degree(kind, mono):
     return len(mono)
 
 
-class Element:
-    """A finite rational linear combination of canonical monomials.
+class LinearCombination:
+    """A finite rational linear combination of canonical keys in one variety.
 
-    ``coeffs`` maps monomial keys to nonzero Fractions.  Instances are
-    immutable by convention; arithmetic returns fresh objects.
+    ``coeffs`` maps keys to nonzero coefficients.  Instances are immutable
+    by convention; arithmetic returns fresh objects of the same class.
+    Algebra elements, envelope elements and trace classes all share this
+    storage and its linear arithmetic; only operands of one class and one
+    variety (kind and rank) combine.
     """
 
     __slots__ = ("variety", "coeffs")
@@ -302,10 +316,148 @@ class Element:
         e.coeffs = coeffs
         return e
 
-    # -- basic queries ------------------------------------------------------
+    @property
+    def terms(self):
+        """The stored dict, under the name the envelope code uses."""
+        return self.coeffs
 
     def is_zero(self):
         return not self.coeffs
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"expected {type(self).__name__}, got {type(other).__name__}"
+            )
+        if (
+            other.variety.kind is not self.variety.kind
+            or other.variety.rank != self.variety.rank
+        ):
+            raise VarietyMismatch(
+                f"{self.variety.kind.value}(rank {self.variety.rank}) vs "
+                f"{other.variety.kind.value}(rank {other.variety.rank})"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            n = out.get(m, 0) + c
+            if n:
+                out[m] = n
+            else:
+                out.pop(m, None)
+        return self._raw(self.variety, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.variety, {m: -c for m, c in self.coeffs.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c == 0:
+            return self._raw(self.variety, {})
+        return self._raw(self.variety, {m: c * v for m, v in self.coeffs.items()})
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.variety.kind is other.variety.kind
+            and self.variety.rank == other.variety.rank
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.variety.kind, self.variety.rank, frozenset(self.coeffs.items()))
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.variety.kind.value}, {self.coeffs!r})"
+
+
+def _product(kind, a, b, k):
+    """The product of two coefficient dicts of one variety kind, without
+    its terms of degree above ``k`` (``k=None`` keeps them all): a pair
+    of terms whose degrees sum past ``k`` is skipped before it is
+    multiplied.  Free-Lie operands are bracketed as commutators of their
+    associative expansions, and the result is rewritten in the Lyndon
+    basis."""
+    if k is None:
+        k = math.inf
+    out = {}
+    if kind is Kind.POLYNOMIAL:
+        for m1, c1 in a.items():
+            room = k - sum(m1)
+            for m2, c2 in b.items():
+                if sum(m2) > room:
+                    continue
+                m = tuple(map(add, m1, m2))
+                n = out.get(m, 0) + c1 * c2
+                if n:
+                    out[m] = n
+                else:
+                    out.pop(m, None)
+        return out
+    if kind is Kind.FREE_ASSOCIATIVE:
+        for m1, c1 in a.items():
+            room = k - len(m1)
+            for m2, c2 in b.items():
+                if len(m2) > room:
+                    continue
+                m = m1 + m2
+                n = out.get(m, 0) + c1 * c2
+                if n:
+                    out[m] = n
+                else:
+                    out.pop(m, None)
+        return out
+    if kind is Kind.FREE_LIE:
+        a, b = assoc_of_lie_coeffs(a), assoc_of_lie_coeffs(b)
+        for m1, c1 in a.items():
+            room = k - len(m1)
+            for m2, c2 in b.items():
+                if len(m2) > room:
+                    continue
+                c = c1 * c2
+                for m, s in ((m1 + m2, c), (m2 + m1, -c)):
+                    n = out.get(m, 0) + s
+                    if n:
+                        out[m] = n
+                    else:
+                        out.pop(m, None)
+        return lie_from_assoc(out)
+    # metabelian Lie
+    for m1, c1 in a.items():
+        room = k - len(m1)
+        for m2, c2 in b.items():
+            if len(m2) > room:
+                continue
+            c = c1 * c2
+            for m, s in _mb_mul_mono(m1, m2).items():
+                n = out.get(m, 0) + c * s
+                if n:
+                    out[m] = n
+                else:
+                    out.pop(m, None)
+    return out
+
+
+class Element(LinearCombination):
+    """An element of a free algebra: a linear combination of the
+    variety's canonical monomials (see the module docstring)."""
+
+    __slots__ = ()
+
+    # -- basic queries ------------------------------------------------------
 
     def degree(self):
         """Maximal monomial degree, or None for the zero element."""
@@ -358,167 +510,22 @@ class Element:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other):
-        if not isinstance(other, Element):
-            raise TypeError(f"expected Element, got {type(other).__name__}")
-        if (
-            other.variety.kind is not self.variety.kind
-            or other.variety.rank != self.variety.rank
-        ):
-            raise VarietyMismatch(
-                f"{self.variety.kind.value}(rank {self.variety.rank}) vs "
-                f"{other.variety.kind.value}(rank {other.variety.rank})"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            n = out.get(m, 0) + c
-            if n:
-                out[m] = n
-            else:
-                out.pop(m, None)
-        return Element._raw(self.variety, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Element._raw(self.variety, {m: -c for m, c in self.coeffs.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return Element._raw(self.variety, {})
-        return Element._raw(self.variety, {m: c * v for m, v in self.coeffs.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         """The variety's product; for Lie varieties this is the bracket."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        kind = self.variety.kind
-        if kind is Kind.POLYNOMIAL:
-            out = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    n = out.get(m, 0) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-            return Element._raw(self.variety, out)
-        if kind is Kind.FREE_ASSOCIATIVE:
-            out = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    m = m1 + m2
-                    n = out.get(m, 0) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-            return Element._raw(self.variety, out)
-        if kind is Kind.FREE_LIE:
-            a = assoc_of_lie_coeffs(self.coeffs)
-            b = assoc_of_lie_coeffs(other.coeffs)
-            comm = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    c = c1 * c2
-                    for m, s in ((m1 + m2, c), (m2 + m1, -c)):
-                        n = comm.get(m, 0) + s
-                        if n:
-                            comm[m] = n
-                        else:
-                            comm.pop(m, None)
-            return Element(self.variety, lie_from_assoc(comm))
-        # metabelian Lie
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                c = c1 * c2
-                for m, s in _mb_mul_mono(m1, m2).items():
-                    n = out.get(m, 0) + c * s
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-        return Element._raw(self.variety, out)
+        return Element._raw(
+            self.variety, _product(self.variety.kind, self.coeffs, other.coeffs, None)
+        )
 
     def mul_trunc(self, other, k):
         """``(self * other).truncate(k)`` without forming the dropped
-        terms: monomial pairs whose degrees sum past ``k`` are skipped.
-        ``k`` may be None for the plain product."""
-        if k is None:
-            return self * other
+        terms; ``k`` may be None for the plain product."""
         self._check(other)
-        kind = self.variety.kind
-        if kind is Kind.FREE_LIE:
-            a = assoc_of_lie_coeffs(self.coeffs)
-            b = assoc_of_lie_coeffs(other.coeffs)
-            comm = {}
-            for m1, c1 in a.items():
-                room = k - len(m1)
-                for m2, c2 in b.items():
-                    if len(m2) > room:
-                        continue
-                    c = c1 * c2
-                    for m, s in ((m1 + m2, c), (m2 + m1, -c)):
-                        n = comm.get(m, 0) + s
-                        if n:
-                            comm[m] = n
-                        else:
-                            comm.pop(m, None)
-            return Element(self.variety, lie_from_assoc(comm))
-        out = {}
-        if kind is Kind.POLYNOMIAL:
-            for m1, c1 in self.coeffs.items():
-                room = k - sum(m1)
-                for m2, c2 in other.coeffs.items():
-                    if sum(m2) > room:
-                        continue
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    n = out.get(m, 0) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-            return Element._raw(self.variety, out)
-        if kind is Kind.FREE_ASSOCIATIVE:
-            for m1, c1 in self.coeffs.items():
-                room = k - len(m1)
-                for m2, c2 in other.coeffs.items():
-                    if len(m2) > room:
-                        continue
-                    m = m1 + m2
-                    n = out.get(m, 0) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-            return Element._raw(self.variety, out)
-        # metabelian Lie
-        for m1, c1 in self.coeffs.items():
-            room = k - len(m1)
-            for m2, c2 in other.coeffs.items():
-                if len(m2) > room:
-                    continue
-                c = c1 * c2
-                for m, s in _mb_mul_mono(m1, m2).items():
-                    n = out.get(m, 0) + c * s
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-        return Element._raw(self.variety, out)
+        return Element._raw(
+            self.variety, _product(self.variety.kind, self.coeffs, other.coeffs, k)
+        )
 
     def power(self, k):
         if self.variety.is_lie:
@@ -529,20 +536,6 @@ class Element:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (
-            self.variety.kind is other.variety.kind
-            and self.variety.rank == other.variety.rank
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.variety.kind, self.variety.rank, frozenset(self.coeffs.items()))
-        )
 
     # -- substitution -------------------------------------------------------
 
@@ -584,14 +577,11 @@ class Element:
             # the Lyndon basis once at the end
             src = Variety(Kind.FREE_ASSOCIATIVE, self.variety.rank)
             tgt = Variety(Kind.FREE_ASSOCIATIVE, target.rank)
-            a_self = Element(src, {w: Fraction(c) for w, c in assoc_of_lie_coeffs(self.coeffs).items()})
+            a_self = Element._raw(src, assoc_of_lie_coeffs(self.coeffs))
             memo = {} if _memo is None else _memo
             a_args = memo.get(("__lie_args__",))
             if a_args is None:
-                a_args = tuple(
-                    Element(tgt, {w: Fraction(c) for w, c in assoc_of_lie_coeffs(a.coeffs).items()})
-                    for a in args
-                )
+                a_args = tuple(Element._raw(tgt, assoc_of_lie_coeffs(a.coeffs)) for a in args)
                 memo[("__lie_args__",)] = a_args
             res = a_self.substitute(a_args, max_degree=max_degree, _memo=memo)
             return Element(target, lie_from_assoc(res.coeffs))

@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .freealg import (
     AlgebraError,
-    Element,
-    Kind,
-    Variety,
     VarietyMismatch,
 )
 from .deriv import Derivation

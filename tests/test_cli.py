@@ -72,6 +72,27 @@ def test_script_error_exit_code_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "compose a b --max-degree foo",
+        "detect-wild a --context polynilpotent --c x,y",
+        "build-polynilpotent --c x",
+    ],
+)
+def test_non_integer_flag_exit_code_1(tmp_path, capsys, command):
+    script = (
+        "variety lie(3)\n"
+        "a := auto(x1 + [x2,x3], x2, x3)\n"
+        "b := auto(x1, x2 + [x3,x1], x3)\n"
+        f"{command}\n"
+    )
+    rc = cli.main(["run", write(tmp_path, script)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "needs an integer value" in captured.err
+
+
 def test_syntax_error_reports_position(tmp_path, capsys):
     rc = cli.main(["run", write(tmp_path, "variety polynomial(1) vars x\neval x $\n")])
     captured = capsys.readouterr()

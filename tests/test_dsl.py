@@ -63,6 +63,12 @@ def test_undefined_name_with_position():
         run("variety polynomial(1) vars x; eval q")
 
 
+def test_error_without_column_names_only_the_line():
+    with pytest.raises(DslError) as err:
+        run("variety polynomial(1) vars x\nlet f = x\nia-level b")
+    assert str(err.value) == "line 3: undefined name 'b'"
+
+
 def test_empty_expression_in_let():
     with pytest.raises(DslError):
         run("variety polynomial(1) vars x; let f =")

@@ -137,6 +137,16 @@ def test_trace_class_kills_commutators(variety, rng):
         assert trace_class(comm).is_zero()
 
 
+def test_classes_do_not_mix():
+    P = polynomial(2)
+    x = P.gen(0)
+    u = left_mul(x)
+    t = trace_class(u)
+    for a, b in ((t, u), (u, t), (u, x), (x, u), (t, x)):
+        with pytest.raises(TypeError):
+            a + b
+
+
 def test_trace_class_linear(rng):
     for variety in ALL_VARIETIES:
         for _ in range(20):

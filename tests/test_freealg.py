@@ -73,6 +73,20 @@ def test_bilinearity_and_distributivity(variety, rng):
         assert (2 * a) * b == 2 * (a * b)
 
 
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_mul_trunc_is_the_truncated_product(variety, rng):
+    lo = 0 if variety.unital else 1
+    zero = variety.zero()
+    for _ in range(20):
+        a = random_element(rng, variety, lo, 3, terms=4)
+        b = random_element(rng, variety, lo, 3, terms=4)
+        for k in range((a.degree() or 0) + (b.degree() or 0) + 1):
+            assert a.mul_trunc(b, k) == (a * b).truncate(k)
+            assert a.mul_trunc(zero, k) == zero
+            assert zero.mul_trunc(b, k) == zero
+        assert a.mul_trunc(b, None) == a * b
+
+
 @pytest.mark.parametrize(
     "variety", [free_lie(3), metabelian_lie(3)], ids=["lie", "metabelian"]
 )
