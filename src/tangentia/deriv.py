@@ -16,10 +16,20 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
-    standard_factorization,
 )
-from .envelope import EnvElement, left_mul, trace_class, _merge
+from .envelope import EnvElement, generated_algebra, left_mul, trace_class, _merge
 from .fox import fox_derivative, jacobian_of_tuple
+
+
+def _leibniz_words(coeffs, images):
+    """The derivation with x_i -> images[i] applied to a dict of words:
+    D(l_1...l_m) = sum_j l_1...l_{j-1} D(l_j) l_{j+1}...l_m."""
+    out = {}
+    for w, c in coeffs.items():
+        for j, letter in enumerate(w):
+            for img, ci in images[letter].items():
+                _merge(out, w[:j] + img + w[j + 1 :], c * ci)
+    return out
 
 
 class Derivation:
@@ -113,6 +123,11 @@ class Derivation:
             raise VarietyMismatch("argument lives in a different algebra")
         var = a.variety
         kind = var.kind
+        if kind is Kind.FREE_ASSOCIATIVE or kind is Kind.FREE_LIE:
+            # free-Lie words are stored in U(L) = K<X>, where D acts as
+            # the associative derivation with the same generator images
+            images = [f.coeffs for f in self.coords]
+            return Element._raw(var, _leibniz_words(a.coeffs, images))
         out = var.zero()
         memo = {}
         for mono, c in a.coeffs.items():
@@ -129,22 +144,6 @@ class Derivation:
                 if e:
                     rest = mono[:i] + (e - 1,) + mono[i + 1 :]
                     res = res + (Element(var, {rest: Fraction(e)}) * self.coords[i])
-        elif kind is Kind.FREE_ASSOCIATIVE:
-            res = var.zero()
-            for j, letter in enumerate(mono):
-                pre = Element(var, {mono[:j]: Fraction(1)})
-                suf = Element(var, {mono[j + 1 :]: Fraction(1)})
-                res = res + pre * self.coords[letter] * suf
-        elif kind is Kind.FREE_LIE:
-            if len(mono) == 1:
-                res = self.coords[mono[0]]
-            else:
-                u, v = standard_factorization(mono)
-                eu = Element(var, {u: Fraction(1)})
-                ev = Element(var, {v: Fraction(1)})
-                res = self._apply_mono(u, var, kind, memo) * ev + eu * self._apply_mono(
-                    v, var, kind, memo
-                )
         else:  # metabelian: fold the left-normed bracket
             val = var.gen(mono[0])
             dval = self.coords[mono[0]]
@@ -174,40 +173,19 @@ class Derivation:
         if u.variety.kind is not self.variety.kind or u.variety.rank != self.variety.rank:
             raise VarietyMismatch("envelope element from a different variety")
         var = u.variety
-        kind = var.kind
-        if kind is Kind.POLYNOMIAL:
-            return EnvElement(var, self.apply(Element(var, u.terms)).coeffs)
-        out = {}
-        if kind is Kind.FREE_ASSOCIATIVE:
+        if var.kind is Kind.FREE_ASSOCIATIVE:
+            images = [f.coeffs for f in self.coords]
+            out = {}
             for (a, b), c in u.terms.items():
-                da = self.apply(Element(var, {a: Fraction(1)}))
-                db = self.apply(Element(var, {b: Fraction(1)}))
-                for wa, ca in da.coeffs.items():
-                    _merge(out, (wa, b), c * ca)
-                for wb, cb in db.coeffs.items():
-                    _merge(out, (a, wb), c * cb)
+                for wa, ca in _leibniz_words({a: c}, images).items():
+                    _merge(out, (wa, b), ca)
+                for wb, cb in _leibniz_words({b: c}, images).items():
+                    _merge(out, (a, wb), cb)
             return EnvElement(var, out)
-        if kind is Kind.FREE_LIE:
-            # associative derivation of U(L_n) with x_i -> assoc image of D(x_i)
-            images = [left_mul(f).terms for f in self.coords]
-            for w, c in u.terms.items():
-                for j, letter in enumerate(w):
-                    for img, ci in images[letter].items():
-                        _merge(out, w[:j] + img + w[j + 1 :], c * ci)
-            return EnvElement(var, out)
-        # metabelian: t_i -> image of L_{D(y_i)} in U/R (its linear part)
-        images = [left_mul(f).terms for f in self.coords]
-        for exps, c in u.terms.items():
-            for i, e in enumerate(exps):
-                if e:
-                    lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                    for img, ci in images[i].items():
-                        _merge(
-                            out,
-                            tuple(a + b for a, b in zip(lowered, img)),
-                            c * ci * e,
-                        )
-        return EnvElement(var, out)
+        # U is generated by the L_{x_i}, and D* sends them to the L_{D(x_i)}
+        base = generated_algebra(var)
+        star = Derivation(base, [Element._raw(base, left_mul(f).terms) for f in self.coords])
+        return EnvElement._raw(var, star.apply(Element._raw(base, u.terms)).coeffs)
 
     def star_trace(self, tc):
         """D* descended to the trace codomain: lift each necklace to a

@@ -506,6 +506,13 @@ class _ExprParser:
 # -- execution --------------------------------------------------------------
 
 
+_EVIDENCE = {
+    "user": wildness.EVIDENCE_USER,
+    "truncation": wildness.EVIDENCE_TRUNCATION,
+    "builtin": wildness.EVIDENCE_BUILTIN,
+}
+
+
 class Session:
     """Executes a parsed script; accumulates one result record per command."""
 
@@ -627,8 +634,10 @@ class Session:
         self._require_variety(stmt.line)
         try:
             getattr(self, "_cmd_" + stmt.name.replace("-", "_"))(stmt)
-        except DslError:
-            raise
+        except DslError as exc:
+            if exc.line is not None:
+                raise
+            raise DslError(str(exc), stmt.line, None) from exc
         except AlgebraError as exc:
             raise DslError(f"in {stmt.name!r}: {exc}", stmt.line, None) from exc
 
@@ -729,11 +738,13 @@ class Session:
         if tag is None or tag is True:
             raise DslError("detect-wild needs --context", line, None)
         evidence = flags.get("evidence", "user")
-        evidence = {
-            "user": wildness.EVIDENCE_USER,
-            "truncation": wildness.EVIDENCE_TRUNCATION,
-            "builtin": wildness.EVIDENCE_BUILTIN,
-        }.get(evidence, wildness.EVIDENCE_USER)
+        if not isinstance(evidence, str) or evidence not in _EVIDENCE:
+            raise DslError(
+                f"flag --evidence must be one of {', '.join(_EVIDENCE)}, got {evidence!r}",
+                line,
+                None,
+            )
+        evidence = _EVIDENCE[evidence]
         if tag == "metabelian":
             return wildness.metabelian_context(self.variety, evidence)
         if tag == "nilpotent":

@@ -8,7 +8,8 @@ Representation of U(A) per variety:
                        (a(x)b)(c(x)d) = (ac)(x)(db)
 * free Lie          -- U(L_n) is the free associative algebra on the same
                        generators (PBW); terms keyed by words, L_a acting
-                       via ad
+                       via ad.  A free-Lie element is stored as its image
+                       in U(L_n), so L_a has the same words as a
 * metabelian Lie    -- values live in U/R = Q[t_1..t_n] with t_i the image
                        of L_{y_i}; terms keyed by exponent vectors.  R is
                        the ideal generated by all L_{[a,b]} (square zero)
@@ -19,9 +20,13 @@ in the associative case); commutative cases pass through.
 
 ``EnvElement`` and ``TraceClass`` are linear combinations of these keys
 and take their linear arithmetic from ``freealg.LinearCombination``; the
-two classes never mix.  ``env_mul`` reuses the free-algebra product kernel
-for exponent-vector keys (polynomial kind) and word keys (associative
-kind), and keeps its own loop only for the associative tensor pairs.
+two classes never mix.  In every kind but the associative one, U is keyed
+as the free algebra that the L_{x_i} generate (``generated_algebra``):
+``env_mul`` multiplies with that algebra's product kernel, and the
+push-forward along an endomorphism (``fox.env_push``) and the extension
+D* of a derivation (``Derivation.star_extend``) substitute into it or
+differentiate it.  Only the associative tensor pairs keep loops of their
+own.
 
 Radical registry: R = 0 for polynomial, free associative, and free Lie
 algebras (recorded as a modeling assumption for the tensor-of-free-algebra
@@ -35,9 +40,9 @@ from .freealg import (
     Element,
     Kind,
     LinearCombination,
+    Variety,
     VarietyMismatch,
     _product,
-    assoc_of_lie_coeffs,
     mono_str,
 )
 
@@ -69,9 +74,7 @@ class EnvElement(LinearCombination):
     @classmethod
     def one(cls, variety):
         kind = variety.kind
-        if kind is Kind.POLYNOMIAL:
-            key = (0,) * variety.rank
-        elif kind is Kind.FREE_ASSOCIATIVE:
+        if kind is Kind.FREE_ASSOCIATIVE:
             key = ((), ())
         elif kind is Kind.FREE_LIE:
             key = ()
@@ -85,16 +88,24 @@ class EnvElement(LinearCombination):
         return env_mul(self, other)
 
 
+def generated_algebra(variety):
+    """The free algebra whose keys and product U has in every kind but the
+    associative one: U is generated by the L_{x_i}, freely for free Lie
+    (words) and freely commuting for the polynomial kind and for the
+    metabelian U/R (exponent vectors).  ``left_mul`` writes each L_a in
+    these keys."""
+    kind = Kind.FREE_ASSOCIATIVE if variety.kind is Kind.FREE_LIE else Kind.POLYNOMIAL
+    return Variety(kind, variety.rank)
+
+
 def left_mul(a):
     """The operator L_a as an element of U(A)."""
     var = a.variety
     kind = var.kind
-    if kind is Kind.POLYNOMIAL:
+    if kind is Kind.POLYNOMIAL or kind is Kind.FREE_LIE:
         return EnvElement(var, dict(a.coeffs))
     if kind is Kind.FREE_ASSOCIATIVE:
         return EnvElement(var, {(w, ()): c for w, c in a.coeffs.items()})
-    if kind is Kind.FREE_LIE:
-        return EnvElement(var, assoc_of_lie_coeffs(a.coeffs))
     # metabelian: L of any bracket lies in R, only the linear part survives
     terms = {}
     for mono, c in a.coeffs.items():
@@ -126,8 +137,8 @@ def env_mul(u, v):
             for (c, d), c2 in v.terms.items():
                 _merge(out, (a + c, d + b), c1 * c2)
         return EnvElement._raw(u.variety, out)
-    # exponent vectors multiply like commutative monomials, free-Lie
-    # keys (words) like associative ones
+    # the kind of generated_algebra(u.variety), without building a Variety
+    # on every product
     mono_kind = Kind.FREE_ASSOCIATIVE if kind is Kind.FREE_LIE else Kind.POLYNOMIAL
     return EnvElement._raw(u.variety, _product(mono_kind, u.terms, v.terms, None))
 

@@ -13,18 +13,17 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
-    free_lie,
-    lyndon_expand,
-    standard_factorization,
 )
-from .envelope import EnvElement, env_mul, left_mul, _merge
+from .envelope import EnvElement, env_mul, generated_algebra, left_mul, _merge
 
 
 def fox_derivative(a, i):
     """The i-th Fox derivative da/dx_i as an element of U(A).
 
     Characterized by D(a) = sum_i (da/dx_i) y_i for the universal
-    derivation D; computed by Leibniz recursion in each variety.
+    derivation D.  A free-Lie element is stored in U(L_n) = K<X>, where
+    a = sum_i (da/dx_i) x_i, so da/dx_i keeps the words ending in x_i
+    with that letter removed.
     """
     var = a.variety
     if not 0 <= i < var.rank:
@@ -45,59 +44,27 @@ def fox_derivative(a, i):
                     _merge(terms, (w[:j], w[j + 1 :]), c)
         return EnvElement(var, terms)
     if kind is Kind.FREE_LIE:
-        memo = {}
-        for w, c in a.coeffs.items():
-            for key, cv in _fox_lyndon(w, i, memo).items():
-                _merge(terms, key, c * cv)
-        return EnvElement(var, terms)
-    # metabelian: lift to the free Lie algebra, differentiate there,
-    # project U(L_n) -> U/R = Q[t] by abelianizing words
-    lie = free_lie(var.rank)
-    memo = {}
+        return EnvElement._raw(
+            var, {w[:-1]: c for w, c in a.coeffs.items() if w[-1] == i}
+        )
+    # metabelian: lift each left-normed bracket to U(L_n) = K<X>, where
+    # d[u, x_c]/dx_i = [c = i] u - x_c du/dx_i, and project to U/R = Q[t]
+    # by abelianizing words.  The projection kills every bracket of degree
+    # >= 2, so [y_a, y_b, y_c3, ..., y_ck] has the derivative
+    # (-1)^k t_c3...t_ck ([b = i] t_a - [a = i] t_b)
     for mono, c in a.coeffs.items():
-        lifted = _mb_lift_mono(mono, lie)
-        for w, cw in lifted.coeffs.items():
-            for word, cv in _fox_lyndon(w, i, memo).items():
+        if len(mono) == 1:
+            if mono[0] == i:
+                _merge(terms, (0,) * var.rank, c)
+            continue
+        sign = c if len(mono) % 2 == 0 else -c
+        for letter, other, s in ((mono[1], mono[0], sign), (mono[0], mono[1], -sign)):
+            if letter == i:
                 exps = [0] * var.rank
-                for letter in word:
-                    exps[letter] += 1
-                _merge(terms, tuple(exps), c * cw * cv)
+                for j in (other,) + mono[2:]:
+                    exps[j] += 1
+                _merge(terms, tuple(exps), s)
     return EnvElement(var, terms)
-
-
-def _fox_lyndon(w, i, memo):
-    """Fox derivative of the standard bracketing of a Lyndon word, as a
-    dict word -> coefficient in U(L_n) = K<x>.
-
-    d[a,b]/dx_i = L_a db/dx_i - L_b da/dx_i with L_c the associative
-    expansion of c.
-    """
-    got = memo.get((w, i))
-    if got is not None:
-        return got
-    if len(w) == 1:
-        res = {(): Fraction(1)} if w[0] == i else {}
-    else:
-        u, v = standard_factorization(w)
-        res = {}
-        for pre, s in ((u, 1), (v, -1)):
-            other = v if s == 1 else u
-            la = lyndon_expand(pre)
-            for wd, c in _fox_lyndon(other, i, memo).items():
-                for aw, ac in la.items():
-                    _merge(res, aw + wd, s * ac * c)
-    memo[(w, i)] = res
-    return res
-
-
-def _mb_lift_mono(mono, lie):
-    """Canonical free-Lie lift of a metabelian basis monomial."""
-    if len(mono) == 1:
-        return lie.gen(mono[0])
-    res = lie.gen(mono[0]) * lie.gen(mono[1])
-    for j in mono[2:]:
-        res = res * lie.gen(j)
-    return res
 
 
 def gradient(a):
@@ -155,12 +122,9 @@ def env_push(images, u):
     """Image of u in U under the endomorphism x_i -> images[i], applied
     inside every tensor factor."""
     var = u.variety
-    kind = var.kind
     if len(images) != var.rank:
         raise AlgebraError("image tuple length differs from rank")
-    if kind is Kind.POLYNOMIAL:
-        return EnvElement(var, Element(var, u.terms).substitute(images).coeffs)
-    if kind is Kind.FREE_ASSOCIATIVE:
+    if var.kind is Kind.FREE_ASSOCIATIVE:
         out = {}
         for (a, b), c in u.terms.items():
             ea = Element(var, {a: Fraction(1)}).substitute(images)
@@ -169,26 +133,10 @@ def env_push(images, u):
                 for wb, cb in eb.coeffs.items():
                     _merge(out, (wa, wb), c * ca * cb)
         return EnvElement(var, out)
-    if kind is Kind.FREE_LIE:
-        # letters are L-generators; substitute L_{images[i]} and expand
-        assoc_imgs = [left_mul(f) for f in images]
-        out = EnvElement.zero(var)
-        for w, c in u.terms.items():
-            acc = EnvElement.one(var)
-            for letter in w:
-                acc = env_mul(acc, assoc_imgs[letter])
-            out = out + acc.scale(c)
-        return out
-    # metabelian: t_i -> image of L_{images[i]} in U/R (linear part only)
-    t_imgs = [left_mul(f) for f in images]
-    out = EnvElement.zero(var)
-    for exps, c in u.terms.items():
-        acc = EnvElement.one(var)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                acc = env_mul(acc, t_imgs[i])
-        out = out + acc.scale(c)
-    return out
+    # U is generated by the L_{x_i}, which go to the L_{images[i]}
+    base = generated_algebra(var)
+    args = [Element._raw(base, left_mul(f).terms) for f in images]
+    return EnvElement._raw(var, Element._raw(base, u.terms).substitute(args).coeffs)
 
 
 def push_matrix(images, mat):

@@ -6,11 +6,17 @@ metabelian Lie algebras (left-normed bracket basis).  Coefficients are
 arbitrary-precision rationals throughout; there is no floating point
 anywhere in this package.
 
-Monomial keys per variety:
+Stored keys per variety:
 
 * polynomial        -- exponent vector, a tuple of ``rank`` nonnegative ints
 * free associative  -- word, a tuple of generator indices (empty = 1)
-* free Lie          -- Lyndon word (its standard bracketing is implied)
+* free Lie          -- word of K<X>: an element is stored as its image
+                       under the injective embedding L(X) -> K<X>, so the
+                       bracket is the commutator of words.  Lyndon words
+                       (standard bracketing) stay the basis at the edges:
+                       ``Element(free_lie(n), d)`` takes Lyndon
+                       coordinates, and ``basis_coeffs`` gives them back
+                       for printing and coordinate vectors
 * metabelian Lie    -- ``(i,)`` for the generator ``y_i``, or a flat tuple
                        ``(i1, i2, i3, ..., im)`` with ``i1 > i2 <= i3 <= ...``
                        encoding the left-normed bracket
@@ -29,6 +35,7 @@ All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -84,6 +91,8 @@ class Variety:
             object.__setattr__(self, "names", _default_names(self.kind, self.rank))
         elif len(self.names) != self.rank:
             raise AlgebraError("need exactly one name per generator")
+        elif len(set(self.names)) != self.rank:
+            raise AlgebraError(f"generator names repeat: {', '.join(self.names)}")
 
     @property
     def unital(self):
@@ -101,13 +110,13 @@ class Variety:
             mono = tuple(1 if j == i else 0 for j in range(self.rank))
         else:
             mono = (i,)
-        return Element(self, {mono: Fraction(1)})
+        return Element._raw(self, {mono: Fraction(1)})
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.rank))
 
     def zero(self):
-        return Element(self, {})
+        return Element._raw(self, {})
 
     def one(self):
         return self.scalar(1)
@@ -124,7 +133,7 @@ class Variety:
             mono = (0,) * self.rank
         else:
             mono = ()
-        return Element(self, {mono: c})
+        return Element._raw(self, {mono: c})
 
 
 def polynomial(rank, names=()):
@@ -196,34 +205,36 @@ def lyndon_expand(w):
 
 
 def lie_from_assoc(coeffs):
-    """Rewrite a homogeneous-by-parts Lie element, given in associative
-    form, in the Lyndon basis by triangular elimination."""
-    by_len = {}
-    for w, c in coeffs.items():
-        if c:
-            by_len.setdefault(len(w), {})[w] = c
+    """Rewrite a Lie element, given by its words in K<X>, in the Lyndon
+    basis by triangular elimination: the least word left is Lyndon, and
+    removing its standard bracketing changes only greater words of the
+    same length, so the words are taken from a heap in increasing order."""
+    work = {w: c for w, c in coeffs.items() if c}
+    heap = list(work)
+    heapq.heapify(heap)
     out = {}
-    for _, work in sorted(by_len.items()):
-        while work:
-            w = min(work)
-            c = work.pop(w)
-            if not c:
+    while heap:
+        w = heapq.heappop(heap)
+        c = work.pop(w, 0)
+        if not c:
+            continue
+        if not is_lyndon(w):
+            raise AlgebraError(
+                "associative element is not a Lie element "
+                f"(least word {w} is not Lyndon)"
+            )
+        out[w] = c
+        for v, cv in lyndon_expand(w).items():
+            if v == w:
                 continue
-            if not is_lyndon(w):
-                raise AlgebraError(
-                    "associative element is not a Lie element "
-                    f"(least word {w} is not Lyndon)"
-                )
-            out[w] = out.get(w, 0) + c
-            for v, cv in lyndon_expand(w).items():
-                if v == w:
-                    continue
-                nv = work.get(v, 0) - c * cv
-                if nv:
-                    work[v] = nv
-                else:
-                    work.pop(v, None)
-    return {w: c for w, c in out.items() if c}
+            if v not in work:
+                heapq.heappush(heap, v)
+            nv = work.get(v, 0) - c * cv
+            if nv:
+                work[v] = nv
+            else:
+                work.pop(v, None)
+    return out
 
 
 def assoc_of_lie_coeffs(coeffs):
@@ -388,9 +399,8 @@ def _product(kind, a, b, k):
     """The product of two coefficient dicts of one variety kind, without
     its terms of degree above ``k`` (``k=None`` keeps them all): a pair
     of terms whose degrees sum past ``k`` is skipped before it is
-    multiplied.  Free-Lie operands are bracketed as commutators of their
-    associative expansions, and the result is rewritten in the Lyndon
-    basis."""
+    multiplied.  Free-Lie operands are words of K<X>, bracketed as
+    commutators."""
     if k is None:
         k = math.inf
     out = {}
@@ -421,7 +431,6 @@ def _product(kind, a, b, k):
                     out.pop(m, None)
         return out
     if kind is Kind.FREE_LIE:
-        a, b = assoc_of_lie_coeffs(a), assoc_of_lie_coeffs(b)
         for m1, c1 in a.items():
             room = k - len(m1)
             for m2, c2 in b.items():
@@ -434,7 +443,7 @@ def _product(kind, a, b, k):
                         out[m] = n
                     else:
                         out.pop(m, None)
-        return lie_from_assoc(out)
+        return out
     # metabelian Lie
     for m1, c1 in a.items():
         room = k - len(m1)
@@ -453,9 +462,24 @@ def _product(kind, a, b, k):
 
 class Element(LinearCombination):
     """An element of a free algebra: a linear combination of the
-    variety's canonical monomials (see the module docstring)."""
+    variety's stored keys (see the module docstring).
+
+    The constructor takes coordinates over the basis that
+    ``monomials_of_degree`` lists; free-Lie coordinates are Lyndon words,
+    expanded once into the stored words.  Internal code wraps stored
+    dicts with ``_raw``."""
 
     __slots__ = ()
+
+    def __init__(self, variety, coeffs):
+        if variety.kind is Kind.FREE_LIE:
+            for w in coeffs:
+                if not is_lyndon(w) or not all(0 <= i < variety.rank for i in w):
+                    raise AlgebraError(
+                        f"free-Lie key {w} is not a Lyndon word in {variety.rank} generators"
+                    )
+            coeffs = assoc_of_lie_coeffs(coeffs)
+        super().__init__(variety, coeffs)
 
     # -- basic queries ------------------------------------------------------
 
@@ -474,7 +498,7 @@ class Element(LinearCombination):
         if k < 0:
             raise AlgebraError("degree must be >= 0")
         kind = self.variety.kind
-        return Element(
+        return Element._raw(
             self.variety,
             {m: c for m, c in self.coeffs.items() if _mono_degree(kind, m) == k},
         )
@@ -485,12 +509,12 @@ class Element(LinearCombination):
         parts = {}
         for m, c in self.coeffs.items():
             parts.setdefault(_mono_degree(kind, m), {})[m] = c
-        return {k: Element(self.variety, d) for k, d in sorted(parts.items())}
+        return {k: Element._raw(self.variety, d) for k, d in sorted(parts.items())}
 
     def truncate(self, k):
         """Drop all terms of degree > k."""
         kind = self.variety.kind
-        return Element(
+        return Element._raw(
             self.variety,
             {m: c for m, c in self.coeffs.items() if _mono_degree(kind, m) <= k},
         )
@@ -572,19 +596,14 @@ class Element(LinearCombination):
             )
         kind = self.variety.kind
         if kind is Kind.FREE_LIE:
-            # substitute in the associative envelope (word products are
-            # cheap and bounded at any truncation degree) and convert to
-            # the Lyndon basis once at the end
-            src = Variety(Kind.FREE_ASSOCIATIVE, self.variety.rank)
-            tgt = Variety(Kind.FREE_ASSOCIATIVE, target.rank)
-            a_self = Element._raw(src, assoc_of_lie_coeffs(self.coeffs))
-            memo = {} if _memo is None else _memo
-            a_args = memo.get(("__lie_args__",))
-            if a_args is None:
-                a_args = tuple(Element._raw(tgt, assoc_of_lie_coeffs(a.coeffs)) for a in args)
-                memo[("__lie_args__",)] = a_args
-            res = a_self.substitute(a_args, max_degree=max_degree, _memo=memo)
-            return Element(target, lie_from_assoc(res.coeffs))
+            # a Lie homomorphism is the restriction of the associative one
+            # on K<X>, so the stored words substitute as associative words
+            src = free_associative(self.variety.rank)
+            tgt = free_associative(target.rank)
+            res = Element._raw(src, self.coeffs).substitute(
+                tuple(Element._raw(tgt, a.coeffs) for a in args), max_degree, _memo
+            )
+            return Element._raw(target, res.coeffs)
         memo = {} if _memo is None else _memo
         acc = {}
         for mono, c in self.coeffs.items():
@@ -602,10 +621,6 @@ class Element(LinearCombination):
         got = memo.get(mono)
         if got is not None:
             return got
-
-        def cut(e):
-            return e if max_degree is None else e.truncate(max_degree)
-
         if kind is Kind.POLYNOMIAL:
             res = target.one()
             for i, e in enumerate(mono):
@@ -618,20 +633,11 @@ class Element(LinearCombination):
                 res = Element._subst_mono(
                     mono[:-1], args, target, memo, kind, max_degree
                 ).mul_trunc(args[mono[-1]], max_degree)
-        elif kind is Kind.FREE_LIE:
-            if len(mono) == 1:
-                res = cut(args[mono[0]])
-            else:
-                u, v = standard_factorization(mono)
-                res = Element._subst_mono(
-                    u, args, target, memo, kind, max_degree
-                ).mul_trunc(
-                    Element._subst_mono(v, args, target, memo, kind, max_degree),
-                    max_degree,
-                )
         else:  # metabelian: left-normed fold
             if len(mono) == 1:
-                res = cut(args[mono[0]])
+                res = args[mono[0]]
+                if max_degree is not None:
+                    res = res.truncate(max_degree)
             else:
                 res = args[mono[0]].mul_trunc(args[mono[1]], max_degree)
                 for j in mono[2:]:
@@ -652,6 +658,15 @@ class Element(LinearCombination):
 # Variety-spanning helpers
 
 
+def basis_coeffs(e):
+    """Coordinates of ``e`` over its variety's basis (the keys that
+    ``monomials_of_degree`` lists): a free-Lie element's stored words are
+    rewritten in the Lyndon basis, other kinds store their basis keys."""
+    if e.variety.kind is Kind.FREE_LIE:
+        return lie_from_assoc(e.coeffs)
+    return e.coeffs
+
+
 def project_to_metabelian(e, target=None):
     """Quotient map from a free Lie algebra onto the free metabelian Lie
     algebra of the same rank (kills the second derived subalgebra)."""
@@ -659,13 +674,9 @@ def project_to_metabelian(e, target=None):
         raise VarietyMismatch("projection is defined on free Lie elements")
     if target is None:
         target = metabelian_lie(e.variety.rank)
-    return _project_mb(e, target)
-
-
-def _project_mb(e, target):
     out = target.zero()
     memo = {}
-    for mono, c in e.coeffs.items():
+    for mono, c in basis_coeffs(e).items():
         out = out + _mb_of_lyndon(mono, target, memo).scale(c)
     return out
 
@@ -763,12 +774,13 @@ def _lyndon_str(w, names):
 
 
 def element_str(e):
-    if not e.coeffs:
+    coeffs = basis_coeffs(e)
+    if not coeffs:
         return "0"
     kind = e.variety.kind
     parts = []
-    for mono in sorted(e.coeffs, key=lambda m: _deglex_key(kind, m)):
-        c = e.coeffs[mono]
+    for mono in sorted(coeffs, key=lambda m: _deglex_key(kind, m)):
+        c = coeffs[mono]
         ms = mono_str(e.variety, mono)
         if ms == "1":
             body = str(abs(c))

@@ -28,7 +28,7 @@ from .freealg import (
     Element,
     Kind,
     Variety,
-    assoc_of_lie_coeffs,
+    basis_coeffs,
     free_lie,
     monomials_of_degree,
 )
@@ -36,6 +36,7 @@ from .deriv import Derivation, divergence
 from .morphism import (
     Endomorphism,
     NotIA,
+    NotInvertible,
     compose,
     ia_correct,
     ia_level,
@@ -303,9 +304,8 @@ def build_polynilpotent_witness(c, n, materialize_limit=12):
             cur = u * cur
         u = cur
     # cross-check the tracked leading term against the materialized element
-    expansion = assoc_of_lie_coeffs(u.coeffs)
-    least = min(expansion)
-    if least != leads[-1].word or expansion[least] != leads[-1].coeff:
+    least = min(u.coeffs)
+    if least != leads[-1].word or u.coeffs[least] != leads[-1].coeff:
         raise AlgebraError("leading-term tracker disagrees with the expansion")
 
     args = (lie.gen(1), lie.gen(2)) + tuple(lie.gen(j) for j in range(2, n))
@@ -346,7 +346,8 @@ def derivation_vector(D, degree):
     monos = monomials_of_degree(var, degree + 1)
     vec = []
     for f in D.coords:
-        vec.extend(f.coeffs.get(m, Fraction(0)) for m in monos)
+        coeffs = basis_coeffs(f)
+        vec.extend(coeffs.get(m, Fraction(0)) for m in monos)
     return vec
 
 
@@ -428,7 +429,7 @@ def tangent_span(
     for g in generators:
         try:
             pool.append(truncated_inverse(g, trunc))
-        except Exception:
+        except NotInvertible:
             continue
 
     per_level_rows = {}

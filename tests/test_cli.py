@@ -93,6 +93,42 @@ def test_non_integer_flag_exit_code_1(tmp_path, capsys, command):
     assert "needs an integer value" in captured.err
 
 
+def test_flag_error_names_the_line(tmp_path, capsys):
+    script = (
+        "variety lie(3)\n"
+        "a := auto(x1 + [x2,x3], x2, x3)\n"
+        "ia-level a\n"
+        "build-polynilpotent --c x\n"
+    )
+    rc = cli.main(["run", write(tmp_path, script)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: line 4: flag --c needs an integer value" in captured.err
+
+
+def test_unknown_evidence_exit_code_1(tmp_path, capsys):
+    script = (
+        "variety lie(3)\n"
+        "a := auto(x1 + [x2,x3], x2, x3)\n"
+        "detect-wild a --context metabelian --evidence bogus\n"
+    )
+    rc = cli.main(["run", write(tmp_path, script)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "line 3" in captured.err
+    for allowed in ("user", "truncation", "builtin"):
+        assert allowed in captured.err
+    assert captured.out == ""
+
+
+def test_repeated_generator_name_exit_code_1(tmp_path, capsys):
+    rc = cli.main(["run", write(tmp_path, "variety polynomial(2) vars x,x\neval x\n")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "line 1" in captured.err
+    assert "repeat" in captured.err
+
+
 def test_syntax_error_reports_position(tmp_path, capsys):
     rc = cli.main(["run", write(tmp_path, "variety polynomial(1) vars x\neval x $\n")])
     captured = capsys.readouterr()

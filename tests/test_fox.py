@@ -5,6 +5,7 @@ import pytest
 
 from tangentia import (
     Derivation,
+    Element,
     Endomorphism,
     EnvElement,
     chain_rule_check,
@@ -15,6 +16,7 @@ from tangentia import (
     gradient,
     jacobian,
     metabelian_lie,
+    monomials_of_degree,
     polynomial,
 )
 
@@ -57,6 +59,26 @@ def test_metabelian_fox_of_bracket():
     f = y2 * y1  # [y2,y1]: d/dy1 = +L_{y2} = t2, d/dy2 = -L_{y1} = -t1
     assert fox_derivative(f, 0).terms == {(0, 1): 1}
     assert fox_derivative(f, 1).terms == {(1, 0): -1}
+
+
+def test_metabelian_fox_is_the_abelianized_free_lie_fox():
+    """On each left-normed bracket up to degree 5, the metabelian Fox
+    derivative is the free-Lie Fox derivative of its lift to L_3, with
+    the words of U(L_3) = K<X> abelianized into U/R = Q[t]."""
+    M, L = metabelian_lie(3), free_lie(3)
+    for d in range(1, 6):
+        for mono in monomials_of_degree(M, d):
+            lift = L.gen(mono[0])
+            for j in mono[1:]:
+                lift = lift * L.gen(j)
+            for i in range(3):
+                want = {}
+                for w, c in fox_derivative(lift, i).terms.items():
+                    t = tuple(w.count(j) for j in range(3))
+                    want[t] = want.get(t, 0) + c
+                want = {t: c for t, c in want.items() if c}
+                a = Element(M, {mono: Fraction(1)})
+                assert fox_derivative(a, i).terms == want, (mono, i)
 
 
 @pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)

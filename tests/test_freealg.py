@@ -17,7 +17,12 @@ from tangentia import (
     polynomial,
     project_to_metabelian,
 )
-from tangentia.freealg import is_lyndon, lyndon_expand, standard_factorization
+from tangentia.freealg import (
+    basis_coeffs,
+    is_lyndon,
+    lyndon_expand,
+    standard_factorization,
+)
 
 from conftest import ALL_VARIETIES, random_element
 
@@ -32,7 +37,34 @@ def test_word_concatenation():
 def test_lie_anticommutativity_to_lyndon_basis():
     L = free_lie(2)
     x1, x2 = L.gens()
-    assert (x2 * x1).coeffs == {(0, 1): Fraction(-1)}
+    assert basis_coeffs(x2 * x1) == {(0, 1): Fraction(-1)}
+
+
+def test_free_lie_constructor_takes_lyndon_coordinates():
+    L = free_lie(2)
+    x1, x2 = L.gens()
+    assert Element(L, {(0, 1): 1}) == x1 * x2
+    assert Element(L, {(0, 1): 1}) == -(x2 * x1)
+    for key in [(1, 0), (0, 1, 0, 1), (0, 0), (), (0, 2)]:
+        with pytest.raises(AlgebraError):
+            Element(L, {key: 1})
+
+
+def test_basis_coeffs_reads_back_lyndon_coordinates(rng):
+    L = free_lie(3)
+    for _ in range(40):
+        coords = {}
+        for _ in range(6):
+            m = rng.choice(monomials_of_degree(L, rng.randint(1, 6)))
+            coords[m] = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
+        assert basis_coeffs(Element(L, coords)) == coords
+
+
+def test_repeated_generator_names_rejected():
+    with pytest.raises(AlgebraError):
+        polynomial(2, ("x", "x"))
+    with pytest.raises(AlgebraError):
+        free_lie(3, ("a", "b", "a"))
 
 
 def test_metabelian_identity_bracket_of_brackets():

@@ -31,6 +31,7 @@ from tangentia import (
     user_context,
     var_m2k_context,
 )
+from tangentia import wildness
 from tangentia.wildness import EVIDENCE_BUILTIN, EVIDENCE_USER, LeadingTerm, _lt_bracket
 
 
@@ -290,6 +291,23 @@ def test_span_bracket_closure_flags():
     gens = _poly_generators()
     rep = tangent_span(gens, 1, 60, seed=3, conjugation_rank=1)
     assert all(isinstance(ok, bool) for _, _, ok in rep.bracket_closure)
+
+
+def test_span_skips_generators_without_an_inverse():
+    P = polynomial(3)
+    x, y, z = P.gens()
+    singular = Endomorphism(P, (x + y, x + y + z * z, z))
+    rep = tangent_span(_poly_generators() + [singular], 1, 30, seed=5)
+    assert rep.samples_used == 30
+
+
+def test_span_does_not_swallow_other_errors(monkeypatch):
+    def broken(phi, k):
+        raise ZeroDivisionError("bug in the inverse")
+
+    monkeypatch.setattr(wildness, "truncated_inverse", broken)
+    with pytest.raises(ZeroDivisionError):
+        tangent_span(_poly_generators(), 1, 10, seed=0)
 
 
 def test_span_needs_generators():
