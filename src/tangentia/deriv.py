@@ -143,7 +143,7 @@ class Derivation:
             for i, e in enumerate(mono):
                 if e:
                     rest = mono[:i] + (e - 1,) + mono[i + 1 :]
-                    res = res + (Element(var, {rest: Fraction(e)}) * self.coords[i])
+                    res = res + (Element(var, {rest: e}) * self.coords[i])
         else:  # metabelian: fold the left-normed bracket
             val = var.gen(mono[0])
             dval = self.coords[mono[0]]

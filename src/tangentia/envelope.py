@@ -80,7 +80,7 @@ class EnvElement(LinearCombination):
             key = ()
         else:
             key = (0,) * variety.rank
-        return cls(variety, {key: Fraction(1)})
+        return cls(variety, {key: 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,7 +165,7 @@ def env_apply(u, m):
         return Element(var, u.terms) * m
     if kind is Kind.FREE_ASSOCIATIVE:
         for (a, b), c in u.terms.items():
-            out = out + (Element(var, {a: Fraction(1)}) * m * Element(var, {b: Fraction(1)})).scale(c)
+            out = out + (Element(var, {a: 1}) * m * Element(var, {b: 1})).scale(c)
         return out
     if kind is Kind.FREE_LIE:
         for w, c in u.terms.items():

@@ -6,8 +6,6 @@ is all the Jacobian and the divergence need.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .freealg import (
     AlgebraError,
     Element,
@@ -127,8 +125,8 @@ def env_push(images, u):
     if var.kind is Kind.FREE_ASSOCIATIVE:
         out = {}
         for (a, b), c in u.terms.items():
-            ea = Element(var, {a: Fraction(1)}).substitute(images)
-            eb = Element(var, {b: Fraction(1)}).substitute(images)
+            ea = Element(var, {a: 1}).substitute(images)
+            eb = Element(var, {b: 1}).substitute(images)
             for wa, ca in ea.coeffs.items():
                 for wb, cb in eb.coeffs.items():
                     _merge(out, (wa, wb), c * ca * cb)

@@ -3,8 +3,11 @@
 Supported varieties: commutative polynomials, free associative algebras,
 free Lie algebras (Lyndon-word basis with standard bracketing), and free
 metabelian Lie algebras (left-normed bracket basis).  Coefficients are
-arbitrary-precision rationals throughout; there is no floating point
-anywhere in this package.
+exact rationals, stored as ``int`` when integral and as ``Fraction``
+otherwise; one normaliser, ``_coeff``, applies this where a coefficient
+enters (construction, ``scale``, ``Variety.scalar``), so the product
+kernel and substitution run on ``int`` arithmetic on integral inputs.
+There is no floating point anywhere in this package.
 
 Stored keys per variety:
 
@@ -67,6 +70,18 @@ _UNITAL = frozenset({Kind.POLYNOMIAL, Kind.FREE_ASSOCIATIVE})
 _LIE_KINDS = frozenset({Kind.FREE_LIE, Kind.METABELIAN_LIE})
 
 
+def _coeff(c):
+    """The stored form of a coefficient: ``c`` itself if it is an ``int``,
+    else ``Fraction(c)``, reduced to its numerator when its denominator
+    is 1.  ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``, so
+    the form changes no equality, hash or printed string; it lets sums
+    and products of integral coefficients run on ``int``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _default_names(kind, rank):
     prefix = "y" if kind is Kind.METABELIAN_LIE else "x"
     return tuple(f"{prefix}{i + 1}" for i in range(rank))
@@ -110,7 +125,7 @@ class Variety:
             mono = tuple(1 if j == i else 0 for j in range(self.rank))
         else:
             mono = (i,)
-        return Element._raw(self, {mono: Fraction(1)})
+        return Element._raw(self, {mono: 1})
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.rank))
@@ -122,7 +137,7 @@ class Variety:
         return self.scalar(1)
 
     def scalar(self, c):
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return self.zero()
         if not self.unital:
@@ -317,7 +332,7 @@ class LinearCombination:
 
     def __init__(self, variety, coeffs):
         self.variety = variety
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
+        self.coeffs = {m: _coeff(c) for m, c in coeffs.items() if c}
 
     @classmethod
     def _raw(cls, variety, coeffs):
@@ -367,7 +382,7 @@ class LinearCombination:
         return self._raw(self.variety, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return self._raw(self.variety, {})
         return self._raw(self.variety, {m: c * v for m, v in self.coeffs.items()})
@@ -460,6 +475,36 @@ def _product(kind, a, b, k):
     return out
 
 
+_KEY_FORMS = {
+    Kind.POLYNOMIAL: "a tuple of {n} nonnegative ints",
+    Kind.FREE_ASSOCIATIVE: "a word in {n} generators",
+    Kind.FREE_LIE: "a Lyndon word in {n} generators",
+    Kind.METABELIAN_LIE: "(i,) or i1 > i2 <= i3 <= ... in {n} generators",
+}
+
+
+def _is_basis_key(variety, key):
+    """True iff ``key`` is one of the keys ``monomials_of_degree`` lists
+    for ``variety`` (see the module docstring)."""
+    n = variety.rank
+    if not isinstance(key, tuple) or not all(type(i) is int for i in key):
+        return False
+    kind = variety.kind
+    if kind is Kind.POLYNOMIAL:
+        return len(key) == n and all(e >= 0 for e in key)
+    if not all(0 <= i < n for i in key):
+        return False
+    if kind is Kind.FREE_ASSOCIATIVE:
+        return True
+    if kind is Kind.FREE_LIE:
+        return is_lyndon(key)
+    return len(key) == 1 or (
+        len(key) >= 2
+        and key[0] > key[1]
+        and all(a <= b for a, b in zip(key[1:], key[2:]))
+    )
+
+
 class Element(LinearCombination):
     """An element of a free algebra: a linear combination of the
     variety's stored keys (see the module docstring).
@@ -472,12 +517,11 @@ class Element(LinearCombination):
     __slots__ = ()
 
     def __init__(self, variety, coeffs):
+        for key in coeffs:
+            if not _is_basis_key(variety, key):
+                form = _KEY_FORMS[variety.kind].format(n=variety.rank)
+                raise AlgebraError(f"{variety.kind.value} key {key!r} is not {form}")
         if variety.kind is Kind.FREE_LIE:
-            for w in coeffs:
-                if not is_lyndon(w) or not all(0 <= i < variety.rank for i in w):
-                    raise AlgebraError(
-                        f"free-Lie key {w} is not a Lyndon word in {variety.rank} generators"
-                    )
             coeffs = assoc_of_lie_coeffs(coeffs)
         super().__init__(variety, coeffs)
 
@@ -521,10 +565,10 @@ class Element(LinearCombination):
 
     def constant_term(self):
         if self.variety.kind is Kind.POLYNOMIAL:
-            return self.coeffs.get((0,) * self.variety.rank, Fraction(0))
+            return self.coeffs.get((0,) * self.variety.rank, 0)
         if self.variety.kind is Kind.FREE_ASSOCIATIVE:
-            return self.coeffs.get((), Fraction(0))
-        return Fraction(0)
+            return self.coeffs.get((), 0)
+        return 0
 
     def involves(self, i):
         """True iff generator i occurs in some monomial."""

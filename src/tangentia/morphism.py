@@ -10,7 +10,6 @@ tuples this is the substitution of phi's images into psi's coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .freealg import (
     AlgebraError,
@@ -87,7 +86,7 @@ class Endomorphism:
         mat = []
         for f in self.images:
             lin = f.homogeneous_component(1)
-            row = [lin.coeffs.get(next(iter(gens[j].coeffs)), Fraction(0)) for j in range(n)]
+            row = [lin.coeffs.get(next(iter(gens[j].coeffs)), 0) for j in range(n)]
             mat.append(row)
         return mat
 
@@ -273,7 +272,6 @@ def affine(variety, g, consts):
 
 def elementary(variety, i, alpha, f):
     """(x_1, ..., alpha x_i + f, ..., x_n) with f free of x_i."""
-    alpha = Fraction(alpha)
     if alpha == 0:
         raise AlgebraError("elementary automorphism needs a nonzero scalar")
     if f.involves(i):
@@ -316,7 +314,7 @@ def ia_correct(phi):
     if var.unital:
         c = phi.constant_part()
         corr_c = tuple(
-            -sum((ginv[i][j] * c[j] for j in range(var.rank)), Fraction(0))
+            -sum(ginv[i][j] * c[j] for j in range(var.rank))
             for i in range(var.rank)
         )
         corr = affine(var, ginv, corr_c)

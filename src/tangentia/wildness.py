@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .freealg import (
     AlgebraError,
@@ -199,7 +198,7 @@ class LeadingTermIndeterminate(AlgebraError):
 @dataclass(frozen=True)
 class LeadingTerm:
     word: tuple
-    coeff: Fraction
+    coeff: int
 
     @property
     def degree(self):
@@ -253,8 +252,8 @@ def build_polynilpotent_witness(c, n, materialize_limit=12):
             "tuple (1,1) is the metabelian variety: inequality (99) fails"
         )
 
-    x1 = LeadingTerm((0,), Fraction(1))
-    x2 = LeadingTerm((1,), Fraction(1))
+    x1 = LeadingTerm((0,), 1)
+    x2 = LeadingTerm((1,), 1)
     lt = x2
     for _ in range(c[0]):
         lt = _lt_bracket(x1, lt)
@@ -347,7 +346,7 @@ def derivation_vector(D, degree):
     vec = []
     for f in D.coords:
         coeffs = basis_coeffs(f)
-        vec.extend(coeffs.get(m, Fraction(0)) for m in monos)
+        vec.extend(coeffs.get(m, 0) for m in monos)
     return vec
 
 
@@ -371,9 +370,9 @@ def divergence_kernel_rank(variety, degree):
     rows = []
     for i in range(variety.rank):
         for m in monos:
-            f = Element(variety, {m: Fraction(1)})
+            f = Element(variety, {m: 1})
             tc = trace_class(fox_derivative(f, i))
-            row = [Fraction(0)] * len(tkeys)
+            row = [0] * len(tkeys)
             for key, coeff in tc.terms.items():
                 row[tindex[key]] = coeff
             rows.append(row)
@@ -394,7 +393,7 @@ class SpanReport:
 
 def random_invertible_matrix(rng, n, attempts=50):
     for _ in range(attempts):
-        mat = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         try:
             linalg.inverse(mat)
             return mat

@@ -50,6 +50,35 @@ def test_free_lie_constructor_takes_lyndon_coordinates():
             Element(L, {key: 1})
 
 
+def test_polynomial_constructor_checks_exponent_vectors():
+    P = polynomial(2)
+    x, y = P.gens()
+    assert Element(P, {(1, 2): 1}) == x * y * y
+    for key in [(1, 2, 3), (1,), (1, -1), (0.5, 1), "ab", 3]:
+        with pytest.raises(AlgebraError):
+            Element(P, {key: 1})
+
+
+def test_associative_constructor_checks_words():
+    A = free_associative(2)
+    x1, x2 = A.gens()
+    assert Element(A, {(1, 0): 1, (): 2}) == x2 * x1 + 2 * A.one()
+    for key in [(5,), (0, 2), (-1,), (0, "a")]:
+        with pytest.raises(AlgebraError):
+            Element(A, {key: 1})
+
+
+def test_metabelian_constructor_checks_bracket_keys():
+    M = metabelian_lie(3)
+    y1, y2, y3 = M.gens()
+    assert Element(M, {(1, 0): 1}) == y2 * y1
+    assert Element(M, {(2, 0, 1, 1): 1}) == y3 * y1 * y2 * y2
+    # (0, 1) would print as [y1,y2] yet differ from -(y2 * y1)
+    for key in [(0, 1), (1, 1), (2, 1, 0), (3,), (3, 0), (), (1, 0, 5)]:
+        with pytest.raises(AlgebraError):
+            Element(M, {key: 1})
+
+
 def test_basis_coeffs_reads_back_lyndon_coordinates(rng):
     L = free_lie(3)
     for _ in range(40):
