@@ -8,20 +8,27 @@ breaks.  Statement forms:
 * ``let NAME = EXPR`` -- bind an algebra element
 * ``NAME := auto(E1, ..., En)`` -- define an endomorphism
 * ``NAME := deriv(E1, ..., En)`` -- define a derivation
-* command invocations: ``eval``, ``apply``, ``ia-level``, ``tangent``,
+* ``COMMAND ARGS [--flag VALUES]... [as NAME]`` -- a command from
+  ``COMMANDS``: ``eval``, ``apply``, ``ia-level``, ``tangent``,
   ``jacobian``, ``divergence``, ``compose``, ``invert``, ``commutator``,
   ``detect-wild``, ``build-polynilpotent``, ``span``
 
+``COMMANDS`` declares, for each command, its positional form, each flag
+it takes with the type of its value (one integer, integers, one name,
+names, or none for a switch) and whether it binds its result with
+``as NAME``.  The parser checks every command statement against it, so
+a handler receives its arguments and typed flags already checked.
+
 Expressions support ``+``, ``-``, explicit ``*``, ``^`` (unital
 varieties), ``[a,b]`` brackets, parentheses, and rational literals
-``p/q``.  Commands that produce a map accept a trailing ``as NAME`` to
-bind the result.  ``#`` starts a comment.
+``p/q``.  ``#`` starts a comment.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .freealg import (
     AlgebraError,
@@ -39,6 +46,7 @@ from .morphism import (
     DEFAULT_MAX_DEGREE,
     Endomorphism,
     compose,
+    compose_all,
     group_commutator,
     ia_level,
     tangent,
@@ -172,22 +180,54 @@ class Script:
     statements: list
 
 
-_COMMANDS = {
-    "eval",
-    "apply",
-    "ia-level",
-    "tangent",
-    "jacobian",
-    "divergence",
-    "compose",
-    "invert",
-    "commutator",
-    "detect-wild",
-    "build-polynilpotent",
-    "span",
+# flag value types: (value class, takes a list of one or more values);
+# SWITCH marks a flag that takes no value
+INT, INTS, NAME, NAMES = (int, False), (int, True), (str, False), (str, True)
+SWITCH = None
+
+
+class CommandSpec(NamedTuple):
+    """What a command accepts."""
+
+    args: str  # positional form: "expr", "map expr", or a key of _NAME_FORMS
+    flags: dict  # flag name -> value type
+    binds: bool  # takes a trailing ``as NAME``
+
+
+_MAX_DEGREE = {"max-degree": INT}
+
+COMMANDS = {
+    "eval": CommandSpec("expr", {}, False),
+    "apply": CommandSpec("map expr", {}, False),
+    "ia-level": CommandSpec("map", _MAX_DEGREE, False),
+    "tangent": CommandSpec("map", _MAX_DEGREE, True),
+    "jacobian": CommandSpec("map", {}, False),
+    "divergence": CommandSpec("map", _MAX_DEGREE, False),
+    "compose": CommandSpec("maps", _MAX_DEGREE, True),
+    "invert": CommandSpec("map", {"degree": INT}, True),
+    "commutator": CommandSpec("map map", {"degree": INT}, True),
+    "detect-wild": CommandSpec(
+        "map",
+        {"context": NAME, "evidence": NAME, "class": INT, "c": INTS,
+         "min-degree": INT, "tag": NAME, "max-degree": INT},
+        False,
+    ),
+    "build-polynilpotent": CommandSpec("", {"c": INTS, "rank": INT, "limit": INT}, True),
+    "span": CommandSpec(
+        "",
+        {"gens": NAMES, "degree": INT, "samples": INT, "seed": INT, "conjugate": SWITCH},
+        False,
+    ),
 }
 
-_EXPR_ARG_COMMANDS = {"eval", "apply"}
+# positional forms made of map names (commas between them are optional):
+# least count, most count (None: no limit), and how the error names them
+_NAME_FORMS = {
+    "": (0, 0, "no arguments"),
+    "map": (1, 1, "exactly one map"),
+    "map map": (2, 2, "exactly two maps"),
+    "maps": (2, None, "at least two maps"),
+}
 
 
 def _merge_hyphenated(tokens, i):
@@ -229,7 +269,7 @@ def _parse_statement(toks):
         return _parse_variety(toks, after)
     if word == "let":
         return _parse_let(toks, after)
-    if word in _COMMANDS:
+    if word in COMMANDS:
         return _parse_command(word, toks, after)
     raise DslError(f"unknown statement {word!r}", head.line, head.col)
 
@@ -302,41 +342,30 @@ def _split_commas(toks):
     return out
 
 
+def _is_as(tok):
+    return tok.kind == "NAME" and tok.value == "as"
+
+
 def _parse_command(word, toks, i):
-    args = []
-    flags = {}
-    bind_as = None
+    """Check a command statement against its entry in ``COMMANDS``."""
+    spec = COMMANDS[word]
+    line = toks[0].line
     # positional arguments up to the first flag / 'as'
     pos = []
-    while i < len(toks) and toks[i].kind != "FLAG":
-        if toks[i].kind == "NAME" and toks[i].value == "as":
-            break
+    while i < len(toks) and toks[i].kind != "FLAG" and not _is_as(toks[i]):
         pos.append(toks[i])
         i += 1
-    if word in _EXPR_ARG_COMMANDS:
-        if word == "apply":
-            if len(pos) < 2:
-                raise DslError(
-                    "apply needs a map name and an expression", toks[0].line, toks[0].col
-                )
-            args.append(pos[0].value)
-            args.append(pos[1:])
-        else:
-            if not pos:
-                raise DslError(f"{word} needs an expression", toks[0].line, toks[0].col)
-            args.append(pos)
-    else:
-        for t in pos:
-            if t.kind == "NAME":
-                args.append(t.value)
-            elif t.kind == "OP" and t.value == ",":
-                continue
-            else:
-                raise DslError(f"expected a name, got {t.value!r}", t.line, t.col)
-    # flags and the optional trailing 'as NAME'
+    args = _positional_args(word, spec.args, pos, line)
+    # flags and the optional trailing 'as NAME', in any order
+    flags = {}
+    bind_as = None
     while i < len(toks):
         t = toks[i]
-        if t.kind == "NAME" and t.value == "as":
+        if _is_as(t):
+            if not spec.binds:
+                raise DslError(f"{word} has no result to bind with 'as'", line)
+            if bind_as is not None:
+                raise DslError("'as' given twice", line)
             bind_as = _expect(toks, i + 1, "NAME").value
             i += 2
             continue
@@ -345,7 +374,7 @@ def _parse_command(word, toks, i):
         fname = t.value
         i += 1
         values = []
-        while i < len(toks) and toks[i].kind in ("NAME", "NUMBER") and toks[i].value != "as":
+        while i < len(toks) and toks[i].kind in ("NAME", "NUMBER") and not _is_as(toks[i]):
             if toks[i].kind == "NAME":
                 merged, i = _merge_hyphenated(toks, i)
                 values.append(merged)
@@ -359,13 +388,52 @@ def _parse_command(word, toks, i):
                 and toks[i + 1].kind in ("NAME", "NUMBER")
             ):
                 i += 1
-        if not values:
-            flags[fname] = True
-        elif len(values) == 1:
-            flags[fname] = values[0]
-        else:
-            flags[fname] = values
-    return Command(word, args, flags, bind_as, toks[0].line)
+        if fname not in spec.flags:
+            takes = ", ".join(f"--{f}" for f in spec.flags) or "no flags"
+            raise DslError(f"{word} has no flag --{fname}; it takes {takes}", line)
+        if fname in flags:
+            raise DslError(f"flag --{fname} given twice", line)
+        flags[fname] = _flag_value(fname, spec.flags[fname], values, line)
+    return Command(word, args, flags, bind_as, line)
+
+
+def _positional_args(word, form, pos, line):
+    if form == "expr":
+        if not pos:
+            raise DslError(f"{word} needs an expression", line)
+        return [pos]
+    if form == "map expr":
+        if len(pos) < 2 or pos[0].kind != "NAME":
+            raise DslError(f"{word} needs a map name and an expression", line)
+        return [pos[0].value, pos[1:]]
+    names = []
+    for t in pos:
+        if t.kind == "NAME":
+            names.append(t.value)
+        elif t.kind != "OP" or t.value != ",":
+            raise DslError(f"expected a name, got {t.value!r}", t.line, t.col)
+    least, most, what = _NAME_FORMS[form]
+    if len(names) < least or (most is not None and len(names) > most):
+        raise DslError(f"{word} takes {what}, got {len(names)}", line)
+    return names
+
+
+def _flag_value(fname, kind, values, line):
+    """The typed value of flag --fname: an int or a name, a list of them
+    for a list type, or True for a switch."""
+    if kind is SWITCH:
+        if values:
+            raise DslError(f"flag --{fname} takes no value", line)
+        return True
+    cls, many = kind
+    if not values or any(type(v) is not cls for v in values):
+        what = "an integer value" if cls is int else "a name"
+        raise DslError(f"flag --{fname} needs {what}", line)
+    if many:
+        return values
+    if len(values) > 1:
+        raise DslError(f"flag --{fname} takes one value, got {len(values)}", line)
+    return values[0]
 
 
 # -- expression evaluation --------------------------------------------------
@@ -514,7 +582,11 @@ _EVIDENCE = {
 
 
 class Session:
-    """Executes a parsed script; accumulates one result record per command."""
+    """Executes a parsed script; accumulates one result record per command.
+
+    Each ``_cmd_*`` handler takes a command's positional arguments and its
+    typed flags, already checked against ``COMMANDS``, and returns its
+    output record and the value ``as NAME`` binds (None for no value)."""
 
     def __init__(self, max_degree=DEFAULT_MAX_DEGREE, seed=0):
         self.variety = None
@@ -532,12 +604,12 @@ class Session:
             raise DslError(f"{name!r} is not an algebra element", tok.line, tok.col)
         return v
 
-    def lookup(self, name, line, types):
+    def lookup(self, name, types):
         v = self.env.get(name)
         if v is None:
-            raise DslError(f"undefined name {name!r}", line, None)
+            raise DslError(f"undefined name {name!r}")
         if not isinstance(v, types):
-            raise DslError(f"{name!r} has the wrong type for this command", line, None)
+            raise DslError(f"{name!r} has the wrong type for this command")
         return v
 
     def run(self, script):
@@ -560,9 +632,6 @@ class Session:
     def _require_variety(self, line):
         if self.variety is None:
             raise DslError("no variety declared yet", line, None)
-
-    def _bind(self, name, value, line):
-        self.env[name] = value
 
     def _do_variety(self, stmt):
         if self.variety is not None:
@@ -592,7 +661,7 @@ class Session:
                 v = self.variety.scalar(v)
             except AlgebraError as exc:
                 raise DslError(str(exc), stmt.line, None) from exc
-        self._bind(stmt.name, v, stmt.line)
+        self.env[stmt.name] = v
 
     def _do_mapdef(self, stmt):
         self._require_variety(stmt.line)
@@ -612,190 +681,133 @@ class Session:
                 value = Derivation(self.variety, tuple(coords))
         except AlgebraError as exc:
             raise DslError(str(exc), stmt.line, None) from exc
-        self._bind(stmt.name, value, stmt.line)
+        self.env[stmt.name] = value
 
     # -- commands ------------------------------------------------------------
 
-    def _record(self, command, output):
-        self.results.append({"command": command, "output": output})
-
-    def _int_flag(self, flags, name, default, many=False):
-        """The integer value of flag --name, or ``default`` if it is absent;
-        with ``many``, the list of its one or more integer values."""
-        if name not in flags:
-            return default
-        v = flags[name]
-        values = v if many and isinstance(v, list) else [v]
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
-            raise DslError(f"flag --{name} needs an integer value", None, None)
-        return values if many else v
-
     def _do_command(self, stmt):
         self._require_variety(stmt.line)
+        handler = getattr(self, "_cmd_" + stmt.name.replace("-", "_"))
         try:
-            getattr(self, "_cmd_" + stmt.name.replace("-", "_"))(stmt)
+            output, value = handler(stmt.args, stmt.flags)
         except DslError as exc:
             if exc.line is not None:
                 raise
             raise DslError(str(exc), stmt.line, None) from exc
         except AlgebraError as exc:
             raise DslError(f"in {stmt.name!r}: {exc}", stmt.line, None) from exc
+        if stmt.bind_as is not None and value is not None:
+            self.env[stmt.bind_as] = value
+        self.results.append({"command": stmt.name, "output": output})
 
-    def _cmd_eval(self, stmt):
-        v = self._eval(stmt.args[0])
-        self._record("eval", {"value": str(v)})
+    def _cmd_eval(self, args, flags):
+        return {"value": str(self._eval(args[0]))}, None
 
-    def _cmd_apply(self, stmt):
-        m = self.lookup(stmt.args[0], stmt.line, (Endomorphism, Derivation))
-        v = self._eval(stmt.args[1])
+    def _cmd_apply(self, args, flags):
+        m = self.lookup(args[0], (Endomorphism, Derivation))
+        v = self._eval(args[1])
         if not isinstance(v, Element):
-            raise DslError("apply needs an algebra element", stmt.line, None)
-        self._record("apply", {"name": stmt.args[0], "value": str(m.apply(v))})
+            raise DslError("apply needs an algebra element")
+        return {"name": args[0], "value": str(m.apply(v))}, None
 
-    def _cmd_ia_level(self, stmt):
-        phi = self.lookup(stmt.args[0], stmt.line, Endomorphism)
-        k = self._int_flag(stmt.flags, "max-degree", self.max_degree)
-        lev = ia_level(phi, k)
-        self._record(
-            "ia-level",
-            {"name": stmt.args[0], "status": lev.status, "i": lev.i, "bound": lev.bound,
-             "text": str(lev)},
-        )
+    def _cmd_ia_level(self, args, flags):
+        phi = self.lookup(args[0], Endomorphism)
+        lev = ia_level(phi, flags.get("max-degree", self.max_degree))
+        return {"name": args[0], "status": lev.status, "i": lev.i, "bound": lev.bound,
+                "text": str(lev)}, None
 
-    def _cmd_tangent(self, stmt):
-        phi = self.lookup(stmt.args[0], stmt.line, Endomorphism)
-        k = self._int_flag(stmt.flags, "max-degree", self.max_degree)
-        T = tangent(phi, k)
-        if stmt.bind_as:
-            self._bind(stmt.bind_as, T, stmt.line)
-        self._record(
-            "tangent",
-            {"name": stmt.args[0], "coords": [str(f) for f in T.coords]},
-        )
+    def _cmd_tangent(self, args, flags):
+        phi = self.lookup(args[0], Endomorphism)
+        T = tangent(phi, flags.get("max-degree", self.max_degree))
+        return {"name": args[0], "coords": [str(f) for f in T.coords]}, T
 
-    def _cmd_jacobian(self, stmt):
-        obj = self.lookup(stmt.args[0], stmt.line, (Endomorphism, Derivation))
-        mat = fox_jacobian(obj)
-        self._record(
-            "jacobian",
-            {"name": stmt.args[0], "matrix": [[env_str(e) for e in row] for row in mat]},
-        )
+    def _cmd_jacobian(self, args, flags):
+        mat = fox_jacobian(self.lookup(args[0], (Endomorphism, Derivation)))
+        return {"name": args[0], "matrix": [[env_str(e) for e in row] for row in mat]}, None
 
-    def _cmd_divergence(self, stmt):
-        obj = self.lookup(stmt.args[0], stmt.line, (Endomorphism, Derivation))
+    def _cmd_divergence(self, args, flags):
+        obj = self.lookup(args[0], (Endomorphism, Derivation))
         if isinstance(obj, Endomorphism):
-            k = self._int_flag(stmt.flags, "max-degree", self.max_degree)
-            obj = tangent(obj, k)
+            obj = tangent(obj, flags.get("max-degree", self.max_degree))
         div = divergence(obj)
-        self._record(
-            "divergence",
-            {"name": stmt.args[0], "divergence": trace_str(div.trace),
-             "is_zero": div.is_zero()},
-        )
+        return {"name": args[0], "divergence": trace_str(div.trace),
+                "is_zero": div.is_zero()}, None
 
-    def _cmd_compose(self, stmt):
-        maps = [self.lookup(n, stmt.line, Endomorphism) for n in stmt.args]
-        if len(maps) < 2:
-            raise DslError("compose needs at least two maps", stmt.line, None)
-        k = self._int_flag(stmt.flags, "max-degree", None)
-        out = maps[0]
-        for m in maps[1:]:
-            out = compose(out, m, max_degree=k)
-        if stmt.bind_as:
-            self._bind(stmt.bind_as, out, stmt.line)
-        self._record("compose", {"names": list(stmt.args), "images": [str(f) for f in out.images]})
+    def _cmd_compose(self, args, flags):
+        maps = [self.lookup(n, Endomorphism) for n in args]
+        out = compose_all(maps, max_degree=flags.get("max-degree"))
+        return {"names": args, "images": [str(f) for f in out.images]}, out
 
-    def _cmd_invert(self, stmt):
-        phi = self.lookup(stmt.args[0], stmt.line, Endomorphism)
-        k = self._int_flag(stmt.flags, "degree", self.max_degree)
+    def _cmd_invert(self, args, flags):
+        phi = self.lookup(args[0], Endomorphism)
+        k = flags.get("degree", self.max_degree)
         inv = truncated_inverse(phi, k)
-        if stmt.bind_as:
-            self._bind(stmt.bind_as, inv, stmt.line)
         check = compose(phi, inv, max_degree=k).is_identity_through(k)
-        self._record(
-            "invert",
-            {"name": stmt.args[0], "degree": k,
-             "images": [str(f) for f in inv.images],
-             "identity_through_degree": check},
-        )
+        return {"name": args[0], "degree": k, "images": [str(f) for f in inv.images],
+                "identity_through_degree": check}, inv
 
-    def _cmd_commutator(self, stmt):
-        if len(stmt.args) != 2:
-            raise DslError("commutator needs exactly two maps", stmt.line, None)
-        a = self.lookup(stmt.args[0], stmt.line, Endomorphism)
-        b = self.lookup(stmt.args[1], stmt.line, Endomorphism)
-        k = self._int_flag(stmt.flags, "degree", self.max_degree)
+    def _cmd_commutator(self, args, flags):
+        a, b = (self.lookup(n, Endomorphism) for n in args)
+        k = flags.get("degree", self.max_degree)
         out = group_commutator(a, b, k)
-        if stmt.bind_as:
-            self._bind(stmt.bind_as, out, stmt.line)
-        self._record(
-            "commutator",
-            {"names": list(stmt.args), "degree": k, "images": [str(f) for f in out.images]},
-        )
+        return {"names": args, "degree": k, "images": [str(f) for f in out.images]}, out
 
-    def _context_from_flags(self, flags, line):
+    def _context_from_flags(self, flags):
         tag = flags.get("context")
-        if tag is None or tag is True:
-            raise DslError("detect-wild needs --context", line, None)
+        if tag is None:
+            raise DslError("detect-wild needs --context")
         evidence = flags.get("evidence", "user")
-        if not isinstance(evidence, str) or evidence not in _EVIDENCE:
+        if evidence not in _EVIDENCE:
             raise DslError(
-                f"flag --evidence must be one of {', '.join(_EVIDENCE)}, got {evidence!r}",
-                line,
-                None,
+                f"flag --evidence must be one of {', '.join(_EVIDENCE)}, got {evidence!r}"
             )
         evidence = _EVIDENCE[evidence]
         if tag == "metabelian":
             return wildness.metabelian_context(self.variety, evidence)
         if tag == "nilpotent":
-            c = self._int_flag(flags, "class", 2)
-            return wildness.nilpotent_context(self.variety, c, evidence)
+            return wildness.nilpotent_context(self.variety, flags.get("class", 2), evidence)
         if tag == "var-m2k":
             return wildness.var_m2k_context(self.variety, evidence)
         if tag == "polynilpotent":
-            cs = self._int_flag(flags, "c", None, many=True)
-            if cs is None:
-                raise DslError("polynilpotent context needs --c", line, None)
-            return wildness.polynilpotent_context(self.variety, tuple(cs), evidence)
+            if "c" not in flags:
+                raise DslError("polynilpotent context needs --c")
+            return wildness.polynilpotent_context(self.variety, tuple(flags["c"]), evidence)
         if tag == "user":
-            d = self._int_flag(flags, "min-degree", 2)
-            return wildness.user_context(self.variety, flags.get("tag", "unnamed"), d)
-        raise DslError(f"unknown context {tag!r}", line, None)
+            return wildness.user_context(
+                self.variety, flags.get("tag", "unnamed"), flags.get("min-degree", 2)
+            )
+        raise DslError(f"unknown context {tag!r}")
 
-    def _cmd_detect_wild(self, stmt):
-        phi = self.lookup(stmt.args[0], stmt.line, Endomorphism)
-        ctx = self._context_from_flags(stmt.flags, stmt.line)
-        k = self._int_flag(stmt.flags, "max-degree", self.max_degree)
+    def _cmd_detect_wild(self, args, flags):
+        phi = self.lookup(args[0], Endomorphism)
+        ctx = self._context_from_flags(flags)
+        k = flags.get("max-degree", self.max_degree)
         if (
             self.variety.kind is Kind.FREE_ASSOCIATIVE
             and self.variety.rank == 2
-            and stmt.flags.get("context") == "var-m2k"
+            and flags["context"] == "var-m2k"
         ):
             cert = wildness.detect_rank2_associative(phi, ctx, k)
             witness = str(cert.witness)
         else:
             cert = wildness.detect_divergence_wild(phi, ctx, k)
             witness = trace_str(cert.witness.trace)
-        self._record(
-            "detect-wild",
-            {
-                "name": stmt.args[0],
-                "context": ctx.ideal_tag,
-                "min_degree": ctx.min_degree,
-                "verdict": cert.verdict,
-                "witness": witness,
-                "reasons": list(cert.reasons),
-                "trace": list(cert.trace),
-            },
-        )
+        return {
+            "name": args[0],
+            "context": ctx.ideal_tag,
+            "min_degree": ctx.min_degree,
+            "verdict": cert.verdict,
+            "witness": witness,
+            "reasons": list(cert.reasons),
+            "trace": list(cert.trace),
+        }, None
 
-    def _cmd_build_polynilpotent(self, stmt):
-        cs = self._int_flag(stmt.flags, "c", None, many=True)
-        if cs is None:
-            raise DslError("build-polynilpotent needs --c", stmt.line, None)
-        rank = self._int_flag(stmt.flags, "rank", max(self.variety.rank, 3))
-        limit = self._int_flag(stmt.flags, "limit", self.max_degree)
-        u, psi, rep = wildness.build_polynilpotent_witness(tuple(cs), rank, limit)
+    def _cmd_build_polynilpotent(self, args, flags):
+        if "c" not in flags:
+            raise DslError("build-polynilpotent needs --c")
+        rank = flags.get("rank", max(self.variety.rank, 3))
+        limit = flags.get("limit", self.max_degree)
+        u, psi, rep = wildness.build_polynilpotent_witness(tuple(flags["c"]), rank, limit)
         out = {
             "c": list(rep.c),
             "degrees": rep.degrees,
@@ -806,38 +818,31 @@ class Session:
             "leading_recursion_ok": rep.leading_recursion_ok,
             "materialized": rep.materialized,
         }
-        if rep.materialized:
-            out["u"] = str(u)
-            out["psi"] = [str(f) for f in psi.images]
-            if stmt.bind_as:
-                self._bind(stmt.bind_as, psi, stmt.line)
-        self._record("build-polynilpotent", out)
+        if not rep.materialized:
+            return out, None
+        out["u"] = str(u)
+        out["psi"] = [str(f) for f in psi.images]
+        return out, psi
 
-    def _cmd_span(self, stmt):
-        gens_flag = stmt.flags.get("gens")
-        if gens_flag is None:
-            raise DslError("span needs --gens", stmt.line, None)
-        if isinstance(gens_flag, str):
-            gens_flag = [gens_flag]
-        gens = [self.lookup(n, stmt.line, Endomorphism) for n in gens_flag]
-        degree = self._int_flag(stmt.flags, "degree", 1)
-        samples = self._int_flag(stmt.flags, "samples", 200)
-        seed = self._int_flag(stmt.flags, "seed", self.seed)
-        conj = 1 if stmt.flags.get("conjugate") else 0
+    def _cmd_span(self, args, flags):
+        if "gens" not in flags:
+            raise DslError("span needs --gens")
+        gens = [self.lookup(n, Endomorphism) for n in flags["gens"]]
+        degree = flags.get("degree", 1)
+        samples = flags.get("samples", 200)
+        seed = flags.get("seed", self.seed)
+        conj = 1 if "conjugate" in flags else 0
         rep = wildness.tangent_span(gens, degree, samples, seed, conjugation_rank=conj)
-        self._record(
-            "span",
-            {
-                "gens": list(gens_flag),
-                "degree": degree,
-                "samples": samples,
-                "seed": seed,
-                "rank": rep.rank,
-                "hits": rep.hits,
-                "per_level_counts": {str(k): v for k, v in sorted(rep.per_level_counts.items())},
-                "oracle_kernel_rank": wildness.divergence_kernel_rank(self.variety, degree),
-            },
-        )
+        return {
+            "gens": flags["gens"],
+            "degree": degree,
+            "samples": samples,
+            "seed": seed,
+            "rank": rep.rank,
+            "hits": rep.hits,
+            "per_level_counts": {str(k): v for k, v in sorted(rep.per_level_counts.items())},
+            "oracle_kernel_rank": wildness.divergence_kernel_rank(self.variety, degree),
+        }, None
 
 
 def run_source(source, max_degree=DEFAULT_MAX_DEGREE, seed=0):

@@ -44,6 +44,7 @@ from .freealg import (
     VarietyMismatch,
     _product,
     mono_str,
+    terms_str,
 )
 
 
@@ -193,16 +194,6 @@ class TraceClass(LinearCombination):
         return EnvElement(self.variety, dict(self.terms))
 
 
-def _signed_join(parts):
-    out = []
-    for sign, body in parts:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out)
-
-
 def _env_key_str(variety, key):
     kind = variety.kind
     names = variety.names
@@ -219,23 +210,6 @@ def _env_key_str(variety, key):
     return "*".join(parts) if parts else "1"
 
 
-def _terms_str(variety, terms):
-    if not terms:
-        return "0"
-    parts = []
-    for key in sorted(terms, key=lambda k: (_env_key_deg(variety.kind, k), k)):
-        c = terms[key]
-        ks = _env_key_str(variety, key)
-        if ks == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = ks
-        else:
-            body = f"{abs(c)}*{ks}"
-        parts.append((1 if c > 0 else -1, body))
-    return _signed_join(parts)
-
-
 def _env_key_deg(kind, key):
     if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
         return sum(key)
@@ -246,12 +220,17 @@ def _env_key_deg(kind, key):
 
 def env_str(u):
     """Deterministic plain-text form of an EnvElement (deglex term order)."""
-    return _terms_str(u.variety, u.terms)
+    variety = u.variety
+    return terms_str(
+        u.terms,
+        lambda key: _env_key_str(variety, key),
+        lambda key: _env_key_deg(variety.kind, key),
+    )
 
 
 def trace_str(t):
-    """Deterministic plain-text form of a TraceClass."""
-    return _terms_str(t.variety, t.terms)
+    """Deterministic plain-text form of a TraceClass, keys as in env_str."""
+    return env_str(t)
 
 
 def trace_class(u):

@@ -83,13 +83,6 @@ def jacobian(phi):
     return jacobian_of_tuple(tuple(phi.coords_tuple()), phi.variety)
 
 
-def identity_matrix(variety):
-    n = variety.rank
-    one = EnvElement.one(variety)
-    zero = EnvElement.zero(variety)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
     n = len(a)
     out = []

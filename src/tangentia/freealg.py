@@ -7,6 +7,10 @@ exact rationals, stored as ``int`` when integral and as ``Fraction``
 otherwise; one normaliser, ``_coeff``, applies this where a coefficient
 enters (construction, ``scale``, ``Variety.scalar``), so the product
 kernel and substitution run on ``int`` arithmetic on integral inputs.
+Scaling by a non-integral rational normalises its products too.  Sums
+and products of non-integral coefficients may still leave an integral
+``Fraction`` (equal to, hashing and printing like its ``int``): checking
+their type would slow the integer path.
 There is no floating point anywhere in this package.
 
 Stored keys per variety:
@@ -385,7 +389,9 @@ class LinearCombination:
         c = _coeff(c)
         if c == 0:
             return self._raw(self.variety, {})
-        return self._raw(self.variety, {m: c * v for m, v in self.coeffs.items()})
+        if type(c) is int:
+            return self._raw(self.variety, {m: c * v for m, v in self.coeffs.items()})
+        return self._raw(self.variety, {m: _coeff(c * v) for m, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -779,10 +785,6 @@ def monomials_of_degree(variety, d):
 # Deterministic printing (deglex term order, rationals in lowest terms)
 
 
-def _deglex_key(kind, mono):
-    return (_mono_degree(kind, mono), mono)
-
-
 def mono_str(variety, mono):
     names = variety.names
     kind = variety.kind
@@ -817,23 +819,34 @@ def _lyndon_str(w, names):
     return f"[{_lyndon_str(u, names)},{_lyndon_str(v, names)}]"
 
 
-def element_str(e):
-    coeffs = basis_coeffs(e)
+def terms_str(coeffs, key_str, key_degree):
+    """A coefficient dict as a signed sum in deglex order of its keys
+    (``key_degree``, then the key itself), printing each key with
+    ``key_str``; a coefficient of absolute value 1 is left out except on
+    the key printed ``1``."""
     if not coeffs:
         return "0"
-    kind = e.variety.kind
     parts = []
-    for mono in sorted(coeffs, key=lambda m: _deglex_key(kind, m)):
-        c = coeffs[mono]
-        ms = mono_str(e.variety, mono)
-        if ms == "1":
+    for key in sorted(coeffs, key=lambda m: (key_degree(m), m)):
+        c = coeffs[key]
+        ks = key_str(key)
+        if ks == "1":
             body = str(abs(c))
         elif abs(c) == 1:
-            body = ms
+            body = ks
         else:
-            body = f"{abs(c)}*{ms}"
+            body = f"{abs(c)}*{ks}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def element_str(e):
+    variety = e.variety
+    return terms_str(
+        basis_coeffs(e),
+        lambda m: mono_str(variety, m),
+        lambda m: _mono_degree(variety.kind, m),
+    )

@@ -186,23 +186,10 @@ def truncated_inverse(phi, k):
     successive substitution.
     """
     var = phi.variety
-    g = phi.linear_part()
     try:
-        ginv = linalg.inverse(g)
+        base = _affine_inverse(phi)
     except linalg.SingularMatrix as exc:
         raise NotInvertible("linear part is not invertible") from exc
-    if var.unital:
-        c = phi.constant_part()
-        # affine inverse: x -> ginv (x - c)
-        shifted = [
-            var.gen(j) - var.scalar(c[j]) if c[j] else var.gen(j)
-            for j in range(var.rank)
-        ]
-        base = Endomorphism(
-            var, tuple(_linear_combination(var, row, shifted) for row in ginv)
-        )
-    else:
-        base = linear(var, ginv)
     idn = Endomorphism.identity(var)
     # both memos stay valid across iterations: each caches substitution
     # into a fixed tuple of args at a fixed truncation degree
@@ -240,6 +227,18 @@ def _linear_combination(var, row, elements):
         if c:
             out = out + e.scale(c)
     return out
+
+
+def _affine_inverse(phi):
+    """The inverse x -> g^-1 (x - c) of phi's affine part x -> g x + c;
+    raises ``linalg.SingularMatrix`` if the linear part g is singular."""
+    var = phi.variety
+    ginv = linalg.inverse(phi.linear_part())
+    if not var.unital:
+        return linear(var, ginv)
+    c = phi.constant_part()
+    shifted = [var.gen(j) - var.scalar(c[j]) if c[j] else var.gen(j) for j in range(var.rank)]
+    return Endomorphism(var, tuple(_linear_combination(var, row, shifted) for row in ginv))
 
 
 def group_commutator(phi, psi, k):
@@ -305,21 +304,10 @@ def ia_correct(phi):
     """Compose phi with the inverse of its affine part (a member of G_n)
     so the result is an IA candidate; returns None if the linear part is
     singular."""
-    var = phi.variety
-    g = phi.linear_part()
     try:
-        ginv = linalg.inverse(g)
+        corr = _affine_inverse(phi)
     except linalg.SingularMatrix:
         return None
-    if var.unital:
-        c = phi.constant_part()
-        corr_c = tuple(
-            -sum(ginv[i][j] * c[j] for j in range(var.rank))
-            for i in range(var.rank)
-        )
-        corr = affine(var, ginv, corr_c)
-    else:
-        corr = linear(var, ginv)
     # corr undoes the affine part when its images are evaluated at phi's
     # coordinates, which is this composition order
     return compose(phi, corr)

@@ -1,10 +1,12 @@
 """The ``tangentia`` command line: exit codes, JSON schema, determinism."""
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from tangentia import cli
+from tangentia.dsl import COMMANDS
 
 
 GOOD_SCRIPT = """\
@@ -193,3 +195,82 @@ def test_corpus_scripts_run_clean(capsys):
         last = doc["results"][-1]
         assert last["command"] == "ia-level"
         assert last["output"]["status"] == "identity"
+
+
+DEFECT_PRELUDE = (
+    "variety lie(3)\n"
+    "a := auto(x1 + [x2,x3], x2, x3)\n"
+    "b := auto(x1, x2 + [x3,x1], x3)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("divergence", "divergence takes exactly one map, got 0"),
+        ("ia-level", "ia-level takes exactly one map, got 0"),
+        ("tangent --max-degree 3", "tangent takes exactly one map, got 0"),
+        ("jacobian", "jacobian takes exactly one map, got 0"),
+        ("invert", "invert takes exactly one map, got 0"),
+        ("detect-wild --context metabelian", "detect-wild takes exactly one map, got 0"),
+        ("divergence a extra", "divergence takes exactly one map, got 2"),
+        ("span --gens", "flag --gens needs a name"),
+        ("invert a --degre 3", "invert has no flag --degre; it takes --degree"),
+        ("invert a --max-degree 3", "invert has no flag --max-degree; it takes --degree"),
+        ("eval x1 + x2 as z", "eval has no result to bind with 'as'"),
+        ("jacobian a as J", "jacobian has no result to bind with 'as'"),
+        ("invert a --degree 3 --degree 4", "flag --degree given twice"),
+        ("invert a as i as j", "'as' given twice"),
+        ("span --gens a --samples 2 --conjugate no", "flag --conjugate takes no value"),
+        ("detect-wild a --context user --tag", "flag --tag needs a name"),
+    ],
+)
+def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
+    rc = cli.main(["run", write(tmp_path, DEFECT_PRELUDE + command + "\n")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: line 4: {message}" in captured.err
+    assert captured.out == ""
+
+
+EVERY_FLAG_SCRIPT = """\
+# every declared flag of every command, at least once
+variety lie(3)
+let u = [x1,x2]
+a := auto(x1 + [x2,x3], x2, x3)
+b := auto(x1, x2 + [x3,x1], x3)
+m := auto(x1 + [[x1,x2],x2], x2, x3)
+D := deriv([x2,x3], 0*x1, [x1,x2])
+eval u + [u,x3]
+apply a [x1,x2]
+ia-level a --max-degree 5
+tangent a --max-degree 5 as Ta
+jacobian a
+divergence a --max-degree 5
+divergence D
+compose a b --max-degree 4 as ab
+invert a --degree 5 as ainv
+commutator a b --degree 4 as ab_comm
+ia-level ab_comm --max-degree 4
+detect-wild m --context metabelian --evidence builtin --max-degree 6
+detect-wild m --context nilpotent --class 3 --evidence truncation
+detect-wild m --context polynilpotent --c 2,1 --evidence user
+detect-wild m --context var-m2k
+detect-wild m --context user --tag lab-note --min-degree 3
+build-polynilpotent --c 2 1 --rank 3 --limit 8 as psi
+ia-level psi
+span --gens a,b --degree 1 --samples 3 --seed 2 --conjugate
+"""
+
+
+def test_every_declared_flag_keeps_its_report(tmp_path, capsys):
+    """Each flag of the command table reaches its handler: the report is
+    pinned byte for byte, so a flag read under a wrong name (and so left
+    at its default) changes it."""
+    used = {(line.split()[0], word[2:]) for line in EVERY_FLAG_SCRIPT.splitlines()
+            for word in line.split() if word.startswith("--")}
+    assert used == {(cmd, f) for cmd, spec in COMMANDS.items() for f in spec.flags}
+    rc = cli.main(["run", write(tmp_path, EVERY_FLAG_SCRIPT), "--json"])
+    expected = (Path(__file__).parent / "data" / "every_flag.json").read_text(encoding="utf-8")
+    assert rc == 0
+    assert capsys.readouterr().out == expected

@@ -56,6 +56,13 @@ def test_rational_coefficients_stay_fractions():
     assert type(half) is Fraction and half == Fraction(1, 2)
 
 
+def test_scaling_by_a_fraction_stores_integral_results_as_int():
+    x, y = polynomial(2).gens()
+    e = (x.scale(2) + y.scale(Fraction(1, 3))).scale(Fraction(3, 2))
+    assert e.coeffs == {(1, 0): 3, (0, 1): Fraction(1, 2)}
+    assert type(e.coeffs[(1, 0)]) is int
+
+
 def test_integral_fraction_equals_and_hashes_like_int():
     P = polynomial(2)
     stored_fraction = Element._raw(P, {(0, 1): Fraction(2)})
