@@ -16,6 +16,7 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
+    _prefix_walk,
 )
 from .envelope import EnvElement, generated_algebra, left_mul, trace_class, _merge
 from .fox import fox_derivative, jacobian_of_tuple
@@ -128,32 +129,24 @@ class Derivation:
             # the associative derivation with the same generator images
             images = [f.coeffs for f in self.coords]
             return Element._raw(var, _leibniz_words(a.coeffs, images))
-        out = var.zero()
-        memo = {}
-        for mono, c in a.coeffs.items():
-            out = out + self._apply_mono(mono, var, kind, memo).scale(c)
-        return out
+        # polynomial and metabelian keys: D follows the prefix walk (the
+        # closed form above stays for words, where memoising D of every
+        # prefix of an m-letter word would cost O(m^3))
+        coords, gens = self.coords, var.gens()
+        memo, out = {}, {}
 
-    def _apply_mono(self, mono, var, kind, memo):
-        got = memo.get(mono)
-        if got is not None:
-            return got
-        if kind is Kind.POLYNOMIAL:
-            res = var.zero()
-            for i, e in enumerate(mono):
-                if e:
-                    rest = mono[:i] + (e - 1,) + mono[i + 1 :]
-                    res = res + (Element(var, {rest: e}) * self.coords[i])
-        else:  # metabelian: fold the left-normed bracket
-            val = var.gen(mono[0])
-            dval = self.coords[mono[0]]
-            for j in mono[1:]:
-                gj = var.gen(j)
-                dval = dval * gj + val * self.coords[j]
-                val = val * gj
-            res = dval
-        memo[mono] = res
-        return res
+        def step(d, prefix, j):
+            # D(p x_j) = D(p) x_j + p D(x_j), with D(1) = 0
+            if d is None:
+                return coords[j]
+            return d * gens[j] + Element._raw(var, {prefix: 1}) * coords[j]
+
+        for mono, c in a.coeffs.items():
+            d = _prefix_walk(kind, mono, memo, step)
+            if d is not None:
+                for m, v in d.coeffs.items():
+                    _merge(out, m, c * v)
+        return Element._raw(var, out)
 
     # -- left-symmetric structure -------------------------------------------
 

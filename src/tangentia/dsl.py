@@ -282,6 +282,8 @@ def _expect(toks, i, kind, value=None):
     if t.kind != kind or (value is not None and t.value != value):
         want = value if value is not None else kind
         raise DslError(f"expected {want!r}, got {t.value!r}", t.line, t.col)
+    if value is None and t.value == "as":  # it ends a command's arguments
+        raise DslError("'as' cannot name a value", t.line, t.col)
     return t
 
 
@@ -314,7 +316,7 @@ def _parse_let(toks, i):
 
 
 def _parse_mapdef(toks):
-    name = toks[0]
+    name = _expect(toks, 0, "NAME")
     kw = _expect(toks, 2, "NAME")
     if kw.value not in ("auto", "deriv"):
         raise DslError("expected auto(...) or deriv(...)", kw.line, kw.col)
@@ -653,27 +655,23 @@ class Session:
         for i, name in enumerate(self.variety.names):
             self.env[name] = self.variety.gen(i)
 
-    def _do_let(self, stmt):
-        self._require_variety(stmt.line)
-        v = self._eval(stmt.expr)
+    def _element(self, toks, line):
+        """The value of an expression, a scalar read as an element."""
+        v = self._eval(toks)
         if isinstance(v, Fraction):
             try:
                 v = self.variety.scalar(v)
             except AlgebraError as exc:
-                raise DslError(str(exc), stmt.line, None) from exc
-        self.env[stmt.name] = v
+                raise DslError(str(exc), line, None) from exc
+        return v
+
+    def _do_let(self, stmt):
+        self._require_variety(stmt.line)
+        self.env[stmt.name] = self._element(stmt.expr, stmt.line)
 
     def _do_mapdef(self, stmt):
         self._require_variety(stmt.line)
-        coords = []
-        for expr in stmt.arg_exprs:
-            v = self._eval(expr)
-            if isinstance(v, Fraction):
-                try:
-                    v = self.variety.scalar(v)
-                except AlgebraError as exc:
-                    raise DslError(str(exc), stmt.line, None) from exc
-            coords.append(v)
+        coords = [self._element(expr, stmt.line) for expr in stmt.arg_exprs]
         try:
             if stmt.map_kind == "auto":
                 value = Endomorphism(self.variety, tuple(coords))

@@ -42,6 +42,7 @@ from .freealg import (
     LinearCombination,
     Variety,
     VarietyMismatch,
+    _prefix_walk,
     _product,
     mono_str,
     terms_str,
@@ -168,19 +169,17 @@ def env_apply(u, m):
         for (a, b), c in u.terms.items():
             out = out + (Element(var, {a: 1}) * m * Element(var, {b: 1})).scale(c)
         return out
-    if kind is Kind.FREE_LIE:
-        for w, c in u.terms.items():
-            acc = m
-            for letter in reversed(w):
-                acc = var.gen(letter) * acc
-            out = out + acc.scale(c)
-        return out
-    for exps, c in u.terms.items():
-        acc = m
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                acc = var.gen(i) * acc
-        out = out + acc.scale(c)
+
+    # a key of U is a product of the L_{x_j}: the walk applies them to m
+    # one at a time, the last letter of a word first
+    def step(acc, _prefix, j):
+        return var.gen(j) * (m if acc is None else acc)
+
+    ukind, memo = generated_algebra(var).kind, {}
+    for key, c in u.terms.items():
+        key = key[::-1] if kind is Kind.FREE_LIE else key
+        acc = _prefix_walk(ukind, key, memo, step)
+        out = out + (m if acc is None else acc).scale(c)
     return out
 
 

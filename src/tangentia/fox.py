@@ -116,10 +116,10 @@ def env_push(images, u):
     if len(images) != var.rank:
         raise AlgebraError("image tuple length differs from rank")
     if var.kind is Kind.FREE_ASSOCIATIVE:
-        out = {}
+        memo, out = {}, {}
         for (a, b), c in u.terms.items():
-            ea = Element(var, {a: 1}).substitute(images)
-            eb = Element(var, {b: 1}).substitute(images)
+            ea = Element._raw(var, {a: 1}).substitute(images, _memo=memo)
+            eb = Element._raw(var, {b: 1}).substitute(images, _memo=memo)
             for wa, ca in ea.coeffs.items():
                 for wb, cb in eb.coeffs.items():
                     _merge(out, (wa, wb), c * ca * cb)

@@ -38,6 +38,11 @@ variety; it truncates at a degree ``k`` by never forming the pairs past it,
 and serves ``Element.__mul__``, ``Element.mul_trunc`` and, for envelope
 keys that add or concatenate, ``envelope.env_mul``.
 
+Substitution, the Leibniz action and the other maps built one generator
+at a time share one prefix walk: ``_split_key``, the only code that knows
+how a key factors, writes each stored key as a shorter key times one
+generator, and ``_prefix_walk`` builds a key's value from its prefix's.
+
 All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -316,10 +321,43 @@ def _mb_mul_mono(m1, m2):
 # Elements
 
 
-def _mono_degree(kind, mono):
-    if kind is Kind.POLYNOMIAL:
+def _mono_degree(kind, mono, _polynomial=Kind.POLYNOMIAL):
+    # the default binds the Enum member once, as in ``_split_key``
+    if kind is _polynomial:
         return sum(mono)
     return len(mono)
+
+
+def _split_key(kind, key, _polynomial=Kind.POLYNOMIAL):
+    """``(prefix, j)`` with ``key`` the key ``prefix`` times x_j, or None for
+    the unit key.  A polynomial key gives up one unit of its last nonzero
+    exponent; a word its last letter, and so does a metabelian key, whose
+    last letter is the greatest of its sorted tail: ``_mb_append(prefix,
+    j)`` is the key itself.  The empty key is the unit in Lie kinds too.
+    (The default binds ``Kind.POLYNOMIAL`` once: an Enum attribute lookup
+    costs as much as the rest of a split.)"""
+    if kind is not _polynomial:
+        return (key[:-1], key[-1]) if key else None
+    for i in range(len(key) - 1, -1, -1):
+        if key[i]:
+            return key[:i] + (key[i] - 1,) + key[i + 1 :], i
+    return None
+
+
+def _prefix_walk(kind, key, memo, step):
+    """The value of ``key`` under a map built one generator at a time: from
+    the longest prefix in ``memo``, one ``value = step(value, prefix, j)``
+    per generator, each prefix's value kept in ``memo``.  The unit's value
+    is None, so ``step(None, unit, j)`` is x_j's.  A loop, not recursion."""
+    path = []
+    val = memo.get(key)
+    while val is None and (split := _split_key(kind, key)):
+        path.append((key, split))
+        key = split[0]
+        val = memo.get(key)
+    for key, (prefix, j) in reversed(path):
+        memo[key] = val = step(val, prefix, j)
+    return val
 
 
 class LinearCombination:
@@ -622,10 +660,11 @@ class Element(LinearCombination):
         as they appear (sound because degrees only grow under products),
         which keeps intermediate results small.
 
-        ``_memo`` is a private cache of monomial images; callers that
-        substitute many elements into the *same* args at the same
-        ``max_degree`` (e.g. composition, iterated inversion) may pass
-        one dict through all calls to share the work.
+        A key's image is its longest known prefix's image times one
+        ``args[j]`` per missing generator (``_prefix_walk``).  ``_memo``
+        caches the images of keys and prefixes; callers that substitute
+        many elements into the *same* args at the same ``max_degree``
+        (e.g. composition, iterated inversion) may share one dict.
         """
         if len(args) != self.variety.rank:
             raise AlgebraError(
@@ -644,56 +683,34 @@ class Element(LinearCombination):
                 f"cannot substitute {target.kind.value} values into a "
                 f"{self.variety.kind.value} element"
             )
-        kind = self.variety.kind
+        kind, codomain = self.variety.kind, target
         if kind is Kind.FREE_LIE:
             # a Lie homomorphism is the restriction of the associative one
             # on K<X>, so the stored words substitute as associative words
-            src = free_associative(self.variety.rank)
-            tgt = free_associative(target.rank)
-            res = Element._raw(src, self.coeffs).substitute(
-                tuple(Element._raw(tgt, a.coeffs) for a in args), max_degree, _memo
-            )
-            return Element._raw(target, res.coeffs)
+            target = free_associative(target.rank)
+            args = tuple(Element._raw(target, a.coeffs) for a in args)
         memo = {} if _memo is None else _memo
+
+        def step(img, _prefix, j):
+            a = args[j]
+            if img is not None:
+                return img.mul_trunc(a, max_degree)
+            return a if max_degree is None else a.truncate(max_degree)
+
         acc = {}
         for mono, c in self.coeffs.items():
-            term = self._subst_mono(mono, args, target, memo, kind, max_degree)
+            term = memo.get(mono)
+            if term is None:
+                term = _prefix_walk(kind, mono, memo, step)
+                if term is None:  # the unit key
+                    term = target.one()
             for m, tc in term.coeffs.items():
                 n = acc.get(m, 0) + c * tc
                 if n:
                     acc[m] = n
                 else:
                     acc.pop(m, None)
-        return Element._raw(target, acc)
-
-    @staticmethod
-    def _subst_mono(mono, args, target, memo, kind, max_degree=None):
-        got = memo.get(mono)
-        if got is not None:
-            return got
-        if kind is Kind.POLYNOMIAL:
-            res = target.one()
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    res = res.mul_trunc(args[i], max_degree)
-        elif kind is Kind.FREE_ASSOCIATIVE:
-            if not mono:
-                res = target.one()
-            else:
-                res = Element._subst_mono(
-                    mono[:-1], args, target, memo, kind, max_degree
-                ).mul_trunc(args[mono[-1]], max_degree)
-        else:  # metabelian: left-normed fold
-            if len(mono) == 1:
-                res = args[mono[0]]
-                if max_degree is not None:
-                    res = res.truncate(max_degree)
-            else:
-                res = args[mono[0]].mul_trunc(args[mono[1]], max_degree)
-                for j in mono[2:]:
-                    res = res.mul_trunc(args[j], max_degree)
-        memo[mono] = res
-        return res
+        return Element._raw(codomain, acc)
 
     # -- printing -----------------------------------------------------------
 
@@ -719,29 +736,23 @@ def basis_coeffs(e):
 
 def project_to_metabelian(e, target=None):
     """Quotient map from a free Lie algebra onto the free metabelian Lie
-    algebra of the same rank (kills the second derived subalgebra)."""
+    algebra of the same rank (kills the second derived subalgebra).  By
+    Dynkin-Specht-Wever, a Lie element of degree m in K<X> is 1/m times
+    the sum of its words' left-normed brackets, built by the prefix walk."""
     if e.variety.kind is not Kind.FREE_LIE:
         raise VarietyMismatch("projection is defined on free Lie elements")
     if target is None:
         target = metabelian_lie(e.variety.rank)
-    out = target.zero()
-    memo = {}
-    for mono, c in basis_coeffs(e).items():
-        out = out + _mb_of_lyndon(mono, target, memo).scale(c)
-    return out
+    gens = target.gens()
 
+    def step(b, _prefix, j):
+        return gens[j] if b is None else b * gens[j]
 
-def _mb_of_lyndon(w, target, memo):
-    got = memo.get(w)
-    if got is not None:
-        return got
-    if len(w) == 1:
-        res = target.gen(w[0])
-    else:
-        u, v = standard_factorization(w)
-        res = _mb_of_lyndon(u, target, memo) * _mb_of_lyndon(v, target, memo)
-    memo[w] = res
-    return res
+    memo, acc = {}, {}
+    for w, c in e.coeffs.items():
+        for m, v in _prefix_walk(Kind.FREE_LIE, w, memo, step).coeffs.items():
+            acc[m] = acc.get(m, 0) + Fraction(c * v, len(w))
+    return Element(target, acc)
 
 
 def monomials_of_degree(variety, d):
@@ -754,17 +765,11 @@ def monomials_of_degree(variety, d):
         if not variety.unital:
             return []
         return [(0,) * n] if kind is Kind.POLYNOMIAL else [()]
-    if kind is Kind.POLYNOMIAL:
-        out = []
-        for bars in itertools.combinations(range(d + n - 1), n - 1):
-            prev = -1
-            exps = []
-            for b in bars:
-                exps.append(b - prev - 1)
-                prev = b
-            exps.append(d + n - 2 - prev)
-            out.append(tuple(exps))
-        return sorted(out)
+    if kind is Kind.POLYNOMIAL:  # stars and bars
+        return sorted(
+            tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + n - 1,)))
+            for bars in itertools.combinations(range(d + n - 1), n - 1)
+        )
     if kind is Kind.FREE_ASSOCIATIVE:
         return sorted(itertools.product(range(n), repeat=d))
     if kind is Kind.FREE_LIE:

@@ -77,7 +77,7 @@ class Endomorphism:
         return self == Endomorphism.identity(self.variety)
 
     def is_identity_through(self, k):
-        return self.truncate(k) == Endomorphism.identity(self.variety)
+        return self.truncate(k) == Endomorphism.identity(self.variety).truncate(k)
 
     def linear_part(self):
         """Matrix g with phi(x_i) = sum_j g[i][j] x_j + higher order."""

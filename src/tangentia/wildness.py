@@ -421,6 +421,8 @@ def tangent_span(
     """
     if not generators:
         raise AlgebraError("need at least one generator")
+    if degree < 1:
+        raise AlgebraError(f"span degree must be >= 1, got {degree}")
     var = generators[0].variety
     rng = random.Random(seed)
     trunc = 2 * degree + 2  # enough to see levels through 2*degree for diagnostics

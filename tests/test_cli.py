@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tangentia import cli
+from tangentia import cli, corpus
 from tangentia.dsl import COMMANDS
 
 
@@ -223,6 +223,7 @@ DEFECT_PRELUDE = (
         ("invert a as i as j", "'as' given twice"),
         ("span --gens a --samples 2 --conjugate no", "flag --conjugate takes no value"),
         ("detect-wild a --context user --tag", "flag --tag needs a name"),
+        ("span --gens a --degree 0 --samples 2", "in 'span': span degree must be >= 1, got 0"),
     ],
 )
 def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
@@ -274,3 +275,42 @@ def test_every_declared_flag_keeps_its_report(tmp_path, capsys):
     expected = (Path(__file__).parent / "data" / "every_flag.json").read_text(encoding="utf-8")
     assert rc == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_corpus_script_keeps_its_report(tmp_path, capsys, name):
+    """The JSON report of each shipped corpus script is pinned byte for
+    byte."""
+    rc = cli.main(["run", write(tmp_path, corpus.script_source(name)), "--json"])
+    expected = (Path(__file__).parent / "data" / "corpus" / f"{name}.json").read_text(
+        encoding="utf-8"
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_long_word_substitution_exit_code_0(tmp_path, capsys):
+    script = "variety assoc(2) vars a,b\nf := auto(b, a)\nlet w = a^1200\napply f w\n"
+    rc = cli.main(["run", write(tmp_path, script), "--json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][0]["output"]["value"] == "*".join(["b"] * 1200)
+
+
+@pytest.mark.parametrize(
+    "script, where",
+    [
+        ("variety polynomial(2) vars as,b\n", "line 1, column 28"),
+        ("variety polynomial(2)\nlet as = x1\n", "line 2, column 5"),
+        ("variety polynomial(2)\nas := auto(x2, x1)\n", "line 2, column 1"),
+        ("variety polynomial(2)\nf := auto(x2, x1)\ninvert f as as\n", "line 3, column 13"),
+    ],
+)
+def test_as_cannot_name_a_value_exit_code_1(tmp_path, capsys, script, where):
+    """``as`` ends a command's arguments, so a value named ``as`` could
+    never be used: the name is rejected where it is given."""
+    rc = cli.main(["run", write(tmp_path, script)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {where}: 'as' cannot name a value" in captured.err
+    assert captured.out == ""

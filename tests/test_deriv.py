@@ -6,6 +6,7 @@ import pytest
 
 from tangentia import (
     Derivation,
+    Element,
     divergence,
     env_mul,
     free_associative,
@@ -204,3 +205,13 @@ def test_divergence_equals_jacobian_trace(rng):
         for _ in range(10):
             D = random_derivation(rng, variety, 2)
             assert divergence(D).trace == trace_class(mat_trace(jacobian(D)))
+
+
+def test_apply_on_long_keys_does_not_recurse():
+    P = polynomial(1)
+    (x,) = P.gens()
+    assert Derivation(P, (x * x,)).apply(x.power(1200)) == 1200 * x.power(1201)
+    # y1 -> 0, y2 -> y2 scales a bracket by its number of y2 letters
+    M = metabelian_lie(2)
+    e = Element(M, {(1, 0) + (1,) * 1198: 1})
+    assert Derivation(M, (M.zero(), M.gen(1))).apply(e) == 1199 * e

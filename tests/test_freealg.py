@@ -269,3 +269,32 @@ def test_truncate_and_min_degree():
     assert e.min_degree() == 1
     assert e.degree() == 3
     assert P.zero().degree() is None
+
+
+def test_substitute_shares_one_memo_under_truncation(rng):
+    """One memo of key and prefix images, shared by ten elements, gives
+    each element's truncated image."""
+    for variety in ALL_VARIETIES:
+        low = 0 if variety.unital else 1
+        args = tuple(random_element(rng, variety, low, 2) for _ in range(variety.rank))
+        for k in (1, 3, 5):
+            memo = {}
+            for _ in range(10):
+                a = random_element(rng, variety, low, 5, terms=4)
+                got = a.substitute(args, max_degree=k, _memo=memo)
+                assert got == a.substitute(args).truncate(k)
+
+
+def test_substitute_long_word_does_not_recurse():
+    A = free_associative(2)
+    a, b = A.gens()
+    assert a.power(1200).substitute((b, a)) == b.power(1200)
+
+
+def test_projection_to_metabelian_on_brackets():
+    L, M = free_lie(3), metabelian_lie(3)
+    x1, x2, x3 = L.gens()
+    y1, y2, y3 = M.gens()
+    assert project_to_metabelian(x1) == y1
+    assert project_to_metabelian((x1 * x2) * x3 - 2 * (x3 * x1)) == (y1 * y2) * y3 - 2 * (y3 * y1)
+    assert project_to_metabelian((x1 * x2) * (x1 * x3)).is_zero()

@@ -184,3 +184,17 @@ def test_compose_truncation_consistency(rng):
         exact = compose(phi, psi)
         trunc = compose(phi, psi, max_degree=5)
         assert exact.truncate(5) == trunc
+
+
+def test_is_identity_through_compares_truncations():
+    """Through degree k the map is compared with the identity truncated
+    at k, so every map agrees with it through degree 0."""
+    P = polynomial(2)
+    x, y = P.gens()
+    phi = Endomorphism(P, (x + y * y, y))
+    assert phi.is_identity_through(0) and phi.is_identity_through(1)
+    assert not phi.is_identity_through(2)
+    M = metabelian_lie(2)
+    y1, y2 = M.gens()
+    assert Endomorphism(M, (y2, y1)).is_identity_through(0)
+    assert not Endomorphism(M, (y2, y1)).is_identity_through(1)
