@@ -21,7 +21,9 @@ a handler receives its arguments and typed flags already checked.
 
 Expressions support ``+``, ``-``, explicit ``*``, ``^`` (unital
 varieties), ``[a,b]`` brackets, parentheses, and rational literals
-``p/q``.  ``#`` starts a comment.
+``p/q``.  ``#`` starts a comment.  Parentheses, brackets and unary
+minus nest at most ``MAX_NESTING`` levels deep; deeper nesting is a
+script error, since the parser recurses once per level.
 """
 from __future__ import annotations
 
@@ -441,6 +443,12 @@ def _flag_value(fname, kind, values, line):
 # -- expression evaluation --------------------------------------------------
 
 
+# Nesting levels ("(", "[" and unary "-") an expression may open: each
+# costs the parser up to four stack frames, so this stays well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive-descent evaluator over a token list and an environment."""
 
@@ -448,6 +456,7 @@ class _ExprParser:
         self.toks = toks
         self.i = 0
         self.session = session
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -524,13 +533,19 @@ class _ExprParser:
             return Fraction(t.value)
         if t.kind == "NAME":
             return self.session.lookup_value(t)
-        if t.kind == "OP" and t.value == "(":
+        if t.kind != "OP" or t.value not in ("(", "[", "-"):
+            raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
+        if self.depth == MAX_NESTING:
+            raise DslError(
+                f"expression nests deeper than {MAX_NESTING} levels", t.line, t.col
+            )
+        self.depth += 1
+        if t.value == "(":
             v = self.expr()
             close = self._next()
             if close.kind != "OP" or close.value != ")":
                 raise DslError("expected ')'", close.line, close.col)
-            return v
-        if t.kind == "OP" and t.value == "[":
+        elif t.value == "[":
             a = self.expr()
             comma = self._next()
             if comma.kind != "OP" or comma.value != ",":
@@ -539,10 +554,11 @@ class _ExprParser:
             close = self._next()
             if close.kind != "OP" or close.value != "]":
                 raise DslError("expected ']'", close.line, close.col)
-            return self._bracket(a, b, t)
-        if t.kind == "OP" and t.value == "-":
-            return self._neg(self.atom())
-        raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
+            v = self._bracket(a, b, t)
+        else:
+            v = self._neg(self.atom())
+        self.depth -= 1
+        return v
 
     # scalar/element coercion helpers
 

@@ -142,7 +142,8 @@ def env_mul(u, v):
     # the kind of generated_algebra(u.variety), without building a Variety
     # on every product
     mono_kind = Kind.FREE_ASSOCIATIVE if kind is Kind.FREE_LIE else Kind.POLYNOMIAL
-    return EnvElement._raw(u.variety, _product(mono_kind, u.terms, v.terms, None))
+    graded = ((0, v.terms.items()),)
+    return EnvElement._raw(u.variety, _product(mono_kind, u.terms, graded, None))
 
 
 def env_apply(u, m):

@@ -34,9 +34,16 @@ variety and a dict from canonical keys to nonzero rationals, and owns the
 linear arithmetic (sum, difference, negation, scaling, equality, hashing);
 ``Element`` here and the envelope's ``EnvElement`` and ``TraceClass`` are
 its subclasses.  ``_product`` is the one product kernel, with one loop per
-variety; it truncates at a degree ``k`` by never forming the pairs past it,
-and serves ``Element.__mul__``, ``Element.mul_trunc`` and, for envelope
-keys that add or concatenate, ``envelope.env_mul``.
+variety, and serves ``Element.__mul__``, ``Element.mul_trunc`` and, for
+envelope keys that add or concatenate, ``envelope.env_mul``.  Its right
+operand comes as degree buckets, ``[(degree, [(key, coeff), ...]), ...]``
+in ascending degree: a truncated product at degree ``k`` walks them for
+each left term and stops at the first bucket past the room ``k`` leaves,
+so the pairs it drops are never visited.  An element computes its buckets
+on first use and keeps them (``Element._degree_buckets``), so the right
+operand of many products, such as a substitution's ``args``, is bucketed
+once; the plain product passes the whole dict as a single bucket and pays
+no bucketing.
 
 Substitution, the Leibniz action and the other maps built one generator
 at a time share one prefix walk: ``_split_key``, the only code that knows
@@ -367,21 +374,26 @@ class LinearCombination:
     by convention; arithmetic returns fresh objects of the same class.
     Algebra elements, envelope elements and trace classes all share this
     storage and its linear arithmetic; only operands of one class and one
-    variety (kind and rank) combine.
+    variety (kind and rank) combine.  ``_buckets`` caches the terms grouped
+    by degree (``Element._degree_buckets``), so a dict must never change
+    once it is wrapped.
     """
 
-    __slots__ = ("variety", "coeffs")
+    __slots__ = ("variety", "coeffs", "_buckets")
 
     def __init__(self, variety, coeffs):
         self.variety = variety
         self.coeffs = {m: _coeff(c) for m, c in coeffs.items() if c}
+        self._buckets = None
 
     @classmethod
     def _raw(cls, variety, coeffs):
-        """Internal: wrap a dict already free of zero coefficients."""
+        """Internal: wrap a dict already free of zero coefficients, which
+        no one changes afterwards."""
         e = object.__new__(cls)
         e.variety = variety
         e.coeffs = coeffs
+        e._buckets = None
         return e
 
     @property
@@ -454,68 +466,79 @@ class LinearCombination:
         return f"{type(self).__name__}({self.variety.kind.value}, {self.coeffs!r})"
 
 
-def _product(kind, a, b, k):
-    """The product of two coefficient dicts of one variety kind, without
-    its terms of degree above ``k`` (``k=None`` keeps them all): a pair
-    of terms whose degrees sum past ``k`` is skipped before it is
-    multiplied.  Free-Lie operands are words of K<X>, bracketed as
-    commutators."""
+def _product(
+    kind, a, graded, k,
+    _polynomial=Kind.POLYNOMIAL, _assoc=Kind.FREE_ASSOCIATIVE, _lie=Kind.FREE_LIE,
+):
+    """The product of a coefficient dict ``a`` and a right operand given as
+    degree buckets ``graded``, ``[(degree, [(key, coeff), ...]), ...]`` in
+    ascending degree (``Element._degree_buckets``), without its terms of
+    degree above ``k``.  For each left term the walk over the buckets stops
+    at the first degree past the room ``k`` leaves, so the dropped pairs
+    are never visited.  The plain product (``k=None``) passes the whole
+    dict as one bucket, ``((0, b.items()),)``, and pays no bucketing.
+    Free-Lie operands are words of K<X>, bracketed as commutators.  (The
+    defaults bind the ``Kind`` members once, as in ``_split_key``.)"""
     if k is None:
         k = math.inf
     out = {}
-    if kind is Kind.POLYNOMIAL:
+    if kind is _polynomial:
         for m1, c1 in a.items():
             room = k - sum(m1)
-            for m2, c2 in b.items():
-                if sum(m2) > room:
-                    continue
-                m = tuple(map(add, m1, m2))
-                n = out.get(m, 0) + c1 * c2
-                if n:
-                    out[m] = n
-                else:
-                    out.pop(m, None)
-        return out
-    if kind is Kind.FREE_ASSOCIATIVE:
-        for m1, c1 in a.items():
-            room = k - len(m1)
-            for m2, c2 in b.items():
-                if len(m2) > room:
-                    continue
-                m = m1 + m2
-                n = out.get(m, 0) + c1 * c2
-                if n:
-                    out[m] = n
-                else:
-                    out.pop(m, None)
-        return out
-    if kind is Kind.FREE_LIE:
-        for m1, c1 in a.items():
-            room = k - len(m1)
-            for m2, c2 in b.items():
-                if len(m2) > room:
-                    continue
-                c = c1 * c2
-                for m, s in ((m1 + m2, c), (m2 + m1, -c)):
-                    n = out.get(m, 0) + s
+            for d, terms in graded:
+                if d > room:
+                    break
+                for m2, c2 in terms:
+                    m = tuple(map(add, m1, m2))
+                    n = out.get(m, 0) + c1 * c2
                     if n:
                         out[m] = n
                     else:
                         out.pop(m, None)
         return out
+    if kind is _assoc:
+        for m1, c1 in a.items():
+            room = k - len(m1)
+            for d, terms in graded:
+                if d > room:
+                    break
+                for m2, c2 in terms:
+                    m = m1 + m2
+                    n = out.get(m, 0) + c1 * c2
+                    if n:
+                        out[m] = n
+                    else:
+                        out.pop(m, None)
+        return out
+    if kind is _lie:
+        for m1, c1 in a.items():
+            room = k - len(m1)
+            for d, terms in graded:
+                if d > room:
+                    break
+                for m2, c2 in terms:
+                    c = c1 * c2
+                    for m, s in ((m1 + m2, c), (m2 + m1, -c)):
+                        n = out.get(m, 0) + s
+                        if n:
+                            out[m] = n
+                        else:
+                            out.pop(m, None)
+        return out
     # metabelian Lie
     for m1, c1 in a.items():
         room = k - len(m1)
-        for m2, c2 in b.items():
-            if len(m2) > room:
-                continue
-            c = c1 * c2
-            for m, s in _mb_mul_mono(m1, m2).items():
-                n = out.get(m, 0) + c * s
-                if n:
-                    out[m] = n
-                else:
-                    out.pop(m, None)
+        for d, terms in graded:
+            if d > room:
+                break
+            for m2, c2 in terms:
+                c = c1 * c2
+                for m, s in _mb_mul_mono(m1, m2).items():
+                    n = out.get(m, 0) + c * s
+                    if n:
+                        out[m] = n
+                    else:
+                        out.pop(m, None)
     return out
 
 
@@ -593,11 +616,39 @@ class Element(LinearCombination):
 
     def homogeneous_components(self):
         """Dict degree -> homogeneous part; the parts sum back to self."""
-        kind = self.variety.kind
-        parts = {}
+        var = self.variety
+        return {d: Element._raw(var, dict(terms)) for d, terms in self._degree_buckets()}
+
+    def _degree_buckets(self):
+        """The terms grouped by degree, ``[(degree, [(key, coeff), ...]),
+        ...]`` in ascending degree: the right operand of a truncated
+        ``_product``.  Computed on first use and kept in ``_buckets``."""
+        buckets = self._buckets
+        if buckets is None:
+            kind, parts = self.variety.kind, {}
+            for m, c in self.coeffs.items():
+                parts.setdefault(_mono_degree(kind, m), []).append((m, c))
+            buckets = self._buckets = sorted(parts.items())
+        return buckets
+
+    def check(self):
+        """Assert the stored invariants: every key is canonical for the
+        variety (a nonempty word of K<X> for free Lie, whose words together
+        must form a Lie element), no coefficient is zero, and the degree
+        buckets, once filled, match ``coeffs``."""
+        var = self.variety
+        lie = var.kind is Kind.FREE_LIE
+        stored = free_associative(var.rank) if lie else var
         for m, c in self.coeffs.items():
-            parts.setdefault(_mono_degree(kind, m), {})[m] = c
-        return {k: Element._raw(self.variety, d) for k, d in sorted(parts.items())}
+            assert _is_basis_key(stored, m) and (m or not lie), (
+                f"{var.kind.value} key {m!r} is not canonical"
+            )
+            assert c != 0, f"zero coefficient on {m!r}"
+        if lie:
+            lie_from_assoc(self.coeffs)  # raises unless the words form a Lie element
+        if self._buckets is not None:
+            cached, self._buckets = self._buckets, None
+            assert cached == self._degree_buckets(), "degree buckets out of date"
 
     def truncate(self, k):
         """Drop all terms of degree > k."""
@@ -627,16 +678,20 @@ class Element(LinearCombination):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        graded = ((0, other.coeffs.items()),)
         return Element._raw(
-            self.variety, _product(self.variety.kind, self.coeffs, other.coeffs, None)
+            self.variety, _product(self.variety.kind, self.coeffs, graded, None)
         )
 
     def mul_trunc(self, other, k):
         """``(self * other).truncate(k)`` without forming the dropped
-        terms; ``k`` may be None for the plain product."""
+        terms; ``k`` may be None for the plain product.  ``other``'s degree
+        buckets are computed once and kept, so a right operand reused
+        across products (a substitution's ``args``) is bucketed once."""
         self._check(other)
+        graded = ((0, other.coeffs.items()),) if k is None else other._degree_buckets()
         return Element._raw(
-            self.variety, _product(self.variety.kind, self.coeffs, other.coeffs, k)
+            self.variety, _product(self.variety.kind, self.coeffs, graded, k)
         )
 
     def power(self, k):

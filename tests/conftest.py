@@ -36,7 +36,9 @@ def random_element(rng, variety, min_degree=1, max_degree=3, terms=3):
         m = rng.choice(monos)
         c = rng.choice([-2, -1, 1, 2])
         coeffs[m] = coeffs.get(m, 0) + Fraction(c)
-    return Element(variety, {m: c for m, c in coeffs.items() if c})
+    e = Element(variety, {m: c for m, c in coeffs.items() if c})
+    e.check()
+    return e
 
 
 def random_homogeneous_derivation(rng, variety, degree, terms=2):

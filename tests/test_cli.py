@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tangentia import cli, corpus
-from tangentia.dsl import COMMANDS
+from tangentia.dsl import COMMANDS, MAX_NESTING
 
 
 GOOD_SCRIPT = """\
@@ -295,6 +295,53 @@ def test_long_word_substitution_exit_code_0(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][0]["output"]["value"] == "*".join(["b"] * 1200)
+
+
+# ``let w = `` puts the first token of the expression in column 9
+@pytest.mark.parametrize(
+    "expr, column",
+    [
+        # the opener past the budget is the (MAX_NESTING + 1)-th
+        ("(" * 250 + "x1" + ")" * 250, 9 + MAX_NESTING),
+        # a leading minus belongs to the expression, not to an atom, so
+        # the one past the budget is the (MAX_NESTING + 2)-th, two columns
+        # per "- "
+        ("- " * 250 + "x1", 9 + 2 * (MAX_NESTING + 1)),
+    ],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deep_nesting_exit_code_1(tmp_path, capsys, expr, column):
+    """Nesting past the parser's budget is a script error with its line
+    and column, not a RecursionError (exit 2)."""
+    script = f"variety polynomial(1)\nlet w = {expr}\neval w\n"
+    rc = cli.main(["run", write(tmp_path, script)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert (
+        f"error: line 2, column {column}: expression nests deeper than "
+        f"{MAX_NESTING} levels" in captured.err
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, expr, value",
+    [
+        ("polynomial", "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, "x1"),
+        ("polynomial", "- " * (MAX_NESTING + 1) + "x1", "-x1"),
+        (
+            "lie",
+            "[x1, " * MAX_NESTING + "x2" + "]" * MAX_NESTING,
+            "[x1," * MAX_NESTING + "x2" + "]" * MAX_NESTING,
+        ),
+    ],
+    ids=["parentheses", "unary-minus", "brackets"],
+)
+def test_nesting_at_the_budget_runs(tmp_path, capsys, kind, expr, value):
+    script = f"variety {kind}(2)\nlet w = {expr}\neval w\n"
+    rc = cli.main(["run", write(tmp_path, script), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["output"]["value"] == value
 
 
 @pytest.mark.parametrize(

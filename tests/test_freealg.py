@@ -148,6 +148,52 @@ def test_mul_trunc_is_the_truncated_product(variety, rng):
         assert a.mul_trunc(b, None) == a * b
 
 
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_reused_right_operand_keeps_its_degree_buckets(variety, rng):
+    """One right operand, stored with its highest degree first (and with a
+    constant in the unital kinds), serves truncated products at every k,
+    down and then up, and then plain ones: the degree buckets it keeps
+    must be sorted, complete and cut at the right degree."""
+    lo = 0 if variety.unital else 1
+    for _ in range(10):
+        a = random_element(rng, variety, lo, 3, terms=4)
+        coeffs = {}
+        for d in range(4, lo - 1, -1):
+            monos = monomials_of_degree(variety, d)
+            for m in rng.sample(monos, min(2, len(monos))):
+                coeffs[m] = rng.choice([-2, -1, 1, 2])
+        b = Element(variety, coeffs)
+        degrees = [sum(m) if variety.kind is Kind.POLYNOMIAL else len(m) for m in b.coeffs]
+        assert degrees == sorted(degrees, reverse=True) and degrees[-1] == lo
+        full = a * b
+        top = (a.degree() or 0) + 4
+        for k in [*range(top + 1, -1, -1), *range(top + 2)]:
+            got = a.mul_trunc(b, k)
+            got.check()
+            assert got == full.truncate(k)
+        b.check()
+        assert a * b == full
+        assert a.mul_trunc(b, None) == full
+
+
+def test_check_finds_broken_invariants():
+    P, L = polynomial(2), free_lie(2)
+    with pytest.raises(AssertionError, match="not canonical"):
+        Element._raw(P, {(1,): 1}).check()
+    with pytest.raises(AssertionError, match="zero coefficient"):
+        Element._raw(P, {(1, 0): 0}).check()
+    with pytest.raises(AssertionError, match="not canonical"):
+        Element._raw(L, {(): 1}).check()
+    with pytest.raises(AlgebraError, match="not a Lie element"):
+        Element._raw(L, {(1, 0): 1}).check()
+    x, y = P.gens()
+    b = x + y * y
+    b._degree_buckets()
+    b.coeffs[(3, 0)] = 1  # changed after it was wrapped: the buckets go stale
+    with pytest.raises(AssertionError, match="out of date"):
+        b.check()
+
+
 @pytest.mark.parametrize(
     "variety", [free_lie(3), metabelian_lie(3)], ids=["lie", "metabelian"]
 )
