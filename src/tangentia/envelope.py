@@ -50,10 +50,25 @@ from .freealg import (
 
 
 def necklace(w):
-    """Lexicographically minimal rotation of a word."""
-    if len(w) < 2:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    """Lexicographically minimal rotation of a word, in linear time: two
+    candidate starts race on the doubled word, and when they differ at
+    offset k the greater one skips k + 1 starts (minimum expression)."""
+    n, s = len(w), w + w
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return s[i:i + n]
 
 
 def _merge(d, k, c):

@@ -188,11 +188,18 @@ def metabelian_lie(rank, names=()):
 
 
 def is_lyndon(w):
-    """True iff the word is strictly smaller than all its proper rotations."""
+    """True iff the word is strictly smaller than all its proper rotations:
+    Duval's linear scan (J. Algorithms 4, 1983), where ``k`` walks the
+    period of the prefix read so far, which must end up the whole word."""
     if not w:
         return False
-    n = len(w)
-    return all(w < w[i:] + w[:i] for i in range(1, n))
+    k = 0
+    for b in w[1:]:
+        a = w[k]
+        if a > b:
+            return False
+        k = k + 1 if a == b else 0
+    return k == 0
 
 
 def standard_factorization(w):

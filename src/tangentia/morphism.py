@@ -1,6 +1,8 @@
-"""Endomorphisms of a free algebra: composition, truncated inverses, the
-IA filtration, tangent derivations, group commutators, conjugation, and
-the standard generators (linear / affine / elementary).
+"""Endomorphisms of a free algebra: composition, truncated inverses (the
+fixed point psi = L^-1 (x - h(psi)) over phi's short nonlinear part h,
+then an exact translation for constants), the IA filtration, tangent
+derivations, group commutators, conjugation, and the standard generators
+(linear / affine / elementary).
 
 Composition convention, fixed once and used everywhere including the
 chain rule: ``compose(phi, psi)`` is the map ``x_k -> phi(psi(x_k))``,
@@ -98,7 +100,7 @@ class Endomorphism:
         return f"({imgs})"
 
 
-def compose(phi, psi, max_degree=None, _memo=None):
+def compose(phi, psi, max_degree=None):
     """The group product phi psi: x_k -> phi(psi(x_k)).
 
     With ``max_degree`` set, all terms above that degree are dropped
@@ -107,7 +109,7 @@ def compose(phi, psi, max_degree=None, _memo=None):
     """
     if phi.variety != psi.variety:
         raise VarietyMismatch("endomorphisms over different varieties")
-    memo = {} if _memo is None else _memo
+    memo = {}
     images = []
     for g in psi.images:
         if max_degree is not None:
@@ -180,65 +182,41 @@ def tangent(phi, max_degree=DEFAULT_MAX_DEGREE):
 
 
 def truncated_inverse(phi, k):
-    """psi with compose(phi, psi) = identity modulo degree > k.
+    """The unique psi of degree <= k with compose(phi, psi) = identity
+    modulo degree > k, i.e. psi(phi(x)) = x through degree k.
 
-    Requires an invertible affine part; computed degree by degree by
-    successive substitution.
+    Write phi = c + L x + h, with h the part of degree >= 2.  The inverse
+    of the constant-free map L x + h is the fixed point of
+    psi = L^-1 (x - h(psi)).  Starting from L^-1 x, the round for degree m
+    substitutes psi, exact through m - 1, into h's few words truncated at
+    m; since h has no linear part, that makes psi exact through m.  The
+    constant is undone afterwards by substituting the translation x - c,
+    which is affine and so exact.  Raises ``NotInvertible`` if L is singular.
     """
     var = phi.variety
     try:
-        base = _affine_inverse(phi)
+        ginv = linalg.inverse(phi.linear_part())
     except linalg.SingularMatrix as exc:
         raise NotInvertible("linear part is not invertible") from exc
-    idn = Endomorphism.identity(var)
-    # both memos stay valid across iterations: each caches substitution
-    # into a fixed tuple of args at a fixed truncation degree
-    phi_memo = {}
-    base_memo = {}
-    psi_imgs = list(base.images)
-    # residual_j = psi_j evaluated at phi's images; substitution is
-    # linear in psi_j, so each correction updates the residual with a
-    # single (small) substitution instead of recomposing all of psi
-    res_imgs = [
-        g.substitute(phi.images, max_degree=k, _memo=phi_memo) for g in base.images
-    ]
-    for _ in range(k + 1):
-        devs = [f - x for f, x in zip(res_imgs, idn.images)]
-        err_lowest = min(
-            (dev.min_degree() for dev in devs if not dev.is_zero()), default=None
-        )
-        if err_lowest is None:
-            break
-        for j in range(var.rank):
-            dev = devs[j].homogeneous_component(err_lowest)
-            if dev.is_zero():
-                continue
-            delta = -dev.substitute(base.images, max_degree=k, _memo=base_memo)
-            psi_imgs[j] = psi_imgs[j] + delta
-            res_imgs[j] = res_imgs[j] + delta.substitute(
-                phi.images, max_degree=k, _memo=phi_memo
-            )
-    return Endomorphism(var, tuple(f.truncate(k) for f in psi_imgs))
+    gens = var.gens()
+    # terms of phi above degree k cannot reach the inverse through k
+    h = [f.truncate(k) - f.truncate(1) for f in phi.images] if k > 1 else []
+    psi = [_linear_combination(var, row, gens) for row in ginv]
+    for m in range(2, k + 1):
+        memo = {}  # one cache for all coordinates: same args, same truncation
+        rhs = [x - e.substitute(psi, max_degree=m, _memo=memo) for x, e in zip(gens, h)]
+        psi = [_linear_combination(var, row, rhs) for row in ginv]
+    inv = Endomorphism(var, tuple(f.truncate(k) for f in psi))
+    consts = phi.constant_part()
+    if any(consts):
+        shift = [x - var.scalar(c) for x, c in zip(gens, consts)]
+        inv = compose(Endomorphism(var, shift), inv)
+    return inv
 
 
 def _linear_combination(var, row, elements):
-    out = var.zero()
-    for c, e in zip(row, elements):
-        if c:
-            out = out + e.scale(c)
-    return out
-
-
-def _affine_inverse(phi):
-    """The inverse x -> g^-1 (x - c) of phi's affine part x -> g x + c;
-    raises ``linalg.SingularMatrix`` if the linear part g is singular."""
-    var = phi.variety
-    ginv = linalg.inverse(phi.linear_part())
-    if not var.unital:
-        return linear(var, ginv)
-    c = phi.constant_part()
-    shifted = [var.gen(j) - var.scalar(c[j]) if c[j] else var.gen(j) for j in range(var.rank)]
-    return Endomorphism(var, tuple(_linear_combination(var, row, shifted) for row in ginv))
+    terms = [e if c == 1 else e.scale(c) for c, e in zip(row, elements) if c]
+    return sum(terms[1:], terms[0]) if terms else var.zero()
 
 
 def group_commutator(phi, psi, k):
@@ -305,9 +283,8 @@ def ia_correct(phi):
     so the result is an IA candidate; returns None if the linear part is
     singular."""
     try:
-        corr = _affine_inverse(phi)
-    except linalg.SingularMatrix:
+        corr = truncated_inverse(phi, 1)
+    except NotInvertible:
         return None
-    # corr undoes the affine part when its images are evaluated at phi's
-    # coordinates, which is this composition order
+    # this order: compose(phi, corr) is the identity through degree 1
     return compose(phi, corr)

@@ -174,6 +174,21 @@ def test_max_degree_flag_threads_through(tmp_path, capsys):
     assert doc["results"][0]["output"]["degree"] == 4
 
 
+def test_invert_low_degrees_with_constant(tmp_path, capsys):
+    """At degree 0 the inverse is 0, at degree 1 the affine inverse; both
+    pass the composition check."""
+    path = write(
+        tmp_path,
+        "variety polynomial(2)\nf := auto(x1 + 1 + x2^2, x2)\n"
+        "invert f --degree 0\ninvert f --degree 1\n",
+    )
+    rc = cli.main(["run", path, "--json"])
+    assert rc == 0
+    outs = [r["output"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert [o["images"] for o in outs] == [["0", "0"], ["-1 + x1", "x2"]]
+    assert all(o["identity_through_degree"] for o in outs)
+
+
 def test_corpus_scripts_run_clean(capsys):
     """Every shipped corpus script executes with exit code 0 in both
     output modes and its final composition check passes."""

@@ -1,4 +1,5 @@
 """Universal enveloping algebras and the trace codomain."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -112,6 +113,13 @@ def test_necklace_minimal_rotation():
     w = (0, 1, 0, 1)
     rots = {w[i:] + w[:i] for i in range(len(w))}
     assert {necklace(r) for r in rots} == {(0, 1, 0, 1)}
+
+
+def test_necklace_matches_rotation_definition():
+    for n in range(8):
+        for w in itertools.product(range(3), repeat=n):
+            expected = min(w[i:] + w[:i] for i in range(n)) if n else ()
+            assert necklace(w) == expected, w
 
 
 def test_trace_class_examples():

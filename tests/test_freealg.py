@@ -1,4 +1,5 @@
 """Core free-algebra arithmetic across the four varieties."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -266,6 +267,13 @@ def test_substitute_cross_rank():
     a = L2.gen(0) * L2.gen(1)
     # x1 -> x2, x2 -> x3 inside the rank-3 algebra
     assert a.substitute((L3.gen(1), L3.gen(2))) == L3.gen(1) * L3.gen(2)
+
+
+def test_is_lyndon_matches_rotation_definition():
+    for n in range(8):
+        for w in itertools.product(range(3), repeat=n):
+            expected = n > 0 and all(w < w[i:] + w[:i] for i in range(1, n))
+            assert is_lyndon(w) == expected, w
 
 
 def test_lyndon_machinery():

@@ -25,6 +25,7 @@ from tangentia import (
     tangent,
     truncated_inverse,
 )
+from tangentia.wildness import random_invertible_matrix
 
 from conftest import ALL_VARIETIES, random_element, random_ia_endomorphism
 
@@ -132,6 +133,71 @@ def test_truncated_inverse_affine_part():
     assert compose(phi, inv, max_degree=5).is_identity_through(5)
     with pytest.raises(NotInvertible):
         truncated_inverse(Endomorphism(P, (x + y, x + y)), 4)
+
+
+def _with_constants(phi, consts):
+    var = phi.variety
+    return Endomorphism(
+        var, tuple(f + var.scalar(c) for f, c in zip(phi.images, consts))
+    )
+
+
+def test_truncated_inverse_general_maps(rng):
+    """Random IA maps composed with a random invertible linear map, plus
+    random constants in the unital kinds.  Without constants the inverse
+    holds in both composition orders.  With constants only psi(phi) = x
+    is an identity of truncated series: phi(psi) picks up low-degree
+    terms from the dropped tail of psi evaluated at x - c."""
+    k = 4
+    for variety in ALL_VARIETIES:
+        for _ in range(3):
+            g = random_invertible_matrix(rng, variety.rank)
+            ia = random_ia_endomorphism(rng, variety, 1, 2)
+            for phi in (compose(linear(variety, g), ia), compose(ia, linear(variety, g))):
+                inv = truncated_inverse(phi, k)
+                assert all(f.degree() is None or f.degree() <= k for f in inv.images)
+                assert compose(phi, inv, max_degree=k).is_identity_through(k)
+                assert compose(inv, phi, max_degree=k).is_identity_through(k)
+                if not variety.unital:
+                    continue
+                consts = [rng.choice([-2, -1, 0, 1, 2]) for _ in range(variety.rank)]
+                phi_c = _with_constants(phi, consts)
+                inv_c = truncated_inverse(phi_c, k)
+                assert compose(phi_c, inv_c, max_degree=k).is_identity_through(k)
+
+
+@pytest.mark.parametrize("kind", [polynomial, free_associative])
+def test_truncated_inverse_with_constants(kind):
+    """Constants stay out of the fixed point: a Picard iteration that keeps
+    them inside gives wrong inverses for these two maps."""
+    A = kind(2)
+    x1, x2 = A.gens()
+    one = A.one()
+    for images in ((one + x1 + x1 * x1, x2), (one + x1 + x2 * x2, one + x2 + x1 * x1)):
+        phi = Endomorphism(A, images)
+        for k in range(7):
+            inv = truncated_inverse(phi, k)
+            assert compose(phi, inv, max_degree=k).is_identity_through(k), (images, k)
+    # x1 + x1^2 has the inverse series y - y^2 + 2y^3 - ..., here at y = x1 - 1
+    phi = Endomorphism(A, (one + x1 + x1 * x1, x2))
+    y = x1 - one
+    assert truncated_inverse(phi, 3).images == (y - y * y + 2 * y * y * y, x2)
+
+
+def test_truncated_inverse_low_degrees():
+    """k = 0 and k = 1: the inverse is 0, then the affine inverse."""
+    P = polynomial(2)
+    x1, x2 = P.gens()
+    phi = Endomorphism(P, (x1 + P.one() + x2 * x2, x2))
+    assert truncated_inverse(phi, 0).images == (P.zero(), P.zero())
+    assert truncated_inverse(phi, 1).images == (x1 - P.one(), x2)
+    for k in (0, 1):
+        assert compose(phi, truncated_inverse(phi, k), max_degree=k).is_identity_through(k)
+    for variety in (free_lie(2), metabelian_lie(2)):
+        x, y = variety.gens()
+        phi = Endomorphism(variety, (x + x * y, y + x * (x * y)))
+        assert truncated_inverse(phi, 0).images == (variety.zero(), variety.zero())
+        assert truncated_inverse(phi, 1).images == (x, y)
 
 
 def test_elementary_and_affine_constructors():
