@@ -15,9 +15,11 @@ breaks.  Statement forms:
 
 ``COMMANDS`` declares, for each command, its positional form, each flag
 it takes with the type of its value (one integer, integers, one name,
-names, or none for a switch) and whether it binds its result with
-``as NAME``.  The parser checks every command statement against it, so
-a handler receives its arguments and typed flags already checked.
+names, or none for a switch, with an integer's least value) and whether
+it binds its result with ``as NAME``.  The parser checks every command
+statement against it, so a handler receives its arguments and typed
+flags already checked.  A flag value ``-N``, with no space after the
+minus, is a negative integer.
 
 Expressions support ``+``, ``-``, explicit ``*``, ``^`` (unital
 varieties), ``[a,b]`` brackets, parentheses, and rational literals
@@ -182,10 +184,17 @@ class Script:
     statements: list
 
 
-# flag value types: (value class, takes a list of one or more values);
-# SWITCH marks a flag that takes no value
-INT, INTS, NAME, NAMES = (int, False), (int, True), (str, False), (str, True)
+# flag value types: (value class, takes a list of one or more values, least
+# value accepted or None for any integer); SWITCH marks a flag that takes
+# no value
+NAME, NAMES = (str, False, None), (str, True, None)
 SWITCH = None
+
+
+def _ints(least=None, many=False):
+    """An integer flag type: one value, or one or more with ``many``, each
+    at least ``least`` unless it is None."""
+    return (int, many, least)
 
 
 class CommandSpec(NamedTuple):
@@ -196,7 +205,11 @@ class CommandSpec(NamedTuple):
     binds: bool  # takes a trailing ``as NAME``
 
 
-_MAX_DEGREE = {"max-degree": INT}
+# every integer flag's least value: degrees and counts >= 0, nilpotency
+# parameters >= 1, an identity's least degree >= 2, a witness rank >= 3;
+# --seed takes any integer, and span's --degree is checked (>= 1) by
+# wildness.tangent_span
+_MAX_DEGREE = {"max-degree": _ints(0)}
 
 COMMANDS = {
     "eval": CommandSpec("expr", {}, False),
@@ -206,18 +219,21 @@ COMMANDS = {
     "jacobian": CommandSpec("map", {}, False),
     "divergence": CommandSpec("map", _MAX_DEGREE, False),
     "compose": CommandSpec("maps", _MAX_DEGREE, True),
-    "invert": CommandSpec("map", {"degree": INT}, True),
-    "commutator": CommandSpec("map map", {"degree": INT}, True),
+    "invert": CommandSpec("map", {"degree": _ints(0)}, True),
+    "commutator": CommandSpec("map map", {"degree": _ints(0)}, True),
     "detect-wild": CommandSpec(
         "map",
-        {"context": NAME, "evidence": NAME, "class": INT, "c": INTS,
-         "min-degree": INT, "tag": NAME, "max-degree": INT},
+        {"context": NAME, "evidence": NAME, "class": _ints(1), "c": _ints(1, many=True),
+         "min-degree": _ints(2), "tag": NAME, "max-degree": _ints(0)},
         False,
     ),
-    "build-polynilpotent": CommandSpec("", {"c": INTS, "rank": INT, "limit": INT}, True),
+    "build-polynilpotent": CommandSpec(
+        "", {"c": _ints(1, many=True), "rank": _ints(3), "limit": _ints(0)}, True
+    ),
     "span": CommandSpec(
         "",
-        {"gens": NAMES, "degree": INT, "samples": INT, "seed": INT, "conjugate": SWITCH},
+        {"gens": NAMES, "degree": _ints(), "samples": _ints(0), "seed": _ints(),
+         "conjugate": SWITCH},
         False,
     ),
 }
@@ -350,6 +366,27 @@ def _is_as(tok):
     return tok.kind == "NAME" and tok.value == "as"
 
 
+def _flag_literal(toks, i):
+    """The flag value starting at ``toks[i]`` and the index after it, or
+    None: a name (possibly hyphenated), a number, or a ``-`` directly
+    followed by a number, read as a negative integer."""
+    t = toks[i]
+    if t.kind == "NAME" and not _is_as(t):
+        return _merge_hyphenated(toks, i)
+    if t.kind == "NUMBER":
+        return t.value, i + 1
+    if (
+        t.kind == "OP"
+        and t.value == "-"
+        and i + 1 < len(toks)
+        and toks[i + 1].kind == "NUMBER"
+        and toks[i + 1].line == t.line
+        and toks[i + 1].col == t.end
+    ):
+        return -toks[i + 1].value, i + 2
+    return None
+
+
 def _parse_command(word, toks, i):
     """Check a command statement against its entry in ``COMMANDS``."""
     spec = COMMANDS[word]
@@ -378,18 +415,14 @@ def _parse_command(word, toks, i):
         fname = t.value
         i += 1
         values = []
-        while i < len(toks) and toks[i].kind in ("NAME", "NUMBER") and not _is_as(toks[i]):
-            if toks[i].kind == "NAME":
-                merged, i = _merge_hyphenated(toks, i)
-                values.append(merged)
-            else:
-                values.append(toks[i].value)
-                i += 1
+        while i < len(toks) and (read := _flag_literal(toks, i)):
+            value, i = read
+            values.append(value)
             if (
                 i + 1 < len(toks)
                 and toks[i].kind == "OP"
                 and toks[i].value == ","
-                and toks[i + 1].kind in ("NAME", "NUMBER")
+                and (toks[i + 1].kind in ("NAME", "NUMBER") or _flag_literal(toks, i + 1))
             ):
                 i += 1
         if fname not in spec.flags:
@@ -429,10 +462,13 @@ def _flag_value(fname, kind, values, line):
         if values:
             raise DslError(f"flag --{fname} takes no value", line)
         return True
-    cls, many = kind
+    cls, many, least = kind
     if not values or any(type(v) is not cls for v in values):
         what = "an integer value" if cls is int else "a name"
         raise DslError(f"flag --{fname} needs {what}", line)
+    for v in values:
+        if least is not None and v < least:
+            raise DslError(f"flag --{fname} must be >= {least}, got {v}", line)
     if many:
         return values
     if len(values) > 1:

@@ -23,7 +23,11 @@ Stored keys per variety:
                        (standard bracketing) stay the basis at the edges:
                        ``Element(free_lie(n), d)`` takes Lyndon
                        coordinates, and ``basis_coeffs`` gives them back
-                       for printing and coordinate vectors
+                       for printing and coordinate vectors, by an
+                       elimination over the Lyndon words alone
+                       (``lie_from_assoc``).  That elimination assumes
+                       its input is a Lie element, which every operation
+                       here preserves; ``Element.check`` verifies it
 * metabelian Lie    -- ``(i,)`` for the generator ``y_i``, or a flat tuple
                        ``(i1, i2, i3, ..., im)`` with ``i1 > i2 <= i3 <= ...``
                        encoding the left-normed bracket
@@ -242,12 +246,40 @@ def lyndon_expand(w):
     return res
 
 
+_LYNDON_PART_CACHE = {}
+
+
+def _lyndon_part(w):
+    """The terms of ``lyndon_expand(w)`` on Lyndon words other than ``w``,
+    as ``((v, coeff), ...)``: the only terms of the standard bracketing of
+    ``w`` that move another Lyndon coordinate.  Kept per word, filled on
+    first use."""
+    part = _LYNDON_PART_CACHE.get(w)
+    if part is None:
+        part = _LYNDON_PART_CACHE[w] = tuple(
+            (v, c) for v, c in lyndon_expand(w).items() if v != w and is_lyndon(v)
+        )
+    return part
+
+
 def lie_from_assoc(coeffs):
-    """Rewrite a Lie element, given by its words in K<X>, in the Lyndon
-    basis by triangular elimination: the least word left is Lyndon, and
-    removing its standard bracketing changes only greater words of the
-    same length, so the words are taken from a heap in increasing order."""
-    work = {w: c for w, c in coeffs.items() if c}
+    """Lyndon coordinates of a Lie element given by its words in K<X>.
+
+    The standard bracketing of a Lyndon word ``l`` is ``l`` plus greater
+    words of the same length (Chen-Fox-Lyndon), so the coefficient of a
+    Lyndon word ``u`` in the element is ``u``'s coordinate plus the
+    coordinates of lesser Lyndon words ``l`` times the coefficient of ``u``
+    in the bracketing of ``l``.  The elimination therefore reads only the
+    Lyndon words: it takes them from a heap in increasing order, and each
+    one's coordinate is subtracted from the greater Lyndon words of its
+    bracketing (``_lyndon_part``); non-Lyndon words are never touched.
+
+    Precondition: ``coeffs`` is a Lie element.  Every operation that
+    builds a free-Lie element (Lyndon expansion, commutator products,
+    sums, scaling, substitution) keeps it one, so this is not checked
+    here; on other input the result is undefined.  ``Element.check``
+    verifies it by expanding the coordinates back to ``coeffs``."""
+    work = {w: c for w, c in coeffs.items() if is_lyndon(w)}
     heap = list(work)
     heapq.heapify(heap)
     out = {}
@@ -256,22 +288,16 @@ def lie_from_assoc(coeffs):
         c = work.pop(w, 0)
         if not c:
             continue
-        if not is_lyndon(w):
-            raise AlgebraError(
-                "associative element is not a Lie element "
-                f"(least word {w} is not Lyndon)"
-            )
         out[w] = c
-        for v, cv in lyndon_expand(w).items():
-            if v == w:
-                continue
-            if v not in work:
+        for v, cv in _lyndon_part(w):
+            nv = work.get(v)
+            if nv is None:
                 heapq.heappush(heap, v)
-            nv = work.get(v, 0) - c * cv
-            if nv:
+                work[v] = -c * cv
+            elif nv := nv - c * cv:
                 work[v] = nv
             else:
-                work.pop(v, None)
+                del work[v]
     return out
 
 
@@ -640,9 +666,11 @@ class Element(LinearCombination):
 
     def check(self):
         """Assert the stored invariants: every key is canonical for the
-        variety (a nonempty word of K<X> for free Lie, whose words together
-        must form a Lie element), no coefficient is zero, and the degree
-        buckets, once filled, match ``coeffs``."""
+        variety (a nonempty word of K<X> for free Lie), no coefficient is
+        zero, and the degree buckets, once filled, match ``coeffs``.  A
+        free-Lie element's words must form a Lie element, the precondition
+        of ``lie_from_assoc``: its Lyndon coordinates must expand back to
+        exactly its words, else ``AlgebraError``."""
         var = self.variety
         lie = var.kind is Kind.FREE_LIE
         stored = free_associative(var.rank) if lie else var
@@ -651,8 +679,11 @@ class Element(LinearCombination):
                 f"{var.kind.value} key {m!r} is not canonical"
             )
             assert c != 0, f"zero coefficient on {m!r}"
-        if lie:
-            lie_from_assoc(self.coeffs)  # raises unless the words form a Lie element
+        if lie and assoc_of_lie_coeffs(lie_from_assoc(self.coeffs)) != self.coeffs:
+            raise AlgebraError(
+                "associative element is not a Lie element "
+                "(its Lyndon coordinates do not expand back to its words)"
+            )
         if self._buckets is not None:
             cached, self._buckets = self._buckets, None
             assert cached == self._degree_buckets(), "degree buckets out of date"
@@ -879,11 +910,22 @@ def mono_str(variety, mono):
     return s
 
 
+_LYNDON_STR_CACHE = {}
+
+
 def _lyndon_str(w, names):
-    if len(w) == 1:
-        return names[w[0]]
-    u, v = standard_factorization(w)
-    return f"[{_lyndon_str(u, names)},{_lyndon_str(v, names)}]"
+    """The standard bracketing of a Lyndon word, built once per
+    ``(names, w)``."""
+    key = (names, w)
+    s = _LYNDON_STR_CACHE.get(key)
+    if s is None:
+        if len(w) == 1:
+            s = names[w[0]]
+        else:
+            u, v = standard_factorization(w)
+            s = f"[{_lyndon_str(u, names)},{_lyndon_str(v, names)}]"
+        _LYNDON_STR_CACHE[key] = s
+    return s
 
 
 def terms_str(coeffs, key_str, key_degree):

@@ -191,8 +191,11 @@ def truncated_inverse(phi, k):
     substitutes psi, exact through m - 1, into h's few words truncated at
     m; since h has no linear part, that makes psi exact through m.  The
     constant is undone afterwards by substituting the translation x - c,
-    which is affine and so exact.  Raises ``NotInvertible`` if L is singular.
+    which is affine and so exact.  Raises ``NotInvertible`` if L is
+    singular and ``AlgebraError`` if k < 0.
     """
+    if k < 0:
+        raise AlgebraError(f"truncation degree must be >= 0, got {k}")
     var = phi.variety
     try:
         ginv = linalg.inverse(phi.linear_part())
@@ -220,7 +223,17 @@ def _linear_combination(var, row, elements):
 
 
 def group_commutator(phi, psi, k):
-    """[phi, psi] = phi^-1 psi^-1 phi psi, exact through degree k."""
+    """[phi, psi] = phi^-1 psi^-1 phi psi, exact through degree k for maps
+    without constant terms.  With a constant it would not be: each factor
+    is cut at degree k, and a cut term evaluated at x + c lands in lower
+    degrees.  So a map with a constant term raises ``AlgebraError``, as
+    does k < 0 (from ``truncated_inverse``)."""
+    for which, m in (("first", phi), ("second", psi)):
+        if any(m.constant_part()):
+            raise AlgebraError(
+                f"the {which} map has a constant term; the commutator is "
+                f"exact through degree {k} only for maps without one"
+            )
     phi_inv = truncated_inverse(phi, k)
     psi_inv = truncated_inverse(psi, k)
     return compose_all([phi_inv, psi_inv, phi, psi], max_degree=k)

@@ -239,6 +239,17 @@ DEFECT_PRELUDE = (
         ("span --gens a --samples 2 --conjugate no", "flag --conjugate takes no value"),
         ("detect-wild a --context user --tag", "flag --tag needs a name"),
         ("span --gens a --degree 0 --samples 2", "in 'span': span degree must be >= 1, got 0"),
+        # negative literals, and integer flags below their least value
+        ("invert a --degree -1", "flag --degree must be >= 0, got -1"),
+        ("commutator a b --degree -2", "flag --degree must be >= 0, got -2"),
+        ("compose a b --max-degree -1", "flag --max-degree must be >= 0, got -1"),
+        ("detect-wild a --context nilpotent --class 0", "flag --class must be >= 1, got 0"),
+        ("detect-wild a --context polynilpotent --c 2,-1", "flag --c must be >= 1, got -1"),
+        ("detect-wild a --context user --min-degree 1", "flag --min-degree must be >= 2, got 1"),
+        ("build-polynilpotent --c 2 1 --rank 2", "flag --rank must be >= 3, got 2"),
+        ("build-polynilpotent --c 2 1 --limit -3", "flag --limit must be >= 0, got -3"),
+        ("span --gens a --samples -1", "flag --samples must be >= 0, got -1"),
+        ("invert a --degree - 1", "flag --degree needs an integer value"),
     ],
 )
 def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
@@ -247,6 +258,28 @@ def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, 
     assert rc == 1
     assert f"error: line 4: {message}" in captured.err
     assert captured.out == ""
+
+
+def test_seed_flag_takes_a_negative_integer(tmp_path, capsys):
+    path = write(tmp_path, DEFECT_PRELUDE + "span --gens a --samples 2 --seed -7\n")
+    rc = cli.main(["run", path, "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["output"]["seed"] == -7
+
+
+def test_commutator_of_map_with_constant_exit_code_1(tmp_path, capsys):
+    """A constant term would make the truncated commutator wrong: on these
+    maps it read (x1, x2) at degree 1, but the exact value is
+    (x1, -1 + x2 + 2*x1)."""
+    path = write(
+        tmp_path,
+        "variety polynomial(2)\nf := auto(x1 + 1, x2)\ng := auto(x1, x2 + x1^2)\n"
+        "commutator f g --degree 1\n",
+    )
+    rc = cli.main(["run", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: line 4: in 'commutator': the first map has a constant term" in captured.err
 
 
 EVERY_FLAG_SCRIPT = """\

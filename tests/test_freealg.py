@@ -1,4 +1,5 @@
 """Core free-algebra arithmetic across the four varieties."""
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from tangentia import (
 from tangentia.freealg import (
     basis_coeffs,
     is_lyndon,
+    lie_from_assoc,
     lyndon_expand,
     standard_factorization,
 )
@@ -88,6 +90,78 @@ def test_basis_coeffs_reads_back_lyndon_coordinates(rng):
             m = rng.choice(monomials_of_degree(L, rng.randint(1, 6)))
             coords[m] = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
         assert basis_coeffs(Element(L, coords)) == coords
+
+
+def test_every_lyndon_word_reads_back_through_degree_8():
+    L = free_lie(3)
+    words = [w for d in range(1, 9) for w in monomials_of_degree(L, d)]
+    assert len(words) == 1318
+    for w in words:
+        assert basis_coeffs(Element(L, {w: 1})) == {w: 1}
+
+
+def _full_word_elimination(coeffs):
+    """Lyndon coordinates by elimination over every word, Lyndon or not:
+    the least word left must be Lyndon, and its whole standard bracketing
+    is subtracted.  The reference for ``lie_from_assoc``."""
+    work = dict(coeffs)
+    heap = list(work)
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)
+        c = work.pop(w, 0)
+        if not c:
+            continue
+        if not is_lyndon(w):
+            raise AlgebraError(f"least word {w} is not Lyndon")
+        out[w] = c
+        for v, cv in lyndon_expand(w).items():
+            if v == w:
+                continue
+            if v not in work:
+                heapq.heappush(heap, v)
+            nv = work.get(v, 0) - c * cv
+            if nv:
+                work[v] = nv
+            else:
+                work.pop(v, None)
+    return out
+
+
+@pytest.mark.parametrize("degrees", [(7,), (8,), (1, 4, 7, 8)])
+def test_lie_from_assoc_matches_full_word_elimination(degrees):
+    """Dense random combinations of every Lyndon word of the given
+    degrees, and commutators of such combinations."""
+    L = free_lie(3)
+    rng = random.Random(sum(degrees))
+    words = [w for d in degrees for w in monomials_of_degree(L, d)]
+    for _ in range(3):
+        coords = {w: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7])) for w in words}
+        e = Element(L, coords)
+        assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
+        assert basis_coeffs(e) == {w: c for w, c in coords.items() if c}
+    a = random_element(rng, L, 1, 4, terms=8)
+    b = random_element(rng, L, 3, 4, terms=8)
+    e = a * b
+    assert e.degree() >= 7
+    assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
+
+
+def test_check_finds_non_lie_element_with_lyndon_least_word():
+    """x1 x2 alone is no Lie element, though its only word is Lyndon: the
+    elimination reads it as [x1,x2], whose expansion has x2 x1 too."""
+    L = free_lie(2)
+    with pytest.raises(AlgebraError, match="not a Lie element"):
+        Element._raw(L, {(0, 1): 1}).check()
+    Element(L, {(0, 1): 1}).check()
+
+
+def test_lyndon_strings_follow_each_varietys_names():
+    w = (0, 0, 1)
+    for names, text in [(("a", "b"), "[a,[a,b]]"), (("x", "y"), "[x,[x,y]]"),
+                        (("a", "b"), "[a,[a,b]]")]:
+        assert str(Element(free_lie(2, names), {w: 1})) == text
 
 
 def test_repeated_generator_names_rejected():

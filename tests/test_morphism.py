@@ -200,6 +200,33 @@ def test_truncated_inverse_low_degrees():
         assert truncated_inverse(phi, 1).images == (x, y)
 
 
+def test_negative_truncation_degree_rejected():
+    P = polynomial(2)
+    x1, x2 = P.gens()
+    phi = Endomorphism(P, (x1 + x2 * x2, x2))
+    for call in (lambda: truncated_inverse(phi, -1), lambda: group_commutator(phi, phi, -1)):
+        with pytest.raises(AlgebraError, match="must be >= 0, got -1"):
+            call()
+
+
+def test_group_commutator_rejects_constant_terms():
+    """With f = (x1 + 1, x2) and g = (x1, x2 + x1^2) the truncated product
+    of factors reads (x1, x2) at k = 1, but the exact commutator, from
+    the exact inverses, is (x1, -1 + x2 + 2*x1)."""
+    P = polynomial(2)
+    x1, x2 = P.gens()
+    f = Endomorphism(P, (x1 + P.one(), x2))
+    g = Endomorphism(P, (x1, x2 + x1 * x1))
+    f_inv = Endomorphism(P, (x1 - P.one(), x2))
+    g_inv = Endomorphism(P, (x1, x2 - x1 * x1))
+    exact = compose(compose(compose(f_inv, g_inv), f), g)
+    assert exact.images == (x1, x2 - P.one() + 2 * x1)
+    with pytest.raises(AlgebraError, match="the first map has a constant term"):
+        group_commutator(f, g, 1)
+    with pytest.raises(AlgebraError, match="the second map has a constant term"):
+        group_commutator(g, f, 1)
+
+
 def test_elementary_and_affine_constructors():
     P = polynomial(3)
     x, y, z = P.gens()
