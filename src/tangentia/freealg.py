@@ -38,16 +38,17 @@ variety and a dict from canonical keys to nonzero rationals, and owns the
 linear arithmetic (sum, difference, negation, scaling, equality, hashing);
 ``Element`` here and the envelope's ``EnvElement`` and ``TraceClass`` are
 its subclasses.  ``_product`` is the one product kernel, with one loop per
-variety, and serves ``Element.__mul__``, ``Element.mul_trunc`` and, for
-envelope keys that add or concatenate, ``envelope.env_mul``.  Its right
-operand comes as degree buckets, ``[(degree, [(key, coeff), ...]), ...]``
-in ascending degree: a truncated product at degree ``k`` walks them for
-each left term and stops at the first bucket past the room ``k`` leaves,
-so the pairs it drops are never visited.  An element computes its buckets
-on first use and keeps them (``Element._degree_buckets``), so the right
-operand of many products, such as a substitution's ``args``, is bucketed
-once; the plain product passes the whole dict as a single bucket and pays
-no bucketing.
+variety, and serves ``Element.__mul__``, ``Element.mul_trunc``, the
+homogeneous products of ``morphism.truncated_inverse`` (summed in place
+into one dict) and, for envelope keys that add or concatenate,
+``envelope.env_mul``.  Its right operand comes as degree buckets,
+``[(degree, [(key, coeff), ...]), ...]`` in ascending degree: a truncated
+product at degree ``k`` walks them for each left term and stops at the
+first bucket past the room ``k`` leaves, so the pairs it drops are never
+visited.  An element computes its buckets on first use and keeps them
+(``Element._degree_buckets``), so the right operand of many products, such
+as a substitution's ``args``, is bucketed once; the plain product passes
+the whole dict as a single bucket and pays no bucketing.
 
 Substitution, the Leibniz action and the other maps built one generator
 at a time share one prefix walk: ``_split_key``, the only code that knows
@@ -500,7 +501,7 @@ class LinearCombination:
 
 
 def _product(
-    kind, a, graded, k,
+    kind, a, graded, k, out=None,
     _polynomial=Kind.POLYNOMIAL, _assoc=Kind.FREE_ASSOCIATIVE, _lie=Kind.FREE_LIE,
 ):
     """The product of a coefficient dict ``a`` and a right operand given as
@@ -510,11 +511,14 @@ def _product(
     at the first degree past the room ``k`` leaves, so the dropped pairs
     are never visited.  The plain product (``k=None``) passes the whole
     dict as one bucket, ``((0, b.items()),)``, and pays no bucketing.
-    Free-Lie operands are words of K<X>, bracketed as commutators.  (The
-    defaults bind the ``Kind`` members once, as in ``_split_key``.)"""
+    Free-Lie operands are words of K<X>, bracketed as commutators.  Given
+    ``out``, the product is added into that dict, which is returned, so a
+    sum of products is formed without copying.  (The defaults bind the
+    ``Kind`` members once, as in ``_split_key``.)"""
     if k is None:
         k = math.inf
-    out = {}
+    if out is None:
+        out = {}
     if kind is _polynomial:
         for m1, c1 in a.items():
             room = k - sum(m1)

@@ -1,6 +1,8 @@
 """Endomorphisms of a free algebra: composition, truncated inverses (the
 fixed point psi = L^-1 (x - h(psi)) over phi's short nonlinear part h,
-then an exact translation for constants), the IA filtration, tangent
+solved online: round m forms only the degree-m component of each prefix
+product of h's words, from components kept for the whole call; then an
+exact translation for constants), the IA filtration, tangent
 derivations, group commutators, conjugation, and the standard generators
 (linear / affine / elementary).
 
@@ -15,7 +17,13 @@ from dataclasses import dataclass
 
 from .freealg import (
     AlgebraError,
+    Element,
+    Kind,
     VarietyMismatch,
+    _mono_degree,
+    _product,
+    _split_key,
+    free_associative,
 )
 from .deriv import Derivation
 from . import linalg
@@ -49,7 +57,7 @@ class Endomorphism:
         for f in images:
             if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
                 raise VarietyMismatch("image lives in a different algebra")
-            if variety.is_lie and not f.is_zero() and f.min_degree() == 0:
+            if variety.is_lie and () in f.coeffs:
                 raise AlgebraError("constant image part in a Lie variety")
         self.variety = variety
         self.images = images
@@ -187,11 +195,12 @@ def truncated_inverse(phi, k):
 
     Write phi = c + L x + h, with h the part of degree >= 2.  The inverse
     of the constant-free map L x + h is the fixed point of
-    psi = L^-1 (x - h(psi)).  Starting from L^-1 x, the round for degree m
-    substitutes psi, exact through m - 1, into h's few words truncated at
-    m; since h has no linear part, that makes psi exact through m.  The
-    constant is undone afterwards by substituting the translation x - c,
-    which is affine and so exact.  Raises ``NotInvertible`` if L is
+    psi = L^-1 (x - h(psi)).  It is solved online, one degree per round
+    (``_online_rounds``): psi starts as L^-1 x, and round m computes only
+    the degree-m component of h(psi).  Since h has no linear part, that
+    component reads psi below degree m only, so it makes psi exact through
+    m.  The constant is undone afterwards by substituting the translation
+    x - c, which is affine and so exact.  Raises ``NotInvertible`` if L is
     singular and ``AlgebraError`` if k < 0.
     """
     if k < 0:
@@ -202,19 +211,104 @@ def truncated_inverse(phi, k):
     except linalg.SingularMatrix as exc:
         raise NotInvertible("linear part is not invertible") from exc
     gens = var.gens()
-    # terms of phi above degree k cannot reach the inverse through k
-    h = [f.truncate(k) - f.truncate(1) for f in phi.images] if k > 1 else []
     psi = [_linear_combination(var, row, gens) for row in ginv]
-    for m in range(2, k + 1):
-        memo = {}  # one cache for all coordinates: same args, same truncation
-        rhs = [x - e.substitute(psi, max_degree=m, _memo=memo) for x, e in zip(gens, h)]
-        psi = [_linear_combination(var, row, rhs) for row in ginv]
-    inv = Endomorphism(var, tuple(f.truncate(k) for f in psi))
+    if k > 1:
+        psi = _online_rounds(var, ginv, psi, phi.images, k)
+    inv = Endomorphism(var, tuple(psi) if k else (var.zero(),) * var.rank)
     consts = phi.constant_part()
     if any(consts):
         shift = [x - var.scalar(c) for x, c in zip(gens, consts)]
         inv = compose(Endomorphism(var, shift), inv)
     return inv
+
+
+def _online_rounds(var, ginv, linear_psi, images, k):
+    """psi = L^-1 (x - h(psi)) through degree k, from psi's linear part.
+
+    psi_j is kept as its homogeneous components psi_j[d].  For each proper
+    prefix p of h's words (``_split_key``) a memo holds the components
+    P(p)[d] of p(psi); it lives for the whole call.  With p = p' x_j,
+
+        P(p)[m] = sum over d of P(p')[d] psi_j[m - d],
+
+    and every factor on the right has degree below m, so it was final
+    before round m.  Round m forms the degree-m component of every prefix
+    and of every word of h once; a word's component is added into the
+    right-hand side and dropped, and a prefix's degree-k component is
+    never formed, since no word of degree <= k reads it.  As in
+    ``substitute``, free-Lie words multiply as associative words."""
+    kind, work = var.kind, var
+    if kind is Kind.FREE_LIE:
+        kind, work = Kind.FREE_ASSOCIATIVE, free_associative(var.rank)
+    comps = [[{}, f.coeffs] for f in linear_psi]
+    # h: phi's words of degree 2..k (higher ones cannot reach psi through
+    # k), each with the coordinates it occurs in and its coefficients
+    uses = {}
+    for i, f in enumerate(images):
+        for w, c in f.coeffs.items():
+            if 2 <= _mono_degree(kind, w) <= k:
+                uses.setdefault(w, []).append((i, c))
+    memo, prefixes = {}, []
+    for w in uses:
+        p = _split_key(kind, w)[0]
+        while p not in memo:  # a loop over p's own prefixes, not recursion
+            q, j = _split_key(kind, p)
+            e = _mono_degree(kind, p)
+            if e == 1:
+                memo[p] = comps[j]  # a generator's image is psi_j itself
+                break
+            memo[p] = [{}] * e  # zero below its degree; one more per round
+            prefixes.append((e, p, q, j))
+            p = q
+    prefixes.sort(key=lambda t: t[0])  # shortest first
+    words = sorted(
+        ((_mono_degree(kind, w), w, *_split_key(kind, w)) for w in uses),
+        key=lambda t: t[0],
+    )
+    for m in range(2, k + 1):
+        if m < k:
+            for e, p, q, j in prefixes:
+                if e > m:
+                    break
+                memo[p].append(_component(kind, memo[q], comps[j], m))
+        rhs = [{} for _ in images]  # -h(psi)[m]; x has degree 1 only
+        for e, w, q, j in words:
+            if e > m:
+                break
+            if m < k and w in memo:  # w is also a prefix of a longer word
+                part = memo[w][m]
+            else:
+                part = _component(kind, memo[q], comps[j], m)
+            for i, c in uses[w]:
+                acc = rhs[i]
+                for key, v in part.items():
+                    n = acc.get(key, 0) - c * v
+                    if n:
+                        acc[key] = n
+                    else:
+                        acc.pop(key, None)
+        rhs = [Element._raw(work, acc) for acc in rhs]
+        for row, comp in zip(ginv, comps):
+            comp.append(_linear_combination(work, row, rhs).coeffs)
+    psi = []
+    for comp in comps:
+        coeffs = {}
+        for part in comp:
+            coeffs.update(part)
+        psi.append(Element._raw(var, coeffs))
+    return psi
+
+
+def _component(kind, left, right, m):
+    """The degree-m component of a product from the components of its
+    factors, ``sum(left[d] * right[m - d] for d < m)``, accumulated in one
+    dict by ``_product``; each factor's index is below m."""
+    out = {}
+    for d in range(1, m):
+        a, b = left[d], right[m - d]
+        if a and b:
+            _product(kind, a, ((m - d, b.items()),), None, out)
+    return out
 
 
 def _linear_combination(var, row, elements):

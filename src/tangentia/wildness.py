@@ -91,6 +91,10 @@ def var_m2k_context(ambient, evidence=EVIDENCE_USER):
 def polynilpotent_context(ambient, c, evidence=EVIDENCE_BUILTIN):
     """Polynilpotent ideal for the tuple (c_1, ..., c_k): least identity
     degree is the product of the (c_i + 1)."""
+    if not c:
+        raise AlgebraError("need at least one nilpotency parameter")
+    if any(ci < 1 for ci in c):
+        raise AlgebraError("nilpotency parameters must be >= 1")
     prod = math.prod(ci + 1 for ci in c)
     tag = "polynilpotent (" + ",".join(str(ci) for ci in c) + ")"
     return QuotientContext(ambient, tag, prod, evidence)

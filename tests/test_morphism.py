@@ -6,6 +6,7 @@ import pytest
 from tangentia import (
     AlgebraError,
     Derivation,
+    Element,
     Endomorphism,
     NotIA,
     NotInvertible,
@@ -25,6 +26,7 @@ from tangentia import (
     tangent,
     truncated_inverse,
 )
+from tangentia import linalg
 from tangentia.wildness import random_invertible_matrix
 
 from conftest import ALL_VARIETIES, random_element, random_ia_endomorphism
@@ -198,6 +200,87 @@ def test_truncated_inverse_low_degrees():
         phi = Endomorphism(variety, (x + x * y, y + x * (x * y)))
         assert truncated_inverse(phi, 0).images == (variety.zero(), variety.zero())
         assert truncated_inverse(phi, 1).images == (x, y)
+
+
+def _combination(var, row, elements):
+    return sum((e.scale(c) for c, e in zip(row, elements) if c), var.zero())
+
+
+def _reference_inverse(phi, k):
+    """The round-by-round fixed point that ``truncated_inverse`` computed
+    before it went online, kept as the reference: round m substitutes all
+    of psi into h truncated at m, so it forms again every degree below m
+    of every prefix product."""
+    var = phi.variety
+    ginv = linalg.inverse(phi.linear_part())
+    gens = var.gens()
+    h = [f.truncate(k) - f.truncate(1) for f in phi.images] if k > 1 else []
+    psi = [_combination(var, row, gens) for row in ginv]
+    for m in range(2, k + 1):
+        memo = {}
+        rhs = [x - e.substitute(psi, max_degree=m, _memo=memo) for x, e in zip(gens, h)]
+        psi = [_combination(var, row, rhs) for row in ginv]
+    inv = Endomorphism(var, tuple(f.truncate(k) for f in psi))
+    consts = phi.constant_part()
+    if any(consts):
+        shift = [x - var.scalar(c) for x, c in zip(gens, consts)]
+        inv = compose(Endomorphism(var, shift), inv)
+    return inv
+
+
+def _random_invertible_maps(rng, variety):
+    """A random IA map of degree <= 3, composed on either side with a
+    random invertible linear map."""
+    g = linear(variety, random_invertible_matrix(rng, variety.rank))
+    ia = random_ia_endomorphism(rng, variety, 1, 3)
+    return compose(g, ia), compose(ia, g)
+
+
+def test_truncated_inverse_matches_reference(rng):
+    for variety in ALL_VARIETIES:
+        for phi in _random_invertible_maps(rng, variety):
+            maps = [phi]
+            if variety.unital:
+                consts = [rng.choice([-2, -1, 1, 2]) for _ in range(variety.rank)]
+                maps.append(_with_constants(phi, consts))
+            for f in maps:
+                for k in range(7):
+                    assert truncated_inverse(f, k) == _reference_inverse(f, k), (f, k)
+
+
+def test_truncated_inverse_matches_reference_on_lie_series_maps():
+    """The two fixed degree-8 inverses of the lie-series benchmark:
+    (x + [y,z] + [x,[x,y]], y + [z,x], z) and
+    (x + [y,z], y + [x,[x,z]], z + [x,y]) on free_lie(3)."""
+    L = free_lie(3)
+    x, y, z = L.gens()
+    for images in (
+        (x + y * z + x * (x * y), y + z * x, z),
+        (x + y * z, y + x * (x * z), z + x * y),
+    ):
+        phi = Endomorphism(L, images)
+        assert truncated_inverse(phi, 8) == _reference_inverse(phi, 8)
+
+
+def test_truncated_inverse_grows_degree_by_degree(rng):
+    """Raising k only adds terms of the new degrees: the inverse through k,
+    cut at j, is the inverse through j.  Maps with constants are left out:
+    there the translation x - c moves the terms cut at k into low degrees,
+    so the inverse through k differs from the inverse through j below j."""
+    for variety in ALL_VARIETIES:
+        for phi in _random_invertible_maps(rng, variety):
+            inverses = [truncated_inverse(phi, k) for k in range(7)]
+            for k, inv in enumerate(inverses):
+                for j in range(k + 1):
+                    assert inv.truncate(j) == inverses[j], (phi, j, k)
+
+
+def test_constant_key_rejected_in_lie_kinds():
+    for variety in (free_lie(2), metabelian_lie(2)):
+        x1, x2 = variety.gens()
+        with_constant = Element._raw(variety, {**x2.coeffs, (): 1})
+        with pytest.raises(AlgebraError, match="constant image part"):
+            Endomorphism(variety, (x1, with_constant))
 
 
 def test_negative_truncation_degree_rejected():

@@ -55,6 +55,21 @@ def test_context_rejects_small_ideals():
         nilpotent_context(free_lie(2), 0)
 
 
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        ((-3, -3), "nilpotency parameters must be >= 1"),
+        ((2, -1), "nilpotency parameters must be >= 1"),
+        ((), "need at least one nilpotency parameter"),
+    ],
+)
+def test_polynilpotent_context_checks_its_tuple(c, message):
+    """(-3, -3) used to give a context with min_degree 4, and (2, -1)
+    failed only on the unrelated degree check of ``QuotientContext``."""
+    with pytest.raises(AlgebraError, match=message):
+        polynilpotent_context(free_lie(3), c)
+
+
 # -- divergence detector ----------------------------------------------------
 
 
