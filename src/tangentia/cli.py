@@ -64,15 +64,15 @@ def _render_text(results, out):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.script == "-":
-        source = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.script == "-":
+            source = sys.stdin.read()
+        else:
             with open(args.script, "r", encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         results = run_source(source, max_degree=args.max_degree, seed=args.seed)
     except (DslError, AlgebraError) as exc:

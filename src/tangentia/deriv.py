@@ -169,7 +169,7 @@ class Derivation:
         if var.kind is Kind.FREE_ASSOCIATIVE:
             images = [f.coeffs for f in self.coords]
             out = {}
-            for (a, b), c in u.terms.items():
+            for (a, b), c in u.coeffs.items():
                 for wa, ca in _leibniz_words({a: c}, images).items():
                     _merge(out, (wa, b), ca)
                 for wb, cb in _leibniz_words({b: c}, images).items():
@@ -177,8 +177,8 @@ class Derivation:
             return EnvElement(var, out)
         # U is generated by the L_{x_i}, and D* sends them to the L_{D(x_i)}
         base = generated_algebra(var)
-        star = Derivation(base, [Element._raw(base, left_mul(f).terms) for f in self.coords])
-        return EnvElement._raw(var, star.apply(Element._raw(base, u.terms)).coeffs)
+        star = Derivation(base, [Element._raw(base, left_mul(f).coeffs) for f in self.coords])
+        return EnvElement._raw(var, star.apply(Element._raw(base, u.coeffs)).coeffs)
 
     def star_trace(self, tc):
         """D* descended to the trace codomain: lift each necklace to a

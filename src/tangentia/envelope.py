@@ -20,13 +20,15 @@ in the associative case); commutative cases pass through.
 
 ``EnvElement`` and ``TraceClass`` are linear combinations of these keys
 and take their linear arithmetic from ``freealg.LinearCombination``; the
-two classes never mix.  In every kind but the associative one, U is keyed
-as the free algebra that the L_{x_i} generate (``generated_algebra``):
-``env_mul`` multiplies with that algebra's product kernel, and the
-push-forward along an endomorphism (``fox.env_push``) and the extension
-D* of a derivation (``Derivation.star_extend``) substitute into it or
-differentiate it.  Only the associative tensor pairs keep loops of their
-own.
+two classes never mix.  In every kind but the associative one, U's keys
+are those of the free algebra that the L_{x_i} generate
+(``generated_algebra``, which also carries the names U prints with: A's
+own, or t1..tn in the metabelian kind): ``env_mul`` multiplies with that
+algebra's product kernel, ``env_str`` prints through ``freealg.mono_str``,
+and the push-forward along an endomorphism (``fox.env_push``) and the
+extension D* of a derivation (``Derivation.star_extend``) substitute into
+it or differentiate it.  Only the associative tensor pairs keep loops of
+their own, and a key printer that joins the ``mono_str`` of each factor.
 
 Radical registry: R = 0 for polynomial, free associative, and free Lie
 algebras (recorded as a modeling assumption for the tensor-of-free-algebra
@@ -42,6 +44,7 @@ from .freealg import (
     LinearCombination,
     Variety,
     VarietyMismatch,
+    _mono_degree,
     _prefix_walk,
     _product,
     mono_str,
@@ -90,14 +93,9 @@ class EnvElement(LinearCombination):
 
     @classmethod
     def one(cls, variety):
-        kind = variety.kind
-        if kind is Kind.FREE_ASSOCIATIVE:
-            key = ((), ())
-        elif kind is Kind.FREE_LIE:
-            key = ()
-        else:
-            key = (0,) * variety.rank
-        return cls(variety, {key: 1})
+        if variety.kind is Kind.FREE_ASSOCIATIVE:
+            return cls(variety, {((), ()): 1})
+        return cls(variety, generated_algebra(variety).one().coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -106,13 +104,18 @@ class EnvElement(LinearCombination):
 
 
 def generated_algebra(variety):
-    """The free algebra whose keys and product U has in every kind but the
-    associative one: U is generated by the L_{x_i}, freely for free Lie
-    (words) and freely commuting for the polynomial kind and for the
-    metabelian U/R (exponent vectors).  ``left_mul`` writes each L_a in
-    these keys."""
-    kind = Kind.FREE_ASSOCIATIVE if variety.kind is Kind.FREE_LIE else Kind.POLYNOMIAL
-    return Variety(kind, variety.rank)
+    """The free algebra whose keys, product and names U has in every kind
+    but the associative one (where A keys each tensor factor): U is
+    generated by the L_{x_i}, freely for free Lie (words in A's names) and
+    freely commuting for the polynomial kind (A itself) and for the
+    metabelian U/R (exponent vectors in t1..tn).  ``left_mul`` writes each
+    L_a in these keys.  Never cached: ``Variety`` equality ignores names."""
+    rank = variety.rank
+    if variety.kind is Kind.FREE_LIE:
+        return Variety(Kind.FREE_ASSOCIATIVE, rank, variety.names)
+    if variety.kind is Kind.METABELIAN_LIE:
+        return Variety(Kind.POLYNOMIAL, rank, tuple(f"t{i + 1}" for i in range(rank)))
+    return variety
 
 
 def left_mul(a):
@@ -150,15 +153,14 @@ def env_mul(u, v):
     if kind is Kind.FREE_ASSOCIATIVE:
         # (a(x)b)(c(x)d) = ac (x) db: right factors compose in A^op
         out = {}
-        for (a, b), c1 in u.terms.items():
-            for (c, d), c2 in v.terms.items():
+        for (a, b), c1 in u.coeffs.items():
+            for (c, d), c2 in v.coeffs.items():
                 _merge(out, (a + c, d + b), c1 * c2)
         return EnvElement._raw(u.variety, out)
-    # the kind of generated_algebra(u.variety), without building a Variety
-    # on every product
+    # generated_algebra's kind, without building a Variety on every product
     mono_kind = Kind.FREE_ASSOCIATIVE if kind is Kind.FREE_LIE else Kind.POLYNOMIAL
-    graded = ((0, v.terms.items()),)
-    return EnvElement._raw(u.variety, _product(mono_kind, u.terms, graded, None))
+    graded = ((0, v.coeffs.items()),)
+    return EnvElement._raw(u.variety, _product(mono_kind, u.coeffs, graded, None))
 
 
 def env_apply(u, m):
@@ -180,9 +182,9 @@ def env_apply(u, m):
     kind = var.kind
     out = var.zero()
     if kind is Kind.POLYNOMIAL:
-        return Element(var, u.terms) * m
+        return Element(var, u.coeffs) * m
     if kind is Kind.FREE_ASSOCIATIVE:
-        for (a, b), c in u.terms.items():
+        for (a, b), c in u.coeffs.items():
             out = out + (Element(var, {a: 1}) * m * Element(var, {b: 1})).scale(c)
         return out
 
@@ -192,7 +194,7 @@ def env_apply(u, m):
         return var.gen(j) * (m if acc is None else acc)
 
     ukind, memo = generated_algebra(var).kind, {}
-    for key, c in u.terms.items():
+    for key, c in u.coeffs.items():
         key = key[::-1] if kind is Kind.FREE_LIE else key
         acc = _prefix_walk(ukind, key, memo, step)
         out = out + (m if acc is None else acc).scale(c)
@@ -206,41 +208,22 @@ class TraceClass(LinearCombination):
 
     def lift(self):
         """Some EnvElement representative (necklace keys read as words)."""
-        return EnvElement(self.variety, dict(self.terms))
-
-
-def _env_key_str(variety, key):
-    kind = variety.kind
-    names = variety.names
-    if kind is Kind.POLYNOMIAL:
-        return mono_str(variety, key)
-    if kind is Kind.FREE_ASSOCIATIVE:
-        a, b = key
-        sa = "*".join(names[i] for i in a) if a else "1"
-        sb = "*".join(names[i] for i in b) if b else "1"
-        return f"{sa}(x){sb}"
-    if kind is Kind.FREE_LIE:
-        return "*".join(names[i] for i in key) if key else "1"
-    parts = [f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(key) if e]
-    return "*".join(parts) if parts else "1"
-
-
-def _env_key_deg(kind, key):
-    if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
-        return sum(key)
-    if kind is Kind.FREE_ASSOCIATIVE:
-        return len(key[0]) + len(key[1])
-    return len(key)
+        return EnvElement(self.variety, dict(self.coeffs))
 
 
 def env_str(u):
-    """Deterministic plain-text form of an EnvElement (deglex term order)."""
-    variety = u.variety
-    return terms_str(
-        u.terms,
-        lambda key: _env_key_str(variety, key),
-        lambda key: _env_key_deg(variety.kind, key),
-    )
+    """Deterministic plain-text form of an EnvElement (deglex term order):
+    a key prints as a monomial of ``generated_algebra``, a tensor pair as
+    its two words joined by ``(x)``."""
+    base = generated_algebra(u.variety)
+    if u.variety.kind is Kind.FREE_ASSOCIATIVE:
+        return terms_str(
+            u.coeffs,
+            lambda key: f"{mono_str(base, key[0])}(x){mono_str(base, key[1])}",
+            lambda key: len(key[0]) + len(key[1]),
+        )
+    kind = base.kind
+    return terms_str(u.coeffs, lambda m: mono_str(base, m), lambda m: _mono_degree(kind, m))
 
 
 def trace_str(t):
@@ -252,12 +235,12 @@ def trace_class(u):
     """Canonical image of u in U/([U,U]+R)."""
     kind = u.variety.kind
     if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
-        return TraceClass(u.variety, dict(u.terms))
+        return TraceClass(u.variety, dict(u.coeffs))
     out = {}
     if kind is Kind.FREE_ASSOCIATIVE:
-        for (a, b), c in u.terms.items():
+        for (a, b), c in u.coeffs.items():
             _merge(out, (necklace(a), necklace(b)), c)
     else:
-        for w, c in u.terms.items():
+        for w, c in u.coeffs.items():
             _merge(out, necklace(w), c)
     return TraceClass(u.variety, out)

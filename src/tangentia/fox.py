@@ -117,7 +117,7 @@ def env_push(images, u):
         raise AlgebraError("image tuple length differs from rank")
     if var.kind is Kind.FREE_ASSOCIATIVE:
         memo, out = {}, {}
-        for (a, b), c in u.terms.items():
+        for (a, b), c in u.coeffs.items():
             ea = Element._raw(var, {a: 1}).substitute(images, _memo=memo)
             eb = Element._raw(var, {b: 1}).substitute(images, _memo=memo)
             for wa, ca in ea.coeffs.items():
@@ -126,8 +126,8 @@ def env_push(images, u):
         return EnvElement(var, out)
     # U is generated by the L_{x_i}, which go to the L_{images[i]}
     base = generated_algebra(var)
-    args = [Element._raw(base, left_mul(f).terms) for f in images]
-    return EnvElement._raw(var, Element._raw(base, u.terms).substitute(args).coeffs)
+    args = [Element._raw(base, left_mul(f).coeffs) for f in images]
+    return EnvElement._raw(var, Element._raw(base, u.coeffs).substitute(args).coeffs)
 
 
 def push_matrix(images, mat):

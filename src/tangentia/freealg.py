@@ -93,14 +93,16 @@ _LIE_KINDS = frozenset({Kind.FREE_LIE, Kind.METABELIAN_LIE})
 
 def _coeff(c):
     """The stored form of a coefficient: ``c`` itself if it is an ``int``,
-    else ``Fraction(c)``, reduced to its numerator when its denominator
-    is 1.  ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``, so
-    the form changes no equality, hash or printed string; it lets sums
-    and products of integral coefficients run on ``int``."""
+    a ``Fraction`` reduced to its numerator when its denominator is 1.
+    ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``, so the form
+    changes no equality, hash or printed string; it lets sums and products
+    of integral coefficients run on ``int``.  Anything else (a float, a
+    string, a bool) is a ``TypeError``: coefficients are exact."""
     if type(c) is int:
         return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
 
 
 def _default_names(kind, rank):
@@ -429,11 +431,6 @@ class LinearCombination:
         e.coeffs = coeffs
         e._buckets = None
         return e
-
-    @property
-    def terms(self):
-        """The stored dict, under the name the envelope code uses."""
-        return self.coeffs
 
     def is_zero(self):
         return not self.coeffs

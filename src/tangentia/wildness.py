@@ -33,6 +33,7 @@ from .freealg import (
 )
 from .deriv import Derivation, divergence
 from .morphism import (
+    DEFAULT_MAX_DEGREE,
     Endomorphism,
     NotIA,
     NotInvertible,
@@ -43,7 +44,7 @@ from .morphism import (
     tangent,
     truncated_inverse,
 )
-from .envelope import necklace, trace_class
+from .envelope import trace_class
 from .fox import fox_derivative
 from . import linalg
 
@@ -141,7 +142,7 @@ def _hypothesis_check(ctx, level_i, trace):
     return reasons
 
 
-def detect_divergence_wild(eps, ctx, max_degree=12):
+def detect_divergence_wild(eps, ctx, max_degree=DEFAULT_MAX_DEGREE):
     """Certificate from div(T(eps)) != 0 computed in the ambient U."""
     if eps.variety != ctx.ambient:
         raise AlgebraError("context ambient differs from the endomorphism's algebra")
@@ -160,7 +161,7 @@ def detect_divergence_wild(eps, ctx, max_degree=12):
     return WildnessCertificate(verdict, div, ctx, reasons, trace)
 
 
-def detect_rank2_associative(phi, ctx, max_degree=12):
+def detect_rank2_associative(phi, ctx, max_degree=DEFAULT_MAX_DEGREE):
     """Certificate from T(phi)([x1,x2]) != 0 in the rank-2 free
     associative algebra."""
     var = phi.variety
@@ -235,7 +236,7 @@ class PolynilpotentReport:
     materialized: bool
 
 
-def build_polynilpotent_witness(c, n, materialize_limit=12):
+def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
     """Witness data for the polynilpotent tuple (c_1, ..., c_k) at rank n.
 
     Returns (u, psi, report).  u = u_{k-1} in the free Lie algebra of
@@ -323,25 +324,6 @@ def build_polynilpotent_witness(c, n, materialize_limit=12):
 # Exact-rank oracle and span sampling
 
 
-def _trace_basis_keys(variety, degree):
-    """Keys of the degree-``degree`` part of the trace codomain."""
-    kind = variety.kind
-    if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
-        poly = Variety(Kind.POLYNOMIAL, variety.rank)
-        return monomials_of_degree(poly, degree)
-    if kind is Kind.FREE_LIE:
-        words = monomials_of_degree(Variety(Kind.FREE_ASSOCIATIVE, variety.rank), degree)
-        return sorted({necklace(w) for w in words})
-    # free associative: necklace pairs across both tensor factors
-    fa = Variety(Kind.FREE_ASSOCIATIVE, variety.rank)
-    keys = set()
-    for da in range(degree + 1):
-        for a in monomials_of_degree(fa, da):
-            for b in monomials_of_degree(fa, degree - da):
-                keys.add((necklace(a), necklace(b)))
-    return sorted(keys)
-
-
 def derivation_vector(D, degree):
     """Coordinates of a degree-``degree`` homogeneous derivation over the
     monomial basis of (A_{degree+1})^n."""
@@ -369,19 +351,19 @@ def divergence_kernel_rank(variety, degree):
     exact linear algebra on the divergence map (the independent oracle
     for the span sampler)."""
     monos = monomials_of_degree(variety, degree + 1)
-    tkeys = _trace_basis_keys(variety, degree)
-    tindex = {k: j for j, k in enumerate(tkeys)}
-    rows = []
-    for i in range(variety.rank):
-        for m in monos:
-            f = Element(variety, {m: 1})
-            tc = trace_class(fox_derivative(f, i))
-            row = [0] * len(tkeys)
-            for key, coeff in tc.terms.items():
-                row[tindex[key]] = coeff
-            rows.append(row)
-    dim = len(rows)
-    return dim - linalg.rank(rows)
+    images = [
+        trace_class(fox_derivative(Element(variety, {m: 1}), i)).coeffs
+        for i in range(variety.rank)
+        for m in monos
+    ]
+    # a trace key that no image has is a zero column, which no rank sees
+    tkeys = sorted({key for image in images for key in image})
+    column = {key: j for j, key in enumerate(tkeys)}
+    rows = [[0] * len(tkeys) for _ in images]
+    for row, image in zip(rows, images):
+        for key, c in image.items():
+            row[column[key]] = c
+    return len(rows) - linalg.rank(rows)
 
 
 @dataclass
@@ -395,8 +377,13 @@ class SpanReport:
     bracket_closure: list
 
 
-def random_invertible_matrix(rng, n, attempts=50):
-    for _ in range(attempts):
+# tries per invertible matrix, and letters per sampled word at most
+MATRIX_ATTEMPTS = 50
+MAX_WORD_LEN = 4
+
+
+def random_invertible_matrix(rng, n):
+    for _ in range(MATRIX_ATTEMPTS):
         mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         try:
             linalg.inverse(mat)
@@ -411,7 +398,6 @@ def tangent_span(
     degree,
     samples,
     seed,
-    max_word_len=4,
     conjugation_rank=0,
 ):
     """Sample random words in the generators and their truncated inverses,
@@ -427,6 +413,8 @@ def tangent_span(
         raise AlgebraError("need at least one generator")
     if degree < 1:
         raise AlgebraError(f"span degree must be >= 1, got {degree}")
+    if samples < 0:
+        raise AlgebraError(f"sample count must be >= 0, got {samples}")
     var = generators[0].variety
     rng = random.Random(seed)
     trunc = 2 * degree + 2  # enough to see levels through 2*degree for diagnostics
@@ -440,10 +428,8 @@ def tangent_span(
     per_level_rows = {}
     per_level_derivs = {}
     hits = 0
-    used = 0
     for _ in range(samples):
-        used += 1
-        length = rng.randint(1, max_word_len)
+        length = rng.randint(1, MAX_WORD_LEN)
         word = [rng.choice(pool) for _ in range(length)]
         phi = word[0]
         for step in word[1:]:
@@ -494,7 +480,7 @@ def tangent_span(
         degree=degree,
         rank=rank,
         basis=basis,
-        samples_used=used,
+        samples_used=samples,
         hits=hits,
         per_level_counts={i: len(v) for i, v in per_level_rows.items()},
         bracket_closure=closure,

@@ -163,6 +163,25 @@ def test_stdin_script(monkeypatch, capsys):
     assert "value: 2*x" in capsys.readouterr().out
 
 
+def test_non_utf8_script_file_exit_code_1(tmp_path, capsys):
+    path = tmp_path / "bad.tia"
+    path.write_bytes(b"variety polynomial(1) vars x\neval x \xff\n")
+    rc = cli.main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and "utf-8" in captured.err
+    assert captured.out == ""
+
+
+def test_non_utf8_stdin_exit_code_1(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"eval \xff\n"), encoding="utf-8")
+    monkeypatch.setattr(cli.sys, "stdin", stdin)
+    rc = cli.main(["run", "-"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
+
 def test_max_degree_flag_threads_through(tmp_path, capsys):
     path = write(
         tmp_path,

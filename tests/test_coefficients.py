@@ -1,6 +1,9 @@
 """The stored coefficient form: ``int`` when integral, ``Fraction`` otherwise."""
 import random
+from decimal import Decimal
 from fractions import Fraction
+
+import pytest
 
 from tangentia import (
     Element,
@@ -70,3 +73,20 @@ def test_integral_fraction_equals_and_hashes_like_int():
     assert stored_fraction == stored_int
     assert hash(stored_fraction) == hash(stored_int)
     assert str(stored_fraction) == str(stored_int) == "2*x2"
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [(0.1, "float"), ("1/3", "str"), (True, "bool"), (Decimal("0.5"), "Decimal")],
+)
+def test_inexact_coefficients_are_a_type_error(bad, name):
+    P = polynomial(2)
+    x = P.gen(0)
+    with pytest.raises(TypeError, match=name):
+        Element(P, {(1, 0): bad})
+    with pytest.raises(TypeError, match=name):
+        x.scale(bad)
+    with pytest.raises(TypeError, match=name):
+        P.scalar(bad)
+    with pytest.raises(TypeError):
+        x * bad

@@ -183,13 +183,13 @@ def test_divergence_examples():
     # Euler derivation of K[x,y]: divergence = 2
     P = polynomial(2)
     E = Derivation.euler(P)
-    assert divergence(E).trace.terms == {(0, 0): 2}
+    assert divergence(E).trace.coeffs == {(0, 0): 2}
     # free Lie [x1,x2] d_1 has divergence class -x2, nonzero
     L = free_lie(2)
     D = Derivation(L, (L.gen(0) * L.gen(1), L.zero()))
     div = divergence(D)
     assert not div.is_zero()
-    assert div.trace.terms == {(1,): -1}
+    assert div.trace.coeffs == {(1,): -1}
     # metabelian inner derivation ad([y1,y2]) has divergence zero
     M = metabelian_lie(3)
     d = M.gen(0) * M.gen(1)

@@ -88,7 +88,7 @@ def test_divergence_detector_positive():
     assert cert.reasons == []
     # independent recomputation of the witness
     assert cert.witness.trace == divergence(tangent(phi)).trace
-    assert cert.witness.trace.terms == {(0, 2, 0): 1}
+    assert cert.witness.trace.coeffs == {(0, 2, 0): 1}
     assert any("ia level 2" in line for line in cert.trace)
 
 
@@ -264,8 +264,8 @@ def test_hamiltonian_derivations_are_divergence_free():
     P = polynomial(2)
     x, y = P.gens()
     H = x * x * y + y * y * x
-    dx = Element(P, dict(fox_derivative(H, 0).terms))
-    dy = Element(P, dict(fox_derivative(H, 1).terms))
+    dx = Element(P, dict(fox_derivative(H, 0).coeffs))
+    dy = Element(P, dict(fox_derivative(H, 1).coeffs))
     D = Derivation(P, (dy, -dx))
     assert divergence(D).is_zero()
 
@@ -328,3 +328,9 @@ def test_span_does_not_swallow_other_errors(monkeypatch):
 def test_span_needs_generators():
     with pytest.raises(AlgebraError):
         tangent_span([], 1, 10, seed=0)
+
+
+def test_span_rejects_a_negative_sample_count():
+    with pytest.raises(AlgebraError, match="sample count"):
+        tangent_span(_poly_generators(), 1, -1, seed=0)
+    assert tangent_span(_poly_generators(), 1, 0, seed=0).samples_used == 0
