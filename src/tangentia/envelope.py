@@ -157,10 +157,10 @@ def env_mul(u, v):
             for (c, d), c2 in v.coeffs.items():
                 _merge(out, (a + c, d + b), c1 * c2)
         return EnvElement._raw(u.variety, out)
-    # generated_algebra's kind, without building a Variety on every product
-    mono_kind = Kind.FREE_ASSOCIATIVE if kind is Kind.FREE_LIE else Kind.POLYNOMIAL
+    if kind is Kind.METABELIAN_LIE:
+        kind = Kind.POLYNOMIAL  # U/R is keyed by exponent vectors
     graded = ((0, v.coeffs.items()),)
-    return EnvElement._raw(u.variety, _product(mono_kind, u.coeffs, graded, None))
+    return EnvElement._raw(u.variety, _product(kind, u.coeffs, graded, None))
 
 
 def env_apply(u, m):

@@ -38,7 +38,10 @@ variety and a dict from canonical keys to nonzero rationals, and owns the
 linear arithmetic (sum, difference, negation, scaling, equality, hashing);
 ``Element`` here and the envelope's ``EnvElement`` and ``TraceClass`` are
 its subclasses.  ``_product`` is the one product kernel, with one loop per
-variety, and serves ``Element.__mul__``, ``Element.mul_trunc``, the
+key format: exponent vectors add, metabelian keys bracket, and words
+concatenate, free-Lie words as well as associative ones.  It serves
+``Element.mul_trunc``, which forms every element product (``__mul__``
+included) and the free-Lie bracket as ``ab - ba`` of words, the
 homogeneous products of ``morphism.truncated_inverse`` (summed in place
 into one dict) and, for envelope keys that add or concatenate,
 ``envelope.env_mul``.  Its right operand comes as degree buckets,
@@ -89,6 +92,8 @@ class Kind(Enum):
 
 _UNITAL = frozenset({Kind.POLYNOMIAL, Kind.FREE_ASSOCIATIVE})
 _LIE_KINDS = frozenset({Kind.FREE_LIE, Kind.METABELIAN_LIE})
+# bound once: an Enum attribute lookup costs as much as a tiny product's set-up
+_FREE_LIE = Kind.FREE_LIE
 
 
 def _coeff(c):
@@ -499,7 +504,7 @@ class LinearCombination:
 
 def _product(
     kind, a, graded, k, out=None,
-    _polynomial=Kind.POLYNOMIAL, _assoc=Kind.FREE_ASSOCIATIVE, _lie=Kind.FREE_LIE,
+    _polynomial=Kind.POLYNOMIAL, _metabelian=Kind.METABELIAN_LIE,
 ):
     """The product of a coefficient dict ``a`` and a right operand given as
     degree buckets ``graded``, ``[(degree, [(key, coeff), ...]), ...]`` in
@@ -508,10 +513,11 @@ def _product(
     at the first degree past the room ``k`` leaves, so the dropped pairs
     are never visited.  The plain product (``k=None``) passes the whole
     dict as one bucket, ``((0, b.items()),)``, and pays no bucketing.
-    Free-Lie operands are words of K<X>, bracketed as commutators.  Given
-    ``out``, the product is added into that dict, which is returned, so a
-    sum of products is formed without copying.  (The defaults bind the
-    ``Kind`` members once, as in ``_split_key``.)"""
+    Words concatenate, free-Lie words too: ``Element.mul_trunc`` makes
+    their bracket from two such products.  Given ``out``, the product is
+    added into that dict, which is returned, so a sum of products is
+    formed without copying.  (The defaults bind the ``Kind`` members
+    once, as in ``_split_key``.)"""
     if k is None:
         k = math.inf
     if out is None:
@@ -530,7 +536,7 @@ def _product(
                     else:
                         out.pop(m, None)
         return out
-    if kind is _assoc:
+    if kind is not _metabelian:  # words
         for m1, c1 in a.items():
             room = k - len(m1)
             for d, terms in graded:
@@ -543,21 +549,6 @@ def _product(
                         out[m] = n
                     else:
                         out.pop(m, None)
-        return out
-    if kind is _lie:
-        for m1, c1 in a.items():
-            room = k - len(m1)
-            for d, terms in graded:
-                if d > room:
-                    break
-                for m2, c2 in terms:
-                    c = c1 * c2
-                    for m, s in ((m1 + m2, c), (m2 + m1, -c)):
-                        n = out.get(m, 0) + s
-                        if n:
-                            out[m] = n
-                        else:
-                            out.pop(m, None)
         return out
     # metabelian Lie
     for m1, c1 in a.items():
@@ -716,22 +707,25 @@ class Element(LinearCombination):
         """The variety's product; for Lie varieties this is the bracket."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
-        graded = ((0, other.coeffs.items()),)
-        return Element._raw(
-            self.variety, _product(self.variety.kind, self.coeffs, graded, None)
-        )
+        return self.mul_trunc(other, None)
 
     def mul_trunc(self, other, k):
         """``(self * other).truncate(k)`` without forming the dropped
         terms; ``k`` may be None for the plain product.  ``other``'s degree
         buckets are computed once and kept, so a right operand reused
-        across products (a substitution's ``args``) is bucketed once."""
+        across products (a substitution's ``args``) is bucketed once.
+        The free-Lie bracket of words is ``ab - ba``: a second word
+        product, of ``b``'s negated terms by ``a``'s, adds into the same
+        dict."""
         self._check(other)
+        kind = self.variety.kind
         graded = ((0, other.coeffs.items()),) if k is None else other._degree_buckets()
-        return Element._raw(
-            self.variety, _product(self.variety.kind, self.coeffs, graded, k)
-        )
+        out = _product(kind, self.coeffs, graded, k)
+        if kind is _FREE_LIE:
+            graded = ((0, self.coeffs.items()),) if k is None else self._degree_buckets()
+            minus_b = {m: -c for m, c in other.coeffs.items()}
+            _product(kind, minus_b, graded, k, out)
+        return Element._raw(self.variety, out)
 
     def power(self, k):
         if self.variety.is_lie:
@@ -828,15 +822,14 @@ def basis_coeffs(e):
     return e.coeffs
 
 
-def project_to_metabelian(e, target=None):
+def project_to_metabelian(e):
     """Quotient map from a free Lie algebra onto the free metabelian Lie
     algebra of the same rank (kills the second derived subalgebra).  By
     Dynkin-Specht-Wever, a Lie element of degree m in K<X> is 1/m times
     the sum of its words' left-normed brackets, built by the prefix walk."""
     if e.variety.kind is not Kind.FREE_LIE:
         raise VarietyMismatch("projection is defined on free Lie elements")
-    if target is None:
-        target = metabelian_lie(e.variety.rank)
+    target = metabelian_lie(e.variety.rank)
     gens = target.gens()
 
     def step(b, _prefix, j):

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from .freealg import (
     AlgebraError,
     Element,
-    Kind,
     VarietyMismatch,
     _mono_degree,
     _product,
     _split_key,
-    free_associative,
 )
 from .deriv import Derivation
 from . import linalg
@@ -235,11 +233,11 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     before round m.  Round m forms the degree-m component of every prefix
     and of every word of h once; a word's component is added into the
     right-hand side and dropped, and a prefix's degree-k component is
-    never formed, since no word of degree <= k reads it.  As in
-    ``substitute``, free-Lie words multiply as associative words."""
-    kind, work = var.kind, var
-    if kind is Kind.FREE_LIE:
-        kind, work = Kind.FREE_ASSOCIATIVE, free_associative(var.rank)
+    never formed, since no word of degree <= k reads it.  A free-Lie map
+    substitutes as the associative map on K<X> it restricts, so its words
+    multiply by concatenation, which ``_product`` does for free-Lie keys
+    as for associative ones."""
+    kind = var.kind
     comps = [[{}, f.coeffs] for f in linear_psi]
     # h: phi's words of degree 2..k (higher ones cannot reach psi through
     # k), each with the coordinates it occurs in and its coefficients
@@ -287,9 +285,9 @@ def _online_rounds(var, ginv, linear_psi, images, k):
                         acc[key] = n
                     else:
                         acc.pop(key, None)
-        rhs = [Element._raw(work, acc) for acc in rhs]
+        rhs = [Element._raw(var, acc) for acc in rhs]
         for row, comp in zip(ginv, comps):
-            comp.append(_linear_combination(work, row, rhs).coeffs)
+            comp.append(_linear_combination(var, row, rhs).coeffs)
     psi = []
     for comp in comps:
         coeffs = {}

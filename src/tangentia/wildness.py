@@ -38,9 +38,9 @@ from .morphism import (
     NotIA,
     NotInvertible,
     compose,
+    conjugate,
     ia_correct,
     ia_level,
-    linear,
     tangent,
     truncated_inverse,
 )
@@ -231,7 +231,6 @@ class PolynilpotentReport:
     product_bound: int
     inequality_holds: bool
     leading_words: list
-    leading_u1_expected: tuple
     leading_recursion_ok: bool
     materialized: bool
 
@@ -289,7 +288,6 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
         product_bound=product_bound,
         inequality_holds=inequality_holds,
         leading_words=[lt.word for lt in leads],
-        leading_u1_expected=(0,) * c[0] + (1,),
         leading_recursion_ok=lead_ok,
         materialized=degrees[-1] <= materialize_limit,
     )
@@ -436,11 +434,7 @@ def tangent_span(
             phi = compose(phi, step, max_degree=trunc)
         if conjugation_rank:
             g = random_invertible_matrix(rng, var.rank)
-            phi = compose(
-                linear(var, g),
-                compose(phi, linear(var, linalg.inverse(g)), max_degree=trunc),
-                max_degree=trunc,
-            )
+            phi = conjugate(g, phi)
         phi = ia_correct(phi)
         if phi is None:
             continue

@@ -1,7 +1,17 @@
 """The script language: tokenizer, parser, evaluator, and commands."""
 import pytest
 
-from tangentia.dsl import DslError, parse, run_source, tokenize
+from tangentia import corpus
+from tangentia.dsl import (
+    DslError,
+    LetBinding,
+    MapDef,
+    Session,
+    VarietyDecl,
+    parse,
+    run_source,
+    tokenize,
+)
 
 
 def run(src, **kw):
@@ -274,3 +284,19 @@ def test_session_seed_flag_feeds_span_default():
         "span --gens a --degree 1 --samples 10"
     )
     assert outputs(src, seed=3)[0]["seed"] == 3
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_corpus_builder_matches_its_script(name):
+    """The map a shipped corpus script defines is the map its Python
+    builder returns: the script's variety, let and := statements, run
+    without its commands, bind exactly one map, equal to the builder's."""
+    session = Session()
+    defs = []
+    for stmt in parse(corpus.script_source(name)).statements:
+        if isinstance(stmt, (VarietyDecl, LetBinding, MapDef)):
+            session.execute(stmt)
+        if isinstance(stmt, MapDef):
+            defs.append(stmt.name)
+    assert len(defs) == 1
+    assert session.env[defs[0]] == corpus.build(name)

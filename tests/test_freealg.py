@@ -223,6 +223,23 @@ def test_mul_trunc_is_the_truncated_product(variety, rng):
         assert a.mul_trunc(b, None) == a * b
 
 
+def test_free_lie_bracket_is_the_commutator_of_words(rng):
+    """The free-Lie product, plain and truncated at every degree, equals
+    the commutator AB - BA of the operands' words multiplied as elements
+    of the free associative algebra, outside the Lie path."""
+    L, A = free_lie(3), free_associative(3)
+    for _ in range(30):
+        a = random_element(rng, L, 1, 3, terms=4)
+        b = random_element(rng, L, 1, 3, terms=4)
+        wa, wb = Element(A, a.coeffs), Element(A, b.coeffs)
+        full = wa * wb - wb * wa
+        for k in [*range(a.degree() + b.degree() + 1), None]:
+            got = a.mul_trunc(b, k)
+            got.check()
+            assert got.coeffs == (full if k is None else full.truncate(k)).coeffs
+        assert a * b == a.mul_trunc(b, None)
+
+
 @pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
 def test_reused_right_operand_keeps_its_degree_buckets(variety, rng):
     """One right operand, stored with its highest degree first (and with a
