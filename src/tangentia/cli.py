@@ -18,8 +18,17 @@ from .morphism import DEFAULT_MAX_DEGREE
 JSON_SCHEMA_VERSION = 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, like every other bad input:
+    its own code for them, 2, is this program's internal error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tangentia",
         description=(
             "Exact tangent-derivation calculus on free algebras. "
@@ -64,6 +73,9 @@ def _render_text(results, out):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.max_degree < 0:
+        print(f"error: --max-degree must be >= 0, got {args.max_degree}", file=sys.stderr)
+        return 1
     try:
         if args.script == "-":
             source = sys.stdin.read()

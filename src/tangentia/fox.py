@@ -11,6 +11,7 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
+    _substitute,
 )
 from .envelope import EnvElement, env_mul, generated_algebra, left_mul, _merge
 
@@ -115,13 +116,16 @@ def env_push(images, u):
     var = u.variety
     if len(images) != var.rank:
         raise AlgebraError("image tuple length differs from rank")
+    if any(f.variety != var for f in images):
+        raise VarietyMismatch("images live in a different algebra")
     if var.kind is Kind.FREE_ASSOCIATIVE:
-        memo, out = {}, {}
+        # every word of every tensor factor, mapped in one batch
+        words = list(dict.fromkeys(w for pair in u.coeffs for w in pair))
+        image = dict(zip(words, _substitute([{w: 1} for w in words], images, None)))
+        out = {}
         for (a, b), c in u.coeffs.items():
-            ea = Element._raw(var, {a: 1}).substitute(images, _memo=memo)
-            eb = Element._raw(var, {b: 1}).substitute(images, _memo=memo)
-            for wa, ca in ea.coeffs.items():
-                for wb, cb in eb.coeffs.items():
+            for wa, ca in image[a].items():
+                for wb, cb in image[b].items():
                     _merge(out, (wa, wb), c * ca * cb)
         return EnvElement(var, out)
     # U is generated by the L_{x_i}, which go to the L_{images[i]}
@@ -139,7 +143,8 @@ def chain_rule_check(phi, psi):
     (phi o psi)(x_k) = phi(psi(x_k))."""
     if phi.variety != psi.variety:
         raise VarietyMismatch("endomorphisms from different varieties")
-    composed = tuple(g.substitute(phi.images) for g in psi.images)
-    lhs = jacobian_of_tuple(composed, phi.variety)
+    var = phi.variety
+    composed = _substitute([g.coeffs for g in psi.images], phi.images, None)
+    lhs = jacobian_of_tuple(tuple(Element._raw(var, f) for f in composed), var)
     rhs = mat_mul(push_matrix(phi.images, jacobian(psi)), jacobian(phi))
     return mat_eq(lhs, rhs)

@@ -41,22 +41,24 @@ its subclasses.  ``_product`` is the one product kernel, with one loop per
 key format: exponent vectors add, metabelian keys bracket, and words
 concatenate, free-Lie words as well as associative ones.  It serves
 ``Element.mul_trunc``, which forms every element product (``__mul__``
-included) and the free-Lie bracket as ``ab - ba`` of words, the
-homogeneous products of ``morphism.truncated_inverse`` (summed in place
-into one dict) and, for envelope keys that add or concatenate,
-``envelope.env_mul``.  Its right operand comes as degree buckets,
-``[(degree, [(key, coeff), ...]), ...]`` in ascending degree: a truncated
-product at degree ``k`` walks them for each left term and stops at the
-first bucket past the room ``k`` leaves, so the pairs it drops are never
-visited.  An element computes its buckets on first use and keeps them
-(``Element._degree_buckets``), so the right operand of many products, such
-as a substitution's ``args``, is bucketed once; the plain product passes
-the whole dict as a single bucket and pays no bucketing.
+included) and the free-Lie bracket as ``ab - ba`` of words, substitution
+(``_substitute``), the homogeneous products of
+``morphism.truncated_inverse`` (summed in place into one dict) and, for
+envelope keys that add or concatenate, ``envelope.env_mul``.  Its right
+operand comes as degree buckets, ``[(degree, [(key, coeff), ...]), ...]``
+in ascending degree (``_degree_buckets``): a truncated product at degree
+``k`` walks them for each left term and stops at the first bucket past
+the room ``k`` leaves, so the pairs it drops are never visited.  Nothing
+keeps buckets on an element: ``_substitute`` groups each argument once
+per call, and the plain product passes the whole dict as a single bucket
+and pays no bucketing.
 
 Substitution, the Leibniz action and the other maps built one generator
 at a time share one prefix walk: ``_split_key``, the only code that knows
 how a key factors, writes each stored key as a shorter key times one
 generator, and ``_prefix_walk`` builds a key's value from its prefix's.
+``_substitute`` is the one substitution: it takes a batch of dicts and
+one argument tuple, and its memo of prefix images lives for that call.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -415,17 +417,15 @@ class LinearCombination:
     by convention; arithmetic returns fresh objects of the same class.
     Algebra elements, envelope elements and trace classes all share this
     storage and its linear arithmetic; only operands of one class and one
-    variety (kind and rank) combine.  ``_buckets`` caches the terms grouped
-    by degree (``Element._degree_buckets``), so a dict must never change
-    once it is wrapped.
+    variety (kind and rank) combine.  An instance caches nothing: it is
+    its variety and its dict.
     """
 
-    __slots__ = ("variety", "coeffs", "_buckets")
+    __slots__ = ("variety", "coeffs")
 
     def __init__(self, variety, coeffs):
         self.variety = variety
         self.coeffs = {m: _coeff(c) for m, c in coeffs.items() if c}
-        self._buckets = None
 
     @classmethod
     def _raw(cls, variety, coeffs):
@@ -434,7 +434,6 @@ class LinearCombination:
         e = object.__new__(cls)
         e.variety = variety
         e.coeffs = coeffs
-        e._buckets = None
         return e
 
     def is_zero(self):
@@ -508,7 +507,7 @@ def _product(
 ):
     """The product of a coefficient dict ``a`` and a right operand given as
     degree buckets ``graded``, ``[(degree, [(key, coeff), ...]), ...]`` in
-    ascending degree (``Element._degree_buckets``), without its terms of
+    ascending degree (``_degree_buckets``), without its terms of
     degree above ``k``.  For each left term the walk over the buckets stops
     at the first degree past the room ``k`` leaves, so the dropped pairs
     are never visited.  The plain product (``k=None``) passes the whole
@@ -565,6 +564,62 @@ def _product(
                     else:
                         out.pop(m, None)
     return out
+
+
+def _degree_buckets(kind, coeffs):
+    """The terms of ``coeffs`` grouped by degree, ``[(degree, [(key,
+    coeff), ...]), ...]`` in ascending degree: the right operand of a
+    truncated ``_product``."""
+    parts = {}
+    for m, c in coeffs.items():
+        parts.setdefault(_mono_degree(kind, m), []).append((m, c))
+    return sorted(parts.items())
+
+
+def _substitute(dicts, args, max_degree):
+    """The images of the coefficient dicts ``dicts`` under x_j -> args[j],
+    as dicts in the args' algebra, without their terms above
+    ``max_degree`` (None keeps all of them: degrees only grow under
+    products, so a term dropped early can never come back).
+
+    The dicts are keyed like the args and the args are ``Element``s of
+    one algebra; the caller checks both.  A key's image is its longest
+    known prefix's image times one argument per missing generator
+    (``_prefix_walk``), formed by ``_product`` on plain dicts.  All the
+    state lives in the call: each argument is grouped by degree once, and
+    one memo of key and prefix images serves the whole batch.  A free-Lie
+    homomorphism is the restriction of the associative one on K<X>, and
+    ``_product`` concatenates free-Lie words, so their stored words
+    substitute as they are."""
+    target = args[0].variety
+    kind = target.kind
+    if max_degree is None:
+        graded = [((0, a.coeffs.items()),) for a in args]
+        gens = [a.coeffs for a in args]
+    else:
+        graded = [_degree_buckets(kind, a.coeffs) for a in args]
+        gens = [
+            {m: c for d, terms in g if d <= max_degree for m, c in terms} for g in graded
+        ]
+
+    def step(img, _prefix, j):
+        return gens[j] if img is None else _product(kind, img, graded[j], max_degree)
+
+    memo, images = {}, []
+    for coeffs in dicts:
+        acc = {}
+        for mono, c in coeffs.items():
+            term = _prefix_walk(kind, mono, memo, step)
+            if term is None:  # the unit key
+                term = target.one().coeffs
+            for m, tc in term.items():
+                n = acc.get(m, 0) + c * tc
+                if n:
+                    acc[m] = n
+                else:
+                    acc.pop(m, None)
+        images.append(acc)
+    return images
 
 
 _KEY_FORMS = {
@@ -642,27 +697,17 @@ class Element(LinearCombination):
     def homogeneous_components(self):
         """Dict degree -> homogeneous part; the parts sum back to self."""
         var = self.variety
-        return {d: Element._raw(var, dict(terms)) for d, terms in self._degree_buckets()}
-
-    def _degree_buckets(self):
-        """The terms grouped by degree, ``[(degree, [(key, coeff), ...]),
-        ...]`` in ascending degree: the right operand of a truncated
-        ``_product``.  Computed on first use and kept in ``_buckets``."""
-        buckets = self._buckets
-        if buckets is None:
-            kind, parts = self.variety.kind, {}
-            for m, c in self.coeffs.items():
-                parts.setdefault(_mono_degree(kind, m), []).append((m, c))
-            buckets = self._buckets = sorted(parts.items())
-        return buckets
+        return {
+            d: Element._raw(var, dict(terms))
+            for d, terms in _degree_buckets(var.kind, self.coeffs)
+        }
 
     def check(self):
         """Assert the stored invariants: every key is canonical for the
-        variety (a nonempty word of K<X> for free Lie), no coefficient is
-        zero, and the degree buckets, once filled, match ``coeffs``.  A
-        free-Lie element's words must form a Lie element, the precondition
-        of ``lie_from_assoc``: its Lyndon coordinates must expand back to
-        exactly its words, else ``AlgebraError``."""
+        variety (a nonempty word of K<X> for free Lie) and no coefficient
+        is zero.  A free-Lie element's words must form a Lie element, the
+        precondition of ``lie_from_assoc``: its Lyndon coordinates must
+        expand back to exactly its words, else ``AlgebraError``."""
         var = self.variety
         lie = var.kind is Kind.FREE_LIE
         stored = free_associative(var.rank) if lie else var
@@ -676,9 +721,6 @@ class Element(LinearCombination):
                 "associative element is not a Lie element "
                 "(its Lyndon coordinates do not expand back to its words)"
             )
-        if self._buckets is not None:
-            cached, self._buckets = self._buckets, None
-            assert cached == self._degree_buckets(), "degree buckets out of date"
 
     def truncate(self, k):
         """Drop all terms of degree > k."""
@@ -711,20 +753,18 @@ class Element(LinearCombination):
 
     def mul_trunc(self, other, k):
         """``(self * other).truncate(k)`` without forming the dropped
-        terms; ``k`` may be None for the plain product.  ``other``'s degree
-        buckets are computed once and kept, so a right operand reused
-        across products (a substitution's ``args``) is bucketed once.
-        The free-Lie bracket of words is ``ab - ba``: a second word
-        product, of ``b``'s negated terms by ``a``'s, adds into the same
-        dict."""
+        terms; ``k`` may be None for the plain product, which needs no
+        degree buckets.  The free-Lie bracket of words is ``ab - ba``: a
+        second word product, of ``b``'s negated terms by ``a``'s, adds
+        into the same dict."""
         self._check(other)
         kind = self.variety.kind
-        graded = ((0, other.coeffs.items()),) if k is None else other._degree_buckets()
-        out = _product(kind, self.coeffs, graded, k)
+        a, b = self.coeffs, other.coeffs
+        graded = ((0, b.items()),) if k is None else _degree_buckets(kind, b)
+        out = _product(kind, a, graded, k)
         if kind is _FREE_LIE:
-            graded = ((0, self.coeffs.items()),) if k is None else self._degree_buckets()
-            minus_b = {m: -c for m, c in other.coeffs.items()}
-            _product(kind, minus_b, graded, k, out)
+            graded = ((0, a.items()),) if k is None else _degree_buckets(kind, a)
+            _product(kind, {m: -c for m, c in b.items()}, graded, k, out)
         return Element._raw(self.variety, out)
 
     def power(self, k):
@@ -739,20 +779,14 @@ class Element(LinearCombination):
 
     # -- substitution -------------------------------------------------------
 
-    def substitute(self, args, max_degree=None, _memo=None):
-        """Image under the unique homomorphism x_i -> args[i].
+    def substitute(self, args, max_degree=None):
+        """Image under the unique homomorphism x_i -> args[i], without its
+        terms above ``max_degree`` (None keeps all of them).
 
         The args must all live in one algebra of the same variety kind;
-        the rank of the target may differ from the source rank.  With
-        ``max_degree`` set, terms above that degree are dropped as soon
-        as they appear (sound because degrees only grow under products),
-        which keeps intermediate results small.
-
-        A key's image is its longest known prefix's image times one
-        ``args[j]`` per missing generator (``_prefix_walk``).  ``_memo``
-        caches the images of keys and prefixes; callers that substitute
-        many elements into the *same* args at the same ``max_degree``
-        (e.g. composition, iterated inversion) may share one dict.
+        the rank of the target may differ from the source rank.  This is
+        the checks plus one ``_substitute`` call; a caller with several
+        elements to map into the same args makes one batched call.
         """
         if len(args) != self.variety.rank:
             raise AlgebraError(
@@ -771,34 +805,7 @@ class Element(LinearCombination):
                 f"cannot substitute {target.kind.value} values into a "
                 f"{self.variety.kind.value} element"
             )
-        kind, codomain = self.variety.kind, target
-        if kind is Kind.FREE_LIE:
-            # a Lie homomorphism is the restriction of the associative one
-            # on K<X>, so the stored words substitute as associative words
-            target = free_associative(target.rank)
-            args = tuple(Element._raw(target, a.coeffs) for a in args)
-        memo = {} if _memo is None else _memo
-
-        def step(img, _prefix, j):
-            a = args[j]
-            if img is not None:
-                return img.mul_trunc(a, max_degree)
-            return a if max_degree is None else a.truncate(max_degree)
-
-        acc = {}
-        for mono, c in self.coeffs.items():
-            term = memo.get(mono)
-            if term is None:
-                term = _prefix_walk(kind, mono, memo, step)
-                if term is None:  # the unit key
-                    term = target.one()
-            for m, tc in term.coeffs.items():
-                n = acc.get(m, 0) + c * tc
-                if n:
-                    acc[m] = n
-                else:
-                    acc.pop(m, None)
-        return Element._raw(codomain, acc)
+        return Element._raw(target, _substitute([self.coeffs], args, max_degree)[0])
 
     # -- printing -----------------------------------------------------------
 

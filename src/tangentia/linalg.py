@@ -67,23 +67,6 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
-def nullspace(rows):
-    """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return []
-    mat, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = -mat[r][f]
-        basis.append(v)
-    return basis
-
-
 class SingularMatrix(ValueError):
     pass
 
@@ -97,11 +80,3 @@ def inverse(matrix):
         raise SingularMatrix("matrix is not invertible over the rationals")
     return [row[n:] for row in red[:n]]
 
-
-def in_row_span(rows, vec):
-    """True iff vec lies in the rational span of the given rows."""
-    if all(x == 0 for x in vec):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [list(vec)])

@@ -22,6 +22,7 @@ from .freealg import (
     _mono_degree,
     _product,
     _split_key,
+    _substitute,
 )
 from .deriv import Derivation
 from . import linalg
@@ -111,17 +112,19 @@ def compose(phi, psi, max_degree=None):
 
     With ``max_degree`` set, all terms above that degree are dropped
     (valid truncated-series arithmetic: degrees only grow under
-    substitution, so the result is exact through ``max_degree``).
+    substitution, so the result is exact through ``max_degree``).  All of
+    psi's images, each cut at ``max_degree`` first, are substituted in one
+    batch.
     """
     if phi.variety != psi.variety:
         raise VarietyMismatch("endomorphisms over different varieties")
-    memo = {}
-    images = []
-    for g in psi.images:
-        if max_degree is not None:
-            g = g.truncate(max_degree)
-        images.append(g.substitute(phi.images, max_degree=max_degree, _memo=memo))
-    return Endomorphism(phi.variety, tuple(images))
+    dicts = [
+        g.coeffs if max_degree is None else g.truncate(max_degree).coeffs
+        for g in psi.images
+    ]
+    target = phi.images[0].variety  # the variety, named as phi's images are
+    images = _substitute(dicts, phi.images, max_degree)
+    return Endomorphism(phi.variety, tuple(Element._raw(target, f) for f in images))
 
 
 def compose_all(maps, max_degree=None):
@@ -156,7 +159,11 @@ class FiltrationLevel:
 
 
 def ia_level(phi, max_degree=DEFAULT_MAX_DEGREE):
-    """Least i with a nonzero degree-(i+1) deviation from the identity."""
+    """Least i with a nonzero degree-(i+1) deviation from the identity,
+    looked for through degree ``max_degree``; ``AlgebraError`` if it is
+    negative."""
+    if max_degree < 0:
+        raise AlgebraError(f"truncation degree must be >= 0, got {max_degree}")
     idn = Endomorphism.identity(phi.variety)
     lowest = None
     for f, x in zip(phi.images, idn.images):

@@ -372,7 +372,6 @@ class SpanReport:
     samples_used: int
     hits: int
     per_level_counts: dict
-    bracket_closure: list
 
 
 # tries per invertible matrix, and letters per sampled word at most
@@ -403,7 +402,7 @@ def tangent_span(
     and accumulate the tangents of the samples that land exactly in IA(degree).
 
     Returns the exact rank and a basis of the spanned subspace of
-    L_degree, plus bracket-closure diagnostics for sampled degree pairs.
+    L_degree, and how many samples landed at each IA level.
     ``conjugation_rank`` > 0 additionally conjugates each sampled word by
     a random invertible linear map (still inside any group containing G_n).
     """
@@ -415,7 +414,9 @@ def tangent_span(
         raise AlgebraError(f"sample count must be >= 0, got {samples}")
     var = generators[0].variety
     rng = random.Random(seed)
-    trunc = 2 * degree + 2  # enough to see levels through 2*degree for diagnostics
+    # samples are cut at this degree, so per_level_counts (which reports
+    # print) counts the levels through 2*degree + 1
+    trunc = 2 * degree + 2
     pool = list(generators)
     for g in generators:
         try:
@@ -423,9 +424,8 @@ def tangent_span(
         except NotInvertible:
             continue
 
-    per_level_rows = {}
-    per_level_derivs = {}
-    hits = 0
+    per_level_counts = {}
+    rows = []
     for _ in range(samples):
         length = rng.randint(1, MAX_WORD_LEN)
         word = [rng.choice(pool) for _ in range(length)]
@@ -441,41 +441,19 @@ def tangent_span(
         lev = ia_level(phi, trunc)
         if lev.status != "level":
             continue
-        T = tangent(phi, trunc)
-        per_level_rows.setdefault(lev.i, []).append(derivation_vector(T, lev.i))
-        per_level_derivs.setdefault(lev.i, []).append(T)
+        per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
         if lev.i == degree:
-            hits += 1
+            rows.append(derivation_vector(tangent(phi, trunc), degree))
 
-    rows = per_level_rows.get(degree, [])
     red, pivots = linalg.rref(rows)
     rank = len(pivots)
     basis = [derivation_from_vector(var, degree, red[r]) for r in range(rank)]
-
-    closure = []
-    for i in sorted(per_level_derivs):
-        for j in sorted(per_level_derivs):
-            tgt = i + j
-            if tgt not in per_level_rows:
-                continue
-            ok = True
-            for a in per_level_derivs[i][:5]:
-                for b in per_level_derivs[j][:5]:
-                    br = a.bracket(b)
-                    if br.is_zero():
-                        continue
-                    if not linalg.in_row_span(
-                        per_level_rows[tgt], derivation_vector(br, tgt)
-                    ):
-                        ok = False
-            closure.append((i, j, ok))
 
     return SpanReport(
         degree=degree,
         rank=rank,
         basis=basis,
         samples_used=samples,
-        hits=hits,
-        per_level_counts={i: len(v) for i, v in per_level_rows.items()},
-        bracket_closure=closure,
+        hits=len(rows),
+        per_level_counts=per_level_counts,
     )

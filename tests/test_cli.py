@@ -193,6 +193,46 @@ def test_max_degree_flag_threads_through(tmp_path, capsys):
     assert doc["results"][0]["output"]["degree"] == 4
 
 
+def test_negative_max_degree_exit_code_1(tmp_path, capsys):
+    """A negative bound is refused before the script runs."""
+    rc = cli.main(["run", write(tmp_path, GOOD_SCRIPT), "--max-degree", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: --max-degree must be >= 0, got -3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "SCRIPT", "--max-degree", "abc"], "invalid int value: 'abc'"),
+        (["run", "SCRIPT", "--seed", "1.5"], "invalid int value: '1.5'"),
+        (["run"], "the following arguments are required: script"),
+        ([], "the following arguments are required: subcommand"),
+        (["walk", "SCRIPT"], "invalid choice: 'walk'"),
+        (["run", "SCRIPT", "--jsn"], "unrecognized arguments: --jsn"),
+    ],
+)
+def test_usage_error_exit_code_1(tmp_path, capsys, argv, message):
+    """Bad usage exits 1 like any bad input; 2 is kept for an internal
+    invariant violation."""
+    path = write(tmp_path, GOOD_SCRIPT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([path if a == "SCRIPT" else a for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert "error: " in captured.err and message in captured.err
+    assert captured.out == ""
+
+
+def test_help_exit_code_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: tangentia" in capsys.readouterr().out
+
+
 def test_invert_low_degrees_with_constant(tmp_path, capsys):
     """At degree 0 the inverse is 0, at degree 1 the affine inverse; both
     pass the composition check."""

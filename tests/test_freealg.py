@@ -20,6 +20,7 @@ from tangentia import (
     project_to_metabelian,
 )
 from tangentia.freealg import (
+    _substitute,
     basis_coeffs,
     is_lyndon,
     lie_from_assoc,
@@ -241,11 +242,11 @@ def test_free_lie_bracket_is_the_commutator_of_words(rng):
 
 
 @pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
-def test_reused_right_operand_keeps_its_degree_buckets(variety, rng):
+def test_truncated_products_by_a_descending_right_operand(variety, rng):
     """One right operand, stored with its highest degree first (and with a
     constant in the unital kinds), serves truncated products at every k,
-    down and then up, and then plain ones: the degree buckets it keeps
-    must be sorted, complete and cut at the right degree."""
+    down and then up, and then plain ones: its terms must be grouped by
+    ascending degree, completely, and cut at the right degree."""
     lo = 0 if variety.unital else 1
     for _ in range(10):
         a = random_element(rng, variety, lo, 3, terms=4)
@@ -278,12 +279,6 @@ def test_check_finds_broken_invariants():
         Element._raw(L, {(): 1}).check()
     with pytest.raises(AlgebraError, match="not a Lie element"):
         Element._raw(L, {(1, 0): 1}).check()
-    x, y = P.gens()
-    b = x + y * y
-    b._degree_buckets()
-    b.coeffs[(3, 0)] = 1  # changed after it was wrapped: the buckets go stale
-    with pytest.raises(AssertionError, match="out of date"):
-        b.check()
 
 
 @pytest.mark.parametrize(
@@ -416,18 +411,42 @@ def test_truncate_and_min_degree():
     assert P.zero().degree() is None
 
 
-def test_substitute_shares_one_memo_under_truncation(rng):
-    """One memo of key and prefix images, shared by ten elements, gives
-    each element's truncated image."""
-    for variety in ALL_VARIETIES:
-        low = 0 if variety.unital else 1
-        args = tuple(random_element(rng, variety, low, 2) for _ in range(variety.rank))
-        for k in (1, 3, 5):
-            memo = {}
-            for _ in range(10):
-                a = random_element(rng, variety, low, 5, terms=4)
-                got = a.substitute(args, max_degree=k, _memo=memo)
-                assert got == a.substitute(args).truncate(k)
+def _image_by_products(e, args):
+    """The image of ``e`` under x_i -> args[i], each key's image formed
+    with the variety's own product, outside substitution: the product of
+    a key's letters in order (a polynomial key's letters repeated by
+    exponent), which is the left-normed bracket for a metabelian key.  A
+    free-Lie element's words map as words of K<X>."""
+    target = args[0].variety
+    if target.kind is Kind.FREE_LIE:
+        target = free_associative(target.rank)
+        args = [Element(target, a.coeffs) for a in args]
+    acc = target.zero()
+    for key, c in e.coeffs.items():
+        if e.variety.kind is Kind.POLYNOMIAL:
+            key = [i for i, n in enumerate(key) for _ in range(n)]
+        img = target.one() if not key else args[key[0]]
+        for j in key[1:]:
+            img = img * args[j]
+        acc = acc + img.scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_one_batched_substitution_maps_each_dict(variety, rng):
+    """One ``_substitute`` call over ten dicts, with one memo of prefix
+    images for the batch, gives each element's truncated image, formed
+    key by key with products, and each element's ``substitute``."""
+    low = 0 if variety.unital else 1
+    args = tuple(random_element(rng, variety, low, 2) for _ in range(variety.rank))
+    for k in (None, 1, 3, 5):
+        elements = [random_element(rng, variety, low, 5, terms=4) for _ in range(10)]
+        batch = _substitute([e.coeffs for e in elements], args, k)
+        assert len(batch) == len(elements)
+        for e, got in zip(elements, batch):
+            want = _image_by_products(e, args)
+            assert got == (want if k is None else want.truncate(k)).coeffs
+            assert e.substitute(args, max_degree=k).coeffs == got
 
 
 def test_substitute_long_word_does_not_recurse():

@@ -71,6 +71,18 @@ def test_ia_level_cases():
     assert str(lev) == "IA(1)"
 
 
+def test_negative_truncation_degree_is_rejected():
+    """A negative bound is an error, not the identity through that degree
+    with a zero tangent."""
+    P = polynomial(2)
+    x, y = P.gens()
+    phi = Endomorphism(P, (x + y * y, y))
+    assert ia_level(phi, 0).status == "identity"
+    for f in (ia_level, tangent):
+        with pytest.raises(AlgebraError, match="must be >= 0, got -3"):
+            f(phi, -3)
+
+
 def test_tangent_values():
     P = polynomial(2)
     x, y = P.gens()
@@ -208,17 +220,17 @@ def _combination(var, row, elements):
 
 def _reference_inverse(phi, k):
     """The round-by-round fixed point that ``truncated_inverse`` computed
-    before it went online, kept as the reference: round m substitutes all
-    of psi into h truncated at m, so it forms again every degree below m
-    of every prefix product."""
+    before it went online, kept as the reference: round m composes all of
+    psi into h truncated at m, so it forms again every degree below m of
+    every prefix product."""
     var = phi.variety
     ginv = linalg.inverse(phi.linear_part())
     gens = var.gens()
     h = [f.truncate(k) - f.truncate(1) for f in phi.images] if k > 1 else []
     psi = [_combination(var, row, gens) for row in ginv]
     for m in range(2, k + 1):
-        memo = {}
-        rhs = [x - e.substitute(psi, max_degree=m, _memo=memo) for x, e in zip(gens, h)]
+        hpsi = compose(Endomorphism(var, psi), Endomorphism(var, h), max_degree=m)
+        rhs = [x - e for x, e in zip(gens, hpsi.images)]
         psi = [_combination(var, row, rhs) for row in ginv]
     inv = Endomorphism(var, tuple(f.truncate(k) for f in psi))
     consts = phi.constant_part()

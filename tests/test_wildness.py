@@ -302,12 +302,6 @@ def test_span_rank_bounded_by_oracle():
         assert divergence(D).is_zero()
 
 
-def test_span_bracket_closure_flags():
-    gens = _poly_generators()
-    rep = tangent_span(gens, 1, 60, seed=3, conjugation_rank=1)
-    assert all(isinstance(ok, bool) for _, _, ok in rep.bracket_closure)
-
-
 def test_span_skips_generators_without_an_inverse():
     P = polynomial(3)
     x, y, z = P.gens()
