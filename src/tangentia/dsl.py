@@ -789,10 +789,18 @@ class Session:
         return {"names": args, "images": [str(f) for f in out.images]}, out
 
     def _cmd_invert(self, args, flags):
+        """The truncated inverse and a check by substitution, independent
+        of how the inverse was built.  Modulo degree > k the constant-free
+        maps with an invertible linear part form a group, so for such a
+        map ``psi(phi(x)) = x`` holds through k exactly when
+        ``phi(psi(x)) = x`` does; the check takes the second, which
+        substitutes the dense inverse into phi's few words.  With a
+        constant only ``psi(phi(x)) = x`` holds, so that is checked."""
         phi = self.lookup(args[0], Endomorphism)
         k = flags.get("degree", self.max_degree)
         inv = truncated_inverse(phi, k)
-        check = compose(phi, inv, max_degree=k).is_identity_through(k)
+        pair = (phi, inv) if any(phi.constant_part()) else (inv, phi)
+        check = compose(*pair, max_degree=k).is_identity_through(k)
         return {"name": args[0], "degree": k, "images": [str(f) for f in inv.images],
                 "identity_through_degree": check}, inv
 

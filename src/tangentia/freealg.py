@@ -53,12 +53,16 @@ keeps buckets on an element: ``_substitute`` groups each argument once
 per call, and the plain product passes the whole dict as a single bucket
 and pays no bucketing.
 
-Substitution, the Leibniz action and the other maps built one generator
-at a time share one prefix walk: ``_split_key``, the only code that knows
-how a key factors, writes each stored key as a shorter key times one
-generator, and ``_prefix_walk`` builds a key's value from its prefix's.
+The Leibniz action and the other maps built one generator at a time
+share one prefix walk: ``_split_key``, the only code that knows how a key
+factors, writes each stored key as a shorter key times one generator,
+and ``_prefix_walk`` builds a key's value from its prefix's.
 ``_substitute`` is the one substitution: it takes a batch of dicts and
-one argument tuple, and its memo of prefix images lives for that call.
+one argument tuple, and keeps its state for that call.  It maps
+exponent vectors and metabelian keys by the prefix walk, with one memo
+of prefix images for the batch, and words by Horner's rule, one dict at
+a time (``_horner``), which reads each dict only through the degrees its
+bound leaves.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -94,6 +98,8 @@ class Kind(Enum):
 
 _UNITAL = frozenset({Kind.POLYNOMIAL, Kind.FREE_ASSOCIATIVE})
 _LIE_KINDS = frozenset({Kind.FREE_LIE, Kind.METABELIAN_LIE})
+# the kinds whose stored keys are words, which ``_product`` concatenates
+_WORD_KINDS = frozenset({Kind.FREE_ASSOCIATIVE, Kind.FREE_LIE})
 # bound once: an Enum attribute lookup costs as much as a tiny product's set-up
 _FREE_LIE = Kind.FREE_LIE
 
@@ -583,21 +589,37 @@ def _substitute(dicts, args, max_degree):
     products, so a term dropped early can never come back).
 
     The dicts are keyed like the args and the args are ``Element``s of
-    one algebra; the caller checks both.  A key's image is its longest
-    known prefix's image times one argument per missing generator
-    (``_prefix_walk``), formed by ``_product`` on plain dicts.  All the
-    state lives in the call: each argument is grouped by degree once, and
-    one memo of key and prefix images serves the whole batch.  A free-Lie
-    homomorphism is the restriction of the associative one on K<X>, and
-    ``_product`` concatenates free-Lie words, so their stored words
-    substitute as they are."""
+    one algebra; the caller checks both.  All the state lives in the
+    call, and each argument is grouped by degree once.  The path depends
+    on the key format alone:
+
+    * words (associative and free-Lie keys) go by Horner's rule, one dict
+      at a time (``_horner``): a dense dict, such as a truncated inverse
+      substituted into a sparse map, is read only through the degrees
+      its bound leaves, and no prefix image is kept past its use.  A
+      free-Lie homomorphism is the restriction of the associative one on
+      K<X>, and ``_product`` concatenates free-Lie words, so their stored
+      words substitute as they are;
+    * exponent vectors and metabelian keys go by the prefix walk: a key's
+      image is its longest known prefix's image times one argument per
+      missing generator (``_prefix_walk``), and one memo of key and
+      prefix images serves the whole batch.  Many keys of these kinds
+      share each prefix, whose image the walk forms once for the batch;
+      Horner's rule, which sums each dict's suffixes on its own, was
+      about twice as slow on their dense compositions."""
     target = args[0].variety
     kind = target.kind
     if max_degree is None:
         graded = [((0, a.coeffs.items()),) for a in args]
-        gens = [a.coeffs for a in args]
     else:
         graded = [_degree_buckets(kind, a.coeffs) for a in args]
+    if kind in _WORD_KINDS:
+        mins = [min(map(len, a.coeffs)) if a.coeffs else None for a in args]
+        bound = math.inf if max_degree is None else max_degree
+        return [_horner(kind, coeffs, graded, mins, bound) for coeffs in dicts]
+    if max_degree is None:
+        gens = [a.coeffs for a in args]
+    else:
         gens = [
             {m: c for d, terms in g if d <= max_degree for m, c in terms} for g in graded
         ]
@@ -620,6 +642,69 @@ def _substitute(dicts, args, max_degree):
                     acc.pop(m, None)
         images.append(acc)
     return images
+
+
+def _horner(kind, coeffs, graded, mins, bound):
+    """The image of one word-keyed dict ``e`` under x_j -> phi_j, through
+    degree ``bound`` (``math.inf`` for all of it), by Horner's rule:
+    ``e(phi) = c 1 + sum_j (d_j e)(phi) phi_j``, where ``d_j e`` is the sum
+    of ``c_w p`` over the words ``w = p x_j`` of ``e``.
+
+    Unrolled, the rule runs over the suffixes of ``e``'s words.  The value
+    of a suffix ``s`` is the sum of ``c_w p(phi)`` over the words
+    ``w = p s``: ``c_s`` (the empty prefix) plus, for each suffix
+    ``x_j s``, that suffix's value times phi_j.  Each suffix keeps its
+    coefficient apart from the rest of its value, so the share of
+    ``x_j s`` in the value of ``s`` is the rest times phi_j, by
+    ``_product`` with phi_j's degree buckets ``graded[j]`` as the right
+    operand, plus ``c_{x_j s} phi_j``, added directly: no product forms
+    the unit, which Lie kinds lack.  The values are summed
+    from the longest suffixes down, one length at a time; the empty
+    suffix's value plus ``e``'s constant term is the image.  A suffix is
+    needed only through ``bound`` minus the least degrees ``mins[j]`` of
+    its letters' images, so a word whose letters' least degrees sum past
+    ``bound``, or that has a letter with a zero image (``mins[j]`` None),
+    is skipped whole: a truncated image reads no word past the bound.
+    Loops, not recursion: a long word only makes more lengths."""
+    zero = None in mins and {j for j, m in enumerate(mins) if m is None}
+    # by length: suffix -> [its word's coefficient, sum of the longer
+    # suffixes' products, its bound]
+    levels = [{(): [0, {}, bound]}]
+    for w, c in coeffs.items():
+        if zero and not zero.isdisjoint(w):
+            continue
+        room = bound - sum(map(mins.__getitem__, w))
+        if room >= 0:
+            while len(levels) <= len(w):
+                levels.append({})
+            levels[len(w)][w] = [c, {}, room]
+    for d in range(len(levels) - 1, 0, -1):
+        shorter = levels[d - 1]
+        for s, (c, value, room) in levels.pop().items():
+            j, rest = s[0], s[1:]
+            node = shorter.get(rest)
+            if node is None:
+                node = shorter[rest] = [0, {}, room + mins[j]]
+            up, top = node[1], node[2]
+            if value:
+                _product(kind, value, graded[j], top, up)
+            if c:  # the empty prefix: c phi_j, added directly
+                for e, terms in graded[j]:
+                    if e > top:
+                        break
+                    for m, v in terms:
+                        n = up.get(m, 0) + c * v
+                        if n:
+                            up[m] = n
+                        else:
+                            up.pop(m, None)
+    c, value, _ = levels[0][()]
+    if c:  # e's constant term
+        if n := value.get((), 0) + c:
+            value[()] = n
+        else:
+            del value[()]
+    return value
 
 
 _KEY_FORMS = {

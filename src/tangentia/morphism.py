@@ -114,7 +114,11 @@ def compose(phi, psi, max_degree=None):
     (valid truncated-series arithmetic: degrees only grow under
     substitution, so the result is exact through ``max_degree``).  All of
     psi's images, each cut at ``max_degree`` first, are substituted in one
-    batch.
+    batch (``freealg._substitute``): words by Horner's rule, so a dense psi
+    is read only through the degrees the bound leaves, and exponent
+    vectors and metabelian keys by the prefix walk.  The work still grows
+    with psi's terms: with a dense truncated inverse, ``compose(inv,
+    phi)`` is the cheaper order.
     """
     if phi.variety != psi.variety:
         raise VarietyMismatch("endomorphisms over different varieties")
@@ -205,8 +209,10 @@ def truncated_inverse(phi, k):
     the degree-m component of h(psi).  Since h has no linear part, that
     component reads psi below degree m only, so it makes psi exact through
     m.  The constant is undone afterwards by substituting the translation
-    x - c, which is affine and so exact.  Raises ``NotInvertible`` if L is
-    singular and ``AlgebraError`` if k < 0.
+    x - c, which is affine and so exact.  The rounds stop once h(psi) has
+    no terms left to give, so a polynomial inverse costs the same at any
+    large k.  Raises ``NotInvertible`` if L is singular and ``AlgebraError``
+    if k < 0.
     """
     if k < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {k}")
@@ -243,7 +249,14 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     never formed, since no word of degree <= k reads it.  A free-Lie map
     substitutes as the associative map on K<X> it restricts, so its words
     multiply by concatenation, which ``_product`` does for free-Lie keys
-    as for associative ones."""
+    as for associative ones.
+
+    The rounds stop early once psi is exact.  If psi's nonzero components
+    so far end at degree D and h's words at degree deg(h), then h(psi) has
+    no term above deg(h) D; once the rounds are past that degree, every
+    later component is zero.  So a map with a polynomial inverse, such as
+    (x + y^2, y), costs the same at any large k, and a linear map (empty
+    h) runs no round."""
     kind = var.kind
     comps = [[{}, f.coeffs] for f in linear_psi]
     # h: phi's words of degree 2..k (higher ones cannot reach psi through
@@ -270,7 +283,11 @@ def _online_rounds(var, ginv, linear_psi, images, k):
         ((_mono_degree(kind, w), w, *_split_key(kind, w)) for w in uses),
         key=lambda t: t[0],
     )
+    h_degree = words[-1][0] if words else 0
+    psi_degree = 1  # the highest degree of a nonzero component so far
     for m in range(2, k + 1):
+        if m > h_degree * psi_degree:  # h(psi) has no term of degree >= m
+            break
         if m < k:
             for e, p, q, j in prefixes:
                 if e > m:
@@ -295,6 +312,8 @@ def _online_rounds(var, ginv, linear_psi, images, k):
         rhs = [Element._raw(var, acc) for acc in rhs]
         for row, comp in zip(ginv, comps):
             comp.append(_linear_combination(var, row, rhs).coeffs)
+        if any(comp[m] for comp in comps):
+            psi_degree = m
     psi = []
     for comp in comps:
         coeffs = {}

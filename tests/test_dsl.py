@@ -1,7 +1,7 @@
 """The script language: tokenizer, parser, evaluator, and commands."""
 import pytest
 
-from tangentia import corpus
+from tangentia import compose, corpus, truncated_inverse
 from tangentia.dsl import (
     DslError,
     LetBinding,
@@ -184,6 +184,20 @@ def test_jacobian_output():
     # rows follow the coordinates: entry [i][j] differentiates f_i by x_j
     assert mat[0][0] == "1" and mat[0][1] == "2*y" and mat[1][1] == "1"
     assert mat[1][0] == "0"
+
+
+def test_invert_checks_a_map_with_a_constant_on_its_own_side():
+    """With a constant only psi(phi(x)) = x holds through k, and that is
+    what ``invert`` checks; phi(psi(x)) differs in low degrees."""
+    src = "variety polynomial(2) vars x,y\nphi := auto(x + 1 + y^2, y + x^2)\n"
+    out = outputs(src + "invert phi --degree 6")
+    assert out[0]["identity_through_degree"] is True
+    session = Session()
+    session.run(parse(src))
+    phi = session.env["phi"]
+    inv = truncated_inverse(phi, 6)
+    assert compose(phi, inv, max_degree=6).is_identity_through(6)
+    assert not compose(inv, phi, max_degree=6).is_identity_through(6)
 
 
 def test_compose_invert_commutator():

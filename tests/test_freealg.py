@@ -434,19 +434,31 @@ def _image_by_products(e, args):
 
 @pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
 def test_one_batched_substitution_maps_each_dict(variety, rng):
-    """One ``_substitute`` call over ten dicts, with one memo of prefix
-    images for the batch, gives each element's truncated image, formed
-    key by key with products, and each element's ``substitute``."""
+    """One ``_substitute`` call over a batch of dicts gives each element's
+    truncated image, formed key by key with products, and each element's
+    ``substitute``.  The arguments have least degree 0 (unital kinds), 1, 2
+    and 3, and one of them is zero: each bounds how deep Horner's rule
+    reads a word.  Each batch holds ten random elements, and one dict per
+    word for twelve of their words, the shape ``fox.env_push`` maps."""
     low = 0 if variety.unital else 1
-    args = tuple(random_element(rng, variety, low, 2) for _ in range(variety.rank))
-    for k in (None, 1, 3, 5):
-        elements = [random_element(rng, variety, low, 5, terms=4) for _ in range(10)]
-        batch = _substitute([e.coeffs for e in elements], args, k)
-        assert len(batch) == len(elements)
-        for e, got in zip(elements, batch):
-            want = _image_by_products(e, args)
-            assert got == (want if k is None else want.truncate(k)).coeffs
-            assert e.substitute(args, max_degree=k).coeffs == got
+    x = variety.gens()
+    # each argument tuple with the top degree of the elements mapped
+    arg_sets = [
+        (tuple(random_element(rng, variety, low, 2) for _ in x), 5),
+        (tuple(random_element(rng, variety, d, d + 1, terms=2) for d in (1, 2, 3)), 3),
+        ((random_element(rng, variety, 2, 3), variety.zero(), x[0] + x[1] * x[2]), 4),
+    ]
+    for args, top in arg_sets:
+        elements = [random_element(rng, variety, low, top, terms=4) for _ in range(10)]
+        words = sorted({m for e in elements for m in e.coeffs})
+        elements += [Element._raw(variety, {m: 1}) for m in rng.sample(words, 12)]
+        wants = [_image_by_products(e, args) for e in elements]
+        for k in (None, 0, 1, 2, 3, 4, 5, 6):
+            batch = _substitute([e.coeffs for e in elements], args, k)
+            assert len(batch) == len(elements)
+            for e, want, got in zip(elements, wants, batch):
+                assert got == (want if k is None else want.truncate(k)).coeffs, (e, k)
+                assert e.substitute(args, max_degree=k).coeffs == got
 
 
 def test_substitute_long_word_does_not_recurse():

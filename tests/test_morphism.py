@@ -22,6 +22,7 @@ from tangentia import (
     ia_level,
     linear,
     metabelian_lie,
+    monomials_of_degree,
     polynomial,
     tangent,
     truncated_inverse,
@@ -285,6 +286,71 @@ def test_truncated_inverse_grows_degree_by_degree(rng):
             for k, inv in enumerate(inverses):
                 for j in range(k + 1):
                     assert inv.truncate(j) == inverses[j], (phi, j, k)
+
+
+def test_inverse_rounds_stop_once_the_inverse_is_exact():
+    """Once the rounds pass deg(h) times the degree of psi so far, h(psi)
+    has no terms left to give, so a polynomial inverse comes back at any
+    k, even one whose rounds could never all run."""
+    P = polynomial(3)
+    x, y, z = P.gens()
+    huge = 10**8
+    phi = Endomorphism(P, (x + y * y, y, z))
+    assert truncated_inverse(phi, huge).images == (x - y * y, y, z)
+    phi = Endomorphism(P, (x + y.power(10), y, z))
+    assert truncated_inverse(phi, huge).images == (x - y.power(10), y, z)
+    # triangular: psi reaches degree 6 = deg(y^2) * deg(z^3) before it stops
+    phi = Endomorphism(P, (x + y * y, y + z.power(3), z))
+    w = y - z.power(3)
+    assert truncated_inverse(phi, huge).images == (x - w * w, w, z)
+    assert truncated_inverse(phi, 4).images == ((x - w * w).truncate(4), w, z)
+
+
+def test_linear_map_inverse_at_every_k(rng):
+    """A linear map has no h: its inverse is L^-1 x at every k >= 1."""
+    for variety in ALL_VARIETIES:
+        g = random_invertible_matrix(rng, variety.rank)
+        phi = linear(variety, g)
+        for k in (1, 2, 5):
+            assert truncated_inverse(phi, k) == linear(variety, linalg.inverse(g))
+    P = polynomial(2)
+    x, y = P.gens()
+    assert truncated_inverse(Endomorphism(P, (x + y, y)), 5).images == (x - y, y)
+
+
+def test_free_lie_inverse_runs_to_k():
+    """x + [x,y] has the never-ending inverse x - [x,y] + [[x,y],y] - ...:
+    every round adds a degree, so the rounds run through k."""
+    L = free_lie(2)
+    x, y = L.gens()
+    phi = Endomorphism(L, (x + x * y, y))
+    want, term = x, x
+    for _ in range(7):
+        term = -(term * y)
+        want = want + term
+    assert truncated_inverse(phi, 8).images == (want, y)
+    assert truncated_inverse(phi, 8) == _reference_inverse(phi, 8)
+
+
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_corrupted_inverse_fails_on_both_sides(variety, rng):
+    """The inverse with one basis coefficient moved by 1, at any degree
+    through k, is caught by the composition on either side: the two
+    checks ``invert`` may run are equally strict on maps without a
+    constant."""
+    k = 4
+    for phi in _random_invertible_maps(rng, variety):
+        psi = truncated_inverse(phi, k)
+        assert compose(phi, psi, max_degree=k).is_identity_through(k)
+        assert compose(psi, phi, max_degree=k).is_identity_through(k)
+        for i in range(variety.rank):
+            for d in range(1, k + 1):
+                key = rng.choice(monomials_of_degree(variety, d))
+                images = list(psi.images)
+                images[i] = images[i] + Element(variety, {key: 1})
+                bad = Endomorphism(variety, tuple(images))
+                assert not compose(phi, bad, max_degree=k).is_identity_through(k)
+                assert not compose(bad, phi, max_degree=k).is_identity_through(k)
 
 
 def test_constant_key_rejected_in_lie_kinds():
