@@ -1,12 +1,11 @@
-"""Named corpus of classical (endo)morphisms, both as Python builders
-and as shipped script files (executable documentation doubling as
-regression material)."""
+"""Named corpus of classical (endo)morphisms, each defined once, by its
+shipped script file (executable documentation doubling as regression
+material): ``build`` evaluates the script's definitions."""
 from __future__ import annotations
 
 from importlib import resources
 
-from .freealg import free_associative, metabelian_lie, polynomial
-from .morphism import Endomorphism
+from .dsl import DslError, LetBinding, MapDef, Session, VarietyDecl, parse
 
 CORPUS_NAMES = (
     "nagata",
@@ -26,60 +25,17 @@ def script_source(name):
     return ref.read_text(encoding="utf-8")
 
 
-def nagata():
-    """(x + 2yc + zc^2, y + zc, z) with c = zx - y^2 on K[x,y,z]."""
-    P = polynomial(3, ("x", "y", "z"))
-    x, y, z = P.gens()
-    c = z * x - y * y
-    return Endomorphism(P, (x + 2 * y * c + z * c * c, y + z * c, z))
-
-
-def anick():
-    """(x + zc, y + cz, z) with c = xz - zy on K<x,y,z>."""
-    A = free_associative(3, ("x", "y", "z"))
-    x, y, z = A.gens()
-    c = x * z - z * y
-    return Endomorphism(A, (x + z * c, y + c * z, z))
-
-
-def bergman():
-    """(x1 + [x1,x2]^2, x2) on K<x1,x2>."""
-    A = free_associative(2)
-    x1, x2 = A.gens()
-    c = x1 * x2 - x2 * x1
-    return Endomorphism(A, (x1 + c * c, x2))
-
-
-def drensky_exp():
-    """exp(ad [y1,y2]) on M_3; ad squared vanishes, so this is 1 + ad."""
-    M = metabelian_lie(3)
-    d = M.gen(0) * M.gen(1)
-    return Endomorphism(M, tuple(g + d * g for g in M.gens()))
-
-
-def tau():
-    """(y1 + [y2,y3], y2, y3) on M_3."""
-    M = metabelian_lie(3)
-    y1, y2, y3 = M.gens()
-    return Endomorphism(M, (y1 + y2 * y3, y2, y3))
-
-
-def chein_cubic():
-    """(y1 + [[y2,y3],y1], y2, y3) on M_3."""
-    M = metabelian_lie(3)
-    y1, y2, y3 = M.gens()
-    return Endomorphism(M, (y1 + (y2 * y3) * y1, y2, y3))
-
-
-BUILDERS = {
-    "nagata": nagata,
-    "anick": anick,
-    "bergman": bergman,
-    "drensky-exp": drensky_exp,
-    "tau": tau,
-    "chein-cubic": chein_cubic,
-}
-
-
 def build(name):
-    return BUILDERS[name]()
+    """The one map the corpus script ``name`` defines: its variety, let
+    and := statements are run and its commands skipped.  A script that
+    defines no map or several raises ``DslError``, an ``AlgebraError``."""
+    session = Session()
+    defs = []
+    for stmt in parse(script_source(name)).statements:
+        if isinstance(stmt, (VarietyDecl, LetBinding, MapDef)):
+            session.execute(stmt)
+        if isinstance(stmt, MapDef):
+            defs.append(stmt.name)
+    if len(defs) != 1:
+        raise DslError(f"corpus script {name!r} defines {len(defs)} maps, not one")
+    return session.env[defs[0]]

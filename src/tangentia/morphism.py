@@ -36,6 +36,15 @@ class NotInvertible(AlgebraError):
     pass
 
 
+def _matrix_inverse(g, what):
+    """The inverse of the square matrix g; ``NotInvertible`` names it as
+    ``what`` if g is singular."""
+    try:
+        return linalg.inverse(g)
+    except linalg.SingularMatrix as exc:
+        raise NotInvertible(f"{what} is not invertible") from exc
+
+
 DEFAULT_MAX_DEGREE = 12
 
 
@@ -217,10 +226,7 @@ def truncated_inverse(phi, k):
     if k < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {k}")
     var = phi.variety
-    try:
-        ginv = linalg.inverse(phi.linear_part())
-    except linalg.SingularMatrix as exc:
-        raise NotInvertible("linear part is not invertible") from exc
+    ginv = _matrix_inverse(phi.linear_part(), "linear part")
     gens = var.gens()
     psi = [_linear_combination(var, row, gens) for row in ginv]
     if k > 1:
@@ -392,18 +398,20 @@ def elementary(variety, i, alpha, f):
 
 
 def conjugate(g, phi):
-    """alpha phi alpha^-1 for the linear map alpha with matrix g."""
+    """alpha phi alpha^-1 for the linear map alpha with matrix g; raises
+    ``NotInvertible`` if g is singular."""
     var = phi.variety
     alpha = linear(var, g)
-    alpha_inv = linear(var, linalg.inverse(g))
+    alpha_inv = linear(var, _matrix_inverse(g, "conjugating matrix"))
     return compose(alpha, compose(phi, alpha_inv))
 
 
 def conjugate_derivation(g, D):
-    """alpha D alpha^-1 as a derivation: x_k -> alpha(D(alpha^-1(x_k)))."""
+    """alpha D alpha^-1 as a derivation: x_k -> alpha(D(alpha^-1(x_k)));
+    raises ``NotInvertible`` if g is singular."""
     var = D.variety
     alpha = linear(var, g)
-    alpha_inv = linear(var, linalg.inverse(g))
+    alpha_inv = linear(var, _matrix_inverse(g, "conjugating matrix"))
     return Derivation(
         var, tuple(alpha.apply(D.apply(f)) for f in alpha_inv.images)
     )

@@ -1,7 +1,9 @@
 """The script language: tokenizer, parser, evaluator, and commands."""
+from importlib import resources
+
 import pytest
 
-from tangentia import compose, corpus, truncated_inverse
+from tangentia import AlgebraError, compose, corpus, truncated_inverse
 from tangentia.dsl import (
     DslError,
     LetBinding,
@@ -302,9 +304,10 @@ def test_session_seed_flag_feeds_span_default():
 
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
 def test_corpus_builder_matches_its_script(name):
-    """The map a shipped corpus script defines is the map its Python
-    builder returns: the script's variety, let and := statements, run
-    without its commands, bind exactly one map, equal to the builder's."""
+    """The map a shipped corpus script defines is the map
+    ``corpus.build`` returns: the script's variety, let and :=
+    statements, run without its commands, bind exactly one map, equal to
+    the one ``build`` returns."""
     session = Session()
     defs = []
     for stmt in parse(corpus.script_source(name)).statements:
@@ -314,3 +317,56 @@ def test_corpus_builder_matches_its_script(name):
             defs.append(stmt.name)
     assert len(defs) == 1
     assert session.env[defs[0]] == corpus.build(name)
+
+
+# what each corpus map prints: a reference for the scripts that does not
+# come from them; map equality ignores generator names, so they are pinned
+# here too
+CORPUS_PRINTS = {
+    "nagata": (
+        ("x", "y", "z"),
+        "(x - 2*y^3 + 2*x*y*z + y^4*z - 2*x*y^2*z^2 + x^2*z^3, y - y^2*z + x*z^2, z)",
+    ),
+    "anick": (("x", "y", "z"), "(x + z*x*z - z*z*y, y + x*z*z - z*y*z, z)"),
+    "bergman": (
+        ("x1", "x2"),
+        "(x1 + x1*x2*x1*x2 - x1*x2*x2*x1 - x2*x1*x1*x2 + x2*x1*x2*x1, x2)",
+    ),
+    "drensky-exp": (
+        ("y1", "y2", "y3"),
+        "(y1 - [[y2,y1],y1], y2 - [[y2,y1],y2], y3 - [[y2,y1],y3])",
+    ),
+    "tau": (("y1", "y2", "y3"), "(y1 - [y3,y2], y2, y3)"),
+    "chein-cubic": (
+        ("y1", "y2", "y3"),
+        "(y1 + [[y2,y1],y3] - [[y3,y1],y2], y2, y3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_corpus_build_prints_pinned_map(name):
+    phi = corpus.build(name)
+    assert (phi.variety.names, repr(phi)) == CORPUS_PRINTS[name]
+
+
+def test_corpus_names_match_shipped_scripts():
+    """Adding a corpus map means adding one script and one name."""
+    scripts = resources.files("tangentia").joinpath("corpus_scripts")
+    stems = {
+        f.name[: -len(".tia")] for f in scripts.iterdir() if f.name.endswith(".tia")
+    }
+    assert stems == set(corpus.CORPUS_NAMES)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "variety polynomial(2) vars x,y\nlet c = x*y\neval c",
+        "variety polynomial(2) vars x,y\na := auto(x, y)\nb := auto(y, x)",
+    ],
+)
+def test_corpus_build_needs_exactly_one_map(monkeypatch, src):
+    monkeypatch.setattr(corpus, "script_source", lambda name: src)
+    with pytest.raises(AlgebraError, match="defines [02] maps, not one"):
+        corpus.build("nagata")

@@ -418,6 +418,20 @@ def test_linear_part_and_conjugation():
     assert cd.coords == (P.zero(), x * x)
 
 
+def test_conjugate_by_singular_matrix_is_not_invertible():
+    P = polynomial(2)
+    x, y = P.gens()
+    with pytest.raises(NotInvertible):
+        conjugate([[1, 1], [1, 1]], Endomorphism(P, (x + y * y, y)))
+
+
+def test_conjugate_derivation_by_singular_matrix_is_not_invertible():
+    P = polynomial(2)
+    y = P.gen(1)
+    with pytest.raises(NotInvertible):
+        conjugate_derivation([[1, 1], [1, 1]], Derivation(P, (y * y, P.zero())))
+
+
 def test_ia_correct():
     P = polynomial(2)
     x, y = P.gens()
