@@ -3,8 +3,8 @@ fixed point psi = L^-1 (x - h(psi)) over phi's short nonlinear part h,
 solved online: round m forms only the degree-m component of each prefix
 product of h's words, from components kept for the whole call; then an
 exact translation for constants), the IA filtration, tangent
-derivations, group commutators, conjugation, and the standard generators
-(linear / affine / elementary).
+derivations, group commutators, conjugation of derivations, and the
+standard generators (linear / affine / elementary).
 
 Composition convention, fixed once and used everywhere including the
 chain rule: ``compose(phi, psi)`` is the map ``x_k -> phi(psi(x_k))``,
@@ -364,7 +364,11 @@ def group_commutator(phi, psi, k):
 
 
 def linear(variety, g):
-    """The linear endomorphism x_i -> sum_j g[i][j] x_j."""
+    """The linear endomorphism x_i -> sum_j g[i][j] x_j; ``AlgebraError``
+    unless g is n x n for the variety's rank n."""
+    n = variety.rank
+    if len(g) != n or any(len(row) != n for row in g):
+        raise AlgebraError(f"the matrix must be {n}x{n} for a rank-{n} variety")
     gens = variety.gens()
     return Endomorphism(
         variety, tuple(_linear_combination(variety, row, gens) for row in g)
@@ -395,15 +399,6 @@ def elementary(variety, i, alpha, f):
     images = list(variety.gens())
     images[i] = images[i].scale(alpha) + f
     return Endomorphism(variety, tuple(images))
-
-
-def conjugate(g, phi):
-    """alpha phi alpha^-1 for the linear map alpha with matrix g; raises
-    ``NotInvertible`` if g is singular."""
-    var = phi.variety
-    alpha = linear(var, g)
-    alpha_inv = linear(var, _matrix_inverse(g, "conjugating matrix"))
-    return compose(alpha, compose(phi, alpha_inv))
 
 
 def conjugate_derivation(g, D):

@@ -37,8 +37,8 @@ from .morphism import (
     Endomorphism,
     NotIA,
     NotInvertible,
-    compose,
-    conjugate,
+    compose_all,
+    conjugate_derivation,
     ia_correct,
     ia_level,
     tangent,
@@ -71,8 +71,15 @@ class QuotientContext:
             raise AlgebraError("identity ideals start in degree >= 2")
 
 
+def _lie_ambient(ambient, context):
+    if not ambient.is_lie:
+        kind = ambient.kind.value
+        raise AlgebraError(f"the {context} context needs a Lie ambient, not {kind}")
+
+
 def metabelian_context(ambient, evidence=EVIDENCE_BUILTIN):
     """Quotient of a free Lie algebra by L'' (least identity degree 4)."""
+    _lie_ambient(ambient, "metabelian")
     return QuotientContext(ambient, "metabelian: L''", 4, evidence)
 
 
@@ -92,6 +99,7 @@ def var_m2k_context(ambient, evidence=EVIDENCE_USER):
 def polynilpotent_context(ambient, c, evidence=EVIDENCE_BUILTIN):
     """Polynilpotent ideal for the tuple (c_1, ..., c_k): least identity
     degree is the product of the (c_i + 1)."""
+    _lie_ambient(ambient, "polynilpotent")
     if not c:
         raise AlgebraError("need at least one nilpotency parameter")
     if any(ci < 1 for ci in c):
@@ -403,8 +411,9 @@ def tangent_span(
 
     Returns the exact rank and a basis of the spanned subspace of
     L_degree, and how many samples landed at each IA level.
-    ``conjugation_rank`` > 0 additionally conjugates each sampled word by
-    a random invertible linear map (still inside any group containing G_n).
+    ``conjugation_rank`` > 0 additionally conjugates each sample's tangent
+    by a random invertible linear map: the tangent of the conjugated word,
+    since IA correction, IA level and tangent commute with the conjugation.
     """
     if not generators:
         raise AlgebraError("need at least one generator")
@@ -429,13 +438,8 @@ def tangent_span(
     for _ in range(samples):
         length = rng.randint(1, MAX_WORD_LEN)
         word = [rng.choice(pool) for _ in range(length)]
-        phi = word[0]
-        for step in word[1:]:
-            phi = compose(phi, step, max_degree=trunc)
-        if conjugation_rank:
-            g = random_invertible_matrix(rng, var.rank)
-            phi = conjugate(g, phi)
-        phi = ia_correct(phi)
+        g = random_invertible_matrix(rng, var.rank) if conjugation_rank else None
+        phi = ia_correct(compose_all(word, max_degree=trunc))
         if phi is None:
             continue
         lev = ia_level(phi, trunc)
@@ -443,7 +447,8 @@ def tangent_span(
             continue
         per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
         if lev.i == degree:
-            rows.append(derivation_vector(tangent(phi, trunc), degree))
+            T = tangent(phi, trunc)
+            rows.append(derivation_vector(conjugate_derivation(g, T) if g else T, degree))
 
     red, pivots = linalg.rref(rows)
     rank = len(pivots)

@@ -341,6 +341,28 @@ def test_commutator_of_map_with_constant_exit_code_1(tmp_path, capsys):
     assert "error: line 4: in 'commutator': the first map has a constant term" in captured.err
 
 
+@pytest.mark.parametrize(
+    "context, name",
+    [("metabelian", "metabelian"), ("polynilpotent --c 1,2", "polynilpotent")],
+)
+def test_lie_ideal_context_on_associative_algebra_exit_code_1(tmp_path, capsys, context, name):
+    """Both contexts are ideals of a Lie algebra: on assoc(3) they used to
+    certify this map AbsolutelyWild "modulo L''" with witness 1(x)y."""
+    path = write(
+        tmp_path,
+        "variety assoc(3) vars x,y,z\nphi := auto(x + x*y, y, z)\n"
+        f"detect-wild phi --context {context}\n",
+    )
+    rc = cli.main(["run", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert (
+        f"error: line 3: in 'detect-wild': the {name} context needs a Lie ambient, not assoc"
+        in captured.err
+    )
+    assert captured.out == ""
+
+
 EVERY_FLAG_SCRIPT = """\
 # every declared flag of every command, at least once
 variety lie(3)

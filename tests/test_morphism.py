@@ -12,7 +12,6 @@ from tangentia import (
     NotInvertible,
     affine,
     compose,
-    conjugate,
     conjugate_derivation,
     elementary,
     free_associative,
@@ -410,19 +409,10 @@ def test_linear_part_and_conjugation():
     g = [[0, 1], [1, 0]]
     phi = Endomorphism(P, (x + y * y, y))
     assert phi.linear_part() == [[1, 0], [0, 1]]
-    conj = conjugate(g, phi)
-    # swapping variables: x + y^2 becomes y + x^2 in the second slot
-    assert conj.images == (x, y + x * x)
+    # swapping variables: y^2 d_x becomes x^2 d_y
     D = Derivation(P, (y * y, P.zero()))
     cd = conjugate_derivation(g, D)
     assert cd.coords == (P.zero(), x * x)
-
-
-def test_conjugate_by_singular_matrix_is_not_invertible():
-    P = polynomial(2)
-    x, y = P.gens()
-    with pytest.raises(NotInvertible):
-        conjugate([[1, 1], [1, 1]], Endomorphism(P, (x + y * y, y)))
 
 
 def test_conjugate_derivation_by_singular_matrix_is_not_invertible():
@@ -430,6 +420,25 @@ def test_conjugate_derivation_by_singular_matrix_is_not_invertible():
     y = P.gen(1)
     with pytest.raises(NotInvertible):
         conjugate_derivation([[1, 1], [1, 1]], Derivation(P, (y * y, P.zero())))
+
+
+@pytest.mark.parametrize(
+    "g", [[[1, 0, 5], [0, 1, 7]], [[1], [0, 1]], [[1, 0]], [[1, 0], [0, 1], [0, 0]]]
+)
+def test_matrix_must_be_square_of_the_rank(g):
+    """An entry too many was dropped and one too few read as zero, so both
+    gave (x1, x2), and conjugating y^2 d_x by [[1,0,5],[0,1,7]] gave
+    5 y^2 d_x + 7 y^2 d_y; a wrong row count failed only on the image
+    count."""
+    P = polynomial(2)
+    y = P.gen(1)
+    shape = "the matrix must be 2x2 for a rank-2 variety"
+    with pytest.raises(AlgebraError, match=shape):
+        linear(P, g)
+    with pytest.raises(AlgebraError, match=shape):
+        affine(P, g, (0, 0))
+    with pytest.raises(AlgebraError, match=shape):
+        conjugate_derivation(g, Derivation(P, (y * y, P.zero())))
 
 
 def test_ia_correct():

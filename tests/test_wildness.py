@@ -1,5 +1,6 @@
 """Wildness detectors, the polynilpotent constructor, and the span
 sampler with its exact-rank oracle."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,13 @@ from tangentia import (
     Derivation,
     Endomorphism,
     NotIA,
+    NotInvertible,
     QuotientContext,
+    SpanReport,
     build_polynilpotent_witness,
+    compose,
+    compose_all,
+    conjugate_derivation,
     corpus,
     detect_divergence_wild,
     detect_rank2_associative,
@@ -20,7 +26,9 @@ from tangentia import (
     divergence_kernel_rank,
     free_associative,
     free_lie,
+    ia_correct,
     ia_level,
+    linear,
     metabelian_context,
     metabelian_lie,
     nilpotent_context,
@@ -28,10 +36,11 @@ from tangentia import (
     polynomial,
     tangent,
     tangent_span,
+    truncated_inverse,
     user_context,
     var_m2k_context,
 )
-from tangentia import wildness
+from tangentia import linalg, wildness
 from tangentia.wildness import EVIDENCE_BUILTIN, EVIDENCE_USER, LeadingTerm, _lt_bracket
 
 
@@ -68,6 +77,20 @@ def test_polynilpotent_context_checks_its_tuple(c, message):
     failed only on the unrelated degree check of ``QuotientContext``."""
     with pytest.raises(AlgebraError, match=message):
         polynilpotent_context(free_lie(3), c)
+
+
+@pytest.mark.parametrize("ambient", [free_associative(3), polynomial(3)])
+def test_lie_ideal_contexts_need_a_lie_ambient(ambient):
+    kind = ambient.kind.value
+    with pytest.raises(AlgebraError, match=f"metabelian context needs a Lie ambient, not {kind}"):
+        metabelian_context(ambient)
+    with pytest.raises(
+        AlgebraError, match=f"polynilpotent context needs a Lie ambient, not {kind}"
+    ):
+        polynilpotent_context(ambient, (1, 2))
+    for lie in (free_lie(3), metabelian_lie(3)):
+        assert metabelian_context(lie).ambient == lie
+        assert polynilpotent_context(lie, (1, 2)).ambient == lie
 
 
 # -- divergence detector ----------------------------------------------------
@@ -300,6 +323,101 @@ def test_span_rank_bounded_by_oracle():
     # every sampled tangent is divergence-free, hence inside the kernel
     for D in rep.basis:
         assert divergence(D).is_zero()
+
+
+def _reference_span(generators, degree, samples, seed):
+    """The sampler with whole-map conjugation: each word phi is conjugated
+    to alpha phi alpha^-1 by two compositions before IA correction, and the
+    report is built from those conjugates.  On the way it checks, sample
+    by sample, that IA correction, the IA level and the tangent commute
+    with the conjugation, which is what lets ``tangent_span`` conjugate
+    only the tangents it keeps."""
+    var = generators[0].variety
+    rng = random.Random(seed)
+    trunc = 2 * degree + 2
+    pool = list(generators)
+    for g in generators:
+        try:
+            pool.append(truncated_inverse(g, trunc))
+        except NotInvertible:
+            continue
+    per_level_counts = {}
+    rows = []
+    for _ in range(samples):
+        length = rng.randint(1, wildness.MAX_WORD_LEN)
+        word = [rng.choice(pool) for _ in range(length)]
+        phi = compose_all(word, max_degree=trunc)
+        g = wildness.random_invertible_matrix(rng, var.rank)
+        alpha, alpha_inv = linear(var, g), linear(var, linalg.inverse(g))
+        conj = ia_correct(compose(alpha, compose(phi, alpha_inv)))
+        plain = ia_correct(phi)
+        assert (conj is None) == (plain is None)
+        if conj is None:
+            continue
+        lev = ia_level(conj, trunc)
+        assert lev == ia_level(plain, trunc)
+        if lev.status != "level":
+            continue
+        T = tangent(conj, trunc)
+        assert T == conjugate_derivation(g, tangent(plain, trunc))
+        per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
+        if lev.i == degree:
+            rows.append(derivation_vector(T, degree))
+    red, pivots = linalg.rref(rows)
+    basis = [derivation_from_vector(var, degree, red[r]) for r in range(len(pivots))]
+    return SpanReport(degree, len(pivots), basis, samples, len(rows), per_level_counts)
+
+
+def _span_generators(kind):
+    """Tame generators of each kind with tangents in degrees 1 and 2, and
+    a constant term in the unital kinds."""
+    if kind == "polynomial":
+        P = polynomial(3)
+        x, y, z = P.gens()
+        return [
+            Endomorphism(P, (x + y * y, y, z)),
+            Endomorphism(P, (x, y + z * z + P.one(), z)),
+            Endomorphism(P, (x, y, z + x * x * y)),
+            Endomorphism(P, (y, x, z)),
+        ]
+    if kind == "assoc":
+        A = free_associative(3)
+        x, y, z = A.gens()
+        return [
+            Endomorphism(A, (x + y * z + A.scalar(2), y, z)),
+            Endomorphism(A, (x, y + z * x, z)),
+            Endomorphism(A, (x, y, z + x * y * x)),
+            Endomorphism(A, (x + y * y * z, y, z)),
+        ]
+    if kind == "lie":
+        L = free_lie(3)
+        x1, x2, x3 = L.gens()
+        return [
+            Endomorphism(L, (x1 + x2 * x3, x2, x3)),
+            Endomorphism(L, (x1, x2 + x3 * x1, x3)),
+            Endomorphism(L, (x1, x2, x3 + (x1 * x2) * x2)),
+            Endomorphism(L, (x1 + (x2 * x3) * x3, x2, x3)),
+        ]
+    M = metabelian_lie(4)
+    y1, y2, y3, y4 = M.gens()
+    return [
+        Endomorphism(M, (y1 + y2 * y3, y2, y3, y4)),
+        Endomorphism(M, (y1, y2, y3 + y4 * y1, y4)),
+        Endomorphism(M, (y1, y2, y3, y4 + (y1 * y2) * y3)),
+        Endomorphism(M, (y1 + (y2 * y3) * y4, y2, y3, y4)),
+    ]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("kind", ["polynomial", "assoc", "lie", "metabelian"])
+def test_span_conjugates_the_tangent_as_the_whole_map_would(kind, degree):
+    """Conjugating each kept tangent gives the report that conjugating
+    each sampled word as a whole map gave, field by field."""
+    gens = _span_generators(kind)
+    expected = _reference_span(gens, degree, 30, seed=degree)
+    assert expected.hits > 0 and expected.rank > 0
+    got = tangent_span(gens, degree, 30, seed=degree, conjugation_rank=1)
+    assert got == expected
 
 
 def test_span_skips_generators_without_an_inverse():
