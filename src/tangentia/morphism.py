@@ -19,6 +19,7 @@ from .freealg import (
     AlgebraError,
     Element,
     VarietyMismatch,
+    _coeff,
     _mono_degree,
     _product,
     _split_key,
@@ -363,12 +364,16 @@ def group_commutator(phi, psi, k):
     return compose_all([phi_inv, psi_inv, phi, psi], max_degree=k)
 
 
-def linear(variety, g):
-    """The linear endomorphism x_i -> sum_j g[i][j] x_j; ``AlgebraError``
-    unless g is n x n for the variety's rank n."""
+def _check_square(variety, g):
     n = variety.rank
     if len(g) != n or any(len(row) != n for row in g):
         raise AlgebraError(f"the matrix must be {n}x{n} for a rank-{n} variety")
+
+
+def linear(variety, g):
+    """The linear endomorphism x_i -> sum_j g[i][j] x_j; ``AlgebraError``
+    unless g is n x n for the variety's rank n."""
+    _check_square(variety, g)
     gens = variety.gens()
     return Endomorphism(
         variety, tuple(_linear_combination(variety, row, gens) for row in g)
@@ -376,9 +381,14 @@ def linear(variety, g):
 
 
 def affine(variety, g, consts):
-    """x_i -> sum_j g[i][j] x_j + consts[i]; unital varieties only."""
+    """x_i -> sum_j g[i][j] x_j + consts[i]; unital varieties only, and
+    ``AlgebraError`` unless there is one constant per generator."""
     if not variety.unital:
         raise AlgebraError("affine maps need constants; variety is not unital")
+    if len(consts) != variety.rank:
+        raise AlgebraError(
+            f"need one constant per generator: {variety.rank}, got {len(consts)}"
+        )
     lin = linear(variety, g)
     return Endomorphism(
         variety,
@@ -402,20 +412,40 @@ def elementary(variety, i, alpha, f):
 
 
 def conjugate_derivation(g, D):
-    """alpha D alpha^-1 as a derivation: x_k -> alpha(D(alpha^-1(x_k)));
-    raises ``NotInvertible`` if g is singular."""
+    """alpha D alpha^-1 as a derivation, for alpha = ``linear(var, g)``:
+    x_k -> alpha(D(alpha^-1(x_k))); raises ``NotInvertible`` if g is
+    singular."""
+    _check_square(D.variety, g)
+    return _conjugate(g, _matrix_inverse(g, "conjugating matrix"), D)
+
+
+def _conjugate(g, g_inv, D):
+    """``conjugate_derivation`` with the inverse g_inv of g given.  D is
+    linear and alpha^-1(x_k) = sum_j g_inv[k][j] x_j, so
+    alpha D alpha^-1(x_k) = sum_j g_inv[k][j] alpha(D(x_j)): one batched
+    substitution maps D's coordinates by alpha, and each new coordinate
+    is a combination of those images with a row of g_inv."""
     var = D.variety
-    alpha = linear(var, g)
-    alpha_inv = linear(var, _matrix_inverse(g, "conjugating matrix"))
-    return Derivation(
-        var, tuple(alpha.apply(D.apply(f)) for f in alpha_inv.images)
-    )
+    images = _substitute([f.coeffs for f in D.coords], linear(var, g).images, None)
+    coords = []
+    for row in g_inv:
+        acc = {}
+        for c, image in zip(row, images):
+            if c:
+                for m, v in image.items():
+                    acc[m] = acc.get(m, 0) + c * v
+        coords.append(Element._raw(var, {m: _coeff(v) for m, v in acc.items() if v}))
+    return Derivation(var, tuple(coords))
 
 
 def ia_correct(phi):
     """Compose phi with the inverse of its affine part (a member of G_n)
     so the result is an IA candidate; returns None if the linear part is
-    singular."""
+    singular.  A map that is the identity through degree 1 (no constant,
+    identity linear part) is its own correction, since composing with the
+    identity changes nothing, so it comes back as it is."""
+    if phi.is_identity_through(1):
+        return phi
     try:
         corr = truncated_inverse(phi, 1)
     except NotInvertible:

@@ -37,8 +37,8 @@ from .morphism import (
     Endomorphism,
     NotIA,
     NotInvertible,
+    _conjugate,
     compose_all,
-    conjugate_derivation,
     ia_correct,
     ia_level,
     tangent,
@@ -388,11 +388,14 @@ MAX_WORD_LEN = 4
 
 
 def random_invertible_matrix(rng, n):
+    """A random invertible n x n matrix with entries in -2..2, and its
+    inverse, as the pair ``(g, g_inv)``.  Singular draws are rejected,
+    up to ``MATRIX_ATTEMPTS`` tries; the inverse is the one the
+    invertibility test computes."""
     for _ in range(MATRIX_ATTEMPTS):
         mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         try:
-            linalg.inverse(mat)
-            return mat
+            return mat, linalg.inverse(mat)
         except linalg.SingularMatrix:
             continue
     raise AlgebraError("failed to sample an invertible matrix")
@@ -411,9 +414,12 @@ def tangent_span(
 
     Returns the exact rank and a basis of the spanned subspace of
     L_degree, and how many samples landed at each IA level.
-    ``conjugation_rank`` > 0 additionally conjugates each sample's tangent
-    by a random invertible linear map: the tangent of the conjugated word,
-    since IA correction, IA level and tangent commute with the conjugation.
+    ``conjugation_rank`` > 0 additionally draws a random invertible linear
+    map alpha with its inverse for each sample, and conjugates the tangent
+    of each sample kept at ``degree`` by it: that is the tangent of the
+    conjugated word, since IA correction, IA level and tangent commute
+    with the conjugation.  The conjugation is one batched substitution of
+    the tangent's coordinates, with the drawn inverse (``_conjugate``).
     """
     if not generators:
         raise AlgebraError("need at least one generator")
@@ -438,7 +444,7 @@ def tangent_span(
     for _ in range(samples):
         length = rng.randint(1, MAX_WORD_LEN)
         word = [rng.choice(pool) for _ in range(length)]
-        g = random_invertible_matrix(rng, var.rank) if conjugation_rank else None
+        pair = random_invertible_matrix(rng, var.rank) if conjugation_rank else None
         phi = ia_correct(compose_all(word, max_degree=trunc))
         if phi is None:
             continue
@@ -448,7 +454,7 @@ def tangent_span(
         per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
         if lev.i == degree:
             T = tangent(phi, trunc)
-            rows.append(derivation_vector(conjugate_derivation(g, T) if g else T, degree))
+            rows.append(derivation_vector(_conjugate(*pair, T) if pair else T, degree))
 
     red, pivots = linalg.rref(rows)
     rank = len(pivots)

@@ -29,7 +29,13 @@ from tangentia import (
 from tangentia import linalg
 from tangentia.wildness import random_invertible_matrix
 
-from conftest import ALL_VARIETIES, random_element, random_ia_endomorphism
+from conftest import (
+    ALL_VARIETIES,
+    random_derivation,
+    random_element,
+    random_homogeneous_derivation,
+    random_ia_endomorphism,
+)
 
 
 def test_compose_convention():
@@ -165,7 +171,7 @@ def test_truncated_inverse_general_maps(rng):
     k = 4
     for variety in ALL_VARIETIES:
         for _ in range(3):
-            g = random_invertible_matrix(rng, variety.rank)
+            g, _ = random_invertible_matrix(rng, variety.rank)
             ia = random_ia_endomorphism(rng, variety, 1, 2)
             for phi in (compose(linear(variety, g), ia), compose(ia, linear(variety, g))):
                 inv = truncated_inverse(phi, k)
@@ -243,7 +249,7 @@ def _reference_inverse(phi, k):
 def _random_invertible_maps(rng, variety):
     """A random IA map of degree <= 3, composed on either side with a
     random invertible linear map."""
-    g = linear(variety, random_invertible_matrix(rng, variety.rank))
+    g = linear(variety, random_invertible_matrix(rng, variety.rank)[0])
     ia = random_ia_endomorphism(rng, variety, 1, 3)
     return compose(g, ia), compose(ia, g)
 
@@ -308,7 +314,8 @@ def test_inverse_rounds_stop_once_the_inverse_is_exact():
 def test_linear_map_inverse_at_every_k(rng):
     """A linear map has no h: its inverse is L^-1 x at every k >= 1."""
     for variety in ALL_VARIETIES:
-        g = random_invertible_matrix(rng, variety.rank)
+        g, g_inv = random_invertible_matrix(rng, variety.rank)
+        assert g_inv == linalg.inverse(g)
         phi = linear(variety, g)
         for k in (1, 2, 5):
             assert truncated_inverse(phi, k) == linear(variety, linalg.inverse(g))
@@ -403,6 +410,13 @@ def test_elementary_and_affine_constructors():
         affine(L, [[1, 0], [0, 1]], (1, 0))
 
 
+@pytest.mark.parametrize("consts", [(1, 2, 3), (1,), ()])
+def test_affine_needs_one_constant_per_generator(consts):
+    """A third constant was dropped: (1, 2, 3) gave (1 + x1, 2 + x2)."""
+    with pytest.raises(AlgebraError, match="one constant per generator: 2, got"):
+        affine(polynomial(2), [[1, 0], [0, 1]], consts)
+
+
 def test_linear_part_and_conjugation():
     P = polynomial(2)
     x, y = P.gens()
@@ -413,6 +427,52 @@ def test_linear_part_and_conjugation():
     D = Derivation(P, (y * y, P.zero()))
     cd = conjugate_derivation(g, D)
     assert cd.coords == (P.zero(), x * x)
+
+
+def _reference_conjugate(g, D):
+    """The formula ``conjugate_derivation`` used before it was batched,
+    kept as the reference: x_k -> alpha(D(f_k)) for f_k = alpha^-1(x_k),
+    one ``Derivation.apply`` and one substitution per coordinate."""
+    var = D.variety
+    alpha = linear(var, g)
+    alpha_inv = linear(var, linalg.inverse(g))
+    return Derivation(var, tuple(alpha.apply(D.apply(f)) for f in alpha_inv.images))
+
+
+def _det_three(n):
+    """[[2, 1], [1, 2]] in the top corner of the n x n identity: its
+    determinant is 3, so its inverse has entries in thirds."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    g[0][:2] = [2, 1]
+    g[1][:2] = [1, 2]
+    return g
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize(
+    "kind", [polynomial, free_associative, free_lie, metabelian_lie]
+)
+def test_conjugation_matches_the_unbatched_formula(kind, rank, rng):
+    var = kind(rank)
+    mats = [_det_three(rank)]
+    mats += [random_invertible_matrix(rng, rank)[0] for _ in range(2)]
+    assert linalg.inverse(mats[0])[0][0] == Fraction(2, 3)
+    for degree in (1, 2, 3):
+        for D in (
+            random_homogeneous_derivation(rng, var, degree),
+            random_derivation(rng, var, degree + 1),
+            random_homogeneous_derivation(rng, var, degree).scale(Fraction(1, 2)),
+        ):
+            for g in mats:
+                got = conjugate_derivation(g, D)
+                assert got == _reference_conjugate(g, D), (g, D)
+                for f in got.coords:
+                    for c in f.coeffs.values():
+                        assert c and (type(c) is int or c.denominator != 1), (g, D, c)
+    singular = [list(row) for row in mats[0]]
+    singular[-1] = singular[0]
+    with pytest.raises(NotInvertible):
+        conjugate_derivation(singular, random_homogeneous_derivation(rng, var, 1))
 
 
 def test_conjugate_derivation_by_singular_matrix_is_not_invertible():
@@ -450,6 +510,64 @@ def test_ia_correct():
     assert ia_level(corrected).is_ia
     singular = Endomorphism(P, (x + y, x + y))
     assert ia_correct(singular) is None
+
+
+def test_ia_correct_returns_an_ia_map_as_it_is(rng):
+    """An IA map is its own correction: composing it with the inverse of
+    its affine part, the identity, gives it back key for key."""
+    for variety in ALL_VARIETIES:
+        for level in (1, 2):
+            phi = random_ia_endomorphism(rng, variety, level, 3)
+            got = ia_correct(phi)
+            composed = compose(phi, truncated_inverse(phi, 1))
+            assert got == phi == composed
+            assert repr(got) == repr(phi) == repr(composed)
+            assert [list(f.coeffs) for f in got.images] == [
+                list(f.coeffs) for f in composed.images
+            ]
+
+
+def _ia_correct_cases():
+    """Maps whose affine part is not the identity, with their corrections
+    as ``ia_correct`` printed them before the IA shortcut."""
+    P = polynomial(2)
+    x, y = P.gens()
+    one = P.one()
+    A = free_associative(2)
+    a, b = A.gens()
+    L = free_lie(2)
+    u, v = L.gens()
+    M = metabelian_lie(3)
+    y1, y2, y3 = M.gens()
+    return [
+        (
+            Endomorphism(P, (2 * x + one + y * y, y - x)),
+            "(x1 + 1/2*x2^2, x2 + 1/2*x2^2)",
+        ),
+        (Endomorphism(P, (x + one + y * y, y)), "(x1 + x2^2, x2)"),
+        (Endomorphism(P, (y + x * x * y, x + y)), "(x1 - x1^2*x2, x2 + x1^2*x2)"),
+        (Endomorphism(A, (a + A.scalar(2) + b * a, b)), "(x1 + x2*x1, x2)"),
+        (Endomorphism(A, (b + a * b, a - b * b * a)), "(x1 - x2*x2*x1, x2 + x1*x2)"),
+        (Endomorphism(L, (u + v + u * v, v)), "(x1 + [x1,x2], x2)"),
+        (Endomorphism(L, (2 * v + u * (u * v), u)), "(x1, x2 + 1/2*[x1,[x1,x2]])"),
+        (
+            Endomorphism(M, (y1 + y2 + y2 * y3, y2, y3 - y3 * (y1 * y2))),
+            "(y1 - [y3,y2], y2, y3 - [[y2,y1],y3])",
+        ),
+    ]
+
+
+def test_ia_correct_of_a_map_with_an_affine_part():
+    for phi, want in _ia_correct_cases():
+        got = ia_correct(phi)
+        assert repr(got) == want, phi
+        assert got == compose(phi, truncated_inverse(phi, 1))
+        assert ia_level(got).is_ia
+    for variety in ALL_VARIETIES:
+        x1, x2, x3 = variety.gens()
+        # a singular linear part, with and without terms of degree 2
+        assert ia_correct(Endomorphism(variety, (x1 + x2, x1 + x2, x3))) is None
+        assert ia_correct(Endomorphism(variety, (x1, x1 + x2 * x3, x1))) is None
 
 
 def test_compose_truncation_consistency(rng):

@@ -325,6 +325,36 @@ def test_span_rank_bounded_by_oracle():
         assert divergence(D).is_zero()
 
 
+# two consecutive draws per (seed, rank), as the sampler drew them when it
+# returned the matrix alone; seed 10 rejects a singular draw at every rank
+_MATRIX_STREAM = {
+    (0, 2): [[[1, 1], [-2, 0]], [[2, 1], [1, 0]]],
+    (0, 3): [[[1, 1, -2], [0, 2, 1], [1, 0, 1]], [[0, 2, -1], [2, -1, 0], [-1, -2, 2]]],
+    (0, 4): [
+        [[1, 1, -2, 0], [2, 1, 1, 0], [1, 0, 2, -1], [2, -1, 0, -1]],
+        [[-2, 2, 0, 2], [2, -1, 0, -2], [-2, 0, 1, 2], [-2, 0, 1, 0]],
+    ],
+    (10, 2): [[[2, -2], [1, 1]], [[1, 0], [-1, -2]]],
+    (10, 3): [[[2, -2, 1], [1, 2, -2], [-1, 1, 1]], [[-2, 1, -1], [2, 0, 1], [1, 0, 0]]],
+    (10, 4): [
+        [[2, -2, 1, 1], [2, -2, -1, 1], [1, 0, -1, -2], [2, 1, 0, -2]],
+        [[1, -1, 1, 2], [1, -2, 2, -2], [-1, -1, -1, 0], [2, 0, -1, 0]],
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(_MATRIX_STREAM))
+def test_random_invertible_matrix_stream_and_inverse(seed, n):
+    rng = random.Random(seed)
+    for want in _MATRIX_STREAM[seed, n]:
+        g, g_inv = wildness.random_invertible_matrix(rng, n)
+        assert g == want
+        product = [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*g_inv)] for row in g
+        ]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _reference_span(generators, degree, samples, seed):
     """The sampler with whole-map conjugation: each word phi is conjugated
     to alpha phi alpha^-1 by two compositions before IA correction, and the
@@ -347,7 +377,8 @@ def _reference_span(generators, degree, samples, seed):
         length = rng.randint(1, wildness.MAX_WORD_LEN)
         word = [rng.choice(pool) for _ in range(length)]
         phi = compose_all(word, max_degree=trunc)
-        g = wildness.random_invertible_matrix(rng, var.rank)
+        g, g_inv = wildness.random_invertible_matrix(rng, var.rank)
+        assert g_inv == linalg.inverse(g)
         alpha, alpha_inv = linear(var, g), linear(var, linalg.inverse(g))
         conj = ia_correct(compose(alpha, compose(phi, alpha_inv)))
         plain = ia_correct(phi)
