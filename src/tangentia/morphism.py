@@ -96,7 +96,10 @@ class Endomorphism:
         return self == Endomorphism.identity(self.variety)
 
     def is_identity_through(self, k):
-        return self.truncate(k) == Endomorphism.identity(self.variety).truncate(k)
+        return all(
+            f.truncate(k) == x.truncate(k)
+            for f, x in zip(self.images, self.variety.gens())
+        )
 
     def linear_part(self):
         """Matrix g with phi(x_i) = sum_j g[i][j] x_j + higher order."""
@@ -178,9 +181,8 @@ def ia_level(phi, max_degree=DEFAULT_MAX_DEGREE):
     negative."""
     if max_degree < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {max_degree}")
-    idn = Endomorphism.identity(phi.variety)
     lowest = None
-    for f, x in zip(phi.images, idn.images):
+    for f, x in zip(phi.images, phi.variety.gens()):
         dev = f - x
         if dev.is_zero():
             continue
@@ -201,11 +203,16 @@ def tangent(phi, max_degree=DEFAULT_MAX_DEGREE):
         raise NotIA("tangent is defined only for IA endomorphisms")
     if lev.status == "identity":
         return Derivation.zero(phi.variety)
-    idn = Endomorphism.identity(phi.variety)
-    coords = tuple(
-        (f - x).homogeneous_component(lev.i + 1) for f, x in zip(phi.images, idn.images)
+    return _tangent_at(phi, lev.i)
+
+
+def _tangent_at(phi, i):
+    """The tangent of phi in IA(i), for i >= 1 (as ``ia_level`` finds it):
+    the degree-(i+1) part of phi's images.  That is their deviation from
+    the identity in that degree, since the generators have degree 1."""
+    return Derivation(
+        phi.variety, tuple(f.homogeneous_component(i + 1) for f in phi.images)
     )
-    return Derivation(phi.variety, coords)
 
 
 def truncated_inverse(phi, k):
@@ -420,13 +427,17 @@ def conjugate_derivation(g, D):
 
 
 def _conjugate(g, g_inv, D):
-    """``conjugate_derivation`` with the inverse g_inv of g given.  D is
-    linear and alpha^-1(x_k) = sum_j g_inv[k][j] x_j, so
-    alpha D alpha^-1(x_k) = sum_j g_inv[k][j] alpha(D(x_j)): one batched
+    """``conjugate_derivation`` with the inverse g_inv of g given, or
+    d times it: with g_inv = d g^-1 the result is d alpha D alpha^-1, on
+    ints alone when g, g_inv and D's coefficients are ints.  D is linear
+    and alpha^-1(x_k) = sum_j g^-1[k][j] x_j, so
+    alpha D alpha^-1(x_k) = sum_j g^-1[k][j] alpha(D(x_j)): one batched
     substitution maps D's coordinates by alpha, and each new coordinate
     is a combination of those images with a row of g_inv."""
     var = D.variety
-    images = _substitute([f.coeffs for f in D.coords], linear(var, g).images, None)
+    gens = var.gens()
+    alpha = [_linear_combination(var, row, gens) for row in g]
+    images = _substitute([f.coeffs for f in D.coords], alpha, None)
     coords = []
     for row in g_inv:
         acc = {}

@@ -38,6 +38,7 @@ from .morphism import (
     NotIA,
     NotInvertible,
     _conjugate,
+    _tangent_at,
     compose_all,
     ia_correct,
     ia_level,
@@ -388,14 +389,15 @@ MAX_WORD_LEN = 4
 
 
 def random_invertible_matrix(rng, n):
-    """A random invertible n x n matrix with entries in -2..2, and its
-    inverse, as the pair ``(g, g_inv)``.  Singular draws are rejected,
-    up to ``MATRIX_ATTEMPTS`` tries; the inverse is the one the
-    invertibility test computes."""
+    """A random invertible n x n matrix g with entries in -2..2, and an
+    integer multiple s = d g^-1 of its inverse (d a nonzero int), as the
+    pair ``(g, s)``.  Singular draws are rejected, up to
+    ``MATRIX_ATTEMPTS`` tries; s is the one the invertibility test
+    computes (``linalg.scaled_inverse``), so no rational is formed."""
     for _ in range(MATRIX_ATTEMPTS):
         mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         try:
-            return mat, linalg.inverse(mat)
+            return mat, linalg.scaled_inverse(mat)[1]
         except linalg.SingularMatrix:
             continue
     raise AlgebraError("failed to sample an invertible matrix")
@@ -415,11 +417,16 @@ def tangent_span(
     Returns the exact rank and a basis of the spanned subspace of
     L_degree, and how many samples landed at each IA level.
     ``conjugation_rank`` > 0 additionally draws a random invertible linear
-    map alpha with its inverse for each sample, and conjugates the tangent
-    of each sample kept at ``degree`` by it: that is the tangent of the
-    conjugated word, since IA correction, IA level and tangent commute
-    with the conjugation.  The conjugation is one batched substitution of
-    the tangent's coordinates, with the drawn inverse (``_conjugate``).
+    map alpha with an integer multiple d g^-1 of its inverse for each
+    sample, and conjugates the tangent of each sample kept at ``degree``
+    by it: that is the tangent of the conjugated word, since IA
+    correction, IA level and tangent commute with the conjugation.  The
+    conjugation is one batched substitution of the tangent's coordinates,
+    combined with the drawn d g^-1 (``_conjugate``), so each row is d
+    times the conjugated tangent.  A row is needed only up to a nonzero
+    multiple, since the reduced echelon form of the rows' span is unique;
+    for generators with integer coefficients and linear parts of
+    determinant +-1 (such as IA generators), every row is an integer row.
     """
     if not generators:
         raise AlgebraError("need at least one generator")
@@ -453,7 +460,7 @@ def tangent_span(
             continue
         per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
         if lev.i == degree:
-            T = tangent(phi, trunc)
+            T = _tangent_at(phi, degree)
             rows.append(derivation_vector(_conjugate(*pair, T) if pair else T, degree))
 
     red, pivots = linalg.rref(rows)

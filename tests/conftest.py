@@ -16,6 +16,7 @@ from tangentia import (
     monomials_of_degree,
     polynomial,
 )
+from tangentia import linalg
 
 ALL_VARIETIES = [
     polynomial(3),
@@ -69,6 +70,21 @@ def random_ia_endomorphism(rng, variety, level, max_degree=4):
         dev = random_element(rng, variety, level + 1, max_degree, terms=2)
         images.append(variety.gen(i) + dev)
     return Endomorphism(variety, tuple(images))
+
+
+def check_scaled_inverse(g, s):
+    """Check that s is an integer multiple d g^-1 of g's inverse, as
+    ``linalg.scaled_inverse`` and ``random_invertible_matrix`` give it:
+    g s = d I with d a nonzero int, and s = d * ``linalg.inverse(g)``.
+    Returns d."""
+    n = len(g)
+    assert all(type(x) is int for row in s for x in row), s
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*s)] for row in g]
+    d = product[0][0]
+    assert d != 0
+    assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
+    assert s == [[d * x for x in row] for row in linalg.inverse(g)]
+    return d
 
 
 @pytest.fixture

@@ -27,10 +27,12 @@ from tangentia import (
     truncated_inverse,
 )
 from tangentia import linalg
+from tangentia.morphism import _conjugate
 from tangentia.wildness import random_invertible_matrix
 
 from conftest import (
     ALL_VARIETIES,
+    check_scaled_inverse,
     random_derivation,
     random_element,
     random_homogeneous_derivation,
@@ -314,8 +316,8 @@ def test_inverse_rounds_stop_once_the_inverse_is_exact():
 def test_linear_map_inverse_at_every_k(rng):
     """A linear map has no h: its inverse is L^-1 x at every k >= 1."""
     for variety in ALL_VARIETIES:
-        g, g_inv = random_invertible_matrix(rng, variety.rank)
-        assert g_inv == linalg.inverse(g)
+        g, s = random_invertible_matrix(rng, variety.rank)
+        check_scaled_inverse(g, s)
         phi = linear(variety, g)
         for k in (1, 2, 5):
             assert truncated_inverse(phi, k) == linear(variety, linalg.inverse(g))
@@ -463,12 +465,22 @@ def test_conjugation_matches_the_unbatched_formula(kind, rank, rng):
             random_derivation(rng, var, degree + 1),
             random_homogeneous_derivation(rng, var, degree).scale(Fraction(1, 2)),
         ):
+            integral = all(
+                type(c) is int for f in D.coords for c in f.coeffs.values()
+            )
             for g in mats:
                 got = conjugate_derivation(g, D)
                 assert got == _reference_conjugate(g, D), (g, D)
                 for f in got.coords:
                     for c in f.coeffs.values():
                         assert c and (type(c) is int or c.denominator != 1), (g, D, c)
+                # with d g^-1 in place of g^-1, as the span sampler passes it
+                d, s = linalg.scaled_inverse(g)
+                scaled = _conjugate(g, s, D)
+                assert scaled == got.scale(d), (g, D)
+                if integral:
+                    for f in scaled.coords:
+                        assert all(type(c) is int for c in f.coeffs.values()), (g, D)
     singular = [list(row) for row in mats[0]]
     singular[-1] = singular[0]
     with pytest.raises(NotInvertible):

@@ -43,6 +43,8 @@ from tangentia import (
 from tangentia import linalg, wildness
 from tangentia.wildness import EVIDENCE_BUILTIN, EVIDENCE_USER, LeadingTerm, _lt_bracket
 
+from conftest import check_scaled_inverse
+
 
 # -- contexts ---------------------------------------------------------------
 
@@ -347,12 +349,9 @@ _MATRIX_STREAM = {
 def test_random_invertible_matrix_stream_and_inverse(seed, n):
     rng = random.Random(seed)
     for want in _MATRIX_STREAM[seed, n]:
-        g, g_inv = wildness.random_invertible_matrix(rng, n)
+        g, s = wildness.random_invertible_matrix(rng, n)
         assert g == want
-        product = [
-            [sum(a * b for a, b in zip(row, col)) for col in zip(*g_inv)] for row in g
-        ]
-        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+        check_scaled_inverse(g, s)
 
 
 def _reference_span(generators, degree, samples, seed):
@@ -377,8 +376,8 @@ def _reference_span(generators, degree, samples, seed):
         length = rng.randint(1, wildness.MAX_WORD_LEN)
         word = [rng.choice(pool) for _ in range(length)]
         phi = compose_all(word, max_degree=trunc)
-        g, g_inv = wildness.random_invertible_matrix(rng, var.rank)
-        assert g_inv == linalg.inverse(g)
+        g, s = wildness.random_invertible_matrix(rng, var.rank)
+        check_scaled_inverse(g, s)
         alpha, alpha_inv = linear(var, g), linear(var, linalg.inverse(g))
         conj = ia_correct(compose(alpha, compose(phi, alpha_inv)))
         plain = ia_correct(phi)
@@ -449,6 +448,49 @@ def test_span_conjugates_the_tangent_as_the_whole_map_would(kind, degree):
     assert expected.hits > 0 and expected.rank > 0
     got = tangent_span(gens, degree, 30, seed=degree, conjugation_rank=1)
     assert got == expected
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "metabelian"])
+def test_span_rows_stay_on_integers(kind, monkeypatch):
+    """With integer generators, every row the sampler reduces is an
+    integer row: the tangents are conjugated with the integer multiple
+    d g^-1 of the drawn g's inverse, so no Fraction is formed."""
+    if kind == "polynomial":
+        gens = _poly_generators()
+    else:
+        M = metabelian_lie(4)
+        y = M.gens()
+        gens = [Endomorphism(M, (y[0] + y[1] * y[2],) + y[1:])]
+    seen = []
+    rref = linalg.rref
+
+    def capture(rows):
+        seen.extend(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(wildness.linalg, "rref", capture)
+    rep = tangent_span(gens, 1, 60, seed=0, conjugation_rank=1)
+    assert rep.hits == len(seen) > 0
+    for row in seen:
+        assert all(type(x) is int for x in row), row
+
+
+def test_span_and_ia_queries_build_no_identity_map(monkeypatch):
+    """The IA level, the tangent and the identity test compare images
+    with the generators directly."""
+
+    def refuse(cls, variety):
+        raise AssertionError("Endomorphism.identity was called")
+
+    monkeypatch.setattr(Endomorphism, "identity", classmethod(refuse))
+    gens = _poly_generators()
+    assert tangent_span(gens, 1, 30, seed=0, conjugation_rank=1).rank > 0
+    P = polynomial(3)
+    x, y, z = P.gens()
+    phi = Endomorphism(P, (x + y * y, y, z))
+    assert ia_level(phi).i == 1
+    assert tangent(phi).coords == (y * y, P.zero(), P.zero())
+    assert phi.is_identity_through(1) and not phi.is_identity_through(2)
 
 
 def test_span_skips_generators_without_an_inverse():
