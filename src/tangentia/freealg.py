@@ -157,11 +157,13 @@ class Variety:
         """The i-th generator (0-based) as an Element."""
         if not 0 <= i < self.rank:
             raise AlgebraError(f"generator index {i} out of range for rank {self.rank}")
+        return Element._raw(self, {self._gen_key(i): 1})
+
+    def _gen_key(self, i):
+        """The stored key of the i-th generator."""
         if self.kind is Kind.POLYNOMIAL:
-            mono = tuple(1 if j == i else 0 for j in range(self.rank))
-        else:
-            mono = (i,)
-        return Element._raw(self, {mono: 1})
+            return tuple(1 if j == i else 0 for j in range(self.rank))
+        return (i,)
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.rank))
@@ -262,17 +264,21 @@ def lyndon_expand(w):
     return res
 
 
-_LYNDON_PART_CACHE = {}
+# one entry per word seen: False if it is not Lyndon; for a Lyndon word,
+# its Lyndon part (``_lyndon_part``), or True until that part is needed
+_LYNDON_PARTS = {}
 
 
 def _lyndon_part(w):
-    """The terms of ``lyndon_expand(w)`` on Lyndon words other than ``w``,
-    as ``((v, coeff), ...)``: the only terms of the standard bracketing of
-    ``w`` that move another Lyndon coordinate.  Kept per word, filled on
-    first use."""
-    part = _LYNDON_PART_CACHE.get(w)
-    if part is None:
-        part = _LYNDON_PART_CACHE[w] = tuple(
+    """The terms of ``lyndon_expand(w)`` on Lyndon words other than the
+    Lyndon word ``w``, as ``((v, coeff), ...)``: the only terms of the
+    standard bracketing of ``w`` that move another Lyndon coordinate.
+    Kept in ``_LYNDON_PARTS``, formed on first use: only for the words
+    that ``lie_from_assoc`` takes as pivots, since the expansion of a long
+    word is large."""
+    part = _LYNDON_PARTS.get(w)
+    if part is None or part is True:
+        part = _LYNDON_PARTS[w] = tuple(
             (v, c) for v, c in lyndon_expand(w).items() if v != w and is_lyndon(v)
         )
     return part
@@ -289,13 +295,23 @@ def lie_from_assoc(coeffs):
     Lyndon words: it takes them from a heap in increasing order, and each
     one's coordinate is subtracted from the greater Lyndon words of its
     bracketing (``_lyndon_part``); non-Lyndon words are never touched.
+    Which words are Lyndon is read from the same per-word cache,
+    ``_LYNDON_PARTS``, so a word seen before costs one dict lookup and is
+    never rescanned.
 
     Precondition: ``coeffs`` is a Lie element.  Every operation that
     builds a free-Lie element (Lyndon expansion, commutator products,
     sums, scaling, substitution) keeps it one, so this is not checked
     here; on other input the result is undefined.  ``Element.check``
     verifies it by expanding the coordinates back to ``coeffs``."""
-    work = {w: c for w, c in coeffs.items() if is_lyndon(w)}
+    parts = _LYNDON_PARTS
+    work = {}
+    for w, c in coeffs.items():
+        entry = parts.get(w)
+        if entry is None:
+            entry = parts[w] = is_lyndon(w)
+        if entry is not False:
+            work[w] = c
     heap = list(work)
     heapq.heapify(heap)
     out = {}
@@ -1039,9 +1055,15 @@ def terms_str(coeffs, key_str, key_degree):
 
 
 def element_str(e):
+    """``e`` as printed: a free-Lie element by its Lyndon coordinates, each
+    word printed as its standard bracketing and ordered by its length."""
     variety = e.variety
+    kind = variety.kind
+    if kind is Kind.FREE_LIE:
+        names = variety.names
+        return terms_str(lie_from_assoc(e.coeffs), lambda w: _lyndon_str(w, names), len)
     return terms_str(
-        basis_coeffs(e),
+        e.coeffs,
         lambda m: mono_str(variety, m),
-        lambda m: _mono_degree(variety.kind, m),
+        lambda m: _mono_degree(kind, m),
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .freealg import (
     AlgebraError,
     Element,
+    Kind,
     VarietyMismatch,
     _coeff,
     _mono_degree,
@@ -96,10 +97,8 @@ class Endomorphism:
         return self == Endomorphism.identity(self.variety)
 
     def is_identity_through(self, k):
-        return all(
-            f.truncate(k) == x.truncate(k)
-            for f, x in zip(self.images, self.variety.gens())
-        )
+        d = _deviation_degree(self)
+        return d is None or d > k
 
     def linear_part(self):
         """Matrix g with phi(x_i) = sum_j g[i][j] x_j + higher order."""
@@ -175,20 +174,33 @@ class FiltrationLevel:
         return f"IA({self.i})"
 
 
+def _deviation_degree(phi):
+    """The least degree of phi(x_i) - x_i over all i, or None if phi is the
+    identity: one pass over the images' terms, forming nothing.  The
+    deviation is f_i's terms with 1 taken from the coefficient of x_i,
+    so a degree-1 term other than 1 x_i, or a missing x_i, puts it at
+    degree 1 or below."""
+    var = phi.variety
+    kind = var.kind
+    lowest = None
+    for i, f in enumerate(phi.images):
+        x = var._gen_key(i)
+        if f.coeffs.get(x) != 1:
+            lowest = 1 if lowest is None else min(lowest, 1)
+        for m in f.coeffs:
+            d = _mono_degree(kind, m)
+            if (lowest is None or d < lowest) and m != x:
+                lowest = d
+    return lowest
+
+
 def ia_level(phi, max_degree=DEFAULT_MAX_DEGREE):
     """Least i with a nonzero degree-(i+1) deviation from the identity,
     looked for through degree ``max_degree``; ``AlgebraError`` if it is
     negative."""
     if max_degree < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {max_degree}")
-    lowest = None
-    for f, x in zip(phi.images, phi.variety.gens()):
-        dev = f - x
-        if dev.is_zero():
-            continue
-        d = dev.min_degree()
-        if lowest is None or d < lowest:
-            lowest = d
+    lowest = _deviation_degree(phi)
     if lowest is not None and lowest <= 1:
         return FiltrationLevel("not-ia", bound=max_degree)
     if lowest is None or lowest > max_degree:
@@ -258,12 +270,28 @@ def _online_rounds(var, ginv, linear_psi, images, k):
 
     and every factor on the right has degree below m, so it was final
     before round m.  Round m forms the degree-m component of every prefix
-    and of every word of h once; a word's component is added into the
-    right-hand side and dropped, and a prefix's degree-k component is
-    never formed, since no word of degree <= k reads it.  A free-Lie map
-    substitutes as the associative map on K<X> it restricts, so its words
-    multiply by concatenation, which ``_product`` does for free-Lie keys
-    as for associative ones.
+    and of every key of h once (a word, or a word and its reversal; see
+    below); a key's component is added into the right-hand side and
+    dropped, and a prefix's degree-k component is never formed, since no word of degree
+    <= k reads it.  A free-Lie map substitutes as the associative map on
+    K<X> it restricts, so its words multiply by concatenation, which
+    ``_product`` does for free-Lie keys as for associative ones.
+
+    A free-Lie map pairs each word with its reversal.  Let rho reverse
+    every word of K<X>.  It reverses products, and a Lie element P of
+    degree d has rho(P) = (-1)^(d-1) P (Reutenauer, Free Lie Algebras,
+    1993).  Every psi_j[d] is a Lie element, so for a word w of length e,
+
+        rev(w)(psi)[m] = (-1)^(m-e) rho(w(psi)[m]),
+
+    and in a Lie image rev(w) has the coefficient (-1)^(e-1) c_w.  So
+    the pair's share of -h(psi)[m] is -c_w (P + (-1)^(m-1) rho(P)), with
+    P = w(psi)[m].  The pair is keyed by min(w, rev(w)) and prefixes are
+    collected from the keys only.  The keys' shares -c_w P go into a
+    second accumulator per coordinate, mirrored (plus (-1)^(m-1) times
+    its reversal) into the right-hand side once per round.  A
+    palindrome, a word whose reversal lacks that coefficient and every
+    word of the other kinds is its own key, added directly.
 
     The rounds stop early once psi is exact.  If psi's nonzero components
     so far end at degree D and h's words at degree deg(h), then h(psi) has
@@ -272,14 +300,22 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     (x + y^2, y), costs the same at any large k, and a linear map (empty
     h) runs no round."""
     kind = var.kind
+    paired = kind is Kind.FREE_LIE
     comps = [[{}, f.coeffs] for f in linear_psi]
     # h: phi's words of degree 2..k (higher ones cannot reach psi through
-    # k), each with the coordinates it occurs in and its coefficients
+    # k), by key, each with its uses: (1 for a pair else 0, the coordinate,
+    # minus the coefficient)
     uses = {}
     for i, f in enumerate(images):
         for w, c in f.coeffs.items():
-            if 2 <= _mono_degree(kind, w) <= k:
-                uses.setdefault(w, []).append((i, c))
+            e = _mono_degree(kind, w)
+            if not 2 <= e <= k:
+                continue
+            r = w[::-1] if paired else w
+            if r == w or f.coeffs.get(r) != (c if e % 2 else -c):
+                uses.setdefault(w, []).append((0, i, -c))
+            elif w < r:  # the pair's lesser word carries it
+                uses.setdefault(w, []).append((1, i, -c))
     memo, prefixes = {}, []
     for w in uses:
         p = _split_key(kind, w)[0]
@@ -307,7 +343,9 @@ def _online_rounds(var, ginv, linear_psi, images, k):
                 if e > m:
                     break
                 memo[p].append(_component(kind, memo[q], comps[j], m))
-        rhs = [{} for _ in images]  # -h(psi)[m]; x has degree 1 only
+        # -h(psi)[m] (x has degree 1 only), and the pairs' share of it
+        # before mirroring
+        accs = ([{} for _ in images], [{} for _ in images])
         for e, w, q, j in words:
             if e > m:
                 break
@@ -315,15 +353,22 @@ def _online_rounds(var, ginv, linear_psi, images, k):
                 part = memo[w][m]
             else:
                 part = _component(kind, memo[q], comps[j], m)
-            for i, c in uses[w]:
-                acc = rhs[i]
-                for key, v in part.items():
-                    n = acc.get(key, 0) - c * v
+            for pair, i, c in uses[w]:
+                _add_scaled(accs[pair][i], c, part)
+        sign = 1 if m % 2 else -1  # (-1)^(m-1)
+        rhs = []
+        for acc, half in zip(*accs):
+            if half:
+                for key, v in list(half.items()):  # half += sign rho(half)
+                    key = key[::-1]
+                    n = half.get(key, 0) + sign * v
                     if n:
-                        acc[key] = n
+                        half[key] = n
                     else:
-                        acc.pop(key, None)
-        rhs = [Element._raw(var, acc) for acc in rhs]
+                        del half[key]
+                _add_scaled(half, 1, acc)
+                acc = half
+            rhs.append(Element._raw(var, acc))
         for row, comp in zip(ginv, comps):
             comp.append(_linear_combination(var, row, rhs).coeffs)
         if any(comp[m] for comp in comps):
@@ -335,6 +380,17 @@ def _online_rounds(var, ginv, linear_psi, images, k):
             coeffs.update(part)
         psi.append(Element._raw(var, coeffs))
     return psi
+
+
+def _add_scaled(acc, c, part):
+    """Add c times the dict ``part`` into the dict ``acc``, dropping the
+    keys that cancel."""
+    for key, v in part.items():
+        n = acc.get(key, 0) + c * v
+        if n:
+            acc[key] = n
+        else:
+            acc.pop(key, None)
 
 
 def _component(kind, left, right, m):

@@ -10,6 +10,7 @@ from tangentia import (
     AlgebraError,
     ConstantInLieVariety,
     Element,
+    Endomorphism,
     Kind,
     VarietyMismatch,
     free_associative,
@@ -18,8 +19,11 @@ from tangentia import (
     monomials_of_degree,
     polynomial,
     project_to_metabelian,
+    truncated_inverse,
 )
+from tangentia import freealg
 from tangentia.freealg import (
+    _lyndon_part,
     _substitute,
     basis_coeffs,
     is_lyndon,
@@ -133,7 +137,9 @@ def _full_word_elimination(coeffs):
 @pytest.mark.parametrize("degrees", [(7,), (8,), (1, 4, 7, 8)])
 def test_lie_from_assoc_matches_full_word_elimination(degrees):
     """Dense random combinations of every Lyndon word of the given
-    degrees, and commutators of such combinations."""
+    degrees, and commutators of such combinations; then random Lie
+    elements of ranks 2-4 (sums, brackets, rational scalings) and the
+    images of a truncated inverse."""
     L = free_lie(3)
     rng = random.Random(sum(degrees))
     words = [w for d in degrees for w in monomials_of_degree(L, d)]
@@ -147,6 +153,18 @@ def test_lie_from_assoc_matches_full_word_elimination(degrees):
     e = a * b
     assert e.degree() >= 7
     assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
+    elements = []
+    for rank in (2, 3, 4):
+        L = free_lie(rank)
+        for _ in range(2):
+            a = random_element(rng, L, 1, 4, terms=5)
+            b = random_element(rng, L, 1, 3, terms=4)
+            elements += [a, a * b, (a * b).scale(Fraction(-3, 2)) + b, (a * b) * a]
+    x, y, z = free_lie(3).gens()
+    phi = Endomorphism(free_lie(3), (x + y * z, y + x * (x * z), z + x * y))
+    elements += truncated_inverse(phi, 7).images
+    for e in elements:
+        assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
 
 
 def test_check_finds_non_lie_element_with_lyndon_least_word():
@@ -474,3 +492,71 @@ def test_projection_to_metabelian_on_brackets():
     assert project_to_metabelian(x1) == y1
     assert project_to_metabelian((x1 * x2) * x3 - 2 * (x3 * x1)) == (y1 * y2) * y3 - 2 * (y3 * y1)
     assert project_to_metabelian((x1 * x2) * (x1 * x3)).is_zero()
+
+
+def _is_lyndon_by_rotation(w):
+    return bool(w) and all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
+def test_one_lyndon_cache_per_word(monkeypatch):
+    """``_LYNDON_PARTS`` keeps one entry per word: False for a word that is
+    not Lyndon; for a Lyndon word, True until its Lyndon part is needed,
+    then that part.  ``lie_from_assoc`` enters every word of its input
+    (Lie element or not: only the cache is read here).  On every word of
+    length <= 7 over 3 letters the entries agree with ``is_lyndon`` and
+    with the rotation definition, and a Lyndon word's part is the Lyndon
+    terms of its bracketing other than itself."""
+    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    cache = freealg._LYNDON_PARTS
+    words = [w for n in range(8) for w in itertools.product(range(3), repeat=n)]
+    assert len(words) == 3280
+    for n in range(8):
+        lie_from_assoc({w: 1 for w in itertools.product(range(3), repeat=n)})
+    assert set(cache) == set(words)
+    for w in words:
+        lyndon = _is_lyndon_by_rotation(w)
+        assert (cache[w] is not False) == is_lyndon(w) == lyndon, w
+        if lyndon:
+            part = _lyndon_part(w)
+            assert dict(part) == {
+                v: c
+                for v, c in lyndon_expand(w).items()
+                if v != w and _is_lyndon_by_rotation(v)
+            }, w
+            assert cache[w] is part and _lyndon_part(w) is part
+
+
+def test_lyndon_parts_are_formed_for_pivots_only(monkeypatch):
+    """The Lyndon part of a word needs its whole bracketing (2^(n-1)
+    terms at length n, kept in the expansion cache), so it is formed only
+    for a word that the elimination takes as a pivot.  The bracketing of
+    x1^4 x2^3 x1 x2^2 has 16 Lyndon words and one Lyndon coordinate."""
+    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    pivot = (0, 0, 0, 0, 1, 1, 1, 0, 1, 1)
+    e = Element(free_lie(2), {pivot: 1})
+    lyndon = [w for w in e.coeffs if is_lyndon(w)]
+    assert len(lyndon) == 16
+    assert lie_from_assoc(e.coeffs) == {pivot: 1}
+    cache = freealg._LYNDON_PARTS
+    assert [w for w in cache if type(cache[w]) is tuple] == [pivot]
+    assert all(cache[w] is True for w in lyndon if w != pivot)
+
+
+def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
+    """Words carry no rank: a word first seen in a rank-2 element keeps
+    its answer when a rank-4 element reads it, and that answer is the one
+    a fresh cache gives."""
+    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    L2, L4 = free_lie(2), free_lie(4)
+    e2 = random_element(rng, L2, 2, 6, terms=6) * random_element(rng, L2, 1, 2)
+    coords = lie_from_assoc(e2.coeffs)  # every word of e2 is first seen here
+    seen = dict(freealg._LYNDON_PARTS)
+    assert set(e2.coeffs) <= set(seen)
+    e4 = Element(L4, coords) + random_element(rng, L4, 2, 6, terms=6)
+    assert lie_from_assoc(e4.coeffs) == _full_word_elimination(e4.coeffs)
+    assert basis_coeffs(Element(L4, coords)) == coords
+    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    for w, entry in seen.items():
+        assert (entry is not False) == is_lyndon(w), w
+        if type(entry) is tuple:
+            assert _lyndon_part(w) == entry, w

@@ -10,6 +10,7 @@ from tangentia import (
     Endomorphism,
     NotIA,
     NotInvertible,
+    Variety,
     affine,
     compose,
     conjugate_derivation,
@@ -26,8 +27,8 @@ from tangentia import (
     tangent,
     truncated_inverse,
 )
-from tangentia import linalg
-from tangentia.morphism import _conjugate
+from tangentia import linalg, morphism
+from tangentia.morphism import FiltrationLevel, _conjugate
 from tangentia.wildness import random_invertible_matrix
 
 from conftest import (
@@ -605,3 +606,174 @@ def test_is_identity_through_compares_truncations():
     y1, y2 = M.gens()
     assert Endomorphism(M, (y2, y1)).is_identity_through(0)
     assert not Endomorphism(M, (y2, y1)).is_identity_through(1)
+
+
+def _copying_is_identity_through(phi, k):
+    """``is_identity_through`` as it was before the one-pass deviation
+    degree: the truncations of the images against the generators'."""
+    return all(
+        f.truncate(k) == x.truncate(k)
+        for f, x in zip(phi.images, phi.variety.gens())
+    )
+
+
+def _copying_ia_level(phi, max_degree):
+    """``ia_level`` as it was before the one-pass deviation degree: the
+    least degree of each ``f - x``, formed in full."""
+    lowest = None
+    for f, x in zip(phi.images, phi.variety.gens()):
+        dev = f - x
+        if not dev.is_zero():
+            d = dev.min_degree()
+            lowest = d if lowest is None else min(lowest, d)
+    if lowest is not None and lowest <= 1:
+        return FiltrationLevel("not-ia", bound=max_degree)
+    if lowest is None or lowest > max_degree:
+        return FiltrationLevel("identity", bound=max_degree)
+    return FiltrationLevel("level", i=lowest - 1, bound=max_degree)
+
+
+def _placement_cases(rng, variety):
+    """The identity, IA maps of levels 1-3, linear deviations (another
+    generator added, a generator scaled, swapped or dropped, a linear
+    deviation beside higher terms) and, on unital kinds, constants."""
+    gens = variety.gens()
+    x1, x2, rest = gens[0], gens[1], gens[2:]
+    cases = [Endomorphism.identity(variety)]
+    cases += [random_ia_endomorphism(rng, variety, i, i + 2) for i in (1, 2, 3)]
+    ia = random_ia_endomorphism(rng, variety, 2, 4)
+    cases += [
+        Endomorphism(variety, (x1 + x2, x2) + rest),
+        Endomorphism(variety, (x1.scale(2), x2) + rest),
+        Endomorphism(variety, (x1.scale(Fraction(1, 2)), x2) + rest),
+        Endomorphism(variety, (x2, x1) + rest),
+        Endomorphism(variety, (variety.zero(), x2) + rest),
+        Endomorphism(variety, (ia.images[0] - x2,) + ia.images[1:]),
+    ]
+    if variety.unital:
+        cases += [
+            Endomorphism(variety, (x1 + variety.scalar(3), x2) + rest),
+            Endomorphism(variety, (ia.images[0] + variety.one(),) + ia.images[1:]),
+            Endomorphism(variety, (variety.one(), x2) + rest),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_ia_placement_matches_the_copying_definitions(variety, rng):
+    """``is_identity_through``, ``ia_level`` and the shortcut of
+    ``ia_correct`` read one deviation degree; each agrees with the
+    definition that formed truncations or ``f - x``."""
+    for phi in _placement_cases(rng, variety):
+        for k in range(-1, 7):
+            assert phi.is_identity_through(k) == _copying_is_identity_through(phi, k)
+        for k in range(7):
+            assert ia_level(phi, k) == _copying_ia_level(phi, k), (phi, k)
+        assert (ia_correct(phi) is phi) == _copying_is_identity_through(phi, 1)
+
+
+def test_ia_placement_forms_no_element(monkeypatch, rng):
+    """Placing a map in the IA filtration truncates nothing, subtracts
+    nothing and builds no generators."""
+    maps = [random_ia_endomorphism(rng, v, 2, 3) for v in ALL_VARIETIES]
+
+    def forbidden(*args):
+        raise AssertionError("IA placement formed an element")
+
+    monkeypatch.setattr(Element, "truncate", forbidden)
+    monkeypatch.setattr(Element, "__sub__", forbidden)
+    monkeypatch.setattr(Variety, "gens", forbidden)
+    for phi in maps:
+        assert ia_level(phi, 6).i == 2
+        assert phi.is_identity_through(2) and not phi.is_identity_through(3)
+        assert ia_correct(phi) is phi
+
+
+def _as_associative(phi):
+    """A free-Lie map's images as elements of the free associative algebra
+    on the same generators: the map on K<X> that phi restricts, whose
+    inverse rounds pair no words."""
+    A = free_associative(phi.variety.rank)
+    return Endomorphism(A, tuple(Element(A, f.coeffs) for f in phi.images))
+
+
+def _benchmark_lie_maps():
+    """The two maps whose degree-8 inverses the lie-series benchmark
+    takes, on free_lie(3): the ROADMAP map (x + [y,z] + [x,[x,y]],
+    y + [z,x], z) and shape B (x + [y,z], y + [x,[x,z]], z + [x,y])."""
+    L = free_lie(3)
+    x, y, z = L.gens()
+    return [
+        Endomorphism(L, (x + y * z + x * (x * y), y + z * x, z)),
+        Endomorphism(L, (x + y * z, y + x * (x * z), z + x * y)),
+    ]
+
+
+def _reversal_oracle_maps(rng):
+    """Free-Lie maps for the associative oracle of the reversal pairing:
+    the two degree-8 benchmark maps, maps whose words include odd
+    palindromes, and random maps with a linear part of determinant +-2,
+    so the inverses carry ``Fraction`` coefficients (rank 2: in rank 3
+    such inverses are dense, and slow to check through degree 8)."""
+    maps = _benchmark_lie_maps()
+    L2 = free_lie(2)
+    a, b = L2.gens()
+    # [a,[a,b]] = aab - 2 aba + baa; the degree-5 brackets carry
+    # palindromes such as babab
+    maps += [
+        Endomorphism(L2, (a + a * (a * b), b)),
+        Endomorphism(L2, (a + b * (a * (b * (a * b))), b + a * (a * b))),
+    ]
+    for g in ([[2, 1], [0, 1]], [[1, 1], [1, -1]]):
+        ia = random_ia_endomorphism(rng, L2, 1, 4)
+        maps += [compose(linear(L2, g), ia), compose(ia, linear(L2, g))]
+    return maps
+
+
+def test_reversal_pairing_matches_the_associative_inverse(rng):
+    """The inverse rounds of a free-Lie map pair each word with its
+    reversal; the same images on the free associative algebra pair
+    nothing.  Both inverses (and group commutators) must have the same
+    words with the same coefficients."""
+    maps = _reversal_oracle_maps(rng)
+    words = [w for phi in maps for f in phi.images for w in f.coeffs]
+    assert any(len(w) == 3 and w == w[::-1] for w in words)
+    assert any(len(w) == 5 and w == w[::-1] for w in words)
+    fractions = False
+    for phi in maps:
+        assoc = _as_associative(phi)
+        for k in range(9):
+            lie = truncated_inverse(phi, k).images
+            want = truncated_inverse(assoc, k).images
+            assert [f.coeffs for f in lie] == [f.coeffs for f in want], (phi, k)
+            fractions = fractions or any(
+                type(c) is Fraction for f in lie for c in f.coeffs.values()
+            )
+    assert fractions
+    for phi, psi in zip(maps[::2], maps[1::2]):
+        lie = group_commutator(phi, psi, 7).images
+        want = group_commutator(_as_associative(phi), _as_associative(psi), 7)
+        assert [f.coeffs for f in lie] == [f.coeffs for f in want.images]
+
+
+def test_reversal_pairing_halves_the_inverse_products(monkeypatch):
+    """On the degree-8 benchmark maps, the paired rounds offer
+    ``_product`` well under two thirds of the term pairs that the unpaired
+    associative rounds offer (6,359 against 10,168 on the first map)."""
+    from tangentia import morphism
+
+    offered = [0]
+    product = morphism._product
+
+    def counting(kind, a, graded, k, out=None):
+        offered[0] += len(a) * sum(len(terms) for _, terms in graded)
+        return product(kind, a, graded, k, out)
+
+    monkeypatch.setattr(morphism, "_product", counting)
+    for phi in _benchmark_lie_maps():
+        counts = []
+        for m in (phi, _as_associative(phi)):
+            offered[0] = 0
+            truncated_inverse(m, 8)
+            counts.append(offered[0])
+        assert 3 * counts[0] < 2 * counts[1], counts
