@@ -44,7 +44,7 @@ from .freealg import (
     LinearCombination,
     Variety,
     VarietyMismatch,
-    _mono_degree,
+    _key_degree,
     _prefix_walk,
     _product,
     mono_str,
@@ -222,8 +222,7 @@ def env_str(u):
             lambda key: f"{mono_str(base, key[0])}(x){mono_str(base, key[1])}",
             lambda key: len(key[0]) + len(key[1]),
         )
-    kind = base.kind
-    return terms_str(u.coeffs, lambda m: mono_str(base, m), lambda m: _mono_degree(kind, m))
+    return terms_str(u.coeffs, lambda m: mono_str(base, m), _key_degree(base.kind))
 
 
 def trace_str(t):

@@ -38,20 +38,24 @@ variety and a dict from canonical keys to nonzero rationals, and owns the
 linear arithmetic (sum, difference, negation, scaling, equality, hashing);
 ``Element`` here and the envelope's ``EnvElement`` and ``TraceClass`` are
 its subclasses.  ``_product`` is the one product kernel, with one loop per
-key format: exponent vectors add, metabelian keys bracket, and words
-concatenate, free-Lie words as well as associative ones.  It serves
-``Element.mul_trunc``, which forms every element product (``__mul__``
-included) and the free-Lie bracket as ``ab - ba`` of words, substitution
-(``_substitute``), the homogeneous products of
-``morphism.truncated_inverse`` (summed in place into one dict) and, for
-envelope keys that add or concatenate, ``envelope.env_mul``.  Its right
-operand comes as degree buckets, ``[(degree, [(key, coeff), ...]), ...]``
-in ascending degree (``_degree_buckets``): a truncated product at degree
-``k`` walks them for each left term and stops at the first bucket past
-the room ``k`` leaves, so the pairs it drops are never visited.  Nothing
-keeps buckets on an element: ``_substitute`` groups each argument once
-per call, and the plain product passes the whole dict as a single bucket
-and pays no bucketing.
+key format, and it builds each key with no iterator and no dict per
+pair: exponent vectors add by a function generated once per length
+(``_ADDERS``), words concatenate, free-Lie words as well as associative
+ones, and metabelian keys bracket in the loop itself, where a bracket on
+the left meets the right operand's generators only (a bracket of two
+brackets is zero).  It serves ``Element.mul_trunc``, which forms every
+element product (``__mul__`` included) and the free-Lie bracket as
+``ab - ba`` of words, substitution (``_substitute``), the homogeneous
+products of ``morphism.truncated_inverse`` (summed in place into one
+dict) and, for envelope keys that add or concatenate,
+``envelope.env_mul``.  Its right operand comes as degree buckets,
+``[(degree, [(key, coeff), ...]), ...]`` in ascending degree
+(``_degree_buckets``): a truncated product at degree ``k`` walks them for
+each left term and stops at the first bucket past the room ``k`` leaves,
+so the pairs it drops are never visited.  Nothing keeps buckets on an
+element: ``_substitute`` groups each argument once per call, and the
+plain product passes the whole dict as a single bucket and pays no
+bucketing.
 
 The Leibniz action and the other maps built one generator at a time
 share one prefix walk: ``_split_key``, the only code that knows how a key
@@ -71,10 +75,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import add
 
 
 class AlgebraError(ValueError):
@@ -347,65 +351,21 @@ def assoc_of_lie_coeffs(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Free metabelian Lie basis rewriting
-#
-# Basis keys: (i,) for generators, (i1, i2, t3, ..., tm) with
-# i1 > i2 <= t3 <= ... <= tm for left-normed brackets.  Positions >= 3
-# commute because the prefix already lies in the derived subalgebra.
-
-
-def _mb_append(key, g):
-    """Left-normed bracket [key, y_g] rewritten in the basis.
-
-    If g >= i2 the letter joins the sorted tail directly; otherwise the
-    Jacobi identity at the front gives two basis terms.
-    """
-    i1, i2, tail = key[0], key[1], key[2:]
-    if g >= i2:
-        return {(i1, i2) + tuple(sorted(tail + (g,))): 1}
-    return {
-        (i1, g) + tuple(sorted(tail + (i2,))): 1,
-        (i2, g) + tuple(sorted(tail + (i1,))): -1,
-    }
-
-
-def _mb_pair(a, b):
-    if a == b:
-        return {}
-    if a > b:
-        return {(a, b): 1}
-    return {(b, a): -1}
-
-
-def _mb_mul_mono(m1, m2):
-    if len(m1) == 1 and len(m2) == 1:
-        return _mb_pair(m1[0], m2[0])
-    if len(m1) >= 2 and len(m2) == 1:
-        return _mb_append(m1, m2[0])
-    if len(m1) == 1 and len(m2) >= 2:
-        # [y_a, B] = -[B, y_a]
-        return {k: -c for k, c in _mb_append(m2, m1[0]).items()}
-    # [[.,.],[.,.]] = 0 in a metabelian Lie algebra
-    return {}
-
-
-# ---------------------------------------------------------------------------
 # Elements
 
 
-def _mono_degree(kind, mono, _polynomial=Kind.POLYNOMIAL):
-    # the default binds the Enum member once, as in ``_split_key``
-    if kind is _polynomial:
-        return sum(mono)
-    return len(mono)
+def _key_degree(kind, _polynomial=Kind.POLYNOMIAL):
+    """The degree of a stored key as a builtin to map over keys: ``sum``
+    of an exponent vector, ``len`` of a word or a metabelian key."""
+    return sum if kind is _polynomial else len
 
 
 def _split_key(kind, key, _polynomial=Kind.POLYNOMIAL):
     """``(prefix, j)`` with ``key`` the key ``prefix`` times x_j, or None for
     the unit key.  A polynomial key gives up one unit of its last nonzero
     exponent; a word its last letter, and so does a metabelian key, whose
-    last letter is the greatest of its sorted tail: ``_mb_append(prefix,
-    j)`` is the key itself.  The empty key is the unit in Lie kinds too.
+    last letter is the greatest of its sorted tail: the bracket ``[prefix,
+    y_j]`` is the key itself.  The empty key is the unit in Lie kinds too.
     (The default binds ``Kind.POLYNOMIAL`` once: an Enum attribute lookup
     costs as much as the rest of a split.)"""
     if kind is not _polynomial:
@@ -523,6 +483,23 @@ class LinearCombination:
         return f"{type(self).__name__}({self.variety.kind.value}, {self.coeffs!r})"
 
 
+class _Adders(dict):
+    """Sums of exponent vectors by length: ``_ADDERS[n](a, b)`` is
+    ``(a[0] + b[0], ..., a[n-1] + b[n-1],)``, ``tuple(map(add, a, b))``
+    with no builtin call or iterator.  Each is generated on first use,
+    from ints alone, as ``namedtuple`` builds its methods."""
+
+    def __missing__(self, n):
+        add = self[n] = eval(
+            "lambda a, b: (" + "".join(f"a[{i}] + b[{i}], " for i in range(n)) + ")",
+            {},
+        )
+        return add
+
+
+_ADDERS = _Adders()
+
+
 def _product(
     kind, a, graded, k, out=None,
     _polynomial=Kind.POLYNOMIAL, _metabelian=Kind.METABELIAN_LIE,
@@ -534,23 +511,29 @@ def _product(
     at the first degree past the room ``k`` leaves, so the dropped pairs
     are never visited.  The plain product (``k=None``) passes the whole
     dict as one bucket, ``((0, b.items()),)``, and pays no bucketing.
-    Words concatenate, free-Lie words too: ``Element.mul_trunc`` makes
-    their bracket from two such products.  Given ``out``, the product is
-    added into that dict, which is returned, so a sum of products is
-    formed without copying.  (The defaults bind the ``Kind`` members
-    once, as in ``_split_key``.)"""
+    Exponent vectors add, by the adder ``_ADDERS`` holds for their length,
+    taken once per call from the left keys (the envelope's keys are as
+    long as its rank).  Words concatenate, free-Lie words too:
+    ``Element.mul_trunc`` makes their bracket from two such products.
+    Metabelian keys bracket in the loop itself, each pair giving its one
+    or two basis terms with no dict: a bracket of two brackets is zero, so
+    a bracket on the left stops after the right operand's degree-1
+    bucket.  Given ``out``, the product is added into that dict, which is
+    returned, so a sum of products is formed without copying.  (The
+    defaults bind the ``Kind`` members once, as in ``_split_key``.)"""
     if k is None:
         k = math.inf
     if out is None:
         out = {}
     if kind is _polynomial:
+        add = _ADDERS[len(next(iter(a), ()))]
         for m1, c1 in a.items():
             room = k - sum(m1)
             for d, terms in graded:
                 if d > room:
                     break
                 for m2, c2 in terms:
-                    m = tuple(map(add, m1, m2))
+                    m = add(m1, m2)
                     n = out.get(m, 0) + c1 * c2
                     if n:
                         out[m] = n
@@ -571,20 +554,51 @@ def _product(
                     else:
                         out.pop(m, None)
         return out
-    # metabelian Lie
+    # metabelian Lie: [y_i, y_j] is +-(max, min); [b, y_g] for a bracket
+    # b = (i1, i2, *tail) joins g to the sorted tail if g >= i2 (letters
+    # past the second commute: the prefix lies in the derived subalgebra),
+    # else the Jacobi identity gives (i1, g, i2, *tail) - (i2, g, *sorted(tail + i1))
     for m1, c1 in a.items():
         room = k - len(m1)
+        bracket = len(m1) > 1
+        if bracket and room > 1:
+            room = 1
         for d, terms in graded:
             if d > room:
                 break
             for m2, c2 in terms:
                 c = c1 * c2
-                for m, s in _mb_mul_mono(m1, m2).items():
-                    n = out.get(m, 0) + c * s
-                    if n:
-                        out[m] = n
+                if not bracket and len(m2) == 1:
+                    if m1 == m2:
+                        continue
+                    if m1 > m2:
+                        m = m1 + m2
                     else:
-                        out.pop(m, None)
+                        m, c = m2 + m1, -c
+                else:
+                    if not bracket:  # [y_g, b] = -[b, y_g]
+                        b, g, c = m2, m1[0], -c
+                    elif len(m2) == 1:
+                        b, g = m1, m2[0]
+                    else:  # two brackets, met in the plain product's bucket
+                        continue
+                    if g < b[1]:
+                        m = (b[0], g) + b[1:]
+                        n = out.get(m, 0) + c
+                        if n:
+                            out[m] = n
+                        else:
+                            out.pop(m, None)
+                        p = bisect(b, b[0], 2)
+                        m, c = (b[1], g) + b[2:p] + b[:1] + b[p:], -c
+                    else:
+                        p = bisect(b, g, 2)
+                        m = b[:p] + (g,) + b[p:]
+                n = out.get(m, 0) + c
+                if n:
+                    out[m] = n
+                else:
+                    out.pop(m, None)
     return out
 
 
@@ -592,9 +606,10 @@ def _degree_buckets(kind, coeffs):
     """The terms of ``coeffs`` grouped by degree, ``[(degree, [(key,
     coeff), ...]), ...]`` in ascending degree: the right operand of a
     truncated ``_product``."""
+    degree = _key_degree(kind)
     parts = {}
     for m, c in coeffs.items():
-        parts.setdefault(_mono_degree(kind, m), []).append((m, c))
+        parts.setdefault(degree(m), []).append((m, c))
     return sorted(parts.items())
 
 
@@ -779,20 +794,19 @@ class Element(LinearCombination):
         """Maximal monomial degree, or None for the zero element."""
         if not self.coeffs:
             return None
-        return max(_mono_degree(self.variety.kind, m) for m in self.coeffs)
+        return max(map(_key_degree(self.variety.kind), self.coeffs))
 
     def min_degree(self):
         if not self.coeffs:
             return None
-        return min(_mono_degree(self.variety.kind, m) for m in self.coeffs)
+        return min(map(_key_degree(self.variety.kind), self.coeffs))
 
     def homogeneous_component(self, k):
         if k < 0:
             raise AlgebraError("degree must be >= 0")
-        kind = self.variety.kind
+        degree = _key_degree(self.variety.kind)
         return Element._raw(
-            self.variety,
-            {m: c for m, c in self.coeffs.items() if _mono_degree(kind, m) == k},
+            self.variety, {m: c for m, c in self.coeffs.items() if degree(m) == k}
         )
 
     def homogeneous_components(self):
@@ -825,10 +839,9 @@ class Element(LinearCombination):
 
     def truncate(self, k):
         """Drop all terms of degree > k."""
-        kind = self.variety.kind
+        degree = _key_degree(self.variety.kind)
         return Element._raw(
-            self.variety,
-            {m: c for m, c in self.coeffs.items() if _mono_degree(kind, m) <= k},
+            self.variety, {m: c for m, c in self.coeffs.items() if degree(m) <= k}
         )
 
     def constant_term(self):
@@ -1034,11 +1047,15 @@ def terms_str(coeffs, key_str, key_degree):
     """A coefficient dict as a signed sum in deglex order of its keys
     (``key_degree``, then the key itself), printing each key with
     ``key_str``; a coefficient of absolute value 1 is left out except on
-    the key printed ``1``."""
+    the key printed ``1``.  The order comes from two sorts, by key and
+    then stably by degree, which compare in C when ``key_degree`` is a
+    builtin such as ``sum`` or ``len``: no ``(degree, key)`` pair is built."""
     if not coeffs:
         return "0"
     parts = []
-    for key in sorted(coeffs, key=lambda m: (key_degree(m), m)):
+    keys = sorted(coeffs)
+    keys.sort(key=key_degree)
+    for key in keys:
         c = coeffs[key]
         ks = key_str(key)
         if ks == "1":
@@ -1058,12 +1075,13 @@ def element_str(e):
     """``e`` as printed: a free-Lie element by its Lyndon coordinates, each
     word printed as its standard bracketing and ordered by its length."""
     variety = e.variety
-    kind = variety.kind
+    kind, names = variety.kind, variety.names
     if kind is Kind.FREE_LIE:
-        names = variety.names
         return terms_str(lie_from_assoc(e.coeffs), lambda w: _lyndon_str(w, names), len)
+    if kind is Kind.FREE_ASSOCIATIVE:
+        return terms_str(e.coeffs, lambda w: "*".join(map(names.__getitem__, w)) or "1", len)
     return terms_str(
         e.coeffs,
         lambda m: mono_str(variety, m),
-        lambda m: _mono_degree(kind, m),
+        _key_degree(kind),
     )

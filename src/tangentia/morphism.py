@@ -21,7 +21,7 @@ from .freealg import (
     Kind,
     VarietyMismatch,
     _coeff,
-    _mono_degree,
+    _key_degree,
     _product,
     _split_key,
     _substitute,
@@ -181,14 +181,14 @@ def _deviation_degree(phi):
     so a degree-1 term other than 1 x_i, or a missing x_i, puts it at
     degree 1 or below."""
     var = phi.variety
-    kind = var.kind
+    degree = _key_degree(var.kind)
     lowest = None
     for i, f in enumerate(phi.images):
         x = var._gen_key(i)
         if f.coeffs.get(x) != 1:
             lowest = 1 if lowest is None else min(lowest, 1)
         for m in f.coeffs:
-            d = _mono_degree(kind, m)
+            d = degree(m)
             if (lowest is None or d < lowest) and m != x:
                 lowest = d
     return lowest
@@ -301,6 +301,7 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     h) runs no round."""
     kind = var.kind
     paired = kind is Kind.FREE_LIE
+    degree = _key_degree(kind)
     comps = [[{}, f.coeffs] for f in linear_psi]
     # h: phi's words of degree 2..k (higher ones cannot reach psi through
     # k), by key, each with its uses: (1 for a pair else 0, the coordinate,
@@ -308,7 +309,7 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     uses = {}
     for i, f in enumerate(images):
         for w, c in f.coeffs.items():
-            e = _mono_degree(kind, w)
+            e = degree(w)
             if not 2 <= e <= k:
                 continue
             r = w[::-1] if paired else w
@@ -321,7 +322,7 @@ def _online_rounds(var, ginv, linear_psi, images, k):
         p = _split_key(kind, w)[0]
         while p not in memo:  # a loop over p's own prefixes, not recursion
             q, j = _split_key(kind, p)
-            e = _mono_degree(kind, p)
+            e = degree(p)
             if e == 1:
                 memo[p] = comps[j]  # a generator's image is psi_j itself
                 break
@@ -330,7 +331,7 @@ def _online_rounds(var, ginv, linear_psi, images, k):
             p = q
     prefixes.sort(key=lambda t: t[0])  # shortest first
     words = sorted(
-        ((_mono_degree(kind, w), w, *_split_key(kind, w)) for w in uses),
+        ((degree(w), w, *_split_key(kind, w)) for w in uses),
         key=lambda t: t[0],
     )
     h_degree = words[-1][0] if words else 0

@@ -1,6 +1,7 @@
 """Core free-algebra arithmetic across the four varieties."""
 import heapq
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -22,13 +23,23 @@ from tangentia import (
     truncated_inverse,
 )
 from tangentia import freealg
+from tangentia.envelope import (
+    EnvElement,
+    env_mul,
+    env_str,
+    generated_algebra,
+    trace_class,
+    trace_str,
+)
 from tangentia.freealg import (
     _lyndon_part,
     _substitute,
     basis_coeffs,
+    element_str,
     is_lyndon,
     lie_from_assoc,
     lyndon_expand,
+    mono_str,
     standard_factorization,
 )
 
@@ -560,3 +571,212 @@ def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
         assert (entry is not False) == is_lyndon(w), w
         if type(entry) is tuple:
             assert _lyndon_part(w) == entry, w
+
+
+# ---------------------------------------------------------------------------
+# The product kernel and the printer against their per-pair definitions
+
+
+def _append_by_definition(key, g):
+    """[key, y_g] in the metabelian basis as a dict: g joins the sorted
+    tail if g >= i2, else the Jacobi identity at the front gives two
+    terms."""
+    i1, i2, tail = key[0], key[1], key[2:]
+    if g >= i2:
+        return {(i1, i2) + tuple(sorted(tail + (g,))): 1}
+    return {
+        (i1, g) + tuple(sorted(tail + (i2,))): 1,
+        (i2, g) + tuple(sorted(tail + (i1,))): -1,
+    }
+
+
+def _key_product_by_definition(kind, m1, m2):
+    """The product of two keys as a dict key -> sign: exponent vectors
+    add, words concatenate, metabelian keys bracket."""
+    if kind is Kind.POLYNOMIAL:
+        return {tuple(map(operator.add, m1, m2)): 1}
+    if kind is not Kind.METABELIAN_LIE:
+        return {m1 + m2: 1}
+    if len(m1) == 1 and len(m2) == 1:
+        a, b = m1[0], m2[0]
+        return {} if a == b else {(a, b): 1} if a > b else {(b, a): -1}
+    if len(m2) == 1:
+        return _append_by_definition(m1, m2[0])
+    if len(m1) == 1:  # [y_a, B] = -[B, y_a]
+        return {m: -s for m, s in _append_by_definition(m2, m1[0]).items()}
+    return {}  # [[.,.],[.,.]] = 0
+
+
+def _product_by_definition(kind, a, graded, k, out):
+    """``_product`` one pair at a time: every pair of terms in the order
+    the kernel walks them, each adding its dict of keys into ``out``
+    unless its degree passes ``k``."""
+    degree = sum if kind is Kind.POLYNOMIAL else len
+    for m1, c1 in a.items():
+        for _, terms in graded:
+            for m2, c2 in terms:
+                if k is not None and degree(m1) + degree(m2) > k:
+                    continue
+                c = c1 * c2
+                for m, s in _key_product_by_definition(kind, m1, m2).items():
+                    n = out.get(m, 0) + c * s
+                    if n:
+                        out[m] = n
+                    else:
+                        out.pop(m, None)
+    return out
+
+
+def _typed_items(coeffs):
+    # insertion order and coefficient types both show in a printed dict
+    return [(m, c, type(c)) for m, c in coeffs.items()]
+
+
+def _random_coeffs(rng, variety, top, fractions, terms):
+    coeffs = {}
+    for _ in range(terms):
+        monos = monomials_of_degree(variety, rng.randint(0, top))
+        if monos:
+            n = rng.choice([-3, -2, -1, 1, 2, 3])
+            c = Fraction(n, rng.choice([1, 2, 3])) if fractions else n
+            coeffs[rng.choice(monos)] = freealg._coeff(c)
+    return coeffs
+
+
+class _Unread:
+    """A bucket that no product may read."""
+
+    def __iter__(self):
+        raise AssertionError("a bracket on the left read a bracket bucket")
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_product_kernel_matches_the_per_pair_rules(rank):
+    """``_product`` leaves exactly the dict, in insertion order and with
+    the same coefficient types, that the per-pair rules give: exponent
+    vectors summed by ``tuple(map(add, ...))``, words concatenated and
+    metabelian keys bracketed into a dict per pair.  Plain products (one
+    bucket of degree 0), truncated ones at several ``k``, homogeneous
+    buckets as the inverse's rounds pass them, with and without a filled
+    ``out`` that the product partly cancels, on int and Fraction
+    coefficients; and the metabelian envelope's keys through
+    ``env_mul``.  A bracket on the left reads no bucket past degree 1."""
+    rng = random.Random(rank)
+    for variety in (polynomial(rank), free_associative(rank), metabelian_lie(rank)):
+        kind = variety.kind
+        for trial in range(6):
+            fractions = trial % 2 == 1
+            a = _random_coeffs(rng, variety, 4, fractions, 8)
+            b = _random_coeffs(rng, variety, 4, fractions, 8)
+            plain = ((0, b.items()),)
+            filled = {m: -c for m, c in list(
+                _product_by_definition(kind, a, plain, None, {}).items()
+            )[::2]}
+            filled.update(_random_coeffs(rng, variety, 6, fractions, 4))
+            cases = [(plain, None)]
+            cases += [(freealg._degree_buckets(kind, b), k) for k in (0, 1, 2, 3, 5, 8)]
+            cases += [(((d, terms),), None) for d, terms in freealg._degree_buckets(kind, b)]
+            for graded, k in cases:
+                for out in ({}, filled):
+                    want = _product_by_definition(kind, a, graded, k, dict(out))
+                    got = freealg._product(kind, a, graded, k, dict(out) if out else None)
+                    assert _typed_items(got) == _typed_items(want), (kind, graded, k)
+            if kind is Kind.METABELIAN_LIE:
+                brackets = {m: c for m, c in a.items() if len(m) > 1}
+                for k in (None, 3, 6):
+                    graded = freealg._degree_buckets(kind, b)
+                    guarded = [(d, terms if d <= 1 else _Unread()) for d, terms in graded]
+                    want = _product_by_definition(kind, brackets, graded, k, {})
+                    got = freealg._product(kind, brackets, guarded, k)
+                    assert _typed_items(got) == _typed_items(want)
+                keys = polynomial(rank)  # U/R is keyed by exponent vectors
+                u = EnvElement(variety, _random_coeffs(rng, keys, 3, fractions, 6))
+                v = EnvElement(variety, _random_coeffs(rng, keys, 3, fractions, 6))
+                want = _product_by_definition(
+                    Kind.POLYNOMIAL, u.coeffs, ((0, v.coeffs.items()),), None, {}
+                )
+                assert _typed_items(env_mul(u, v).coeffs) == _typed_items(want)
+
+
+def _terms_by_definition(coeffs, key_str, degree):
+    """A printed sum by its definition: terms sorted by (degree, key)."""
+    parts = []
+    for key in sorted(coeffs, key=lambda m: (degree(m), m)):
+        c = coeffs[key]
+        ks = key_str(key)
+        body = str(abs(c)) if ks == "1" else ks if abs(c) == 1 else f"{abs(c)}*{ks}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
+def _element_str_by_definition(e):
+    var = e.variety
+    return _terms_by_definition(
+        basis_coeffs(e),
+        lambda m: mono_str(var, m),
+        sum if var.kind is Kind.POLYNOMIAL else len,
+    )
+
+
+def _env_str_by_definition(u):
+    base = generated_algebra(u.variety)
+    if u.variety.kind is Kind.FREE_ASSOCIATIVE:
+        return _terms_by_definition(
+            u.coeffs,
+            lambda key: f"{mono_str(base, key[0])}(x){mono_str(base, key[1])}",
+            lambda key: len(key[0]) + len(key[1]),
+        )
+    return _terms_by_definition(
+        u.coeffs,
+        lambda m: mono_str(base, m),
+        sum if base.kind is Kind.POLYNOMIAL else len,
+    )
+
+
+_PRINT_COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+
+
+def _printable_coeffs(rng, variety, terms):
+    lo = 0 if variety.unital else 1
+    coeffs = {}
+    for _ in range(terms):
+        monos = monomials_of_degree(variety, rng.randint(lo, 4))
+        if monos:
+            coeffs[rng.choice(monos)] = rng.choice(_PRINT_COEFFS)
+    return coeffs
+
+
+@pytest.mark.parametrize("make", [polynomial, free_associative, free_lie, metabelian_lie])
+def test_printing_matches_the_deglex_definition(make, rng):
+    """``element_str``, ``env_str`` and ``trace_str`` print the terms in
+    the order of sorting by (degree, key) and each key by ``mono_str``:
+    random elements, envelope elements and trace classes of ranks 1-4,
+    default and custom names, with Fractions, negative unit coefficients,
+    the unit key and zero."""
+    for rank in range(1, 5):
+        for names in ((), tuple("abcd"[:rank])):
+            var = make(rank, names)
+            base = generated_algebra(var)
+            assert str(var.zero()) == _element_str_by_definition(var.zero()) == "0"
+            zero = EnvElement.zero(var)
+            assert env_str(zero) == trace_str(trace_class(zero)) == "0"
+            for _ in range(8):
+                e = Element(var, _printable_coeffs(rng, var, 6))
+                if var.unital:
+                    e = e + var.scalar(rng.choice(_PRINT_COEFFS))
+                assert element_str(e) == str(e) == _element_str_by_definition(e)
+                if var.kind is Kind.FREE_ASSOCIATIVE:
+                    words = [w for d in range(3) for w in monomials_of_degree(var, d)]
+                    u = EnvElement(var, {
+                        (rng.choice(words), rng.choice(words)): rng.choice(_PRINT_COEFFS)
+                        for _ in range(6)
+                    })
+                else:
+                    u = EnvElement(var, _printable_coeffs(rng, base, 6))
+                u = u + EnvElement.one(var).scale(rng.choice(_PRINT_COEFFS))
+                t = trace_class(u)
+                assert env_str(u) == _env_str_by_definition(u)
+                assert trace_str(t) == _env_str_by_definition(t)

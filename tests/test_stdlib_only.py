@@ -1,9 +1,14 @@
 """The runtime uses the standard library only: every absolute import in
 ``src/tangentia`` names a module of the running interpreter's standard
-library (``sys.stdlib_module_names``, Python >= 3.10)."""
+library (``sys.stdlib_module_names``, Python >= 3.10).  It evaluates no
+source text but the exponent-vector adders, built from ints alone."""
 import ast
+import operator
 import pathlib
+import random
 import sys
+
+from tangentia.freealg import _ADDERS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tangentia"
 
@@ -86,3 +91,91 @@ def test_guard_flags_unused_imports():
         "    return trace_class(os.path.join(u)), linalg.rank\n"
     )
     assert _unused_imports(source) == [(2, "js"), (3, "necklace")]
+
+
+_DYNAMIC = frozenset({"eval", "exec", "compile"})
+
+
+def _dynamic_code(source, filename="<source>"):
+    """``(line, scope)`` for each read of the builtin ``eval``, ``exec`` or
+    ``compile`` (by name or through ``builtins``), with ``scope`` the
+    dotted path of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id in _DYNAMIC) or (
+                isinstance(child, ast.Attribute)
+                and child.attr in _DYNAMIC
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("builtins", "__builtins__")
+            ):
+                found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(ast.parse(source, filename=filename), "")
+    return found
+
+
+def test_guard_flags_dynamic_code():
+    source = (
+        "import builtins, re\n"
+        "pattern = re.compile('x')\n"
+        "def f(s):\n"
+        "    return eval(s)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        run = builtins.exec\n"
+        "x = compile\n"
+    )
+    assert _dynamic_code(source) == [(4, "f"), (7, "C.g"), (8, "")]
+
+
+def test_only_the_adder_builder_evaluates_source():
+    """The one ``eval`` in the package is ``freealg``'s adder builder: it
+    evaluates a string built from string constants and the loop variables
+    of ``range``, which are ints, in empty globals; and each adder it
+    builds sums exponent vectors as ``tuple(map(add, a, b))`` does."""
+    uses = {
+        path.name: [scope for _, scope in found]
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _dynamic_code(path.read_text(encoding="utf-8"), str(path)))
+    }
+    assert uses == {"freealg.py": ["_Adders.__missing__"]}
+    tree = ast.parse((SRC / "freealg.py").read_text(encoding="utf-8"))
+    (builder,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__missing__"
+    ]
+    (call,) = [
+        node for node in ast.walk(builder)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "eval"
+    ]
+    text, scope = call.args
+    assert isinstance(scope, ast.Dict) and not scope.keys
+    ranged = {
+        comp.target.id
+        for comp in ast.walk(text)
+        if isinstance(comp, ast.comprehension)
+        and isinstance(comp.iter, ast.Call)
+        and getattr(comp.iter.func, "id", None) == "range"
+    }
+    interpolated = [node.value for node in ast.walk(text) if isinstance(node, ast.FormattedValue)]
+    assert interpolated and ranged
+    assert all(isinstance(v, ast.Name) and v.id in ranged for v in interpolated)
+    assert all(
+        isinstance(node.value, str) for node in ast.walk(text) if isinstance(node, ast.Constant)
+    )
+    names = {node.id for node in ast.walk(text) if isinstance(node, ast.Name)}
+    assert names <= ranged | {"range", builder.args.args[1].arg}
+
+    rng = random.Random(6)
+    for n in range(1, 7):
+        assert _ADDERS[n] is _ADDERS[n]
+        for _ in range(20):
+            a = tuple(rng.randrange(5) for _ in range(n))
+            b = tuple(rng.randrange(5) for _ in range(n))
+            assert _ADDERS[n](a, b) == tuple(map(operator.add, a, b))
