@@ -3,8 +3,8 @@
 A script is a sequence of statements separated by semicolons or line
 breaks.  Statement forms:
 
-* ``variety polynomial(3) vars x,y,z`` -- exactly one per script; kinds
-  are ``polynomial``, ``assoc``, ``lie``, ``metabelian``
+* ``variety polynomial(3) vars x,y,z`` -- exactly one per script, rank at
+  most ``MAX_RANK``; kinds are ``polynomial``, ``assoc``, ``lie``, ``metabelian``
 * ``let NAME = EXPR`` -- bind an algebra element
 * ``NAME := auto(E1, ..., En)`` -- define an endomorphism
 * ``NAME := deriv(E1, ..., En)`` -- define a derivation
@@ -57,6 +57,15 @@ from .morphism import (
     truncated_inverse,
 )
 from . import wildness
+
+
+# Nesting levels ("(", "[" and unary "-") an expression may open: each
+# costs the parser up to four stack frames, so this stays well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 100
+# The greatest rank a script may declare or pass to --rank: a rank-n variety
+# builds n generator keys up to n long, so a huge rank could exhaust memory.
+MAX_RANK = 100
 
 
 class DslError(AlgebraError):
@@ -185,16 +194,16 @@ class Script:
 
 
 # flag value types: (value class, takes a list of one or more values, least
-# value accepted or None for any integer); SWITCH marks a flag that takes
-# no value
-NAME, NAMES = (str, False, None), (str, True, None)
+# and greatest value accepted, None for no bound); SWITCH marks a flag that
+# takes no value
+NAME, NAMES = (str, False, None, None), (str, True, None, None)
 SWITCH = None
 
 
-def _ints(least=None, many=False):
+def _ints(least=None, many=False, most=None):
     """An integer flag type: one value, or one or more with ``many``, each
-    at least ``least`` unless it is None."""
-    return (int, many, least)
+    at least ``least`` and at most ``most`` unless that is None."""
+    return (int, many, least, most)
 
 
 class CommandSpec(NamedTuple):
@@ -206,9 +215,9 @@ class CommandSpec(NamedTuple):
 
 
 # every integer flag's least value: degrees and counts >= 0, nilpotency
-# parameters >= 1, an identity's least degree >= 2, a witness rank >= 3;
-# --seed takes any integer, and span's --degree is checked (>= 1) by
-# wildness.tangent_span
+# parameters >= 1, an identity's least degree >= 2, a witness rank >= 3
+# (and <= MAX_RANK); --seed takes any integer, and span's --degree is
+# checked (>= 1) by wildness.tangent_span
 _MAX_DEGREE = {"max-degree": _ints(0)}
 
 COMMANDS = {
@@ -228,7 +237,7 @@ COMMANDS = {
         False,
     ),
     "build-polynilpotent": CommandSpec(
-        "", {"c": _ints(1, many=True), "rank": _ints(3), "limit": _ints(0)}, True
+        "", {"c": _ints(1, many=True), "rank": _ints(3, most=MAX_RANK), "limit": _ints(0)}, True
     ),
     "span": CommandSpec(
         "",
@@ -309,6 +318,8 @@ def _parse_variety(toks, i):
     kt = _expect(toks, i, "NAME")
     _expect(toks, i + 1, "OP", "(")
     rk = _expect(toks, i + 2, "NUMBER")
+    if rk.value > MAX_RANK:
+        raise DslError(f"rank must be <= {MAX_RANK}, got {rk.value}", rk.line, rk.col)
     _expect(toks, i + 3, "OP", ")")
     i += 4
     names = []
@@ -462,13 +473,15 @@ def _flag_value(fname, kind, values, line):
         if values:
             raise DslError(f"flag --{fname} takes no value", line)
         return True
-    cls, many, least = kind
+    cls, many, least, most = kind
     if not values or any(type(v) is not cls for v in values):
         what = "an integer value" if cls is int else "a name"
         raise DslError(f"flag --{fname} needs {what}", line)
     for v in values:
         if least is not None and v < least:
             raise DslError(f"flag --{fname} must be >= {least}, got {v}", line)
+        if most is not None and v > most:
+            raise DslError(f"flag --{fname} must be <= {most}, got {v}", line)
     if many:
         return values
     if len(values) > 1:
@@ -477,12 +490,6 @@ def _flag_value(fname, kind, values, line):
 
 
 # -- expression evaluation --------------------------------------------------
-
-
-# Nesting levels ("(", "[" and unary "-") an expression may open: each
-# costs the parser up to four stack frames, so this stays well inside
-# Python's default recursion limit of 1000.
-MAX_NESTING = 100
 
 
 class _ExprParser:

@@ -24,11 +24,11 @@ two classes never mix.  In every kind but the associative one, U's keys
 are those of the free algebra that the L_{x_i} generate
 (``generated_algebra``, which also carries the names U prints with: A's
 own, or t1..tn in the metabelian kind): ``env_mul`` multiplies with that
-algebra's product kernel, ``env_str`` prints through ``freealg.mono_str``,
+algebra's product kernel, ``env_str`` prints with its ``key_printer``,
 and the push-forward along an endomorphism (``fox.env_push``) and the
 extension D* of a derivation (``Derivation.star_extend``) substitute into
 it or differentiate it.  Only the associative tensor pairs keep loops of
-their own, and a key printer that joins the ``mono_str`` of each factor.
+their own, and a key printer that joins the printed words of both factors.
 
 Radical registry: R = 0 for polynomial, free associative, and free Lie
 algebras (recorded as a modeling assumption for the tensor-of-free-algebra
@@ -47,7 +47,7 @@ from .freealg import (
     _key_degree,
     _prefix_walk,
     _product,
-    mono_str,
+    key_printer,
     terms_str,
 )
 
@@ -216,13 +216,14 @@ def env_str(u):
     a key prints as a monomial of ``generated_algebra``, a tensor pair as
     its two words joined by ``(x)``."""
     base = generated_algebra(u.variety)
+    key_str = key_printer(base)
     if u.variety.kind is Kind.FREE_ASSOCIATIVE:
         return terms_str(
             u.coeffs,
-            lambda key: f"{mono_str(base, key[0])}(x){mono_str(base, key[1])}",
+            lambda key: f"{key_str(key[0])}(x){key_str(key[1])}",
             lambda key: len(key[0]) + len(key[1]),
         )
-    return terms_str(u.coeffs, lambda m: mono_str(base, m), _key_degree(base.kind))
+    return terms_str(u.coeffs, key_str, _key_degree(base.kind))
 
 
 def trace_str(t):

@@ -68,6 +68,11 @@ of prefix images for the batch, and words by Horner's rule, one dict at
 a time (``_horner``), which reads each dict only through the degrees its
 bound leaves.
 
+One dict keyed by word, ``_WORDS``, holds False for a word that is not
+Lyndon and a record for a Lyndon word (its expansion, Lyndon part and
+bracket strings, each formed on first use).  ``element_str`` and the
+envelope's printers take one key printer per format from ``key_printer``.
+
 All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -79,6 +84,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 
 class AlgebraError(ValueError):
@@ -240,52 +246,51 @@ def standard_factorization(w):
     return w[:best], w[best:]
 
 
-_EXPAND_CACHE = {}
+class _Lyndon:
+    """What is known of one Lyndon word, each field formed on first use:
+    ``expansion``, the associative expansion of its standard bracketing
+    (``lyndon_expand``); ``part``, its terms ``((v, coeff), ...)`` on the
+    other Lyndon words, which alone move other Lyndon coordinates
+    (``lie_from_assoc``); ``strings``, its bracket string per names tuple."""
+
+    __slots__ = ("expansion", "part", "strings")
+
+    def __init__(self):
+        self.expansion = self.part = self.strings = None
+
+
+class _Words(dict):
+    """One entry per word seen, made on first sight: False if the word is
+    not Lyndon, else its record.  Words carry no rank: entries serve all."""
+
+    def __missing__(self, w):
+        rec = self[w] = _Lyndon() if is_lyndon(w) else False
+        return rec
+
+
+_WORDS = _Words()
 
 
 def lyndon_expand(w):
     """Associative expansion of the standard bracketing of a Lyndon word,
     as a dict word -> int coefficient.  The word ``w`` itself is the
     lexicographically least term and carries coefficient 1."""
-    cached = _EXPAND_CACHE.get(w)
-    if cached is not None:
-        return cached
+    rec = _WORDS[w]
+    if not rec:
+        raise AlgebraError(f"{w!r} is not a Lyndon word")
+    res = rec.expansion
+    if res is not None:
+        return res
     if len(w) == 1:
         res = {w: 1}
     else:
+        # the commutator of the factors' expansions, as ``Element.mul_trunc``
         u, v = standard_factorization(w)
         eu, ev = lyndon_expand(u), lyndon_expand(v)
-        res = {}
-        for a, ca in eu.items():
-            for b, cb in ev.items():
-                c = ca * cb
-                ab = a + b
-                ba = b + a
-                res[ab] = res.get(ab, 0) + c
-                res[ba] = res.get(ba, 0) - c
-        res = {k: c for k, c in res.items() if c}
-    _EXPAND_CACHE[w] = res
+        res = _product(_FREE_LIE, eu, ((0, ev.items()),), None)
+        _product(_FREE_LIE, {b: -c for b, c in ev.items()}, ((0, eu.items()),), None, res)
+    rec.expansion = res
     return res
-
-
-# one entry per word seen: False if it is not Lyndon; for a Lyndon word,
-# its Lyndon part (``_lyndon_part``), or True until that part is needed
-_LYNDON_PARTS = {}
-
-
-def _lyndon_part(w):
-    """The terms of ``lyndon_expand(w)`` on Lyndon words other than the
-    Lyndon word ``w``, as ``((v, coeff), ...)``: the only terms of the
-    standard bracketing of ``w`` that move another Lyndon coordinate.
-    Kept in ``_LYNDON_PARTS``, formed on first use: only for the words
-    that ``lie_from_assoc`` takes as pivots, since the expansion of a long
-    word is large."""
-    part = _LYNDON_PARTS.get(w)
-    if part is None or part is True:
-        part = _LYNDON_PARTS[w] = tuple(
-            (v, c) for v, c in lyndon_expand(w).items() if v != w and is_lyndon(v)
-        )
-    return part
 
 
 def lie_from_assoc(coeffs):
@@ -298,24 +303,18 @@ def lie_from_assoc(coeffs):
     in the bracketing of ``l``.  The elimination therefore reads only the
     Lyndon words: it takes them from a heap in increasing order, and each
     one's coordinate is subtracted from the greater Lyndon words of its
-    bracketing (``_lyndon_part``); non-Lyndon words are never touched.
-    Which words are Lyndon is read from the same per-word cache,
-    ``_LYNDON_PARTS``, so a word seen before costs one dict lookup and is
-    never rescanned.
+    bracketing; non-Lyndon words are never touched.  Those terms are the
+    Lyndon part in the pivot's record, formed on first use as a pivot, as
+    long words have large expansions.  Which words are Lyndon is read from
+    the same dict, ``_WORDS``: a word seen before is never rescanned.
 
     Precondition: ``coeffs`` is a Lie element.  Every operation that
     builds a free-Lie element (Lyndon expansion, commutator products,
     sums, scaling, substitution) keeps it one, so this is not checked
     here; on other input the result is undefined.  ``Element.check``
     verifies it by expanding the coordinates back to ``coeffs``."""
-    parts = _LYNDON_PARTS
-    work = {}
-    for w, c in coeffs.items():
-        entry = parts.get(w)
-        if entry is None:
-            entry = parts[w] = is_lyndon(w)
-        if entry is not False:
-            work[w] = c
+    words = _WORDS
+    work = {w: c for w, c in coeffs.items() if words[w] is not False}
     heap = list(work)
     heapq.heapify(heap)
     out = {}
@@ -325,7 +324,13 @@ def lie_from_assoc(coeffs):
         if not c:
             continue
         out[w] = c
-        for v, cv in _lyndon_part(w):
+        rec = words[w]
+        part = rec.part
+        if part is None:
+            part = rec.part = tuple(
+                (v, cv) for v, cv in lyndon_expand(w).items() if v != w and is_lyndon(v)
+            )
+        for v, cv in part:
             nv = work.get(v)
             if nv is None:
                 heapq.heappush(heap, v)
@@ -998,49 +1003,44 @@ def monomials_of_degree(variety, d):
 # Deterministic printing (deglex term order, rationals in lowest terms)
 
 
-def mono_str(variety, mono):
-    names = variety.names
-    kind = variety.kind
-    if kind is Kind.POLYNOMIAL:
-        if not any(mono):
-            return "1"
-        parts = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                parts.append(names[i])
-            elif e > 1:
-                parts.append(f"{names[i]}^{e}")
-        return "*".join(parts)
-    if kind is Kind.FREE_ASSOCIATIVE:
-        if not mono:
-            return "1"
-        return "*".join(names[i] for i in mono)
-    if kind is Kind.FREE_LIE:
-        return _lyndon_str(mono, names)
-    if len(mono) == 1:
-        return names[mono[0]]
-    s = f"[{names[mono[0]]},{names[mono[1]]}]"
-    for j in mono[2:]:
-        s = f"[{s},{names[j]}]"
-    return s
-
-
-_LYNDON_STR_CACHE = {}
-
-
-def _lyndon_str(w, names):
-    """The standard bracketing of a Lyndon word, built once per
-    ``(names, w)``."""
-    key = (names, w)
-    s = _LYNDON_STR_CACHE.get(key)
+def _lyndon_str(names, w):
+    """A Lyndon word's standard bracketing, kept in its record per names."""
+    rec = _WORDS[w]
+    strings = rec.strings
+    if strings is None:
+        strings = rec.strings = {}
+    s = strings.get(names)
     if s is None:
         if len(w) == 1:
             s = names[w[0]]
         else:
             u, v = standard_factorization(w)
-            s = f"[{_lyndon_str(u, names)},{_lyndon_str(v, names)}]"
-        _LYNDON_STR_CACHE[key] = s
+            s = f"[{_lyndon_str(names, u)},{_lyndon_str(names, v)}]"
+        strings[names] = s
     return s
+
+
+def key_printer(variety):
+    """The printer of ``variety``'s basis keys, its names bound: one per
+    key format (exponent vector, word, Lyndon word by its standard
+    bracketing, left-normed metabelian key), picked once per printout."""
+    names, kind = variety.names, variety.kind
+    if kind is Kind.FREE_LIE:
+        return partial(_lyndon_str, names)
+    if kind is Kind.FREE_ASSOCIATIVE:
+        return lambda w: "*".join(map(names.__getitem__, w)) or "1"
+    if kind is Kind.POLYNOMIAL:
+        return lambda m: "*".join(
+            [n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e]
+        ) or "1"
+
+    def metabelian_str(m):
+        s = names[m[0]]
+        for j in m[1:]:
+            s = f"[{s},{names[j]}]"
+        return s
+
+    return metabelian_str
 
 
 def terms_str(coeffs, key_str, key_degree):
@@ -1072,16 +1072,7 @@ def terms_str(coeffs, key_str, key_degree):
 
 
 def element_str(e):
-    """``e`` as printed: a free-Lie element by its Lyndon coordinates, each
-    word printed as its standard bracketing and ordered by its length."""
-    variety = e.variety
-    kind, names = variety.kind, variety.names
-    if kind is Kind.FREE_LIE:
-        return terms_str(lie_from_assoc(e.coeffs), lambda w: _lyndon_str(w, names), len)
-    if kind is Kind.FREE_ASSOCIATIVE:
-        return terms_str(e.coeffs, lambda w: "*".join(map(names.__getitem__, w)) or "1", len)
-    return terms_str(
-        e.coeffs,
-        lambda m: mono_str(variety, m),
-        _key_degree(kind),
-    )
+    """``e`` as printed: its coordinates over the variety's basis
+    (``basis_coeffs``), each key printed by ``key_printer``."""
+    kind = e.variety.kind
+    return terms_str(basis_coeffs(e), key_printer(e.variety), _key_degree(kind))

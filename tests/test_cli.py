@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tangentia import cli, corpus
-from tangentia.dsl import COMMANDS, MAX_NESTING
+from tangentia.dsl import COMMANDS, MAX_NESTING, MAX_RANK
 
 
 GOOD_SCRIPT = """\
@@ -93,6 +93,39 @@ def test_non_integer_flag_exit_code_1(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert rc == 1
     assert "needs an integer value" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, gen", [("polynomial", "x1"), ("assoc", "x1"), ("lie", "x1"), ("metabelian", "y1")]
+)
+def test_declared_rank_bound(tmp_path, capsys, kind, gen):
+    """A script may declare a rank up to ``MAX_RANK``; one more is a
+    script error at its column, before any generator is built."""
+    script = "variety {}({})\neval {} + {}\n"
+    last = gen[0] + str(MAX_RANK)
+    rc = cli.main(["run", write(tmp_path, script.format(kind, MAX_RANK, gen, last))])
+    assert rc == 0
+    value = capsys.readouterr().out.split("value: ")[1].split()
+    assert sorted(value) == sorted([gen, "+", last])
+    rc = cli.main(["run", write(tmp_path, script.format(kind, MAX_RANK + 1, gen, gen))])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    want = f"error: line 1, column {len(kind) + 10}: rank must be <= {MAX_RANK}, got {MAX_RANK + 1}"
+    assert want in captured.err
+
+
+def test_build_polynilpotent_rank_bound(tmp_path, capsys):
+    """``build-polynilpotent --rank`` takes ranks from 3 to ``MAX_RANK``."""
+    script = "variety lie(3)\nbuild-polynilpotent --c 2,1 --limit 0 --rank {}\n"
+    rc = cli.main(["run", write(tmp_path, script.format(MAX_RANK)), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["output"]["materialized"] is False
+    rc = cli.main(["run", write(tmp_path, script.format(MAX_RANK + 1))])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert f"error: line 2: flag --rank must be <= {MAX_RANK}, got {MAX_RANK + 1}" in captured.err
 
 
 def test_flag_error_names_the_line(tmp_path, capsys):

@@ -32,14 +32,12 @@ from tangentia.envelope import (
     trace_str,
 )
 from tangentia.freealg import (
-    _lyndon_part,
     _substitute,
     basis_coeffs,
     element_str,
     is_lyndon,
     lie_from_assoc,
     lyndon_expand,
-    mono_str,
     standard_factorization,
 )
 
@@ -187,11 +185,17 @@ def test_check_finds_non_lie_element_with_lyndon_least_word():
     Element(L, {(0, 1): 1}).check()
 
 
-def test_lyndon_strings_follow_each_varietys_names():
+def test_lyndon_strings_follow_each_varietys_names(monkeypatch):
+    """The word's record keeps one bracket string per tuple of names, and
+    a second printing with the same names reads the stored one."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     w = (0, 0, 1)
-    for names, text in [(("a", "b"), "[a,[a,b]]"), (("x", "y"), "[x,[x,y]]"),
-                        (("a", "b"), "[a,[a,b]]")]:
-        assert str(Element(free_lie(2, names), {w: 1})) == text
+    texts = {("a", "b"): "[a,[a,b]]", ("x", "y"): "[x,[x,y]]"}
+    for names in [("a", "b"), ("x", "y"), ("a", "b")]:
+        assert str(Element(free_lie(2, names), {w: 1})) == texts[names]
+    assert freealg._WORDS[w].strings == texts
+    assert freealg._WORDS[(0, 1)].strings == {("a", "b"): "[a,b]", ("x", "y"): "[x,y]"}
+    assert freealg._lyndon_str(("a", "b"), w) is freealg._WORDS[w].strings[("a", "b")]
 
 
 def test_repeated_generator_names_rejected():
@@ -403,6 +407,9 @@ def test_lyndon_machinery():
     for w in [(0, 0, 1), (0, 1, 1), (0, 0, 1, 1)]:
         e = lyndon_expand(w)
         assert min(e) == w and e[w] == 1
+    for w in [(), (1, 0), (0, 1, 0, 1)]:
+        with pytest.raises(AlgebraError, match="not a Lyndon word"):
+            lyndon_expand(w)
 
 
 def test_monomials_of_degree_counts():
@@ -510,15 +517,16 @@ def _is_lyndon_by_rotation(w):
 
 
 def test_one_lyndon_cache_per_word(monkeypatch):
-    """``_LYNDON_PARTS`` keeps one entry per word: False for a word that is
-    not Lyndon; for a Lyndon word, True until its Lyndon part is needed,
-    then that part.  ``lie_from_assoc`` enters every word of its input
-    (Lie element or not: only the cache is read here).  On every word of
-    length <= 7 over 3 letters the entries agree with ``is_lyndon`` and
-    with the rotation definition, and a Lyndon word's part is the Lyndon
-    terms of its bracketing other than itself."""
-    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
-    cache = freealg._LYNDON_PARTS
+    """``_WORDS`` keeps one entry per word: False for a word that is not
+    Lyndon; for a Lyndon word, its record, whose Lyndon part is None until
+    the word is a pivot, then that part.  ``lie_from_assoc`` enters every
+    word of its input (Lie element or not: only the entries are read
+    here).  On every word of length <= 7 over 3 letters the entries agree
+    with ``is_lyndon`` and with the rotation definition, and a Lyndon
+    word's part, formed once when the word's own bracketing makes it the
+    pivot, is the Lyndon terms of its bracketing other than itself."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    cache = freealg._WORDS
     words = [w for n in range(8) for w in itertools.product(range(3), repeat=n)]
     assert len(words) == 3280
     for n in range(8):
@@ -528,49 +536,53 @@ def test_one_lyndon_cache_per_word(monkeypatch):
         lyndon = _is_lyndon_by_rotation(w)
         assert (cache[w] is not False) == is_lyndon(w) == lyndon, w
         if lyndon:
-            part = _lyndon_part(w)
+            assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
+            part = cache[w].part
             assert dict(part) == {
                 v: c
                 for v, c in lyndon_expand(w).items()
                 if v != w and _is_lyndon_by_rotation(v)
             }, w
-            assert cache[w] is part and _lyndon_part(w) is part
+            assert lie_from_assoc(lyndon_expand(w)) == {w: 1} and cache[w].part is part
+            assert cache[w].expansion is lyndon_expand(w)
 
 
 def test_lyndon_parts_are_formed_for_pivots_only(monkeypatch):
     """The Lyndon part of a word needs its whole bracketing (2^(n-1)
-    terms at length n, kept in the expansion cache), so it is formed only
+    terms at length n, kept in the word's record), so it is formed only
     for a word that the elimination takes as a pivot.  The bracketing of
     x1^4 x2^3 x1 x2^2 has 16 Lyndon words and one Lyndon coordinate."""
-    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     pivot = (0, 0, 0, 0, 1, 1, 1, 0, 1, 1)
     e = Element(free_lie(2), {pivot: 1})
     lyndon = [w for w in e.coeffs if is_lyndon(w)]
     assert len(lyndon) == 16
     assert lie_from_assoc(e.coeffs) == {pivot: 1}
-    cache = freealg._LYNDON_PARTS
-    assert [w for w in cache if type(cache[w]) is tuple] == [pivot]
-    assert all(cache[w] is True for w in lyndon if w != pivot)
+    cache = freealg._WORDS
+    assert [w for w in cache if cache[w] and cache[w].part is not None] == [pivot]
+    assert all(cache[w].part is None for w in lyndon if w != pivot)
 
 
 def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
     """Words carry no rank: a word first seen in a rank-2 element keeps
     its answer when a rank-4 element reads it, and that answer is the one
     a fresh cache gives."""
-    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     L2, L4 = free_lie(2), free_lie(4)
     e2 = random_element(rng, L2, 2, 6, terms=6) * random_element(rng, L2, 1, 2)
     coords = lie_from_assoc(e2.coeffs)  # every word of e2 is first seen here
-    seen = dict(freealg._LYNDON_PARTS)
+    # False for a word that is not Lyndon, else its part (None if unformed)
+    seen = {w: rec and rec.part for w, rec in freealg._WORDS.items()}
     assert set(e2.coeffs) <= set(seen)
     e4 = Element(L4, coords) + random_element(rng, L4, 2, 6, terms=6)
     assert lie_from_assoc(e4.coeffs) == _full_word_elimination(e4.coeffs)
     assert basis_coeffs(Element(L4, coords)) == coords
-    monkeypatch.setattr(freealg, "_LYNDON_PARTS", {})
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     for w, entry in seen.items():
         assert (entry is not False) == is_lyndon(w), w
         if type(entry) is tuple:
-            assert _lyndon_part(w) == entry, w
+            assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
+            assert freealg._WORDS[w].part == entry, w
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +724,48 @@ def _terms_by_definition(coeffs, key_str, degree):
     return " ".join(parts) or "0"
 
 
+def _bracket_by_definition(w, names):
+    """The standard bracketing of a Lyndon word, by recursion."""
+    if len(w) == 1:
+        return names[w[0]]
+    u, v = standard_factorization(w)
+    return f"[{_bracket_by_definition(u, names)},{_bracket_by_definition(v, names)}]"
+
+
+def _mono_str_by_definition(variety, mono):
+    """One basis key printed by a dispatch on the variety's kind: the
+    reference for the per-format key printers."""
+    names = variety.names
+    kind = variety.kind
+    if kind is Kind.POLYNOMIAL:
+        if not any(mono):
+            return "1"
+        parts = []
+        for i, e in enumerate(mono):
+            if e == 1:
+                parts.append(names[i])
+            elif e > 1:
+                parts.append(f"{names[i]}^{e}")
+        return "*".join(parts)
+    if kind is Kind.FREE_ASSOCIATIVE:
+        if not mono:
+            return "1"
+        return "*".join(names[i] for i in mono)
+    if kind is Kind.FREE_LIE:
+        return _bracket_by_definition(mono, names)
+    if len(mono) == 1:
+        return names[mono[0]]
+    s = f"[{names[mono[0]]},{names[mono[1]]}]"
+    for j in mono[2:]:
+        s = f"[{s},{names[j]}]"
+    return s
+
+
 def _element_str_by_definition(e):
     var = e.variety
     return _terms_by_definition(
         basis_coeffs(e),
-        lambda m: mono_str(var, m),
+        lambda m: _mono_str_by_definition(var, m),
         sum if var.kind is Kind.POLYNOMIAL else len,
     )
 
@@ -726,12 +775,15 @@ def _env_str_by_definition(u):
     if u.variety.kind is Kind.FREE_ASSOCIATIVE:
         return _terms_by_definition(
             u.coeffs,
-            lambda key: f"{mono_str(base, key[0])}(x){mono_str(base, key[1])}",
+            lambda key: (
+                f"{_mono_str_by_definition(base, key[0])}(x)"
+                f"{_mono_str_by_definition(base, key[1])}"
+            ),
             lambda key: len(key[0]) + len(key[1]),
         )
     return _terms_by_definition(
         u.coeffs,
-        lambda m: mono_str(base, m),
+        lambda m: _mono_str_by_definition(base, m),
         sum if base.kind is Kind.POLYNOMIAL else len,
     )
 
@@ -752,10 +804,35 @@ def _printable_coeffs(rng, variety, terms):
 @pytest.mark.parametrize("make", [polynomial, free_associative, free_lie, metabelian_lie])
 def test_printing_matches_the_deglex_definition(make, rng):
     """``element_str``, ``env_str`` and ``trace_str`` print the terms in
-    the order of sorting by (degree, key) and each key by ``mono_str``:
-    random elements, envelope elements and trace classes of ranks 1-4,
-    default and custom names, with Fractions, negative unit coefficients,
-    the unit key and zero."""
+    the order of sorting by (degree, key) and each key by the reference
+    ``_mono_str_by_definition``: first every basis key of degree <= 4 at
+    ranks 1-3, one by one and all in one element, envelope element and
+    trace class; then random elements, envelope elements and trace
+    classes of ranks 1-4.  Both passes use default and custom names, and
+    the random one Fractions, negative unit coefficients, the unit key
+    and zero."""
+    for rank in range(1, 4):
+        for names in ((), ("a", "b2", "cc")[:rank]):
+            var = make(rank, names)
+            base = generated_algebra(var)
+            for v in (var, base):
+                keys = [m for d in range(5) for m in monomials_of_degree(v, d)]
+                key_str = freealg.key_printer(v)
+                for m in keys:
+                    assert key_str(m) == _mono_str_by_definition(v, m), (v, m)
+            keys = [m for d in range(5) for m in monomials_of_degree(var, d)]
+            coeffs = dict(zip(keys, itertools.cycle(_PRINT_COEFFS)))
+            e = Element(var, coeffs)
+            assert basis_coeffs(e) == coeffs
+            assert element_str(e) == _element_str_by_definition(e)
+            if var.kind is Kind.FREE_ASSOCIATIVE:
+                pairs = [(a, b) for a in keys for b in keys if len(a) + len(b) <= 4]
+                u = EnvElement(var, dict(zip(pairs, itertools.cycle(_PRINT_COEFFS))))
+            else:
+                base_keys = [m for d in range(5) for m in monomials_of_degree(base, d)]
+                u = EnvElement(var, dict(zip(base_keys, itertools.cycle(_PRINT_COEFFS))))
+            assert env_str(u) == _env_str_by_definition(u)
+            assert trace_str(trace_class(u)) == _env_str_by_definition(trace_class(u))
     for rank in range(1, 5):
         for names in ((), tuple("abcd"[:rank])):
             var = make(rank, names)

@@ -147,8 +147,9 @@ def test_only_the_adder_builder_evaluates_source():
     assert uses == {"freealg.py": ["_Adders.__missing__"]}
     tree = ast.parse((SRC / "freealg.py").read_text(encoding="utf-8"))
     (builder,) = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "__missing__"
+        node
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_Adders"
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__missing__"
     ]
     (call,) = [
         node for node in ast.walk(builder)
