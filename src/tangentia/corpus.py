@@ -31,7 +31,7 @@ def build(name):
     defines no map or several raises ``DslError``, an ``AlgebraError``."""
     session = Session()
     defs = []
-    for stmt in parse(script_source(name)).statements:
+    for stmt in parse(script_source(name)):
         if isinstance(stmt, (VarietyDecl, LetBinding, MapDef)):
             session.execute(stmt)
         if isinstance(stmt, MapDef):

@@ -34,15 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .freealg import (
-    AlgebraError,
-    Element,
-    Kind,
-    free_associative,
-    free_lie,
-    metabelian_lie,
-    polynomial,
-)
+from .freealg import AlgebraError, Element, Kind, Variety
 from .envelope import env_str, trace_str
 from .deriv import Derivation, divergence
 from .fox import jacobian as fox_jacobian
@@ -188,11 +180,6 @@ class Command:
     line: int
 
 
-@dataclass
-class Script:
-    statements: list
-
-
 # flag value types: (value class, takes a list of one or more values, least
 # and greatest value accepted, None for no bound); SWITCH marks a flag that
 # takes no value
@@ -277,11 +264,8 @@ def _merge_hyphenated(tokens, i):
 
 
 def parse(source):
-    """Parse a script to an AST; raises DslError with positions."""
-    statements = []
-    for stmt in split_statements(tokenize(source)):
-        statements.append(_parse_statement(stmt))
-    return Script(statements)
+    """A script's list of statements; raises DslError with positions."""
+    return [_parse_statement(stmt) for stmt in split_statements(tokenize(source))]
 
 
 def _parse_statement(toks):
@@ -523,7 +507,7 @@ class _ExprParser:
         t = self._peek()
         if t is not None and t.kind == "OP" and t.value == "-":
             self._next()
-            v = self._neg(self.term())
+            v = -self.term()
         else:
             v = self.term()
         while True:
@@ -532,7 +516,7 @@ class _ExprParser:
                 return v
             self._next()
             rhs = self.term()
-            v = self._add(v, rhs) if t.value == "+" else self._add(v, self._neg(rhs))
+            v = self._add(v, rhs if t.value == "+" else -rhs, t)
 
     def term(self):
         v = self.power()
@@ -541,7 +525,7 @@ class _ExprParser:
             if t is None or t.kind != "OP" or t.value != "*":
                 return v
             self._next()
-            v = self._mul(v, self.power(), t)
+            v = v * self.power()
 
     def power(self):
         v = self.atom()
@@ -555,13 +539,11 @@ class _ExprParser:
                 raise DslError("exponent must be a nonnegative integer", e.line, e.col)
             if isinstance(v, Fraction):
                 v = v ** e.value
-            elif isinstance(v, Element):
+            else:
                 try:
                     v = v.power(e.value)
                 except AlgebraError as exc:
                     raise DslError(str(exc), op.line, op.col) from exc
-            else:
-                raise DslError("cannot exponentiate this value", op.line, op.col)
 
     def atom(self):
         t = self._next()
@@ -599,30 +581,21 @@ class _ExprParser:
                 raise DslError("expected ']'", close.line, close.col)
             v = self._bracket(a, b, t)
         else:
-            v = self._neg(self.atom())
+            v = -self.atom()
         self.depth -= 1
         return v
 
-    # scalar/element coercion helpers
-
-    def _neg(self, v):
-        return -v
-
-    def _add(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Element):
-            a = b.variety.scalar(a)
-        elif isinstance(b, Fraction) and isinstance(a, Element):
-            b = a.variety.scalar(b)
+    def _add(self, a, b, tok):
+        """``a + b``, a scalar beside an element read as a constant: a
+        non-unital variety's error is placed at the ``+`` or ``-``."""
+        try:
+            if isinstance(a, Fraction) and isinstance(b, Element):
+                a = b.variety.scalar(a)
+            elif isinstance(b, Fraction) and isinstance(a, Element):
+                b = a.variety.scalar(b)
+        except AlgebraError as exc:
+            raise DslError(str(exc), tok.line, tok.col) from exc
         return a + b
-
-    def _mul(self, a, b, tok):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        if isinstance(a, Fraction):
-            return b.scale(a)
-        if isinstance(b, Fraction):
-            return a.scale(b)
-        return a * b
 
     def _bracket(self, a, b, tok):
         if not isinstance(a, Element) or not isinstance(b, Element):
@@ -673,8 +646,8 @@ class Session:
             raise DslError(f"{name!r} has the wrong type for this command")
         return v
 
-    def run(self, script):
-        for stmt in script.statements:
+    def run(self, statements):
+        for stmt in statements:
             self.execute(stmt)
         return self.results
 
@@ -697,18 +670,12 @@ class Session:
     def _do_variety(self, stmt):
         if self.variety is not None:
             raise DslError("variety already declared", stmt.line, None)
-        factories = {
-            "polynomial": polynomial,
-            "assoc": free_associative,
-            "associative": free_associative,
-            "lie": free_lie,
-            "metabelian": metabelian_lie,
-        }
-        factory = factories.get(stmt.kind_name)
-        if factory is None:
-            raise DslError(f"unknown variety kind {stmt.kind_name!r}", stmt.line, None)
         try:
-            self.variety = factory(stmt.rank, stmt.names)
+            kind = Kind("assoc" if stmt.kind_name == "associative" else stmt.kind_name)
+        except ValueError:
+            raise DslError(f"unknown variety kind {stmt.kind_name!r}", stmt.line, None) from None
+        try:
+            self.variety = Variety(kind, stmt.rank, stmt.names)
         except AlgebraError as exc:
             raise DslError(str(exc), stmt.line, None) from exc
         for i, name in enumerate(self.variety.names):

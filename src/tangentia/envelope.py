@@ -137,12 +137,11 @@ def left_mul(a):
 
 def right_mul(a):
     """The operator R_a; in Lie varieties R_a = -L_a."""
-    var = a.variety
-    kind = var.kind
+    kind = a.variety.kind
     if kind is Kind.POLYNOMIAL:
-        return EnvElement(var, dict(a.coeffs))
+        return left_mul(a)
     if kind is Kind.FREE_ASSOCIATIVE:
-        return EnvElement(var, {((), w): c for w, c in a.coeffs.items()})
+        return EnvElement(a.variety, {((), w): c for w, c in a.coeffs.items()})
     return -left_mul(a)
 
 

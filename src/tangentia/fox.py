@@ -99,10 +99,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_trace(a):
     acc = a[0][0]
     for i in range(1, len(a)):
@@ -147,4 +143,4 @@ def chain_rule_check(phi, psi):
     composed = _substitute([g.coeffs for g in psi.images], phi.images, None)
     lhs = jacobian_of_tuple(tuple(Element._raw(var, f) for f in composed), var)
     rhs = mat_mul(push_matrix(phi.images, jacobian(psi)), jacobian(phi))
-    return mat_eq(lhs, rhs)
+    return lhs == rhs

@@ -624,10 +624,12 @@ def _substitute(dicts, args, max_degree):
     ``max_degree`` (None keeps all of them: degrees only grow under
     products, so a term dropped early can never come back).
 
-    The dicts are keyed like the args and the args are ``Element``s of
-    one algebra; the caller checks both.  All the state lives in the
-    call, and each argument is grouped by degree once.  The path depends
-    on the key format alone:
+    The args are ``Element``s of one algebra and the dicts are keyed like
+    them, or by words into a metabelian target, where a word's image is
+    its left-normed bracket (``project_to_metabelian``); never by words
+    into a polynomial one.  The caller checks both.  All the state lives
+    in the call, and each argument is grouped by degree once.  The path
+    depends on the args' key format alone:
 
     * words (associative and free-Lie keys) go by Horner's rule, one dict
       at a time (``_horner``): a dense dict, such as a truncated inverse
@@ -952,20 +954,13 @@ def project_to_metabelian(e):
     """Quotient map from a free Lie algebra onto the free metabelian Lie
     algebra of the same rank (kills the second derived subalgebra).  By
     Dynkin-Specht-Wever, a Lie element of degree m in K<X> is 1/m times
-    the sum of its words' left-normed brackets, built by the prefix walk."""
+    the sum of its words' left-normed brackets: one ``_substitute`` of
+    the words, each scaled by 1/m, into the metabelian generators."""
     if e.variety.kind is not Kind.FREE_LIE:
         raise VarietyMismatch("projection is defined on free Lie elements")
     target = metabelian_lie(e.variety.rank)
-    gens = target.gens()
-
-    def step(b, _prefix, j):
-        return gens[j] if b is None else b * gens[j]
-
-    memo, acc = {}, {}
-    for w, c in e.coeffs.items():
-        for m, v in _prefix_walk(Kind.FREE_LIE, w, memo, step).coeffs.items():
-            acc[m] = acc.get(m, 0) + Fraction(c * v, len(w))
-    return Element(target, acc)
+    scaled = {w: Fraction(c, len(w)) for w, c in e.coeffs.items()}
+    return Element(target, _substitute([scaled], target.gens(), None)[0])
 
 
 def monomials_of_degree(variety, d):

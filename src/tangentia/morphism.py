@@ -94,7 +94,7 @@ class Endomorphism:
         return Endomorphism(self.variety, tuple(f.truncate(k) for f in self.images))
 
     def is_identity(self):
-        return self == Endomorphism.identity(self.variety)
+        return _deviation_degree(self) is None
 
     def is_identity_through(self, k):
         d = _deviation_degree(self)
@@ -102,14 +102,9 @@ class Endomorphism:
 
     def linear_part(self):
         """Matrix g with phi(x_i) = sum_j g[i][j] x_j + higher order."""
-        n = self.variety.rank
-        gens = self.variety.gens()
-        mat = []
-        for f in self.images:
-            lin = f.homogeneous_component(1)
-            row = [lin.coeffs.get(next(iter(gens[j].coeffs)), 0) for j in range(n)]
-            mat.append(row)
-        return mat
+        var = self.variety
+        keys = [var._gen_key(j) for j in range(var.rank)]
+        return [[f.coeffs.get(x, 0) for x in keys] for f in self.images]
 
     def constant_part(self):
         return tuple(f.constant_term() for f in self.images)

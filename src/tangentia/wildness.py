@@ -42,7 +42,6 @@ from .morphism import (
     compose_all,
     ia_correct,
     ia_level,
-    tangent,
     truncated_inverse,
 )
 from .envelope import trace_class
@@ -92,8 +91,15 @@ def nilpotent_context(ambient, c, evidence=EVIDENCE_BUILTIN):
 
 
 def var_m2k_context(ambient, evidence=EVIDENCE_USER):
-    """Var(M_2(K)) in two variables; its T-ideal has no elements of
-    degree <= 4 in two variables."""
+    """Var(M_2(K)) in at most three variables, where its T-ideal has no
+    elements of degree <= 4.  In four or more the standard polynomial s_4
+    is one (Amitsur-Levitzki): a free associative ambient of rank >= 4 is
+    an ``AlgebraError``.  s_4 is not a Lie element and abelianizes to 0."""
+    if ambient.kind is Kind.FREE_ASSOCIATIVE and ambient.rank >= 4:
+        raise AlgebraError(
+            "Var(M_2(K)) has the degree-4 identity s_4 in 4 or more variables; "
+            f"the var-m2k context needs assoc rank at most 3, not {ambient.rank}"
+        )
     return QuotientContext(ambient, "Var(M_2(K)) in 2 vars", 5, evidence)
 
 
@@ -159,7 +165,7 @@ def detect_divergence_wild(eps, ctx, max_degree=DEFAULT_MAX_DEGREE):
     if lev.status != "level":
         raise NotIA("divergence detector needs an IA endomorphism with a tangent")
     trace = [f"ia level {lev.i}"]
-    T = tangent(eps, max_degree)
+    T = _tangent_at(eps, lev.i)
     trace.append(f"tangent = {T!r}")
     div = divergence(T)
     trace.append(f"divergence {'zero' if div.is_zero() else 'nonzero'}")
@@ -182,7 +188,7 @@ def detect_rank2_associative(phi, ctx, max_degree=DEFAULT_MAX_DEGREE):
     if lev.status != "level":
         raise NotIA("rank-2 detector needs an IA endomorphism with a tangent")
     trace = [f"ia level {lev.i}"]
-    T = tangent(phi, max_degree)
+    T = _tangent_at(phi, lev.i)
     x1, x2 = var.gens()
     comm = x1 * x2 - x2 * x1
     witness = T.apply(comm)

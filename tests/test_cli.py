@@ -342,6 +342,13 @@ DEFECT_PRELUDE = (
         ("build-polynilpotent --c 2 1 --limit -3", "flag --limit must be >= 0, got -3"),
         ("span --gens a --samples -1", "flag --samples must be >= 0, got -1"),
         ("invert a --degree - 1", "flag --degree needs an integer value"),
+        ("invert a --degree 3 4", "flag --degree takes one value, got 2"),
+        # command arguments of the wrong kind, and detect-wild's context flags
+        ("divergence x1", "'x1' has the wrong type for this command"),
+        ("apply a 2", "apply needs an algebra element"),
+        ("detect-wild a", "detect-wild needs --context"),
+        ("detect-wild a --context polynilpotent", "polynilpotent context needs --c"),
+        ("detect-wild a --context foo", "unknown context 'foo'"),
     ],
 )
 def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
@@ -349,6 +356,37 @@ def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, 
     captured = capsys.readouterr()
     assert rc == 1
     assert f"error: line 4: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "statement, where, message",
+    [
+        ("c := foo(x1, x2, x3)", "column 6", "expected auto(...) or deriv(...)"),
+        ("c := auto(x1, x2, x3", "column 1", "unbalanced parentheses in definition"),
+        ("c := auto(x1,,x3)", "column 6", "empty coordinate in definition"),
+        ("eval x1^x2", "column 9", "exponent must be a nonnegative integer"),
+        ("eval 1/0*x1", "column 6", "malformed rational literal"),
+        ("eval (x1 + x2]", "column 14", "expected ')'"),
+        ("eval [x1 x2]", "column 10", "expected ',' in bracket"),
+        ("eval [x1, x2)", "column 13", "expected ']'"),
+        ("eval [1, x1]", "column 6", "bracket arguments must be algebra elements"),
+        ("eval x1^2", "column 8", "powers are not defined in Lie varieties"),
+        # a constant beside a Lie element is placed at the + or - between
+        # them; in let and := it used to have no position at all
+        ("eval x1 + 1", "column 9", "no constants in the non-unital variety lie"),
+        ("eval 2 - [x1,x2]", "column 8", "no constants in the non-unital variety lie"),
+        ("let c = x1 + 1", "column 12", "no constants in the non-unital variety lie"),
+        ("c := auto(x1 + 1, x2, x3)", "column 14", "no constants in the non-unital variety lie"),
+    ],
+)
+def test_definition_and_expression_errors_carry_a_column(
+    tmp_path, capsys, statement, where, message
+):
+    rc = cli.main(["run", write(tmp_path, DEFECT_PRELUDE + statement + "\n")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: line 4, {where}: {message}\n"
     assert captured.out == ""
 
 
@@ -392,6 +430,25 @@ def test_lie_ideal_context_on_associative_algebra_exit_code_1(tmp_path, capsys, 
     assert (
         f"error: line 3: in 'detect-wild': the {name} context needs a Lie ambient, not assoc"
         in captured.err
+    )
+    assert captured.out == ""
+
+
+def test_var_m2k_on_assoc_rank_4_exit_code_1(tmp_path, capsys):
+    """In four variables the standard polynomial s_4, of degree 4, is an
+    identity of M_2(K) (Amitsur-Levitzki), so the registry's least
+    degree 5 is false there.  This map used to be certified
+    AbsolutelyWild with min_degree 5 (IA level 3, witness 1(x)x2*x3*x4)."""
+    script = (
+        "variety assoc(4)\nf := auto(x1 + x1*x2*x3*x4, x2, x3, x4)\n"
+        "detect-wild f --context var-m2k\n"
+    )
+    rc = cli.main(["run", write(tmp_path, script)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        "error: line 3: in 'detect-wild': Var(M_2(K)) has the degree-4 identity s_4 "
+        "in 4 or more variables; the var-m2k context needs assoc rank at most 3, not 4\n"
     )
     assert captured.out == ""
 

@@ -58,6 +58,20 @@ def test_unknown_statement():
 def test_unknown_variety_kind():
     with pytest.raises(DslError, match="unknown variety kind"):
         run("variety quantum(2)")
+    with pytest.raises(DslError, match="unknown variety kind 'Lie'"):
+        run("variety Lie(2)")
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("polynomial", "polynomial"), ("assoc", "assoc"), ("associative", "assoc"),
+     ("lie", "lie"), ("metabelian", "metabelian")],
+)
+def test_variety_kind_names(name, kind):
+    session = Session()
+    session.run(parse(f"variety {name}(2) vars a,b"))
+    assert session.variety.kind.value == kind
+    assert session.variety.names == ("a", "b")
 
 
 def test_variety_declared_twice():
@@ -100,11 +114,14 @@ def test_arithmetic_and_rationals():
         "let f = 1/2 + x - 3*x*y + y^2\n"
         "eval f\n"
         "eval -f\n"
-        "eval 2/3 * f - f * 2/3"
+        "eval 2/3 * f - f * 2/3\n"
+        "eval (1/2)^3*x - y*2^2 + (2/3)^0*x*y*(3/2)"
     )
     assert out[0]["value"] == "1/2 + x + y^2 - 3*x*y"
     assert out[1]["value"] == "-1/2 - x - y^2 + 3*x*y"
     assert out[2]["value"] == "0"
+    # a rational's power is a rational, which scales an element on either side
+    assert out[3]["value"] == "-4*y + 1/8*x + 3/2*x*y"
 
 
 def test_bracket_is_commutator_in_unital_varieties():
@@ -310,7 +327,7 @@ def test_corpus_builder_matches_its_script(name):
     the one ``build`` returns."""
     session = Session()
     defs = []
-    for stmt in parse(corpus.script_source(name)).statements:
+    for stmt in parse(corpus.script_source(name)):
         if isinstance(stmt, (VarietyDecl, LetBinding, MapDef)):
             session.execute(stmt)
         if isinstance(stmt, MapDef):

@@ -32,6 +32,7 @@ from tangentia.envelope import (
     trace_str,
 )
 from tangentia.freealg import (
+    _prefix_walk,
     _substitute,
     basis_coeffs,
     element_str,
@@ -510,6 +511,63 @@ def test_projection_to_metabelian_on_brackets():
     assert project_to_metabelian(x1) == y1
     assert project_to_metabelian((x1 * x2) * x3 - 2 * (x3 * x1)) == (y1 * y2) * y3 - 2 * (y3 * y1)
     assert project_to_metabelian((x1 * x2) * (x1 * x3)).is_zero()
+
+
+def _reference_projection(e):
+    """``project_to_metabelian`` by a walk of its own, kept as the
+    reference for the substitution that serves it: each stored word's
+    left-normed bracket, built one generator at a time from its longest
+    prefix's, times its coefficient over the word's length
+    (Dynkin-Specht-Wever)."""
+    target = metabelian_lie(e.variety.rank)
+    gens = target.gens()
+
+    def step(b, _prefix, j):
+        return gens[j] if b is None else b * gens[j]
+
+    memo, acc = {}, {}
+    for w, c in e.coeffs.items():
+        for m, v in _prefix_walk(Kind.FREE_LIE, w, memo, step).coeffs.items():
+            acc[m] = acc.get(m, 0) + Fraction(c * v, len(w))
+    return Element(target, acc)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_projection_matches_the_reference_walk(rank):
+    """On random free-Lie elements of degrees 1-6, homogeneous and mixed."""
+    rng = random.Random(rank)
+    L = free_lie(rank)
+    lyndon = {d: monomials_of_degree(L, d) for d in range(1, 7)}
+
+    def random_lie(degrees):
+        coeffs = {}
+        for _ in range(4):
+            w = rng.choice(lyndon[rng.choice(degrees)])
+            coeffs[w] = coeffs.get(w, 0) + rng.choice([-3, -1, 1, Fraction(1, 2), 2])
+        return Element(L, coeffs)
+
+    for d in range(1, 7):
+        for _ in range(8):
+            e = random_lie([d])
+            assert project_to_metabelian(e) == _reference_projection(e)
+    for _ in range(20):
+        e = random_lie(range(1, 7))
+        assert project_to_metabelian(e) == _reference_projection(e)
+
+
+def test_projection_of_long_commutators_matches_the_reference_walk():
+    L, M = free_lie(3), metabelian_lie(3)
+    x1, x2, x3 = L.gens()
+    y1, y2, y3 = M.gens()
+    left_normed = (((x1 * x2) * x3) * x2) * x1 + 3 * ((((x2 * x1) * x1) * x3) * x3) * x2
+    in_second_derived = ((x1 * x2) * x3) * ((x2 * x3) * x1)
+    for e in (left_normed, in_second_derived, left_normed + in_second_derived):
+        assert e.degree() >= 5
+        assert project_to_metabelian(e) == _reference_projection(e)
+    assert project_to_metabelian(left_normed) == (
+        (((y1 * y2) * y3) * y2) * y1 + 3 * ((((y2 * y1) * y1) * y3) * y3) * y2
+    )
+    assert project_to_metabelian(in_second_derived).is_zero()
 
 
 def _is_lyndon_by_rotation(w):

@@ -432,6 +432,37 @@ def test_linear_part_and_conjugation():
     assert cd.coords == (P.zero(), x * x)
 
 
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_linear_part_and_is_identity_match_their_definitions(variety, rng):
+    """``linear_part`` reads each image's generator coefficients, and
+    ``is_identity`` finds no deviation; checked against the degree-1
+    components and against equality with the identity map."""
+    gens = variety.gens()
+    identity = Endomorphism.identity(variety)
+    maps = [identity, Endomorphism(variety, [g + g - g for g in gens])]
+    for _ in range(40):
+        images = []
+        for i, g in enumerate(gens):
+            f = rng.choice([g, g, g.scale(2), variety.zero(), random_element(rng, variety, 1, 1)])
+            if rng.random() < 0.5:
+                f = f + random_element(rng, variety, 2, 3)
+            if variety.unital and rng.random() < 0.2:
+                f = f + variety.scalar(rng.choice([-1, 1]))
+            images.append(f)
+        maps.append(Endomorphism(variety, images))
+    answers = set()
+    for phi in maps:
+        g = phi.linear_part()
+        for row, f in zip(g, phi.images):
+            linear = variety.zero()
+            for c, x in zip(row, gens):
+                linear = linear + x.scale(c)
+            assert linear == f.homogeneous_component(1)
+        assert phi.is_identity() == (phi == identity)
+        answers.add(phi.is_identity())
+    assert answers == {True, False}
+
+
 def _reference_conjugate(g, D):
     """The formula ``conjugate_derivation`` used before it was batched,
     kept as the reference: x_k -> alpha(D(f_k)) for f_k = alpha^-1(x_k),

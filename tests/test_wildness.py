@@ -1,5 +1,6 @@
 """Wildness detectors, the polynilpotent constructor, and the span
 sampler with its exact-rank oracle."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from tangentia import (
     linear,
     metabelian_context,
     metabelian_lie,
+    monomials_of_degree,
     nilpotent_context,
     polynilpotent_context,
     polynomial,
@@ -57,6 +59,57 @@ def test_context_min_degrees():
     assert polynilpotent_context(L, (2, 1)).min_degree == 6
     assert polynilpotent_context(L, (1, 15, 1)).min_degree == 64
     assert user_context(L, "my ideal", 7).min_degree == 7
+
+
+def _mat2_mul(a, b):
+    return (
+        a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def _word_on_matrices(w, mats):
+    out = (1, 0, 0, 1)
+    for i in w:
+        out = _mat2_mul(out, mats[i])
+    return out
+
+
+def test_var_m2k_context_holds_at_rank_at_most_3_only():
+    """The registry's least degree 5 for Var(M_2(K)), checked on integer
+    2x2 matrices.  At ranks 2 and 3 the degree-4 words, evaluated on
+    random matrix tuples, are linearly independent, so no polynomial of
+    degree <= 4 in those variables is an identity.  At rank 4 the standard
+    polynomial s_4 vanishes (Amitsur-Levitzki), so the context rejects a
+    free associative ambient of rank >= 4, and its divergence certificate
+    ``AbsolutelyWild`` for (x1 + x1*x2*x3*x4, x2, x3, x4) cannot be made.
+    Lie and polynomial ambients keep degree 5: s_4 is not a Lie element,
+    and it abelianizes to 0."""
+    rng = random.Random(4)
+    samples = [
+        [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(3)] for _ in range(24)
+    ]
+    for rank in (2, 3):
+        rows = [
+            [x for mats in samples for x in _word_on_matrices(w, mats)]
+            for w in monomials_of_degree(free_associative(rank), 4)
+        ]
+        assert linalg.rank(rows) == rank**4
+    for _ in range(5):
+        mats = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4)]
+        s4 = [0, 0, 0, 0]
+        for perm in itertools.permutations(range(4)):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            for k, x in enumerate(_word_on_matrices(perm, mats)):
+                s4[k] += sign * x
+        assert s4 == [0, 0, 0, 0]
+    for rank in (1, 2, 3):
+        assert var_m2k_context(free_associative(rank)).min_degree == 5
+    for ambient in (free_lie(4), metabelian_lie(4), polynomial(4)):
+        assert var_m2k_context(ambient).min_degree == 5
+    for rank in (4, 5):
+        with pytest.raises(AlgebraError, match="identity s_4 in 4 or more variables"):
+            var_m2k_context(free_associative(rank))
 
 
 def test_context_rejects_small_ideals():
