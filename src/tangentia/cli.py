@@ -1,14 +1,15 @@
 """Command-line entry point: ``tangentia run <script> [--json]``.
 
-Exit codes: 0 success, 1 script error (syntax/semantic/usage), 2
-internal invariant violation.  Output is deterministic for a fixed
-script, flags, and seed: monomials in deglex order, rationals in lowest
-terms, and a versioned JSON schema in machine mode.
+Exit codes: 0 success, 1 script error (syntax/semantic/usage) or a
+closed output pipe, 2 internal invariant violation.  Output is
+deterministic for a fixed script, flags, and seed: monomials in deglex
+order, rationals in lowest terms, and a versioned JSON schema in machine mode.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dsl import DslError, run_source
@@ -93,12 +94,17 @@ def main(argv=None):
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        doc = {"schema_version": JSON_SCHEMA_VERSION, "results": results}
-        json.dump(doc, sys.stdout, indent=2, sort_keys=False)
-        print()
-    else:
-        _render_text(results, sys.stdout)
+    try:
+        if args.json:
+            doc = {"schema_version": JSON_SCHEMA_VERSION, "results": results}
+            json.dump(doc, sys.stdout, indent=2, sort_keys=False)
+            print()
+        else:
+            _render_text(results, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+    except BrokenPipeError:  # what is left, flushed at exit, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -16,9 +16,11 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
+    _add_scaled,
+    _merge,
     _prefix_walk,
 )
-from .envelope import EnvElement, generated_algebra, left_mul, trace_class, _merge
+from .envelope import EnvElement, generated_algebra, left_mul, trace_class
 from .fox import fox_derivative, jacobian_of_tuple
 
 
@@ -144,8 +146,7 @@ class Derivation:
         for mono, c in a.coeffs.items():
             d = _prefix_walk(kind, mono, memo, step)
             if d is not None:
-                for m, v in d.coeffs.items():
-                    _merge(out, m, c * v)
+                _add_scaled(out, c, d.coeffs)
         return Element._raw(var, out)
 
     # -- left-symmetric structure -------------------------------------------

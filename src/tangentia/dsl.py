@@ -725,7 +725,7 @@ class Session:
         self.results.append({"command": stmt.name, "output": output})
 
     def _cmd_eval(self, args, flags):
-        return {"value": str(self._eval(args[0]))}, None
+        return {"value": str(self._element(args[0], None))}, None
 
     def _cmd_apply(self, args, flags):
         m = self.lookup(args[0], (Endomorphism, Derivation))

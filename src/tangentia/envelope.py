@@ -45,6 +45,7 @@ from .freealg import (
     Variety,
     VarietyMismatch,
     _key_degree,
+    _merge,
     _prefix_walk,
     _product,
     key_printer,
@@ -72,14 +73,6 @@ def necklace(w):
         k = 0
     i = min(i, j)
     return s[i:i + n]
-
-
-def _merge(d, k, c):
-    n = d.get(k, 0) + c
-    if n:
-        d[k] = n
-    else:
-        d.pop(k, None)
 
 
 class EnvElement(LinearCombination):

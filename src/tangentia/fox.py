@@ -11,9 +11,10 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
+    _merge,
     _substitute,
 )
-from .envelope import EnvElement, env_mul, generated_algebra, left_mul, _merge
+from .envelope import EnvElement, env_mul, generated_algebra, left_mul
 
 
 def fox_derivative(a, i):

@@ -37,7 +37,11 @@ One sparse core serves the whole package.  ``LinearCombination`` holds a
 variety and a dict from canonical keys to nonzero rationals, and owns the
 linear arithmetic (sum, difference, negation, scaling, equality, hashing);
 ``Element`` here and the envelope's ``EnvElement`` and ``TraceClass`` are
-its subclasses.  ``_product`` is the one product kernel, with one loop per
+its subclasses.  Every sparse sum in the package adds into a dict by one
+of two helpers, ``_merge`` (one key) and ``_add_scaled`` (a scaled dict),
+which drop the keys that cancel; only the inner loops of ``_product`` and
+``lie_from_assoc`` keep their sums inline, as a call per term would slow
+them.  ``_product`` is the one product kernel, with one loop per
 key format, and it builds each key with no iterator and no dict per
 pair: exponent vectors add by a function generated once per length
 (``_ADDERS``), words concatenate, free-Lie words as well as associative
@@ -126,6 +130,29 @@ def _coeff(c):
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
+
+
+def _merge(d, k, c):
+    """Add ``c`` to the coefficient of ``k`` in the dict ``d``, dropping the
+    key if it cancels."""
+    n = d.get(k, 0) + c
+    if n:
+        d[k] = n
+    else:
+        d.pop(k, None)
+
+
+def _add_scaled(acc, c, part):
+    """Add ``c`` times the dict ``part`` into the dict ``acc``, dropping the
+    keys that cancel.  The sparse sums of the package go through this and
+    ``_merge``, except the inner loops of ``_product`` and
+    ``lie_from_assoc``: a call per term would slow them."""
+    for key, v in part.items():
+        n = acc.get(key, 0) + c * v
+        if n:
+            acc[key] = n
+        else:
+            acc.pop(key, None)
 
 
 def _default_names(kind, rank):
@@ -346,12 +373,7 @@ def assoc_of_lie_coeffs(coeffs):
     """Associative expansion of a Lie element given in the Lyndon basis."""
     out = {}
     for w, c in coeffs.items():
-        for v, cv in lyndon_expand(w).items():
-            nv = out.get(v, 0) + c * cv
-            if nv:
-                out[v] = nv
-            else:
-                out.pop(v, None)
+        _add_scaled(out, c, lyndon_expand(w))
     return out
 
 
@@ -443,12 +465,7 @@ class LinearCombination:
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            n = out.get(m, 0) + c
-            if n:
-                out[m] = n
-            else:
-                out.pop(m, None)
+        _add_scaled(out, 1, other.coeffs)
         return self._raw(self.variety, out)
 
     def __sub__(self, other):
@@ -672,12 +689,7 @@ def _substitute(dicts, args, max_degree):
             term = _prefix_walk(kind, mono, memo, step)
             if term is None:  # the unit key
                 term = target.one().coeffs
-            for m, tc in term.items():
-                n = acc.get(m, 0) + c * tc
-                if n:
-                    acc[m] = n
-                else:
-                    acc.pop(m, None)
+            _add_scaled(acc, c, term)
         images.append(acc)
     return images
 
@@ -690,24 +702,23 @@ def _horner(kind, coeffs, graded, mins, bound):
 
     Unrolled, the rule runs over the suffixes of ``e``'s words.  The value
     of a suffix ``s`` is the sum of ``c_w p(phi)`` over the words
-    ``w = p s``: ``c_s`` (the empty prefix) plus, for each suffix
-    ``x_j s``, that suffix's value times phi_j.  Each suffix keeps its
-    coefficient apart from the rest of its value, so the share of
-    ``x_j s`` in the value of ``s`` is the rest times phi_j, by
-    ``_product`` with phi_j's degree buckets ``graded[j]`` as the right
-    operand, plus ``c_{x_j s} phi_j``, added directly: no product forms
-    the unit, which Lie kinds lack.  The values are summed
-    from the longest suffixes down, one length at a time; the empty
-    suffix's value plus ``e``'s constant term is the image.  A suffix is
-    needed only through ``bound`` minus the least degrees ``mins[j]`` of
-    its letters' images, so a word whose letters' least degrees sum past
-    ``bound``, or that has a letter with a zero image (``mins[j]`` None),
-    is skipped whole: a truncated image reads no word past the bound.
-    Loops, not recursion: a long word only makes more lengths."""
+    ``w = p s``: ``c_s`` times the empty prefix plus, for each suffix
+    ``x_j s``, that suffix's value times phi_j, one ``_product`` with
+    phi_j's degree buckets ``graded[j]`` as the right operand.  The empty
+    word is the unit of concatenation in both word kinds, so the value of
+    a word starts as ``{(): c_w}``: that key meets phi_j in ``_product``
+    only, and never reaches an image in the Lie kinds, which lack a unit.
+    The values are summed from the longest suffixes down, one length at a
+    time; the empty suffix's value, which starts as ``e``'s constant term,
+    is the image.  A suffix is needed only through ``bound`` minus the
+    least degrees ``mins[j]`` of its letters' images, so a word whose
+    letters' least degrees sum past ``bound``, or that has a letter with
+    a zero image (``mins[j]`` None), is skipped whole: a truncated image
+    reads no word past the bound.  Loops, not recursion: a long word only
+    makes more lengths."""
     zero = None in mins and {j for j, m in enumerate(mins) if m is None}
-    # by length: suffix -> [its word's coefficient, sum of the longer
-    # suffixes' products, its bound]
-    levels = [{(): [0, {}, bound]}]
+    # by length: suffix -> [its value so far, its bound]
+    levels = [{(): [{}, bound]}]
     for w, c in coeffs.items():
         if zero and not zero.isdisjoint(w):
             continue
@@ -715,34 +726,17 @@ def _horner(kind, coeffs, graded, mins, bound):
         if room >= 0:
             while len(levels) <= len(w):
                 levels.append({})
-            levels[len(w)][w] = [c, {}, room]
+            levels[len(w)][w] = [{(): c}, room]
     for d in range(len(levels) - 1, 0, -1):
         shorter = levels[d - 1]
-        for s, (c, value, room) in levels.pop().items():
+        for s, (value, room) in levels.pop().items():
             j, rest = s[0], s[1:]
             node = shorter.get(rest)
             if node is None:
-                node = shorter[rest] = [0, {}, room + mins[j]]
-            up, top = node[1], node[2]
+                node = shorter[rest] = [{}, room + mins[j]]
             if value:
-                _product(kind, value, graded[j], top, up)
-            if c:  # the empty prefix: c phi_j, added directly
-                for e, terms in graded[j]:
-                    if e > top:
-                        break
-                    for m, v in terms:
-                        n = up.get(m, 0) + c * v
-                        if n:
-                            up[m] = n
-                        else:
-                            up.pop(m, None)
-    c, value, _ = levels[0][()]
-    if c:  # e's constant term
-        if n := value.get((), 0) + c:
-            value[()] = n
-        else:
-            del value[()]
-    return value
+                _product(kind, value, graded[j], node[1], node[0])
+    return levels[0][()][0]
 
 
 _KEY_FORMS = {
@@ -913,14 +907,12 @@ class Element(LinearCombination):
             raise AlgebraError(
                 f"expected {self.variety.rank} substitution arguments, got {len(args)}"
             )
-        if not args:
-            raise AlgebraError("rank-0 substitution")
-        target = args[0].variety
-        for a in args:
+        for a in args:  # args[0] is checked before it is read
             if not isinstance(a, Element):
                 raise TypeError("substitution arguments must be Elements")
-            if a.variety.kind is not target.kind or a.variety.rank != target.rank:
+            if a.variety != args[0].variety:
                 raise VarietyMismatch("substitution arguments live in different algebras")
+        target = args[0].variety
         if target.kind is not self.variety.kind:
             raise VarietyMismatch(
                 f"cannot substitute {target.kind.value} values into a "

@@ -20,6 +20,7 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
+    _add_scaled,
     _coeff,
     _key_degree,
     _product,
@@ -355,13 +356,7 @@ def _online_rounds(var, ginv, linear_psi, images, k):
         rhs = []
         for acc, half in zip(*accs):
             if half:
-                for key, v in list(half.items()):  # half += sign rho(half)
-                    key = key[::-1]
-                    n = half.get(key, 0) + sign * v
-                    if n:
-                        half[key] = n
-                    else:
-                        del half[key]
+                _add_scaled(half, sign, {key[::-1]: v for key, v in half.items()})
                 _add_scaled(half, 1, acc)
                 acc = half
             rhs.append(Element._raw(var, acc))
@@ -376,17 +371,6 @@ def _online_rounds(var, ginv, linear_psi, images, k):
             coeffs.update(part)
         psi.append(Element._raw(var, coeffs))
     return psi
-
-
-def _add_scaled(acc, c, part):
-    """Add c times the dict ``part`` into the dict ``acc``, dropping the
-    keys that cancel."""
-    for key, v in part.items():
-        n = acc.get(key, 0) + c * v
-        if n:
-            acc[key] = n
-        else:
-            acc.pop(key, None)
 
 
 def _component(kind, left, right, m):
@@ -461,10 +445,10 @@ def elementary(variety, i, alpha, f):
     """(x_1, ..., alpha x_i + f, ..., x_n) with f free of x_i."""
     if alpha == 0:
         raise AlgebraError("elementary automorphism needs a nonzero scalar")
-    if f.involves(i):
-        raise AlgebraError("the added element may not involve the changed generator")
     if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
         raise VarietyMismatch("added element lives in a different algebra")
+    if f.involves(i):
+        raise AlgebraError("the added element may not involve the changed generator")
     images = list(variety.gens())
     images[i] = images[i].scale(alpha) + f
     return Endomorphism(variety, tuple(images))
@@ -495,9 +479,8 @@ def _conjugate(g, g_inv, D):
         acc = {}
         for c, image in zip(row, images):
             if c:
-                for m, v in image.items():
-                    acc[m] = acc.get(m, 0) + c * v
-        coords.append(Element._raw(var, {m: _coeff(v) for m, v in acc.items() if v}))
+                _add_scaled(acc, c, image)
+        coords.append(Element._raw(var, {m: _coeff(v) for m, v in acc.items()}))
     return Derivation(var, tuple(coords))
 
 

@@ -100,7 +100,7 @@ def var_m2k_context(ambient, evidence=EVIDENCE_USER):
             "Var(M_2(K)) has the degree-4 identity s_4 in 4 or more variables; "
             f"the var-m2k context needs assoc rank at most 3, not {ambient.rank}"
         )
-    return QuotientContext(ambient, "Var(M_2(K)) in 2 vars", 5, evidence)
+    return QuotientContext(ambient, f"Var(M_2(K)) in {ambient.rank} vars", 5, evidence)
 
 
 def polynilpotent_context(ambient, c, evidence=EVIDENCE_BUILTIN):
@@ -157,23 +157,35 @@ def _hypothesis_check(ctx, level_i, trace):
     return reasons
 
 
+def _certify(phi, ctx, max_degree, detector, witness):
+    """The certificate of ``detector``: the ambient and IA checks, then
+    ``witness(T, trace)`` on the tangent T, which appends its own trace
+    lines and gives the witness and the reason to report if it is zero,
+    then the hypotheses.  ``AbsolutelyWild`` iff no reason is found."""
+    if phi.variety != ctx.ambient:
+        raise AlgebraError("context ambient differs from the endomorphism's algebra")
+    lev = ia_level(phi, max_degree)
+    if lev.status != "level":
+        raise NotIA(f"{detector} detector needs an IA endomorphism with a tangent")
+    trace = [f"ia level {lev.i}"]
+    value, if_zero = witness(_tangent_at(phi, lev.i), trace)
+    reasons = _hypothesis_check(ctx, lev.i, trace)
+    if value.is_zero():
+        reasons.insert(0, if_zero)
+    verdict = VERDICT_INCONCLUSIVE if reasons else VERDICT_WILD
+    return WildnessCertificate(verdict, value, ctx, reasons, trace)
+
+
 def detect_divergence_wild(eps, ctx, max_degree=DEFAULT_MAX_DEGREE):
     """Certificate from div(T(eps)) != 0 computed in the ambient U."""
-    if eps.variety != ctx.ambient:
-        raise AlgebraError("context ambient differs from the endomorphism's algebra")
-    lev = ia_level(eps, max_degree)
-    if lev.status != "level":
-        raise NotIA("divergence detector needs an IA endomorphism with a tangent")
-    trace = [f"ia level {lev.i}"]
-    T = _tangent_at(eps, lev.i)
-    trace.append(f"tangent = {T!r}")
-    div = divergence(T)
-    trace.append(f"divergence {'zero' if div.is_zero() else 'nonzero'}")
-    reasons = _hypothesis_check(ctx, lev.i, trace)
-    if div.is_zero():
-        reasons.insert(0, "divergence of the tangent is zero")
-    verdict = VERDICT_WILD if (not div.is_zero() and not reasons) else VERDICT_INCONCLUSIVE
-    return WildnessCertificate(verdict, div, ctx, reasons, trace)
+
+    def witness(T, trace):
+        trace.append(f"tangent = {T!r}")
+        div = divergence(T)
+        trace.append(f"divergence {'zero' if div.is_zero() else 'nonzero'}")
+        return div, "divergence of the tangent is zero"
+
+    return _certify(eps, ctx, max_degree, "divergence", witness)
 
 
 def detect_rank2_associative(phi, ctx, max_degree=DEFAULT_MAX_DEGREE):
@@ -182,22 +194,14 @@ def detect_rank2_associative(phi, ctx, max_degree=DEFAULT_MAX_DEGREE):
     var = phi.variety
     if var.kind is not Kind.FREE_ASSOCIATIVE or var.rank != 2:
         raise AlgebraError("rank-2 associative detector needs K<x1,x2>")
-    if var != ctx.ambient:
-        raise AlgebraError("context ambient differs from the endomorphism's algebra")
-    lev = ia_level(phi, max_degree)
-    if lev.status != "level":
-        raise NotIA("rank-2 detector needs an IA endomorphism with a tangent")
-    trace = [f"ia level {lev.i}"]
-    T = _tangent_at(phi, lev.i)
     x1, x2 = var.gens()
-    comm = x1 * x2 - x2 * x1
-    witness = T.apply(comm)
-    trace.append(f"T(phi)([x1,x2]) = {witness!s}")
-    reasons = _hypothesis_check(ctx, lev.i, trace)
-    if witness.is_zero():
-        reasons.insert(0, "the tangent kills [x1,x2]")
-    verdict = VERDICT_WILD if (not witness.is_zero() and not reasons) else VERDICT_INCONCLUSIVE
-    return WildnessCertificate(verdict, witness, ctx, reasons, trace)
+
+    def witness(T, trace):
+        value = T.apply(x1 * x2 - x2 * x1)
+        trace.append(f"T(phi)([x1,x2]) = {value!s}")
+        return value, "the tangent kills [x1,x2]"
+
+    return _certify(phi, ctx, max_degree, "rank-2", witness)
 
 
 # ---------------------------------------------------------------------------

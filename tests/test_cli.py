@@ -1,6 +1,9 @@
 """The ``tangentia`` command line: exit codes, JSON schema, determinism."""
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,6 +352,9 @@ DEFECT_PRELUDE = (
         ("detect-wild a", "detect-wild needs --context"),
         ("detect-wild a --context polynilpotent", "polynilpotent context needs --c"),
         ("detect-wild a --context foo", "unknown context 'foo'"),
+        # eval reads a scalar as an element, as let does: it used to print
+        # "value: 3/2" in a Lie variety
+        ("eval 3/2", "no constants in the non-unital variety lie"),
     ],
 )
 def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
@@ -494,6 +500,42 @@ def test_every_declared_flag_keeps_its_report(tmp_path, capsys):
     expected = (Path(__file__).parent / "data" / "every_flag.json").read_text(encoding="utf-8")
     assert rc == 0
     assert capsys.readouterr().out == expected
+
+
+def test_every_declared_flag_keeps_its_text_report(tmp_path, capsys):
+    """The text report of the same script, pinned byte for byte: it holds
+    each branch of the text renderer, a matrix (``jacobian``), lists, a
+    dict (``per_level_counts``) and scalars."""
+    rc = cli.main(["run", write(tmp_path, EVERY_FLAG_SCRIPT)])
+    expected = (Path(__file__).parent / "data" / "every_flag.txt").read_text(encoding="utf-8")
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_closed_output_pipe_exits_1_without_a_traceback(tmp_path):
+    """A reader that stops early, as ``tangentia run s.tia | head -c 10``
+    does, closes the pipe while the report (about 1 MB here, far more
+    than a pipe holds) is still being written."""
+    path = write(tmp_path, "variety assoc(2) vars a,b\nlet w = (a+b)^15\neval w\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tangentia.cli", "run", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b"== eval\n  "
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
+@pytest.mark.parametrize("value", ["3/2", "-3/2", "0", "2"])
+def test_eval_of_a_scalar_in_a_unital_variety(tmp_path, capsys, value):
+    """A scalar is an element of a unital variety, printed as before."""
+    rc = cli.main(["run", write(tmp_path, f"variety polynomial(2)\neval {value}\n")])
+    assert rc == 0
+    assert capsys.readouterr().out == f"== eval\n  value: {value}\n"
 
 
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES)

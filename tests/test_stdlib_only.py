@@ -180,3 +180,72 @@ def test_only_the_adder_builder_evaluates_source():
             a = tuple(rng.randrange(5) for _ in range(n))
             b = tuple(rng.randrange(5) for _ in range(n))
             assert _ADDERS[n](a, b) == tuple(map(operator.add, a, b))
+
+
+def _sparse_sums(source, filename="<source>"):
+    """``(scope, dict)`` for each dict that one function both reads with
+    ``.get`` and drops a key from, by ``.pop`` or ``del``: the shape of a
+    sparse sum that adds into a dict and drops the keys that cancel.
+    ``scope`` is the dotted path of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        gets, drops = set(), set()
+
+        def walk(node):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{scope}.{child.name}" if scope else child.name)
+                    continue
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                    if child.func.attr in ("get", "pop"):
+                        target = gets if child.func.attr == "get" else drops
+                        target.add(ast.unparse(child.func.value))
+                elif isinstance(child, ast.Delete):
+                    drops.update(
+                        ast.unparse(t.value) for t in child.targets
+                        if isinstance(t, ast.Subscript)
+                    )
+                walk(child)
+
+        walk(node)
+        found.extend((scope, d) for d in sorted(gets & drops))
+
+    visit(ast.parse(source, filename=filename), "")
+    return found
+
+
+def test_guard_flags_sparse_sums():
+    source = (
+        "def add(acc, part):\n"
+        "    for k, v in part.items():\n"
+        "        n = acc.get(k, 0) + v\n"
+        "        if n:\n"
+        "            acc[k] = n\n"
+        "        else:\n"
+        "            del acc[k]\n"
+        "class C:\n"
+        "    def count(self, seen, k):\n"
+        "        seen[k] = seen.get(k, 0) + 1\n"
+        "        self.d.pop(k)\n"
+        "        return self.d.get(k)\n"
+    )
+    assert _sparse_sums(source) == [("add", "acc"), ("C.count", "self.d")]
+
+
+def test_sparse_sums_live_in_freealg_only():
+    """The package adds into sparse dicts through ``freealg._merge`` and
+    ``freealg._add_scaled``.  Only the loops that a call per term would
+    slow keep their sums inline: the product kernel ``_product`` and the
+    elimination ``lie_from_assoc``."""
+    found = {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, _ in _sparse_sums(path.read_text(encoding="utf-8"), str(path))
+    }
+    assert found == {
+        ("freealg.py", "_merge"),
+        ("freealg.py", "_add_scaled"),
+        ("freealg.py", "_product"),
+        ("freealg.py", "lie_from_assoc"),
+    }

@@ -243,6 +243,32 @@ def test_rank2_detector_needs_rank2_associative():
         )
 
 
+@pytest.mark.parametrize(
+    "detect, name, ambient",
+    [
+        (detect_divergence_wild, "divergence", metabelian_lie(3)),
+        (detect_rank2_associative, "rank-2", free_associative(2)),
+    ],
+)
+def test_both_detectors_check_ambient_and_ia_level_alike(detect, name, ambient):
+    """The detectors share their input checks: an ambient that is not the
+    map's algebra, and a map with no tangent (not IA, or the identity)."""
+    x1, x2, *rest = ambient.gens()
+    wild = Endomorphism(ambient, (x1 + (x1 * x2) * x2, x2, *rest))
+    other = var_m2k_context(free_lie(ambient.rank))
+    with pytest.raises(AlgebraError) as info:
+        detect(wild, other)
+    assert type(info.value) is AlgebraError
+    assert str(info.value) == "context ambient differs from the endomorphism's algebra"
+    ctx = user_context(ambient, "any", 5)
+    not_ia = Endomorphism(ambient, (x1.scale(2), x2, *rest))
+    for phi in (not_ia, Endomorphism.identity(ambient)):
+        with pytest.raises(NotIA) as info:
+            detect(phi, ctx)
+        assert str(info.value) == f"{name} detector needs an IA endomorphism with a tangent"
+    assert detect(wild, ctx).trace[0] == "ia level 2"
+
+
 # -- polynilpotent constructor ----------------------------------------------
 
 
