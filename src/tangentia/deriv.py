@@ -94,6 +94,8 @@ class Derivation:
         return NotImplemented
 
     def _check(self, other):
+        if not isinstance(other, Derivation):
+            raise TypeError(f"expected Derivation, got {type(other).__name__}")
         if self.variety != other.variety:
             raise VarietyMismatch("derivations over different varieties")
 
@@ -122,6 +124,8 @@ class Derivation:
 
     def apply(self, a):
         """Leibniz extension of x_i -> coords[i]."""
+        if not isinstance(a, Element):
+            raise TypeError(f"expected Element, got {type(a).__name__}")
         if a.variety.kind is not self.variety.kind or a.variety.rank != self.variety.rank:
             raise VarietyMismatch("argument lives in a different algebra")
         var = a.variety

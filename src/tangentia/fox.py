@@ -77,6 +77,9 @@ def jacobian_of_tuple(coords, variety):
     n = variety.rank
     if len(coords) != n:
         raise AlgebraError("coordinate tuple length differs from rank")
+    for f in coords:
+        if f.variety != variety:
+            raise VarietyMismatch("coordinate lives in a different algebra")
     return [[fox_derivative(f, j) for j in range(n)] for f in coords]
 
 

@@ -2,15 +2,17 @@
 
 Matrices are lists of rows whose entries are ints or Fractions; a matrix
 whose rows differ in length, or a non-square one given to an inverse,
-raises a plain ``ValueError`` naming its shape.  ``rref`` clears each
-row's denominators and eliminates fraction-free on integer rows, dividing
-every new row by its content (the gcd of its entries) so the entries stay
-small; rationals appear only at the end, when each pivot row is divided
-by its pivot.  The inverse is fraction-free Gauss-Jordan elimination
-(Bareiss, Math. Comp. 22, 1968) on integer rows: ``scaled_inverse`` gives
-an integer multiple d m^-1 with no rationals at all, and ``inverse``
-divides it by d once.  Results hold an ``int`` where an entry is integral
-and a ``Fraction`` otherwise.
+raises a plain ``ValueError`` naming its shape.  ``rref`` reads the rows
+one at a time into a reduced basis of sparse primitive integer rows
+(each divided by its content, the gcd of its entries).  A row joins the
+basis only when its residual on the free (non-pivot) columns is nonzero,
+so a dependent row costs no row operation, and the rows after full
+column rank are not read; rationals appear only at the end, when each
+basis row is divided by its pivot.  The inverse is fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on integer
+rows: ``scaled_inverse`` gives an integer multiple d m^-1 with no
+rationals at all, and ``inverse`` divides it by d once.  Results hold an
+``int`` where an entry is integral and a ``Fraction`` otherwise.
 """
 from __future__ import annotations
 
@@ -32,10 +34,10 @@ def _width(rows):
 
 
 def _primitive(row):
-    """``row`` divided by the gcd of its entries (unchanged if all zero)."""
-    g = math.gcd(*row)
+    """The sparse row ``row`` divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
     if g > 1:
-        return [x // g for x in row]
+        return {j: x // g for j, x in row.items()}
     return row
 
 
@@ -53,37 +55,74 @@ def _divided(row, p):
     return [x // p if x % p == 0 else Fraction(x, p) for x in row]
 
 
+def _sparse(row):
+    """The nonzero entries of ``row`` as ``{column: int}``, times the
+    least l > 0 that makes them integers."""
+    entries = {j: x for j, x in enumerate(row) if x}
+    return dict(zip(entries, _cleared(entries.values())[1]))
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    ``new_rows`` has one row per input row: the reduced rows in pivot
+    order, then zero rows.  The reduced basis is built incrementally.
+    With D the lcm of the pivots and M_c basis row c scaled to D at its
+    pivot c, the residual of an integer row v is D v - sum_c v[c] M_c:
+    zero at every pivot, and zero at every free column exactly when v is
+    in the span.  A nonzero residual, made primitive, becomes a basis row
+    whose leading column is the new pivot; that column is eliminated
+    from the basis rows that have it (fraction-free, then each is made
+    primitive again).  Every basis row is zero before its own pivot, so
+    the basis divided by its pivots is the unique reduced echelon form.
+    Once the pivots fill every column, the remaining rows are only
+    shape-checked."""
     ncols = _width(rows)
-    mat = [_primitive(_cleared(r)[1]) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
+    basis = {}  # pivot column -> primitive row, zero at the other pivots
+    scaled = {}  # pivot column -> basis row times D / pivot, off the pivot
+    lcm = 1
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        residual = {}
+        for c, x in _sparse(row).items():
+            m = scaled.get(c)
+            if m is None:
+                residual[c] = residual.get(c, 0) + lcm * x
+            else:
+                for j, y in m.items():
+                    residual[j] = residual.get(j, 0) - x * y
+        new = {j: x for j, x in residual.items() if x}
+        if not new:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
+        new = _primitive(new)
+        q = min(new)
+        p = new[q]
+        for c, brow in basis.items():
+            f = brow.get(q)
+            if f:
                 g = math.gcd(p, f)
                 a, b = p // g, f // g
-                mat[i] = _primitive([a * x - b * y for x, y in zip(mat[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    out = [_divided(mat[i], mat[i][c]) for i, c in enumerate(pivots)]
-    out.extend([0] * ncols for _ in range(len(mat) - r))
+                combined = {j: a * x for j, x in brow.items()}
+                for j, y in new.items():
+                    combined[j] = combined.get(j, 0) - b * y
+                basis[c] = _primitive({j: x for j, x in combined.items() if x})
+        basis[q] = new
+        lcm = math.lcm(*(brow[c] for c, brow in basis.items()))
+        scaled = {
+            c: {j: x * (lcm // brow[c]) for j, x in brow.items() if j != c}
+            for c, brow in basis.items()
+        }
+    pivots = sorted(basis)
+    out = [_divided([basis[c].get(j, 0) for j in range(ncols)], basis[c][c]) for c in pivots]
+    out.extend([0] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
 
 
 def rank(rows):
+    """The number of pivots of ``rref(rows)``."""
     return len(rref(rows)[1])
 
 

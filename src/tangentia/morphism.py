@@ -128,6 +128,9 @@ def compose(phi, psi, max_degree=None):
     with psi's terms: with a dense truncated inverse, ``compose(inv,
     phi)`` is the cheaper order.
     """
+    for f in (phi, psi):
+        if not isinstance(f, Endomorphism):
+            raise TypeError(f"expected Endomorphism, got {type(f).__name__}")
     if phi.variety != psi.variety:
         raise VarietyMismatch("endomorphisms over different varieties")
     dicts = [

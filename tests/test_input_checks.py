@@ -38,6 +38,9 @@ CHECKS = [
      "generator index 3 out of range for rank 3"),
     (lambda: jacobian_of_tuple((x,), P), AlgebraError,
      "coordinate tuple length differs from rank"),
+    # this call used to return polynomial envelope entries
+    (lambda: jacobian_of_tuple(P.gens(), free_lie(2)), VarietyMismatch,
+     "coordinate lives in a different algebra"),
     (lambda: env_push((x,), EnvElement.one(P)), AlgebraError,
      "image tuple length differs from rank"),
     (lambda: env_push((a, b), EnvElement.one(P)), VarietyMismatch,
@@ -52,12 +55,19 @@ CHECKS = [
      "derivations over different varieties"),
     (lambda: Derivation.euler(P).apply(a), VarietyMismatch,
      "argument lives in a different algebra"),
+    # a non-Element argument and a non-Derivation summand, as for
+    # Element + 3: these calls used to raise AttributeError
+    (lambda: Derivation.euler(P) + 3, TypeError, "expected Derivation, got int"),
+    (lambda: Derivation.euler(P).apply(3), TypeError, "expected Element, got int"),
     (lambda: Derivation.euler(P).star_extend(EnvElement.one(A)), VarietyMismatch,
      "envelope element from a different variety"),
     # morphism
     (lambda: Endomorphism(P, (x,)), AlgebraError, "need one image per generator"),
     (lambda: compose(Endomorphism.identity(P), Endomorphism.identity(A)), VarietyMismatch,
      "endomorphisms over different varieties"),
+    # this call used to raise AttributeError
+    (lambda: compose(Endomorphism.identity(P), 3), TypeError,
+     "expected Endomorphism, got int"),
     (lambda: elementary(P, 0, 1, b), VarietyMismatch,
      "added element lives in a different algebra"),
     # the algebra is checked before f's keys are read: this call used to

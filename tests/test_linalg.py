@@ -1,6 +1,8 @@
 """Exact linear algebra, cross-checked against sympy's rational matrices
-where sympy is installed and against a plain Fraction Gauss-Jordan
-elimination kept here."""
+where sympy is installed, against a plain Fraction Gauss-Jordan
+elimination kept here for the inverse, and against an all-rows
+fraction-free Gauss-Jordan elimination kept here for ``rref``."""
+import math
 import random
 from fractions import Fraction
 
@@ -169,3 +171,176 @@ def test_non_square_and_ragged_matrices_are_rejected(call, rows, shape):
     with pytest.raises(ValueError, match=shape) as info:
         call(rows)
     assert type(info.value) is ValueError
+
+
+# -- rref against an all-rows Gauss-Jordan elimination ------------------------
+
+
+def _reference_rref(rows):
+    """Fraction-free Gauss-Jordan elimination over every row for every
+    pivot column, each row kept primitive: the reference for the
+    incremental ``rref``."""
+    def primitive(row):
+        g = math.gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    mat = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        mat.append(primitive([int(x * d) for x in row]))
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                g = math.gcd(p, f)
+                mat[i] = primitive([p // g * x - f // g * y for x, y in zip(mat[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    out = [
+        [x // mat[i][c] if x % mat[i][c] == 0 else Fraction(x, mat[i][c]) for x in mat[i]]
+        for i, c in enumerate(pivots)
+    ]
+    out.extend([0] * ncols for _ in range(len(mat) - r))
+    return out, pivots
+
+
+def _assert_matches_reference(rows):
+    red, pivots = linalg.rref(rows)
+    ref, ref_pivots = _reference_rref(rows)
+    assert pivots == ref_pivots
+    assert red == ref
+    assert [[type(x) for x in row] for row in red] == [[type(x) for x in row] for row in ref]
+    assert linalg.rank(rows) == len(ref_pivots)
+    return pivots
+
+
+def _oracle_like(rng):
+    """A tall sparse +-1 matrix of full column rank, in the shape of the
+    divergence oracle's rows: every column is some row's only entry."""
+    ncols = rng.randint(20, 60)
+    rows = []
+    for _ in range(rng.randint(2 * ncols, 4 * ncols)):
+        row = [0] * ncols
+        for j in rng.sample(range(ncols), rng.randint(1, 4)):
+            row[j] = rng.choice((1, -1))
+        rows.append(row)
+    for j in range(ncols):
+        rows.insert(rng.randrange(len(rows) + 1), [int(i == j) for i in range(ncols)])
+    return rows
+
+
+def _span_like(rng):
+    """A dense rank-deficient integer matrix, in the shape of a tangent
+    span's conjugated rows: combinations of fewer rows than columns."""
+    ncols = rng.randint(18, 24)
+    base = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(3, ncols - 2))]
+    rows = []
+    for _ in range(rng.randint(90, 120)):
+        coefficients = [rng.randint(-3, 3) for _ in base]
+        rows.append([sum(a * b[j] for a, b in zip(coefficients, base)) for j in range(ncols)])
+    return rows
+
+
+def test_rref_of_oracle_like_matrices_matches_the_reference():
+    rng = random.Random(243)
+    for _ in range(8):
+        rows = _oracle_like(rng)
+        assert _assert_matches_reference(rows) == list(range(len(rows[0])))
+
+
+def test_rref_of_span_like_matrices_matches_the_reference():
+    rng = random.Random(58)
+    for _ in range(8):
+        rows = _span_like(rng)
+        assert len(_assert_matches_reference(rows)) < len(rows[0])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[]],
+        [[], [], []],
+        [[0, 0, 0]],
+        [[0, 3, -6]],
+        [[Fraction(2, 3), Fraction(-4, 9), 5]],
+        [[0, 0], [0, 0], [1, 2]],
+        [[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 0, 0]],
+        [[2, 4], [Fraction(1, 2), 1], [0, Fraction(1, 3)], [3, 5]],
+        [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(1, 5), Fraction(1, 7)]],
+        [[0, 0, 0, 5], [0, 0, 2, 3], [0, 7, 1, 1], [0, 0, 0, 1]],
+    ],
+)
+def test_rref_of_small_matrices_matches_the_reference(rows):
+    _assert_matches_reference(rows)
+
+
+def test_rref_matches_the_reference_on_the_seeded_matrices():
+    for rows in _matrices():
+        _assert_matches_reference(rows)
+
+
+def test_rref_matches_the_reference_on_generated_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(
+        st.integers(-5, 5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.just(0),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 7).flatmap(
+            lambda ncols: st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=9)
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def check(rows, rng):
+        # repeated and combined rows make the dependent cases common
+        if rows:
+            rows = rows + [list(rng.choice(rows))]
+            rows.append([a - 2 * b for a, b in zip(rng.choice(rows), rng.choice(rows))])
+        _assert_matches_reference(rows)
+
+    check()
+
+
+class _CountingRow(list):
+    """A row that counts how often its entries are read."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_rref_stops_reading_rows_at_full_column_rank():
+    plain = [
+        [1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 1, 5], [1, 0, 1], [3, 1, 4], [1, 5, 9], [0, 0, 0]
+    ]
+    rows = [_CountingRow(r) for r in plain]
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == _reference_rref(plain)
+    assert pivots == [0, 1, 2]
+    # the fifth row reaches full column rank; the three after it are
+    # never cleared or reduced
+    assert [r.reads for r in rows] == [1, 1, 1, 1, 1, 0, 0, 0]
+    # they are still shape-checked
+    with pytest.raises(ValueError, match="lengths 3, 3, 3, 3, 3, 2"):
+        linalg.rref(rows[:5] + [[1, 2]])
