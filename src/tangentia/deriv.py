@@ -17,6 +17,7 @@ from .freealg import (
     Kind,
     VarietyMismatch,
     _add_scaled,
+    _check_element,
     _merge,
     _prefix_walk,
 )
@@ -45,8 +46,7 @@ class Derivation:
         if len(coords) != variety.rank:
             raise AlgebraError("need one coordinate per generator")
         for f in coords:
-            if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
-                raise VarietyMismatch("derivation coordinate in a different algebra")
+            _check_element(variety, f, "derivation coordinate in a different algebra")
         self.variety = variety
         self.coords = coords
 
@@ -124,10 +124,7 @@ class Derivation:
 
     def apply(self, a):
         """Leibniz extension of x_i -> coords[i]."""
-        if not isinstance(a, Element):
-            raise TypeError(f"expected Element, got {type(a).__name__}")
-        if a.variety.kind is not self.variety.kind or a.variety.rank != self.variety.rank:
-            raise VarietyMismatch("argument lives in a different algebra")
+        _check_element(self.variety, a, "argument lives in a different algebra")
         var = a.variety
         kind = var.kind
         if kind is Kind.FREE_ASSOCIATIVE or kind is Kind.FREE_LIE:

@@ -155,6 +155,14 @@ def _add_scaled(acc, c, part):
             acc.pop(key, None)
 
 
+def _check_element(variety, f, message):
+    """Raise unless ``f`` is an ``Element`` of ``variety``'s algebra."""
+    if not isinstance(f, Element):
+        raise TypeError(f"expected Element, got {type(f).__name__}")
+    if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
+        raise VarietyMismatch(message)
+
+
 def _default_names(kind, rank):
     prefix = "y" if kind is Kind.METABELIAN_LIE else "x"
     return tuple(f"{prefix}{i + 1}" for i in range(rank))

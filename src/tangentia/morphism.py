@@ -21,6 +21,7 @@ from .freealg import (
     Kind,
     VarietyMismatch,
     _add_scaled,
+    _check_element,
     _coeff,
     _key_degree,
     _product,
@@ -66,8 +67,7 @@ class Endomorphism:
         if len(images) != variety.rank:
             raise AlgebraError("need one image per generator")
         for f in images:
-            if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
-                raise VarietyMismatch("image lives in a different algebra")
+            _check_element(variety, f, "image lives in a different algebra")
             if variety.is_lie and () in f.coeffs:
                 raise AlgebraError("constant image part in a Lie variety")
         self.variety = variety
@@ -143,6 +143,9 @@ def compose(phi, psi, max_degree=None):
 
 
 def compose_all(maps, max_degree=None):
+    """The group product of ``maps`` in order; ``AlgebraError`` if empty."""
+    if not maps:
+        raise AlgebraError("need at least one map to compose")
     out = maps[0]
     for m in maps[1:]:
         out = compose(out, m, max_degree=max_degree)
@@ -261,36 +264,39 @@ def truncated_inverse(phi, k):
 def _online_rounds(var, ginv, linear_psi, images, k):
     """psi = L^-1 (x - h(psi)) through degree k, from psi's linear part.
 
-    psi_j is kept as its homogeneous components psi_j[d].  For each proper
-    prefix p of h's words (``_split_key``) a memo holds the components
-    P(p)[d] of p(psi); it lives for the whole call.  With p = p' x_j,
+    psi_j is kept as its homogeneous components psi_j[d].  One table,
+    sorted by degree, holds every key of h and every proper prefix of one
+    (``_split_key``), each with its uses (the coordinates whose image has
+    the key, with -c) and a pair bit, and a prefix with a memo of the
+    components P(p)[d] of p(psi) for the whole call.  With p = p' x_j,
 
         P(p)[m] = sum over d of P(p')[d] psi_j[m - d],
 
     and every factor on the right has degree below m, so it was final
-    before round m.  Round m forms the degree-m component of every prefix
-    and of every key of h once (a word, or a word and its reversal; see
-    below); a key's component is added into the right-hand side and
-    dropped, and a prefix's degree-k component is never formed, since no word of degree
-    <= k reads it.  A free-Lie map substitutes as the associative map on
-    K<X> it restricts, so its words multiply by concatenation, which
-    ``_product`` does for free-Lie keys as for associative ones.
+    before round m.  Round m walks the table once, forming each entry's
+    degree-m component once: into a prefix's memo, and times -c into the
+    accumulators its uses name.  A prefix that is no key is skipped at
+    m = k, as no word of degree <= k reads its degree-k component.  A
+    free-Lie map substitutes as the associative map on K<X> it restricts,
+    so its words multiply by concatenation, which ``_product`` does for
+    free-Lie keys as for associative ones.
 
     A free-Lie map pairs each word with its reversal.  Let rho reverse
     every word of K<X>.  It reverses products, and a Lie element P of
     degree d has rho(P) = (-1)^(d-1) P (Reutenauer, Free Lie Algebras,
-    1993).  Every psi_j[d] is a Lie element, so for a word w of length e,
+    1993).  The images are Lie elements (``Element.check`` verifies it),
+    so rev(w) has the coefficient (-1)^(e-1) c_w in an image where a word
+    w of length e has c_w, and every psi_j[d] is a Lie element, so
 
-        rev(w)(psi)[m] = (-1)^(m-e) rho(w(psi)[m]),
+        rev(w)(psi)[m] = (-1)^(m-e) rho(w(psi)[m]).
 
-    and in a Lie image rev(w) has the coefficient (-1)^(e-1) c_w.  So
-    the pair's share of -h(psi)[m] is -c_w (P + (-1)^(m-1) rho(P)), with
-    P = w(psi)[m].  The pair is keyed by min(w, rev(w)) and prefixes are
-    collected from the keys only.  The keys' shares -c_w P go into a
-    second accumulator per coordinate, mirrored (plus (-1)^(m-1) times
-    its reversal) into the right-hand side once per round.  A
-    palindrome, a word whose reversal lacks that coefficient and every
-    word of the other kinds is its own key, added directly.
+    So the pair's share of -h(psi)[m] is -c_w (P + (-1)^(m-1) rho(P)),
+    with P = w(psi)[m].  The pair is keyed by its lesser word, which has
+    the pair bit, and its greater word is no key.  The shares -c_w P of
+    the pairs go into a second accumulator per coordinate, mirrored (plus
+    (-1)^(m-1) times its reversal) into the right-hand side once per
+    round.  A palindrome and every key of the other kinds is added
+    directly.
 
     The rounds stop early once psi is exact.  If psi's nonzero components
     so far end at degree D and h's words at degree deg(h), then h(psi) has
@@ -302,23 +308,14 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     paired = kind is Kind.FREE_LIE
     degree = _key_degree(kind)
     comps = [[{}, f.coeffs] for f in linear_psi]
-    # h: phi's words of degree 2..k (higher ones cannot reach psi through
-    # k), by key, each with its uses: (1 for a pair else 0, the coordinate,
-    # minus the coefficient)
+    # h's keys of degree 2..k (no higher one reaches psi) with their uses
     uses = {}
     for i, f in enumerate(images):
         for w, c in f.coeffs.items():
-            e = degree(w)
-            if not 2 <= e <= k:
-                continue
-            r = w[::-1] if paired else w
-            if r == w or f.coeffs.get(r) != (c if e % 2 else -c):
-                uses.setdefault(w, []).append((0, i, -c))
-            elif w < r:  # the pair's lesser word carries it
-                uses.setdefault(w, []).append((1, i, -c))
-    memo, prefixes = {}, []
-    for w in uses:
-        p = _split_key(kind, w)[0]
+            if 2 <= degree(w) <= k and not (paired and w > w[::-1]):
+                uses.setdefault(w, []).append((i, -c))
+    memo, table = {}, []
+    for p in uses:
         while p not in memo:  # a loop over p's own prefixes, not recursion
             q, j = _split_key(kind, p)
             e = degree(p)
@@ -326,34 +323,32 @@ def _online_rounds(var, ginv, linear_psi, images, k):
                 memo[p] = comps[j]  # a generator's image is psi_j itself
                 break
             memo[p] = [{}] * e  # zero below its degree; one more per round
-            prefixes.append((e, p, q, j))
+            table.append((e, p, q, j))
             p = q
-    prefixes.sort(key=lambda t: t[0])  # shortest first
-    words = sorted(
-        ((degree(w), w, *_split_key(kind, w)) for w in uses),
-        key=lambda t: t[0],
-    )
-    h_degree = words[-1][0] if words else 0
+    table.sort(key=lambda t: t[0])  # shortest first
+    prefixes = {q for _, _, q, _ in table}
+    table = [
+        (e, memo[p] if p in prefixes else None, memo[q], comps[j],
+         uses.get(p, ()), paired and p != p[::-1])
+        for e, p, q, j in table
+    ]
+    h_degree = max(map(degree, uses), default=0)
     psi_degree = 1  # the highest degree of a nonzero component so far
     for m in range(2, k + 1):
         if m > h_degree * psi_degree:  # h(psi) has no term of degree >= m
             break
-        if m < k:
-            for e, p, q, j in prefixes:
-                if e > m:
-                    break
-                memo[p].append(_component(kind, memo[q], comps[j], m))
         # -h(psi)[m] (x has degree 1 only), and the pairs' share of it
         # before mirroring
         accs = ([{} for _ in images], [{} for _ in images])
-        for e, w, q, j in words:
+        for e, own, left, right, node_uses, pair in table:
             if e > m:
                 break
-            if m < k and w in memo:  # w is also a prefix of a longer word
-                part = memo[w][m]
-            else:
-                part = _component(kind, memo[q], comps[j], m)
-            for pair, i, c in uses[w]:
+            if m == k and not node_uses:  # a prefix only: no word reads it
+                continue
+            part = _component(kind, left, right, m)
+            if own is not None:
+                own.append(part)
+            for i, c in node_uses:
                 _add_scaled(accs[pair][i], c, part)
         sign = 1 if m % 2 else -1  # (-1)^(m-1)
         rhs = []
@@ -448,8 +443,7 @@ def elementary(variety, i, alpha, f):
     """(x_1, ..., alpha x_i + f, ..., x_n) with f free of x_i."""
     if alpha == 0:
         raise AlgebraError("elementary automorphism needs a nonzero scalar")
-    if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
-        raise VarietyMismatch("added element lives in a different algebra")
+    _check_element(variety, f, "added element lives in a different algebra")
     if f.involves(i):
         raise AlgebraError("the added element may not involve the changed generator")
     images = list(variety.gens())

@@ -275,6 +275,35 @@ def test_free_lie_bracket_is_the_commutator_of_words(rng):
         assert a * b == a.mul_trunc(b, None)
 
 
+def _random_bracket(rng, gens, d):
+    """A bracket of d generators, split at a random place at every level."""
+    if d == 1:
+        return rng.choice(gens)
+    s = rng.randint(1, d - 1)
+    return _random_bracket(rng, gens, s) * _random_bracket(rng, gens, d - s)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_reversing_a_lie_element_multiplies_it_by_its_sign(rank, rng):
+    """Reversing every word of a Lie element of degree d multiplies it by
+    (-1)^(d-1) (Reutenauer, Free Lie Algebras, 1993): in a Lie element
+    the reversal of a word w has the coefficient (-1)^(|w|-1) c_w.  The
+    inverse rounds pair a free-Lie map's words by this identity."""
+    L = free_lie(rank)
+    gens = L.gens()
+    checked = 0
+    for _ in range(100):
+        f = L.zero()
+        for _ in range(3):
+            term = _random_bracket(rng, gens, rng.randint(2, 7))
+            f = f + term.scale(rng.choice([-2, -1, 1, 3]))
+        for w, c in f.coeffs.items():
+            if w != w[::-1]:
+                assert f.coeffs.get(w[::-1]) == (-1) ** (len(w) - 1) * c, (f, w)
+                checked += 1
+    assert checked > 500, checked
+
+
 @pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
 def test_truncated_products_by_a_descending_right_operand(variety, rng):
     """One right operand, stored with its highest degree first (and with a

@@ -12,6 +12,7 @@ from tangentia import (
     VarietyMismatch,
     chain_rule_check,
     compose,
+    compose_all,
     corpus,
     elementary,
     env_apply,
@@ -59,10 +60,20 @@ CHECKS = [
     # Element + 3: these calls used to raise AttributeError
     (lambda: Derivation.euler(P) + 3, TypeError, "expected Derivation, got int"),
     (lambda: Derivation.euler(P).apply(3), TypeError, "expected Element, got int"),
+    # these used to raise AttributeError; a check whose message another
+    # check has carries its own test id as a fourth item
+    (lambda: Derivation(P, (x, 3)), TypeError, "expected Element, got int",
+     "Derivation coordinate: expected Element, got int"),
     (lambda: Derivation.euler(P).star_extend(EnvElement.one(A)), VarietyMismatch,
      "envelope element from a different variety"),
     # morphism
     (lambda: Endomorphism(P, (x,)), AlgebraError, "need one image per generator"),
+    # these used to raise AttributeError and IndexError
+    (lambda: Endomorphism(P, (x, 3)), TypeError, "expected Element, got int",
+     "Endomorphism image: expected Element, got int"),
+    (lambda: elementary(P, 0, 1, 3), TypeError, "expected Element, got int",
+     "elementary: expected Element, got int"),
+    (lambda: compose_all([]), AlgebraError, "need at least one map to compose"),
     (lambda: compose(Endomorphism.identity(P), Endomorphism.identity(A)), VarietyMismatch,
      "endomorphisms over different varieties"),
     # this call used to raise AttributeError
@@ -100,7 +111,9 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("call, error, message", CHECKS, ids=[m for _, _, m in CHECKS])
+@pytest.mark.parametrize(
+    "call, error, message", [c[:3] for c in CHECKS], ids=[c[-1] for c in CHECKS]
+)
 def test_input_check_raises_its_own_message(call, error, message):
     with pytest.raises(error) as info:
         call()

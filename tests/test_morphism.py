@@ -14,6 +14,7 @@ from tangentia import (
     affine,
     compose,
     conjugate_derivation,
+    corpus,
     elementary,
     free_associative,
     free_lie,
@@ -808,3 +809,40 @@ def test_reversal_pairing_halves_the_inverse_products(monkeypatch):
             truncated_inverse(m, 8)
             counts.append(offered[0])
         assert 3 * counts[0] < 2 * counts[1], counts
+
+
+def test_inverse_rounds_form_each_component_once(monkeypatch):
+    """Pin the work of the inverse rounds: the components ``_component``
+    forms and the term pairs ``_product`` is offered, on the degree-8
+    benchmark maps at k = 2, 5 and 8 and on Nagata's map (polynomial(3),
+    whose key y^3 is also the prefix of y^4 z) at k = 9.  A component of
+    a degree formed twice, or a degree-k component of a prefix that no
+    key reads, would raise these counts."""
+    formed, offered = [], [0]
+    component, product = morphism._component, morphism._product
+
+    def counting_component(kind, left, right, m):
+        formed.append((id(left), id(right), m))
+        return component(kind, left, right, m)
+
+    def counting_product(kind, a, graded, k, out=None):
+        offered[0] += len(a) * sum(len(terms) for _, terms in graded)
+        return product(kind, a, graded, k, out)
+
+    monkeypatch.setattr(morphism, "_component", counting_component)
+    monkeypatch.setattr(morphism, "_product", counting_product)
+    cases = [(phi, k) for phi in _benchmark_lie_maps() for k in (2, 5, 8)]
+    cases.append((corpus.build("nagata"), 9))
+    counts = []
+    for phi, k in cases:
+        formed.clear()
+        offered[0] = 0
+        truncated_inverse(phi, k)
+        # a component is named by its factors' memos and its degree
+        assert len(set(formed)) == len(formed), (phi, k)
+        counts.append((len(formed), offered[0]))
+    assert counts == [
+        (2, 2), (20, 146), (38, 6359),
+        (2, 2), (20, 158), (38, 6750),
+        (98, 166),
+    ]
