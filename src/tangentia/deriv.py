@@ -165,6 +165,8 @@ class Derivation:
     def star_extend(self, u):
         """The derivation D* of U with D*(L_a) = L_{D(a)}, D*(R_a) = R_{D(a)},
         applied to u (factor-wise Leibniz on the stored keys)."""
+        if not isinstance(u, EnvElement):
+            raise TypeError(f"expected EnvElement, got {type(u).__name__}")
         if u.variety.kind is not self.variety.kind or u.variety.rank != self.variety.rank:
             raise VarietyMismatch("envelope element from a different variety")
         var = u.variety

@@ -1,18 +1,18 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are lists of rows whose entries are ints or Fractions; a matrix
-whose rows differ in length, or a non-square one given to an inverse,
-raises a plain ``ValueError`` naming its shape.  ``rref`` reads the rows
-one at a time into a reduced basis of sparse primitive integer rows
-(each divided by its content, the gcd of its entries).  A row joins the
-basis only when its residual on the free (non-pivot) columns is nonzero,
-so a dependent row costs no row operation, and the rows after full
-column rank are not read; rationals appear only at the end, when each
-basis row is divided by its pivot.  The inverse is fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on integer
-rows: ``scaled_inverse`` gives an integer multiple d m^-1 with no
-rationals at all, and ``inverse`` divides it by d once.  Results hold an
-``int`` where an entry is integral and a ``Fraction`` otherwise.
+``rref`` and ``rank`` take rows as dicts from column keys (anything that
+compares: ints, trace keys, ``(coordinate, key)`` pairs) to ints or
+Fractions; the columns are the sorted union of the rows' keys, and a row
+that is not a dict raises ``TypeError`` before any row is reduced.
+``rref`` reads the rows one at a time into a reduced basis of sparse
+primitive integer rows, reduces only the rows that raise the rank, stops
+at full column rank and forms rationals only when it divides by the
+pivots.  ``scaled_inverse`` and ``inverse`` take small dense square
+matrices (a ragged or non-square one raises a plain ``ValueError`` naming
+its shape) and use fraction-free Gauss-Jordan elimination (Bareiss, Math.
+Comp. 22, 1968): ``scaled_inverse`` gives an integer multiple d m^-1 with
+no rationals at all, and ``inverse`` divides it by d once.  Results hold
+an ``int`` where an entry is integral and a ``Fraction`` otherwise.
 """
 from __future__ import annotations
 
@@ -55,39 +55,39 @@ def _divided(row, p):
     return [x // p if x % p == 0 else Fraction(x, p) for x in row]
 
 
-def _sparse(row):
-    """The nonzero entries of ``row`` as ``{column: int}``, times the
-    least l > 0 that makes them integers."""
-    entries = {j: x for j, x in enumerate(row) if x}
-    return dict(zip(entries, _cleared(entries.values())[1]))
-
-
 def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+    """Reduced row echelon form of dict rows.  Returns ``(reduced,
+    pivots)``: the nonzero reduced rows in pivot order, as dicts keyed
+    like the input and listing their keys in column order, and the
+    pivot key of each.
 
-    ``new_rows`` has one row per input row: the reduced rows in pivot
-    order, then zero rows.  The reduced basis is built incrementally.
-    With D the lcm of the pivots and M_c basis row c scaled to D at its
-    pivot c, the residual of an integer row v is D v - sum_c v[c] M_c:
-    zero at every pivot, and zero at every free column exactly when v is
-    in the span.  A nonzero residual, made primitive, becomes a basis row
-    whose leading column is the new pivot; that column is eliminated
-    from the basis rows that have it (fraction-free, then each is made
-    primitive again).  Every basis row is zero before its own pivot, so
-    the basis divided by its pivots is the unique reduced echelon form.
-    Once the pivots fill every column, the remaining rows are only
-    shape-checked."""
-    ncols = _width(rows)
-    if not rows:
-        return [], []
+    The reduced basis is built incrementally.  With D the lcm of the
+    pivots and M_c basis row c scaled to D at its pivot c, the residual
+    of an integer row v is D v - sum_c v[c] M_c: zero at every pivot, and
+    zero at every free column exactly when v is in the span.  A nonzero
+    residual, made primitive, becomes a basis row whose leading column is
+    the new pivot; that column is eliminated from the basis rows that
+    have it (fraction-free, then each is made primitive again).  Every
+    basis row is zero before its own pivot, so the basis divided by its
+    pivots is the unique reduced echelon form.  Once the pivots fill
+    every column (one per distinct key), no further row is reduced.  The
+    keys are mapped to ints once, so the loops hash no nested tuples."""
+    rows = list(rows)  # read three times: checked, keyed, reduced
+    for row in rows:
+        if not isinstance(row, dict):
+            raise TypeError(f"expected a dict row, got {type(row).__name__}")
+    keys = sorted(set().union(*rows))
+    column = {key: j for j, key in enumerate(keys)}
+    ncols = len(keys)
     basis = {}  # pivot column -> primitive row, zero at the other pivots
     scaled = {}  # pivot column -> basis row times D / pivot, off the pivot
     lcm = 1
     for row in rows:
         if len(basis) == ncols:
             break
+        entries = {column[key]: x for key, x in row.items() if x}
         residual = {}
-        for c, x in _sparse(row).items():
+        for c, x in zip(entries, _cleared(entries.values())[1]):
             m = scaled.get(c)
             if m is None:
                 residual[c] = residual.get(c, 0) + lcm * x
@@ -116,9 +116,13 @@ def rref(rows):
             for c, brow in basis.items()
         }
     pivots = sorted(basis)
-    out = [_divided([basis[c].get(j, 0) for j in range(ncols)], basis[c][c]) for c in pivots]
-    out.extend([0] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
+    reduced = []
+    for c in pivots:
+        row = basis[c]
+        js = sorted(row)
+        values = _divided([row[j] for j in js], row[c])
+        reduced.append({keys[j]: x for j, x in zip(js, values)})
+    return reduced, [keys[c] for c in pivots]
 
 
 def rank(rows):

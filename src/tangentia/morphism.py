@@ -81,6 +81,7 @@ class Endomorphism:
         return self.images
 
     def apply(self, a):
+        _check_element(self.variety, a, "argument lives in a different algebra")
         return a.substitute(self.images)
 
     def __eq__(self, other):

@@ -341,45 +341,35 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
 # Exact-rank oracle and span sampling
 
 
-def derivation_vector(D, degree):
-    """Coordinates of a degree-``degree`` homogeneous derivation over the
-    monomial basis of (A_{degree+1})^n."""
-    var = D.variety
-    monos = monomials_of_degree(var, degree + 1)
-    vec = []
-    for f in D.coords:
-        coeffs = basis_coeffs(f)
-        vec.extend(coeffs.get(m, 0) for m in monos)
-    return vec
+def derivation_vector(D):
+    """The coordinates of ``D`` as a sparse row for ``linalg``:
+    ``{(i, m): c}`` with c the coefficient of the basis key m
+    (``basis_coeffs``) in D(x_i), so the columns sort by coordinate, then
+    by basis key."""
+    return {(i, m): c for i, f in enumerate(D.coords) for m, c in basis_coeffs(f).items()}
 
 
-def derivation_from_vector(variety, degree, vec):
-    monos = monomials_of_degree(variety, degree + 1)
-    per = len(monos)
-    coords = []
-    for k in range(variety.rank):
-        chunk = vec[k * per : (k + 1) * per]
-        coords.append(Element(variety, dict(zip(monos, chunk))))
-    return Derivation(variety, tuple(coords))
+def derivation_from_vector(variety, vec):
+    """The derivation of ``variety`` whose coordinates are the sparse row
+    ``vec`` of ``derivation_vector``, grouped back by coordinate."""
+    coords = [{} for _ in range(variety.rank)]
+    for (i, m), c in vec.items():
+        coords[i][m] = c
+    return Derivation(variety, tuple(Element(variety, f) for f in coords))
 
 
 def divergence_kernel_rank(variety, degree):
     """Dimension of the zero-divergence subspace of L_degree, computed by
     exact linear algebra on the divergence map (the independent oracle
-    for the span sampler)."""
+    for the span sampler): one row per basis derivation m d/dx_i with m
+    of degree ``degree`` + 1, the coefficient dict of the trace class of
+    its divergence, keyed by trace key."""
     monos = monomials_of_degree(variety, degree + 1)
-    images = [
+    rows = [
         trace_class(fox_derivative(Element(variety, {m: 1}), i)).coeffs
         for i in range(variety.rank)
         for m in monos
     ]
-    # a trace key that no image has is a zero column, which no rank sees
-    tkeys = sorted({key for image in images for key in image})
-    column = {key: j for j, key in enumerate(tkeys)}
-    rows = [[0] * len(tkeys) for _ in images]
-    for row, image in zip(rows, images):
-        for key, c in image.items():
-            row[column[key]] = c
     return len(rows) - linalg.rank(rows)
 
 
@@ -471,15 +461,14 @@ def tangent_span(
         per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
         if lev.i == degree:
             T = _tangent_at(phi, degree)
-            rows.append(derivation_vector(_conjugate(*pair, T) if pair else T, degree))
+            rows.append(derivation_vector(_conjugate(*pair, T) if pair else T))
 
-    red, pivots = linalg.rref(rows)
-    rank = len(pivots)
-    basis = [derivation_from_vector(var, degree, red[r]) for r in range(rank)]
+    reduced = linalg.rref(rows)[0]
+    basis = [derivation_from_vector(var, row) for row in reduced]
 
     return SpanReport(
         degree=degree,
-        rank=rank,
+        rank=len(reduced),
         basis=basis,
         samples_used=samples,
         hits=len(rows),

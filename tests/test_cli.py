@@ -355,13 +355,15 @@ DEFECT_PRELUDE = (
         # eval reads a scalar as an element, as let does: it used to print
         # "value: 3/2" in a Lie variety
         ("eval 3/2", "no constants in the non-unital variety lie"),
+        # a map definition whose coordinates the algebra rejects
+        ("f := deriv(x1)", "need one coordinate per generator"),
     ],
 )
 def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
     rc = cli.main(["run", write(tmp_path, DEFECT_PRELUDE + command + "\n")])
     captured = capsys.readouterr()
     assert rc == 1
-    assert f"error: line 4: {message}" in captured.err
+    assert captured.err == f"error: line 4: {message}\n"
     assert captured.out == ""
 
 
@@ -384,6 +386,14 @@ def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, 
         ("eval 2 - [x1,x2]", "column 8", "no constants in the non-unital variety lie"),
         ("let c = x1 + 1", "column 12", "no constants in the non-unital variety lie"),
         ("c := auto(x1 + 1, x2, x3)", "column 14", "no constants in the non-unital variety lie"),
+        # statements the parser stops in
+        ("3 x", "column 1", "expected a statement keyword, got 3"),
+        ("let", "column 4", "unexpected end of statement"),
+        ("invert a --degree 3 )", "column 21", "unexpected token ')'"),
+        ("let p = x1 x2", "column 12", "unexpected token 'x2'"),
+        ("let p = x1 + )", "column 14", "unexpected token ')'"),
+        ("let p = a + x1", "column 9", "'a' is not an algebra element"),
+        ("let p x1", "column 7", "expected '=', got 'x1'"),
     ],
 )
 def test_definition_and_expression_errors_carry_a_column(

@@ -7,6 +7,7 @@ import pytest
 from tangentia import (
     Derivation,
     Element,
+    EnvElement,
     divergence,
     env_mul,
     free_associative,
@@ -215,3 +216,26 @@ def test_apply_on_long_keys_does_not_recurse():
     M = metabelian_lie(2)
     e = Element(M, {(1, 0) + (1,) * 1198: 1})
     assert Derivation(M, (M.zero(), M.gen(1))).apply(e) == 1199 * e
+
+
+def test_value_types_compare_hash_scale_and_print():
+    """Derivations and divergence values compare only with their own
+    type, hash like equal values, and take scalars from the left; an
+    envelope element takes a scalar or an envelope element from the
+    right."""
+    P = polynomial(2)
+    x, y = P.gens()
+    D = Derivation(P, (x * y, y * y))
+    assert D == Derivation(P, (x * y, y * y)) and (D == 3) is False
+    assert len({D, Derivation(P, (x * y, y * y))}) == 1
+    assert 2 * D == D + D and Fraction(1, 2) * D == D.scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        "s" * D
+    v = divergence(D)
+    assert v == divergence(Derivation(P, (x * y, y * y))) and (v == 3) is False
+    assert hash(v) == hash(v.trace)
+    assert repr(v) == "DivergenceValue(TraceClass(polynomial, {(0, 1): 3}))"
+    one = EnvElement.one(P)
+    assert one * 2 == one.scale(2) and one * Fraction(1, 3) == one.scale(Fraction(1, 3))
+    u = left_mul(x)
+    assert u * u == env_mul(u, u)

@@ -187,12 +187,16 @@ def test_ia_level_and_tangent():
         "phi := auto(x + y^2 + y^3, y)\n"
         "ia-level phi\n"
         "tangent phi as T\n"
-        "divergence phi"
+        "divergence phi\n"
+        "chi := auto(x + 1, y)\n"
+        "ia-level chi"
     )
     assert out[0]["status"] == "level" and out[0]["i"] == 1
     assert out[0]["text"] == "IA(1)"
     assert out[1]["coords"] == ["y^2", "0"]
     assert out[2]["is_zero"] is True
+    assert out[3]["status"] == "not-ia"
+    assert out[3]["text"] == "not IA"
 
 
 def test_jacobian_output():

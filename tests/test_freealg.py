@@ -944,3 +944,14 @@ def test_printing_matches_the_deglex_definition(make, rng):
                 t = trace_class(u)
                 assert env_str(u) == _env_str_by_definition(u)
                 assert trace_str(t) == _env_str_by_definition(t)
+
+
+def test_elements_compare_with_elements_only_and_print():
+    P = polynomial(2)
+    x, y = P.gens()
+    assert (x == 3) is False and x != "x1"
+    with pytest.raises(TypeError):
+        "s" * x
+    assert repr(x + y) == "Element(x2 + x1)"
+    assert repr(P.zero()) == "Element(0)"
+    assert P.zero().min_degree() is None and P.zero().degree() is None

@@ -1,5 +1,7 @@
 """The input checks of the Python API that no script reaches: each call
 below raises its own exception class with its own message."""
+from types import SimpleNamespace
+
 import pytest
 
 from tangentia import (
@@ -25,6 +27,7 @@ from tangentia import (
     project_to_metabelian,
 )
 from tangentia.fox import env_push
+from tangentia.wildness import random_invertible_matrix
 
 P = polynomial(2)
 A = free_associative(2)
@@ -66,6 +69,8 @@ CHECKS = [
      "Derivation coordinate: expected Element, got int"),
     (lambda: Derivation.euler(P).star_extend(EnvElement.one(A)), VarietyMismatch,
      "envelope element from a different variety"),
+    # this call used to raise AttributeError
+    (lambda: Derivation.euler(P).star_extend(3), TypeError, "expected EnvElement, got int"),
     # morphism
     (lambda: Endomorphism(P, (x,)), AlgebraError, "need one image per generator"),
     # these used to raise AttributeError and IndexError
@@ -79,6 +84,13 @@ CHECKS = [
     # this call used to raise AttributeError
     (lambda: compose(Endomorphism.identity(P), 3), TypeError,
      "expected Endomorphism, got int"),
+    # these used to raise AttributeError, and VarietyMismatch("cannot
+    # substitute assoc values into a polynomial element")
+    (lambda: Endomorphism.identity(P).apply(3), TypeError, "expected Element, got int",
+     "Endomorphism.apply: expected Element, got int"),
+    (lambda: Endomorphism.identity(P).apply(a), VarietyMismatch,
+     "argument lives in a different algebra",
+     "Endomorphism.apply: argument lives in a different algebra"),
     (lambda: elementary(P, 0, 1, b), VarietyMismatch,
      "added element lives in a different algebra"),
     # the algebra is checked before f's keys are read: this call used to
@@ -106,6 +118,9 @@ CHECKS = [
      "env_apply expects an algebra Element"),
     (lambda: env_apply(EnvElement.one(P), a), VarietyMismatch,
      "operator and operand from different varieties"),
+    # wildness: an rng that draws only zeros draws only singular matrices
+    (lambda: random_invertible_matrix(SimpleNamespace(randint=lambda lo, hi: 0), 2),
+     AlgebraError, "failed to sample an invertible matrix"),
     # corpus
     (lambda: corpus.script_source("nope"), KeyError, "unknown corpus entry 'nope'"),
 ]

@@ -1,7 +1,8 @@
 """Exact linear algebra, cross-checked against sympy's rational matrices
 where sympy is installed, against a plain Fraction Gauss-Jordan
 elimination kept here for the inverse, and against an all-rows
-fraction-free Gauss-Jordan elimination kept here for ``rref``."""
+fraction-free Gauss-Jordan elimination on dense rows kept here for
+``rref``, whose rows are dicts from column keys to entries."""
 import math
 import random
 from fractions import Fraction
@@ -55,13 +56,18 @@ def _fractions(m):
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
 
 
+def _keyed(rows, key=lambda j: j):
+    """Dense rows as dict rows: column j under ``key(j)``, zeros left out."""
+    return [{key(j): x for j, x in enumerate(row) if x} for row in rows]
+
+
 def test_rref_and_rank_match_sympy(sympy):
     for rows in _matrices():
-        red, pivots = linalg.rref(rows)
+        red, pivots = linalg.rref(_keyed(rows))
         ref, ref_pivots = _sympy(sympy, rows).rref()
-        assert red == _fractions(ref)
+        assert red == _keyed(_fractions(ref)[: len(ref_pivots)])
         assert pivots == list(ref_pivots)
-        assert linalg.rank(rows) == _sympy(sympy, rows).rank()
+        assert linalg.rank(_keyed(rows)) == _sympy(sympy, rows).rank()
 
 
 def test_inverse_matches_sympy(sympy):
@@ -85,6 +91,12 @@ def test_singular_and_empty_inputs():
         linalg.inverse([[1, 2], [Fraction(1, 2), 1]])
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0
+    # no zero rows pad the result, and a key held at 0 is no pivot
+    assert linalg.rref([{}, {"a": 0}, {}]) == ([], [])
+    assert linalg.rank([{"a": 0, "b": 0}]) == 0
+    # rows given as an iterator are all read: the type check does not
+    # use them up
+    assert linalg.rref(iter([{0: 1}, {1: 2}])) == ([{0: 1}, {1: 1}], [0, 1])
     assert linalg.inverse([]) == []
     assert linalg.scaled_inverse([]) == (1, [])
 
@@ -161,16 +173,31 @@ def test_inverse_matches_fraction_gauss_jordan():
         (linalg.inverse, [[1, 2, 3], [4, 5, 7]], "2x3"),
         (linalg.inverse, [[1], [2]], "2x1"),
         (linalg.inverse, [[1, 2], [3]], "lengths 2, 1"),
-        (linalg.rref, [[1, 2], [3, 4, 5]], "lengths 2, 3"),
     ],
 )
 def test_non_square_and_ragged_matrices_are_rejected(call, rows, shape):
     """A plain ValueError naming the shape, not SingularMatrix: these
     matrices are malformed, not singular.  ``inverse`` returned a 2x3
-    matrix for the first, and ``rref`` dropped the 5 of the last."""
+    matrix for the first."""
     with pytest.raises(ValueError, match=shape) as info:
         call(rows)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("call", [linalg.rref, linalg.rank])
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        ([[1, 2], [3, 4, 5]], "list"),
+        ([{0: 1}, {1: 2}, (0, 3)], "tuple"),
+        ([{0: 1}, None], "NoneType"),
+    ],
+)
+def test_rows_that_are_not_dicts_are_rejected(call, rows, kind):
+    """A dense row is no dict row: read as one it would go silently
+    wrong, so it raises TypeError, also after dict rows."""
+    with pytest.raises(TypeError, match=f"expected a dict row, got {kind}$"):
+        call(rows)
 
 
 # -- rref against an all-rows Gauss-Jordan elimination ------------------------
@@ -218,14 +245,22 @@ def _reference_rref(rows):
     return out, pivots
 
 
-def _assert_matches_reference(rows):
-    red, pivots = linalg.rref(rows)
+def _assert_matches_reference(rows, key=lambda j: j):
+    """``rref`` of the dict rows of ``rows``, keyed by ``key``, against the
+    reference on the dense rows; ``key`` must keep the column order."""
+    red, pivots = linalg.rref(_keyed(rows, key))
     ref, ref_pivots = _reference_rref(rows)
-    assert pivots == ref_pivots
+    ref = _keyed(ref[: len(ref_pivots)], key)
+    assert pivots == [key(j) for j in ref_pivots]
     assert red == ref
-    assert [[type(x) for x in row] for row in red] == [[type(x) for x in row] for row in ref]
-    assert linalg.rank(rows) == len(ref_pivots)
-    return pivots
+    # the reduced rows list their keys in column order, with int entries
+    # where integral
+    assert [list(row) for row in red] == [sorted(row) for row in ref]
+    assert [[type(x) for x in row.values()] for row in red] == [
+        [type(x) for x in row.values()] for row in ref
+    ]
+    assert linalg.rank(_keyed(rows, key)) == len(ref_pivots)
+    return ref_pivots
 
 
 def _oracle_like(rng):
@@ -269,6 +304,25 @@ def test_rref_of_span_like_matrices_matches_the_reference():
         assert len(_assert_matches_reference(rows)) < len(rows[0])
 
 
+def test_rref_orders_columns_by_their_keys():
+    """Keys of any comparable kind, such as ``(coordinate, basis key)``
+    pairs, order the columns by comparison: an order-keeping relabelling
+    gives the same reduced rows relabelled, and reversed keys reduce the
+    columns right to left."""
+    rng = random.Random(24)
+    for _ in range(4):
+        rows = _span_like(rng)
+        _assert_matches_reference(rows, key=lambda j: (j // 5, (j % 5,)))
+        _assert_matches_reference(rows, key=lambda j: f"c{j:03d}")
+        # column c keyed -c is column n - 1 - c of the flipped rows
+        n = len(rows[0])
+        _assert_matches_reference([row[::-1] for row in rows], key=lambda j: j - n + 1)
+    # the oracle's rows: the trace classes of Fox derivatives, keyed by
+    # exponent vector, with columns no row has left out
+    red, pivots = linalg.rref([{(0, 2): 2, (1, 1): -1}, {(1, 1): 3}, {(0, 2): 1}])
+    assert red == [{(0, 2): 1}, {(1, 1): 1}] and pivots == [(0, 2), (1, 1)]
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -292,6 +346,9 @@ def test_rref_of_small_matrices_matches_the_reference(rows):
 def test_rref_matches_the_reference_on_the_seeded_matrices():
     for rows in _matrices():
         _assert_matches_reference(rows)
+        # a key a row holds at 0 adds no entry, though it counts as a column
+        held = [{j: x for j, x in enumerate(row)} for row in rows]
+        assert linalg.rref(held) == linalg.rref(_keyed(rows))
 
 
 def test_rref_matches_the_reference_on_generated_matrices():
@@ -320,27 +377,29 @@ def test_rref_matches_the_reference_on_generated_matrices():
     check()
 
 
-class _CountingRow(list):
+class _CountingRow(dict):
     """A row that counts how often its entries are read."""
 
     reads = 0
 
-    def __iter__(self):
+    def items(self):
         self.reads += 1
-        return super().__iter__()
+        return super().items()
 
 
 def test_rref_stops_reading_rows_at_full_column_rank():
     plain = [
         [1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 1, 5], [1, 0, 1], [3, 1, 4], [1, 5, 9], [0, 0, 0]
     ]
-    rows = [_CountingRow(r) for r in plain]
+    rows = [_CountingRow(r) for r in _keyed(plain)]
     red, pivots = linalg.rref(rows)
-    assert (red, pivots) == _reference_rref(plain)
+    ref, ref_pivots = _reference_rref(plain)
+    assert (red, pivots) == (_keyed(ref[:3]), ref_pivots)
     assert pivots == [0, 1, 2]
     # the fifth row reaches full column rank; the three after it are
     # never cleared or reduced
     assert [r.reads for r in rows] == [1, 1, 1, 1, 1, 0, 0, 0]
-    # they are still shape-checked
-    with pytest.raises(ValueError, match="lengths 3, 3, 3, 3, 3, 2"):
-        linalg.rref(rows[:5] + [[1, 2]])
+    # every row is type-checked before any is reduced
+    with pytest.raises(TypeError, match="expected a dict row, got list"):
+        linalg.rref(rows + [[1, 2]])
+    assert [r.reads for r in rows] == [1, 1, 1, 1, 1, 0, 0, 0]

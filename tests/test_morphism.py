@@ -846,3 +846,11 @@ def test_inverse_rounds_form_each_component_once(monkeypatch):
         (2, 2), (20, 158), (38, 6750),
         (98, 166),
     ]
+
+
+def test_endomorphisms_compare_with_endomorphisms_only_and_hash():
+    P = polynomial(2)
+    x, y = P.gens()
+    phi = Endomorphism(P, (x + y * y, y))
+    assert (phi == 3) is False
+    assert len({phi, Endomorphism(P, (x + y * y, y)), Endomorphism.identity(P)}) == 2

@@ -14,6 +14,7 @@ from tangentia import (
     NotInvertible,
     QuotientContext,
     SpanReport,
+    basis_coeffs,
     build_polynilpotent_witness,
     compose,
     compose_all,
@@ -90,8 +91,13 @@ def test_var_m2k_context_holds_at_rank_at_most_3_only():
         [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(3)] for _ in range(24)
     ]
     for rank in (2, 3):
+        # a word's row: its value's entries on each sampled matrix tuple
         rows = [
-            [x for mats in samples for x in _word_on_matrices(w, mats)]
+            {
+                (s, k): x
+                for s, mats in enumerate(samples)
+                for k, x in enumerate(_word_on_matrices(w, mats))
+            }
             for w in monomials_of_degree(free_associative(rank), 4)
         ]
         assert linalg.rank(rows) == rank**4
@@ -181,12 +187,21 @@ def test_divergence_detector_zero_divergence_is_inconclusive():
 
 def test_divergence_detector_small_ideal_is_inconclusive():
     """A nonzero divergence proves nothing when the ideal may reach down
-    to the deviation degree."""
+    to the deviation degree, or when no evidence says that the map
+    induces an automorphism (a context built through the Python API
+    with an unknown evidence level)."""
     phi = _mb_wild_example()  # IA(2), deviation degree 3
     ctx = nilpotent_context(phi.variety, 1)  # ideal starts in degree 3
     cert = detect_divergence_wild(phi, ctx)
     assert cert.verdict == "Inconclusive"
     assert any("degree" in r for r in cert.reasons)
+    L = free_lie(3)
+    x1, x2, x3 = L.gens()
+    psi = Endomorphism(L, (x1 + (x1 * x2) * x2, x2, x3))
+    cert = detect_divergence_wild(psi, QuotientContext(L, "t", 5, "nonsense"))
+    assert not divergence(tangent(psi)).is_zero()
+    assert cert.verdict == "Inconclusive"
+    assert cert.reasons == ["no evidence that the map induces an automorphism"]
 
 
 def test_divergence_detector_input_validation():
@@ -350,8 +365,13 @@ def test_derivation_vector_round_trip(rng):
     for variety in ALL_VARIETIES:
         for deg in (1, 2):
             D = random_homogeneous_derivation(rng, variety, deg)
-            vec = derivation_vector(D, deg)
-            assert derivation_from_vector(variety, deg, vec) == D
+            vec = derivation_vector(D)
+            # one entry per nonzero basis coordinate, keyed (i, basis key)
+            monos = set(monomials_of_degree(variety, deg + 1))
+            for (i, m), c in vec.items():
+                assert m in monos and c and basis_coeffs(D.coords[i])[m] == c
+            assert len(vec) == sum(len(basis_coeffs(f)) for f in D.coords)
+            assert derivation_from_vector(variety, vec) == D
 
 
 def test_divergence_kernel_rank_oracle_values():
@@ -471,9 +491,10 @@ def _reference_span(generators, degree, samples, seed):
         assert T == conjugate_derivation(g, tangent(plain, trunc))
         per_level_counts[lev.i] = per_level_counts.get(lev.i, 0) + 1
         if lev.i == degree:
-            rows.append(derivation_vector(T, degree))
-    red, pivots = linalg.rref(rows)
-    basis = [derivation_from_vector(var, degree, red[r]) for r in range(len(pivots))]
+            rows.append(derivation_vector(T))
+    reduced, pivots = linalg.rref(rows)
+    assert len(reduced) == len(pivots)
+    basis = [derivation_from_vector(var, row) for row in reduced]
     return SpanReport(degree, len(pivots), basis, samples, len(rows), per_level_counts)
 
 
@@ -551,7 +572,8 @@ def test_span_rows_stay_on_integers(kind, monkeypatch):
     rep = tangent_span(gens, 1, 60, seed=0, conjugation_rank=1)
     assert rep.hits == len(seen) > 0
     for row in seen:
-        assert all(type(x) is int for x in row), row
+        assert type(row) is dict and row
+        assert all(type(x) is int for x in row.values()), row
 
 
 def test_span_and_ia_queries_build_no_identity_map(monkeypatch):
