@@ -285,14 +285,18 @@ def _parse_statement(toks):
     raise DslError(f"unknown statement {word!r}", head.line, head.col)
 
 
+# what a token of each kind is called when one is missing
+_KIND_WORDS = {"NAME": "a name", "NUMBER": "a number"}
+
+
 def _expect(toks, i, kind, value=None):
     if i >= len(toks):
         last = toks[-1]
         raise DslError(f"unexpected end of statement", last.line, last.end)
     t = toks[i]
     if t.kind != kind or (value is not None and t.value != value):
-        want = value if value is not None else kind
-        raise DslError(f"expected {want!r}, got {t.value!r}", t.line, t.col)
+        want = repr(value) if value is not None else _KIND_WORDS[kind]
+        raise DslError(f"expected {want}, got {t.value!r}", t.line, t.col)
     if value is None and t.value == "as":  # it ends a command's arguments
         raise DslError("'as' cannot name a value", t.line, t.col)
     return t

@@ -144,11 +144,29 @@ def _merge(d, k, c):
 
 def _add_scaled(acc, c, part):
     """Add ``c`` times the dict ``part`` into the dict ``acc``, dropping the
-    keys that cancel.  The sparse sums of the package go through this and
-    ``_merge``, except the inner loops of ``_product`` and
-    ``lie_from_assoc``: a call per term would slow them."""
+    keys that cancel.  The sparse sums of the package go through this,
+    ``_add_mirrored`` and ``_merge``, except the inner loops of
+    ``_product`` and ``lie_from_assoc``: a call per term would slow them."""
     for key, v in part.items():
         n = acc.get(key, 0) + c * v
+        if n:
+            acc[key] = n
+        else:
+            acc.pop(key, None)
+
+
+def _add_mirrored(acc, half, sign):
+    """Add the word dict ``half`` plus ``sign`` times its reversal (each
+    word read backwards) into the dict ``acc``, dropping the keys that
+    cancel, in one pass over ``half`` and with no reversed copy."""
+    for key, v in half.items():
+        n = acc.get(key, 0) + v
+        if n:
+            acc[key] = n
+        else:
+            acc.pop(key, None)
+        key = key[::-1]
+        n = acc.get(key, 0) + sign * v
         if n:
             acc[key] = n
         else:

@@ -20,6 +20,7 @@ from .freealg import (
     Element,
     Kind,
     VarietyMismatch,
+    _add_mirrored,
     _add_scaled,
     _check_element,
     _coeff,
@@ -243,8 +244,11 @@ def truncated_inverse(phi, k):
     m.  The constant is undone afterwards by substituting the translation
     x - c, which is affine and so exact.  The rounds stop once h(psi) has
     no terms left to give, so a polynomial inverse costs the same at any
-    large k.  Raises ``NotInvertible`` if L is singular and ``AlgebraError``
-    if k < 0.
+    large k.  Coefficients are stored as ``_coeff`` stores them, an int
+    when integral: with a ``Fraction`` in phi or L^-1 the sums and
+    products leave ``Fraction(n, 1)``, which a last pass turns into ints
+    (with ints alone no such value arises, and no pass runs).  Raises
+    ``NotInvertible`` if L is singular and ``AlgebraError`` if k < 0.
     """
     if k < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {k}")
@@ -259,6 +263,14 @@ def truncated_inverse(phi, k):
     if any(consts):
         shift = [x - var.scalar(c) for x, c in zip(gens, consts)]
         inv = compose(Endomorphism(var, shift), inv)
+    integral = all(type(c) is int for row in ginv for c in row) and all(
+        type(c) is int for f in phi.images for c in f.coeffs.values()
+    )
+    if not integral:
+        inv = Endomorphism(var, tuple(
+            Element._raw(var, {m: _coeff(c) for m, c in f.coeffs.items()})
+            for f in inv.images
+        ))
     return inv
 
 
@@ -275,9 +287,13 @@ def _online_rounds(var, ginv, linear_psi, images, k):
 
     and every factor on the right has degree below m, so it was final
     before round m.  Round m walks the table once, forming each entry's
-    degree-m component once: into a prefix's memo, and times -c into the
-    accumulators its uses name.  A prefix that is no key is skipped at
-    m = k, as no word of degree <= k reads its degree-k component.  A
+    degree-m component once.  A key with one use and no memo forms it
+    times -c straight into the accumulator its use names: -c scales the
+    smaller factor of each product, and no dict holds the component
+    itself.  Any other entry forms it in a dict of its own, kept in its
+    memo if it is a prefix and added times -c into the accumulators its
+    uses name.  A prefix that is no key is skipped at m = k, as no word
+    of degree <= k reads its degree-k component.  A
     free-Lie map substitutes as the associative map on K<X> it restricts,
     so its words multiply by concatenation, which ``_product`` does for
     free-Lie keys as for associative ones.
@@ -294,10 +310,10 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     So the pair's share of -h(psi)[m] is -c_w (P + (-1)^(m-1) rho(P)),
     with P = w(psi)[m].  The pair is keyed by its lesser word, which has
     the pair bit, and its greater word is no key.  The shares -c_w P of
-    the pairs go into a second accumulator per coordinate, mirrored (plus
-    (-1)^(m-1) times its reversal) into the right-hand side once per
-    round.  A palindrome and every key of the other kinds is added
-    directly.
+    the pairs go into a second accumulator per coordinate, added with
+    (-1)^(m-1) times its reversal into the right-hand side once per round,
+    in one pass (``_add_mirrored``).  A palindrome and every key of the
+    other kinds is added directly.
 
     The rounds stop early once psi is exact.  If psi's nonzero components
     so far end at degree D and h's words at degree deg(h), then h(psi) has
@@ -344,6 +360,10 @@ def _online_rounds(var, ginv, linear_psi, images, k):
         for e, own, left, right, node_uses, pair in table:
             if e > m:
                 break
+            if own is None and len(node_uses) == 1:  # a key read once
+                i, c = node_uses[0]
+                _component(kind, left, right, m, accs[pair][i], c)
+                continue
             if m == k and not node_uses:  # a prefix only: no word reads it
                 continue
             part = _component(kind, left, right, m)
@@ -355,9 +375,7 @@ def _online_rounds(var, ginv, linear_psi, images, k):
         rhs = []
         for acc, half in zip(*accs):
             if half:
-                _add_scaled(half, sign, {key[::-1]: v for key, v in half.items()})
-                _add_scaled(half, 1, acc)
-                acc = half
+                _add_mirrored(acc, half, sign)
             rhs.append(Element._raw(var, acc))
         for row, comp in zip(ginv, comps):
             comp.append(_linear_combination(var, row, rhs).coeffs)
@@ -372,14 +390,22 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     return psi
 
 
-def _component(kind, left, right, m):
+def _component(kind, left, right, m, out=None, c=1):
     """The degree-m component of a product from the components of its
     factors, ``sum(left[d] * right[m - d] for d < m)``, accumulated in one
-    dict by ``_product``; each factor's index is below m."""
-    out = {}
+    dict by ``_product``; each factor's index is below m.  Given ``out``,
+    ``c`` times the component is added into that dict, which is returned:
+    c scales the smaller factor of each product."""
+    if out is None:
+        out = {}
     for d in range(1, m):
         a, b = left[d], right[m - d]
         if a and b:
+            if c != 1:
+                if len(a) <= len(b):
+                    a = {key: c * v for key, v in a.items()}
+                else:
+                    b = {key: c * v for key, v in b.items()}
             _product(kind, a, ((m - d, b.items()),), None, out)
     return out
 

@@ -293,8 +293,12 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
         recursion.append(recursion[-1] * (c[t] + 1) + 1)
     product_bound = math.prod(ci + 1 for ci in c)
     inequality_holds = degrees[-1] + 2 < product_bound
-    if not inequality_holds:
-        raise AlgebraError("inequality (99) fails for this parameter tuple")
+    assert inequality_holds, (
+        "inequality (99) cannot fail: with P_t = (c_0 + 1)...(c_t + 1), "
+        "D_t = P_t (1 + sum 1/P_s) < 1.5 P_t, so D_{k-2} + 2 < P_{k-1} once "
+        "P_{k-2} >= 4; below that only k = 2 is left, where it fails for "
+        "(1,1) alone, which is rejected above"
+    )
 
     lead_ok = leads[0].word == (0,) * c[0] + (1,)
     for t in range(1, k - 1):

@@ -394,6 +394,9 @@ def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, 
         ("let p = x1 + )", "column 14", "unexpected token ')'"),
         ("let p = a + x1", "column 9", "'a' is not an algebra element"),
         ("let p x1", "column 7", "expected '=', got 'x1'"),
+        # a missing name or number is named as such, not by its token kind
+        ("let 3 = x1", "column 5", "expected a name, got 3"),
+        ("variety lie(x1)", "column 13", "expected a number, got 'x1'"),
     ],
 )
 def test_definition_and_expression_errors_carry_a_column(

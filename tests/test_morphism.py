@@ -8,6 +8,7 @@ from tangentia import (
     Derivation,
     Element,
     Endomorphism,
+    Kind,
     NotIA,
     NotInvertible,
     Variety,
@@ -282,6 +283,98 @@ def test_truncated_inverse_matches_reference_on_lie_series_maps():
     ):
         phi = Endomorphism(L, images)
         assert truncated_inverse(phi, 8) == _reference_inverse(phi, 8)
+
+
+def _naive_inverse(phi, k):
+    """The plain fixed-point iteration psi <- L^-1 (x - h(psi)), each step a
+    full ``compose`` cut at k, run k times from psi = 0; a constant term
+    is then undone by substituting x - c."""
+    var = phi.variety
+    ginv = linalg.inverse(phi.linear_part())
+    gens = var.gens()
+    h = Endomorphism(var, tuple(f - f.truncate(1) for f in phi.images))
+    psi = [var.zero()] * var.rank
+    for _ in range(k):
+        hpsi = compose(Endomorphism(var, psi), h, max_degree=k)
+        rhs = [x - e for x, e in zip(gens, hpsi.images)]
+        psi = [_combination(var, row, rhs) for row in ginv]
+    consts = phi.constant_part()
+    if any(consts):
+        shift = [x - var.scalar(c) for x, c in zip(gens, consts)]
+        psi = [f.substitute(shift) for f in psi]
+    return psi
+
+
+def _typed(images):
+    """Each image's coefficients with their types."""
+    return [{key: (type(c), c) for key, c in f.coeffs.items()} for f in images]
+
+
+def _stored_form(images):
+    """Each image's coefficients with the types of their stored form: an
+    int when integral, a Fraction otherwise."""
+    return [
+        {key: (int if c.denominator == 1 else Fraction, c) for key, c in f.coeffs.items()}
+        for f in images
+    ]
+
+
+def _naive_oracle_maps(rng, variety):
+    """Seeded maps that reach every path of the inverse rounds: keys read
+    once (most words of a random map), the word of w = [y,z] (yz in the
+    commutative and associative kinds) in two images, the key w z whose
+    prefix w is a key too (and Nagata's y^3, a prefix of y^4 z), a linear
+    part of determinant 1 or from ``random_invertible_matrix``, and
+    constants in the unital kinds."""
+    x, y, z = variety.gens()
+    w = y * z
+    maps = [
+        random_ia_endomorphism(rng, variety, 1, 3),
+        Endomorphism(variety, (x + 2 * w + w * z, y - w, z + x * w)),
+    ]
+    if variety.kind is Kind.POLYNOMIAL:
+        maps.append(corpus.build("nagata"))
+    for g in ([[1, 1, 0], [0, 1, 0], [0, -1, 1]],
+              random_invertible_matrix(rng, variety.rank)[0]):
+        ia = random_ia_endomorphism(rng, variety, 1, 3)
+        maps += [compose(linear(variety, g), ia), compose(ia, linear(variety, g))]
+    if variety.unital:
+        maps += [
+            _with_constants(phi, [rng.choice([-2, -1, 1, 2]) for _ in range(3)])
+            for phi in maps[1:3]
+        ]
+    return maps
+
+
+def test_truncated_inverse_matches_the_naive_fixed_point(monkeypatch, rng):
+    """``truncated_inverse`` equals the naive fixed-point iteration on maps
+    of all four kinds, coefficient types included: each is an int where
+    it is integral, a ``Fraction`` elsewhere.  Both paths of the rounds
+    run on every kind (a key read once forms its component in place, any
+    other entry in a dict of its own), and on free Lie the mirror of the
+    paired words runs too."""
+    paths, mirrors = set(), [0]
+    component, mirrored = morphism._component, morphism._add_mirrored
+
+    def recording_component(kind, left, right, m, *args):
+        paths.add("in place" if args else "own dict")
+        return component(kind, left, right, m, *args)
+
+    def counting_mirrored(acc, half, sign):
+        mirrors[0] += 1
+        return mirrored(acc, half, sign)
+
+    monkeypatch.setattr(morphism, "_component", recording_component)
+    monkeypatch.setattr(morphism, "_add_mirrored", counting_mirrored)
+    k = 5
+    for variety in ALL_VARIETIES:
+        paths.clear()
+        mirrors[0] = 0
+        for phi in _naive_oracle_maps(rng, variety):
+            got = truncated_inverse(phi, k).images
+            assert _typed(got) == _stored_form(_naive_inverse(phi, k)), (phi, k)
+        assert paths == {"in place", "own dict"}, variety
+        assert (mirrors[0] > 0) == (variety.kind is Kind.FREE_LIE), variety
 
 
 def test_truncated_inverse_grows_degree_by_degree(rng):
@@ -821,13 +914,13 @@ def test_inverse_rounds_form_each_component_once(monkeypatch):
     formed, offered = [], [0]
     component, product = morphism._component, morphism._product
 
-    def counting_component(kind, left, right, m):
+    def counting_component(kind, left, right, m, *args):
         formed.append((id(left), id(right), m))
-        return component(kind, left, right, m)
+        return component(kind, left, right, m, *args)
 
-    def counting_product(kind, a, graded, k, out=None):
+    def counting_product(kind, a, graded, k, *args):
         offered[0] += len(a) * sum(len(terms) for _, terms in graded)
-        return product(kind, a, graded, k, out)
+        return product(kind, a, graded, k, *args)
 
     monkeypatch.setattr(morphism, "_component", counting_component)
     monkeypatch.setattr(morphism, "_product", counting_product)

@@ -337,6 +337,26 @@ def test_polynilpotent_1_1_rejected():
         build_polynilpotent_witness((1, 1), 3)
 
 
+def test_inequality_99_holds_for_every_tuple_but_1_1():
+    """deg(u_{k-1}) + 2 < (c_1 + 1)...(c_k + 1) for every tuple of 2 to 5
+    entries in 1..6 but (1,1), which is rejected: the witness's assertion
+    of it never fires.  The degree comes from its recursion D_0 = c_1 + 1,
+    D_t = D_{t-1} (c_{t+1} + 1) + 1, independently of the tracker."""
+    for k in range(2, 6):
+        for c in itertools.product(range(1, 7), repeat=k):
+            if c == (1, 1):
+                continue
+            _, _, rep = build_polynilpotent_witness(c, 3, materialize_limit=0)
+            d = c[0] + 1
+            for ct in c[1:-1]:
+                d = d * (ct + 1) + 1
+            bound = 1
+            for ct in c:
+                bound *= ct + 1
+            assert rep.degrees[-1] == d and rep.product_bound == bound, c
+            assert d + 2 < bound and rep.inequality_holds, c
+
+
 def test_polynilpotent_large_tuple_not_materialized():
     u, psi, rep = build_polynilpotent_witness((1, 15, 1), 3)
     assert u is None and psi is None

@@ -40,11 +40,6 @@ KNOWN = {
         "pipe, and the tracer does not see child processes",
     ("cli.py", "sys.exit(main())"):
         "the __main__ guard runs only as ``python -m tangentia.cli``",
-    ("wildness.py", 'raise AlgebraError("inequality (99) fails for this parameter tuple")'):
-        "cannot fire: with D_t the degree of u_t and P_t the product of "
-        "c_0 + 1 .. c_t + 1, D_t = P_t (1 + sum_{1<=s<=t} 1/P_s) < 1.5 P_t, "
-        "so D_{k-2} + 2 < P_{k-1} once P_{k-2} >= 4; below that only k = 2 is "
-        "left, where it fails for (1,1) alone, which is rejected first",
     ("wildness.py", 'raise AlgebraError("leading-term tracker disagrees with the expansion")'):
         "a cross-check of _lt_bracket against the materialized element: it "
         "fires only if the tracker is wrong",
