@@ -9,20 +9,19 @@ for homogeneous D in L_i (verified by direct computation; see the tests).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .freealg import (
-    AlgebraError,
     Element,
     Kind,
+    LinearCombination,
     VarietyMismatch,
+    _Coords,
     _add_scaled,
     _check_element,
     _merge,
     _prefix_walk,
 )
 from .envelope import EnvElement, generated_algebra, left_mul, trace_class
-from .fox import fox_derivative, jacobian_of_tuple
+from .fox import fox_derivative, jacobian
 
 
 def _leibniz_words(coeffs, images):
@@ -36,19 +35,13 @@ def _leibniz_words(coeffs, images):
     return out
 
 
-class Derivation:
+class Derivation(_Coords):
     """D = f_1 d_1 + ... + f_n d_n, stored by its coordinate tuple."""
 
-    __slots__ = ("variety", "coords")
-
-    def __init__(self, variety, coords):
-        coords = tuple(coords)
-        if len(coords) != variety.rank:
-            raise AlgebraError("need one coordinate per generator")
-        for f in coords:
-            _check_element(variety, f, "derivation coordinate in a different algebra")
-        self.variety = variety
-        self.coords = coords
+    __slots__ = ()
+    _MESSAGES = ("need one coordinate per generator",
+                 "derivation coordinate in a different algebra",
+                 "constant coordinate in a Lie variety", "derivations over different varieties")
 
     @classmethod
     def zero(cls, variety):
@@ -59,19 +52,8 @@ class Derivation:
     def euler(cls, variety):
         return cls(variety, variety.gens())
 
-    def coords_tuple(self):
-        return self.coords
-
     def is_zero(self):
         return all(f.is_zero() for f in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.variety == other.variety and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.variety, self.coords))
 
     def __add__(self, other):
         self._check(other)
@@ -88,16 +70,7 @@ class Derivation:
     def scale(self, c):
         return Derivation(self.variety, tuple(f.scale(c) for f in self.coords))
 
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def _check(self, other):
-        if not isinstance(other, Derivation):
-            raise TypeError(f"expected Derivation, got {type(other).__name__}")
-        if self.variety != other.variety:
-            raise VarietyMismatch("derivations over different varieties")
+    __rmul__ = LinearCombination.__rmul__
 
     # -- grading ------------------------------------------------------------
 
@@ -189,8 +162,7 @@ class Derivation:
         representative word, extend, and re-normalize."""
         return trace_class(self.star_extend(tc.lift()))
 
-    def jacobian(self):
-        return jacobian_of_tuple(self.coords, self.variety)
+    jacobian = jacobian  # fox.jacobian, as a method
 
     def __repr__(self):
         names = self.variety.names

@@ -703,10 +703,8 @@ class Session:
         self._require_variety(stmt.line)
         coords = [self._element(expr, stmt.line) for expr in stmt.arg_exprs]
         try:
-            if stmt.map_kind == "auto":
-                value = Endomorphism(self.variety, tuple(coords))
-            else:
-                value = Derivation(self.variety, tuple(coords))
+            cls = Endomorphism if stmt.map_kind == "auto" else Derivation
+            value = cls(self.variety, coords)
         except AlgebraError as exc:
             raise DslError(str(exc), stmt.line, None) from exc
         self.env[stmt.name] = value

@@ -85,7 +85,7 @@ def jacobian_of_tuple(coords, variety):
 
 def jacobian(phi):
     """Jacobian matrix of an endomorphism (or of a derivation's tuple)."""
-    return jacobian_of_tuple(tuple(phi.coords_tuple()), phi.variety)
+    return jacobian_of_tuple(phi.coords, phi.variety)
 
 
 def mat_mul(a, b):

@@ -59,7 +59,9 @@ each left term and stops at the first bucket past the room ``k`` leaves,
 so the pairs it drops are never visited.  Nothing keeps buckets on an
 element: ``_substitute`` groups each argument once per call, and the
 plain product passes the whole dict as a single bucket and pays no
-bucketing.
+bucketing.  ``_Coords``, one ``Element`` per generator, is the core of
+endomorphisms and derivations, and ``_combine`` their linear change of
+coordinates.
 
 The Leibniz action and the other maps built one generator at a time
 share one prefix walk: ``_split_key``, the only code that knows how a key
@@ -173,12 +175,61 @@ def _add_mirrored(acc, half, sign):
             acc.pop(key, None)
 
 
+def _combine(row, dicts):
+    """The dict ``sum(c * d)`` over the entries c of ``row`` and the dicts
+    d beside them.  A row whose one nonzero entry is 1 gives that dict
+    itself, uncopied, which no one changes afterwards."""
+    terms = [(c, d) for c, d in zip(row, dicts) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    acc = {}
+    for c, d in terms:
+        _add_scaled(acc, c, d)
+    return acc
+
+
 def _check_element(variety, f, message):
     """Raise unless ``f`` is an ``Element`` of ``variety``'s algebra."""
     if not isinstance(f, Element):
         raise TypeError(f"expected Element, got {type(f).__name__}")
     if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
         raise VarietyMismatch(message)
+
+
+class _Coords:
+    """One ``Element`` of the variety's algebra per generator, none with a
+    constant part in a Lie variety: the core of ``morphism.Endomorphism``
+    and ``deriv.Derivation``.  A value equals only values of its class.
+    A subclass's ``_MESSAGES``: wrong count, another algebra, a Lie
+    constant, and (``_check``) an operand over another variety."""
+
+    __slots__ = ("variety", "coords")
+
+    def __init__(self, variety, coords):
+        coords = tuple(coords)
+        count, algebra, constant, _ = self._MESSAGES
+        if len(coords) != variety.rank:
+            raise AlgebraError(count)
+        for f in coords:
+            _check_element(variety, f, algebra)
+            if variety.is_lie and () in f.coeffs:
+                raise AlgebraError(constant)
+        self.variety = variety
+        self.coords = coords
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self.variety != other.variety:
+            raise VarietyMismatch(self._MESSAGES[3])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.variety == other.variety and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.variety, self.coords))
 
 
 def _default_names(kind, rank):

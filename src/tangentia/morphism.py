@@ -9,7 +9,9 @@ standard generators (linear / affine / elementary).
 Composition convention, fixed once and used everywhere including the
 chain rule: ``compose(phi, psi)`` is the map ``x_k -> phi(psi(x_k))``,
 i.e. the group product ``phi psi`` (apply psi, then phi).  On coordinate
-tuples this is the substitution of phi's images into psi's coordinates.
+tuples this is the substitution of phi's images into psi's coordinates,
+whole even in a cut composition.  An endomorphism is a ``freealg._Coords``
+whose coordinates are its images, as a derivation's are its own.
 """
 from __future__ import annotations
 
@@ -19,11 +21,12 @@ from .freealg import (
     AlgebraError,
     Element,
     Kind,
-    VarietyMismatch,
+    _Coords,
     _add_mirrored,
     _add_scaled,
     _check_element,
     _coeff,
+    _combine,
     _key_degree,
     _product,
     _split_key,
@@ -53,45 +56,31 @@ def _matrix_inverse(g, what):
 DEFAULT_MAX_DEGREE = 12
 
 
-class Endomorphism:
-    """phi = (f_1, ..., f_n), acting by x_i -> f_i.
+class Endomorphism(_Coords):
+    """phi = (f_1, ..., f_n), acting by x_i -> f_i; its coordinates are
+    its images.
 
     This class models formal endomorphisms; automorphism status is never
     decided in general.  A map is certified invertible only through
     explicit composition checks (exact or truncated).
     """
 
-    __slots__ = ("variety", "images")
+    __slots__ = ()
+    _MESSAGES = ("need one image per generator", "image lives in a different algebra",
+                 "constant image part in a Lie variety",
+                 "endomorphisms over different varieties")
 
-    def __init__(self, variety, images):
-        images = tuple(images)
-        if len(images) != variety.rank:
-            raise AlgebraError("need one image per generator")
-        for f in images:
-            _check_element(variety, f, "image lives in a different algebra")
-            if variety.is_lie and () in f.coeffs:
-                raise AlgebraError("constant image part in a Lie variety")
-        self.variety = variety
-        self.images = images
+    @property
+    def images(self):
+        return self.coords
 
     @classmethod
     def identity(cls, variety):
         return cls(variety, variety.gens())
 
-    def coords_tuple(self):
-        return self.images
-
     def apply(self, a):
         _check_element(self.variety, a, "argument lives in a different algebra")
         return a.substitute(self.images)
-
-    def __eq__(self, other):
-        if not isinstance(other, Endomorphism):
-            return NotImplemented
-        return self.variety == other.variety and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.variety, self.images))
 
     def truncate(self, k):
         return Endomorphism(self.variety, tuple(f.truncate(k) for f in self.images))
@@ -120,27 +109,22 @@ class Endomorphism:
 def compose(phi, psi, max_degree=None):
     """The group product phi psi: x_k -> phi(psi(x_k)).
 
-    With ``max_degree`` set, all terms above that degree are dropped
-    (valid truncated-series arithmetic: degrees only grow under
-    substitution, so the result is exact through ``max_degree``).  All of
-    psi's images, each cut at ``max_degree`` first, are substituted in one
-    batch (``freealg._substitute``): words by Horner's rule, so a dense psi
-    is read only through the degrees the bound leaves, and exponent
-    vectors and metabelian keys by the prefix walk.  The work still grows
-    with psi's terms: with a dense truncated inverse, ``compose(inv,
-    phi)`` is the cheaper order.
+    With ``max_degree`` set, the result is ``compose(phi, psi)`` without
+    its terms above that degree.  psi's images are substituted whole, in
+    one batch, into phi's (``freealg._substitute``), which cuts only
+    phi's images and the products: degrees only grow under products, but
+    a term of psi above the bound lands lower once phi has a constant
+    term.  Words go by Horner's rule, which skips a word whose letters'
+    least image degrees sum past the bound, and exponent vectors and
+    metabelian keys by the prefix walk.  The work still grows with psi's
+    terms: with a dense truncated inverse, ``compose(inv, phi)`` is the
+    cheaper order.
     """
-    for f in (phi, psi):
-        if not isinstance(f, Endomorphism):
-            raise TypeError(f"expected Endomorphism, got {type(f).__name__}")
-    if phi.variety != psi.variety:
-        raise VarietyMismatch("endomorphisms over different varieties")
-    dicts = [
-        g.coeffs if max_degree is None else g.truncate(max_degree).coeffs
-        for g in psi.images
-    ]
+    if not isinstance(phi, Endomorphism):
+        raise TypeError(f"expected Endomorphism, got {type(phi).__name__}")
+    phi._check(psi)
     target = phi.images[0].variety  # the variety, named as phi's images are
-    images = _substitute(dicts, phi.images, max_degree)
+    images = _substitute([g.coeffs for g in psi.images], phi.images, max_degree)
     return Endomorphism(phi.variety, tuple(Element._raw(target, f) for f in images))
 
 
@@ -245,37 +229,42 @@ def truncated_inverse(phi, k):
     x - c, which is affine and so exact.  The rounds stop once h(psi) has
     no terms left to give, so a polynomial inverse costs the same at any
     large k.  Coefficients are stored as ``_coeff`` stores them, an int
-    when integral: with a ``Fraction`` in phi or L^-1 the sums and
-    products leave ``Fraction(n, 1)``, which a last pass turns into ints
-    (with ints alone no such value arises, and no pass runs).  Raises
-    ``NotInvertible`` if L is singular and ``AlgebraError`` if k < 0.
+    when integral (``_with_ints``).  Raises ``NotInvertible`` if L is
+    singular and ``AlgebraError`` if k < 0.
     """
     if k < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {k}")
     var = phi.variety
     ginv = _matrix_inverse(phi.linear_part(), "linear part")
-    gens = var.gens()
-    psi = [_linear_combination(var, row, gens) for row in ginv]
+    psi = [f.coeffs for f in linear(var, ginv).images] if k else [{}] * var.rank
     if k > 1:
-        psi = _online_rounds(var, ginv, psi, phi.images, k)
-    inv = Endomorphism(var, tuple(psi) if k else (var.zero(),) * var.rank)
+        psi = _online_rounds(var.kind, ginv, psi, phi.images, k)
+    inv = Endomorphism(var, (Element._raw(var, f) for f in psi))
     consts = phi.constant_part()
     if any(consts):
-        shift = [x - var.scalar(c) for x, c in zip(gens, consts)]
+        shift = [x - var.scalar(c) for x, c in zip(var.gens(), consts)]
         inv = compose(Endomorphism(var, shift), inv)
-    integral = all(type(c) is int for row in ginv for c in row) and all(
-        type(c) is int for f in phi.images for c in f.coeffs.values()
-    )
-    if not integral:
-        inv = Endomorphism(var, tuple(
-            Element._raw(var, {m: _coeff(c) for m, c in f.coeffs.items()})
-            for f in inv.images
-        ))
-    return inv
+    return _with_ints(inv, ginv, (f.coeffs.values() for f in phi.images))
 
 
-def _online_rounds(var, ginv, linear_psi, images, k):
-    """psi = L^-1 (x - h(psi)) through degree k, from psi's linear part.
+def _with_ints(value, *inputs):
+    """The map or derivation ``value`` with each ``Fraction(n, 1)`` in its
+    coordinates stored as n (``_coeff``), if the rows of coefficients
+    ``inputs`` it came from hold a ``Fraction``; with ints alone none
+    arises.  The coordinates are never scanned: they may be thousands of
+    terms."""
+    if all(type(c) is int for rows in inputs for row in rows for c in row):
+        return value
+    var = value.variety
+    return type(value)(var, (
+        Element._raw(var, {m: _coeff(c) for m, c in f.coeffs.items()})
+        for f in value.coords
+    ))
+
+
+def _online_rounds(kind, ginv, linear_psi, images, k):
+    """psi = L^-1 (x - h(psi)) through degree k, from psi's linear part,
+    as coefficient dicts.
 
     psi_j is kept as its homogeneous components psi_j[d].  One table,
     sorted by degree, holds every key of h and every proper prefix of one
@@ -321,10 +310,9 @@ def _online_rounds(var, ginv, linear_psi, images, k):
     later component is zero.  So a map with a polynomial inverse, such as
     (x + y^2, y), costs the same at any large k, and a linear map (empty
     h) runs no round."""
-    kind = var.kind
     paired = kind is Kind.FREE_LIE
     degree = _key_degree(kind)
-    comps = [[{}, f.coeffs] for f in linear_psi]
+    comps = [[{}, f] for f in linear_psi]
     # h's keys of degree 2..k (no higher one reaches psi) with their uses
     uses = {}
     for i, f in enumerate(images):
@@ -372,22 +360,17 @@ def _online_rounds(var, ginv, linear_psi, images, k):
             for i, c in node_uses:
                 _add_scaled(accs[pair][i], c, part)
         sign = 1 if m % 2 else -1  # (-1)^(m-1)
-        rhs = []
         for acc, half in zip(*accs):
             if half:
                 _add_mirrored(acc, half, sign)
-            rhs.append(Element._raw(var, acc))
         for row, comp in zip(ginv, comps):
-            comp.append(_linear_combination(var, row, rhs).coeffs)
+            comp.append(_combine(row, accs[0]))
         if any(comp[m] for comp in comps):
             psi_degree = m
-    psi = []
-    for comp in comps:
-        coeffs = {}
-        for part in comp:
-            coeffs.update(part)
-        psi.append(Element._raw(var, coeffs))
-    return psi
+    for comp in comps:  # each coordinate's components, in its empty degree-0 dict
+        for part in comp[1:]:
+            comp[0].update(part)
+    return [comp[0] for comp in comps]
 
 
 def _component(kind, left, right, m, out=None, c=1):
@@ -408,11 +391,6 @@ def _component(kind, left, right, m, out=None, c=1):
                     b = {key: c * v for key, v in b.items()}
             _product(kind, a, ((m - d, b.items()),), None, out)
     return out
-
-
-def _linear_combination(var, row, elements):
-    terms = [e if c == 1 else e.scale(c) for c, e in zip(row, elements) if c]
-    return sum(terms[1:], terms[0]) if terms else var.zero()
 
 
 def group_commutator(phi, psi, k):
@@ -442,10 +420,10 @@ def linear(variety, g):
     """The linear endomorphism x_i -> sum_j g[i][j] x_j; ``AlgebraError``
     unless g is n x n for the variety's rank n."""
     _check_square(variety, g)
-    gens = variety.gens()
-    return Endomorphism(
-        variety, tuple(_linear_combination(variety, row, gens) for row in g)
-    )
+    gens = [x.coeffs for x in variety.gens()]
+    return Endomorphism(variety, (
+        Element._raw(variety, _combine([_coeff(c) for c in row], gens)) for row in g
+    ))
 
 
 def affine(variety, g, consts):
@@ -457,13 +435,8 @@ def affine(variety, g, consts):
         raise AlgebraError(
             f"need one constant per generator: {variety.rank}, got {len(consts)}"
         )
-    lin = linear(variety, g)
-    return Endomorphism(
-        variety,
-        tuple(
-            f + variety.scalar(c) if c else f for f, c in zip(lin.images, consts)
-        ),
-    )
+    lin = linear(variety, g).images
+    return Endomorphism(variety, (f + variety.scalar(c) for f, c in zip(lin, consts)))
 
 
 def elementary(variety, i, alpha, f):
@@ -495,17 +468,10 @@ def _conjugate(g, g_inv, D):
     substitution maps D's coordinates by alpha, and each new coordinate
     is a combination of those images with a row of g_inv."""
     var = D.variety
-    gens = var.gens()
-    alpha = [_linear_combination(var, row, gens) for row in g]
+    alpha = linear(var, g).images
     images = _substitute([f.coeffs for f in D.coords], alpha, None)
-    coords = []
-    for row in g_inv:
-        acc = {}
-        for c, image in zip(row, images):
-            if c:
-                _add_scaled(acc, c, image)
-        coords.append(Element._raw(var, {m: _coeff(v) for m, v in acc.items()}))
-    return Derivation(var, tuple(coords))
+    conj = Derivation(var, (Element._raw(var, _combine(row, images)) for row in g_inv))
+    return _with_ints(conj, g, g_inv, (f.coeffs.values() for f in D.coords))
 
 
 def ia_correct(phi):

@@ -12,9 +12,10 @@ Three detectors and one sampler:
 * a seeded tangent-span sampler with an independent exact-rank oracle for
   the divergence kernel.
 
-Certificates never claim more than the hypotheses support: a missing
-automorphism-evidence flag or a too-small ideal degree downgrade the
-verdict to Inconclusive with explicit reasons.
+Certificates never claim more than the hypotheses support: a context
+with an unknown automorphism-evidence level cannot be built, and a
+too-small ideal degree downgrades the verdict to Inconclusive with an
+explicit reason.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .morphism import (
     NotInvertible,
     _conjugate,
     _tangent_at,
+    compose,
     compose_all,
     ia_correct,
     ia_level,
@@ -52,6 +54,7 @@ from . import linalg
 EVIDENCE_USER = "user-asserted"
 EVIDENCE_TRUNCATION = "verified-by-truncation"
 EVIDENCE_BUILTIN = "builtin-construction"
+_EVIDENCE_LEVELS = (EVIDENCE_USER, EVIDENCE_TRUNCATION, EVIDENCE_BUILTIN)
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,10 @@ class QuotientContext:
     def __post_init__(self):
         if self.min_degree < 2:
             raise AlgebraError("identity ideals start in degree >= 2")
+        if self.induces_automorphism not in _EVIDENCE_LEVELS:
+            levels = ", ".join(_EVIDENCE_LEVELS)
+            raise AlgebraError(f"automorphism evidence must be one of {levels}, "
+                               f"got {self.induces_automorphism!r}")
 
 
 def _lie_ambient(ambient, context):
@@ -144,12 +151,6 @@ def _hypothesis_check(ctx, level_i, trace):
             f"ideal may contain elements of degree <= {level_i + 1} "
             f"(registry min degree {ctx.min_degree})"
         )
-    if ctx.induces_automorphism not in (
-        EVIDENCE_USER,
-        EVIDENCE_TRUNCATION,
-        EVIDENCE_BUILTIN,
-    ):
-        reasons.append("no evidence that the map induces an automorphism")
     trace.append(
         f"hypotheses: ideal '{ctx.ideal_tag}' min degree {ctx.min_degree}, "
         f"automorphism evidence '{ctx.induces_automorphism}'"
@@ -431,6 +432,11 @@ def tangent_span(
     multiple, since the reduced echelon form of the rows' span is unique;
     for generators with integer coefficients and linear parts of
     determinant +-1 (such as IA generators), every row is an integer row.
+
+    Words are composed exactly through the cut 2 * degree + 2, as long as
+    their inverses are exact.  Where a generator has a constant term, the
+    part of an inverse above the cut lands lower, so then each inverse
+    must be exact, or ``AlgebraError`` names its generator.
     """
     if not generators:
         raise AlgebraError("need at least one generator")
@@ -443,12 +449,17 @@ def tangent_span(
     # samples are cut at this degree, so per_level_counts (which reports
     # print) counts the levels through 2*degree + 1
     trunc = 2 * degree + 2
+    constant = any(any(g.constant_part()) for g in generators)
     pool = list(generators)
-    for g in generators:
+    for i, g in enumerate(generators, 1):
         try:
-            pool.append(truncated_inverse(g, trunc))
+            inv = truncated_inverse(g, trunc)
         except NotInvertible:
             continue
+        if constant and not compose(g, inv).is_identity():
+            raise AlgebraError(f"span generator {i}, {g!r}, needs an exact inverse of degree "
+                               f"<= {trunc} when a generator has a constant term")
+        pool.append(inv)
 
     per_level_counts = {}
     rows = []

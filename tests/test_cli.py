@@ -357,6 +357,12 @@ DEFECT_PRELUDE = (
         ("eval 3/2", "no constants in the non-unital variety lie"),
         # a map definition whose coordinates the algebra rejects
         ("f := deriv(x1)", "need one coordinate per generator"),
+        # missing arguments and required flags, which the fuzzed statements
+        # of test_dsl_fuzz reach only where hypothesis is installed
+        ("eval", "eval needs an expression"),
+        ("apply a", "apply needs a map name and an expression"),
+        ("build-polynilpotent --rank 3", "build-polynilpotent needs --c"),
+        ("span --samples 2", "span needs --gens"),
     ],
 )
 def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, message):
@@ -396,6 +402,7 @@ def test_statement_off_the_command_table_exit_code_1(tmp_path, capsys, command, 
         ("let p x1", "column 7", "expected '=', got 'x1'"),
         # a missing name or number is named as such, not by its token kind
         ("let 3 = x1", "column 5", "expected a name, got 3"),
+        ("compose a 3", "column 11", "expected a name, got 3"),
         ("variety lie(x1)", "column 13", "expected a number, got 'x1'"),
     ],
 )
@@ -429,6 +436,23 @@ def test_commutator_of_map_with_constant_exit_code_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error: line 4: in 'commutator': the first map has a constant term" in captured.err
+
+
+def test_span_with_a_constant_and_an_inexact_inverse_exit_code_1(tmp_path, capsys):
+    """With the constant of a, the part of b's inverse cut at degree 4
+    (-x^5) would land in low degrees of the samples."""
+    path = write(
+        tmp_path,
+        "variety polynomial(2) vars x,y\na := auto(x + 1, y)\nb := auto(x, y + x^5)\n"
+        "span --gens a,b --degree 1\n",
+    )
+    rc = cli.main(["run", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        "error: line 4: in 'span': span generator 2, (x, y + x^5), needs an exact "
+        "inverse of degree <= 4 when a generator has a constant term\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from tangentia import (
     Derivation,
     Element,
+    Endomorphism,
     EnvElement,
     divergence,
     env_mul,
@@ -216,6 +217,18 @@ def test_apply_on_long_keys_does_not_recurse():
     M = metabelian_lie(2)
     e = Element(M, {(1, 0) + (1,) * 1198: 1})
     assert Derivation(M, (M.zero(), M.gen(1))).apply(e) == 1199 * e
+
+
+def test_a_map_and_a_derivation_with_the_same_coordinates_differ():
+    """Both store one element per generator, but neither equals the
+    other, either way round."""
+    P = polynomial(2)
+    x, y = P.gens()
+    D = Derivation(P, (x + y * y, y))
+    phi = Endomorphism(P, D.coords)
+    assert phi.images == D.coords
+    assert phi != D and D != phi
+    assert len({phi, D}) == 2
 
 
 def test_value_types_compare_hash_scale_and_print():

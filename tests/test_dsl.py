@@ -223,6 +223,16 @@ def test_invert_checks_a_map_with_a_constant_on_its_own_side():
     assert not compose(inv, phi, max_degree=6).is_identity_through(6)
 
 
+def test_truncated_compose_substitutes_a_constant_into_every_degree():
+    """b's x^5 at a's x + 1 reaches down to degree 0: the cut composition
+    used to cut b's images first and printed 0 for x's image."""
+    out = outputs(
+        "variety polynomial(2) vars x,y\na := auto(x + 1, y)\nb := auto(x^5, y)\n"
+        "compose a b --max-degree 2"
+    )
+    assert out[0]["images"] == ["1 + 5*x + 10*x^2", "y"]
+
+
 def test_compose_invert_commutator():
     out = outputs(
         "variety polynomial(2) vars x,y\n"

@@ -10,6 +10,7 @@ from tangentia import (
     EnvElement,
     Endomorphism,
     Kind,
+    Element,
     Variety,
     VarietyMismatch,
     chain_rule_check,
@@ -22,6 +23,7 @@ from tangentia import (
     free_associative,
     free_lie,
     jacobian_of_tuple,
+    metabelian_lie,
     monomials_of_degree,
     polynomial,
     project_to_metabelian,
@@ -32,6 +34,7 @@ from tangentia.wildness import random_invertible_matrix
 P = polynomial(2)
 A = free_associative(2)
 L3 = free_lie(3)
+L2, M2 = free_lie(2), metabelian_lie(2)
 x, y = P.gens()
 a, b = A.gens()
 
@@ -67,6 +70,12 @@ CHECKS = [
     # check has carries its own test id as a fourth item
     (lambda: Derivation(P, (x, 3)), TypeError, "expected Element, got int",
      "Derivation coordinate: expected Element, got int"),
+    # a constant coordinate, which no public constructor builds in a Lie
+    # kind: this check used to cover endomorphisms only
+    (lambda: Derivation(L2, (L2.gen(0), Element._raw(L2, {(): 1}))), AlgebraError,
+     "constant coordinate in a Lie variety", "Derivation on lie(2): constant coordinate"),
+    (lambda: Derivation(M2, (M2.gen(0), Element._raw(M2, {(): 1}))), AlgebraError,
+     "constant coordinate in a Lie variety", "Derivation on metabelian(2): constant coordinate"),
     (lambda: Derivation.euler(P).star_extend(EnvElement.one(A)), VarietyMismatch,
      "envelope element from a different variety"),
     # this call used to raise AttributeError
@@ -84,6 +93,8 @@ CHECKS = [
     # this call used to raise AttributeError
     (lambda: compose(Endomorphism.identity(P), 3), TypeError,
      "expected Endomorphism, got int"),
+    (lambda: compose(3, Endomorphism.identity(P)), TypeError,
+     "expected Endomorphism, got int", "compose: a first argument that is no map"),
     # these used to raise AttributeError, and VarietyMismatch("cannot
     # substitute assoc values into a polynomial element")
     (lambda: Endomorphism.identity(P).apply(3), TypeError, "expected Element, got int",

@@ -43,6 +43,27 @@ from conftest import (
 )
 
 
+@pytest.mark.parametrize(
+    "variety", [polynomial(2), polynomial(3), free_associative(2)],
+    ids=lambda v: f"{v.kind.value}{v.rank}",
+)
+def test_truncated_compose_is_the_exact_composite_cut(variety, rng):
+    """``compose(phi, psi, max_degree=k)`` is the exact composite cut at
+    k, also when phi has constant terms: a term of psi above k then
+    reaches lower degrees, so psi may not be cut before substitution
+    (cutting it first made every pair here differ)."""
+    gens = variety.gens()
+    for _ in range(30):
+        phi = Endomorphism(variety, [
+            x + random_element(rng, variety, 1, 2, terms=2)
+            + variety.scalar(rng.choice([-1, 1, 2]))
+            for x in gens
+        ])
+        psi = Endomorphism(variety, [x + random_element(rng, variety, 2, 5) for x in gens])
+        k = rng.randint(1, 3)
+        assert compose(phi, psi, max_degree=k) == compose(phi, psi).truncate(k), (phi, psi, k)
+
+
 def test_compose_convention():
     """compose(phi, psi)(x) = phi(psi(x))."""
     P = polynomial(2, ("x", "y"))

@@ -187,21 +187,19 @@ def test_divergence_detector_zero_divergence_is_inconclusive():
 
 def test_divergence_detector_small_ideal_is_inconclusive():
     """A nonzero divergence proves nothing when the ideal may reach down
-    to the deviation degree, or when no evidence says that the map
-    induces an automorphism (a context built through the Python API
-    with an unknown evidence level)."""
+    to the deviation degree.  A context with an unknown evidence level,
+    which only the Python API can ask for, is not built at all."""
     phi = _mb_wild_example()  # IA(2), deviation degree 3
     ctx = nilpotent_context(phi.variety, 1)  # ideal starts in degree 3
     cert = detect_divergence_wild(phi, ctx)
     assert cert.verdict == "Inconclusive"
     assert any("degree" in r for r in cert.reasons)
-    L = free_lie(3)
-    x1, x2, x3 = L.gens()
-    psi = Endomorphism(L, (x1 + (x1 * x2) * x2, x2, x3))
-    cert = detect_divergence_wild(psi, QuotientContext(L, "t", 5, "nonsense"))
-    assert not divergence(tangent(psi)).is_zero()
-    assert cert.verdict == "Inconclusive"
-    assert cert.reasons == ["no evidence that the map induces an automorphism"]
+    with pytest.raises(AlgebraError) as info:
+        QuotientContext(free_lie(3), "t", 5, "nonsense")
+    assert info.value.args == (
+        "automorphism evidence must be one of user-asserted, "
+        "verified-by-truncation, builtin-construction, got 'nonsense'",
+    )
 
 
 def test_divergence_detector_input_validation():
@@ -568,6 +566,29 @@ def test_span_conjugates_the_tangent_as_the_whole_map_would(kind, degree):
     assert expected.hits > 0 and expected.rank > 0
     got = tangent_span(gens, degree, 30, seed=degree, conjugation_rank=1)
     assert got == expected
+
+
+def test_span_with_a_constant_term_needs_exact_inverses():
+    """With a constant among the generators, the part of an inverse above
+    the cut 2 * degree + 2 lands in low degrees of the samples, so each
+    inverse must be exact.  Then every word composed with the cut is its
+    exact composite cut; without a constant no check runs."""
+    P = polynomial(2, ("x", "y"))
+    x, y = P.gens()
+    a = Endomorphism(P, (x + P.one(), y))
+    far = Endomorphism(P, (x, y + x.power(5)))
+    with pytest.raises(AlgebraError) as info:
+        tangent_span([a, far], 1, 10, seed=0)
+    assert info.value.args == (
+        "span generator 2, (x, y + x^5), needs an exact inverse of degree <= 4 "
+        "when a generator has a constant term",
+    )
+    assert tangent_span([far], 1, 10, seed=0).samples_used == 10
+    b = Endomorphism(P, (x, y + x * x))
+    pool = [a, b] + [truncated_inverse(g, 4) for g in (a, b)]
+    for word in itertools.product(pool, repeat=3):
+        assert compose_all(word, max_degree=4) == compose_all(word).truncate(4)
+    assert tangent_span([a, b], 1, 30, seed=0).hits > 0
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "metabelian"])

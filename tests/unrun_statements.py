@@ -124,12 +124,21 @@ def report(hits_by_file):
 
 
 class _Blocker(importlib.abc.MetaPathFinder):
-    """Makes an import of a ``BLOCKED`` package fail as if not installed."""
+    """Makes an import of a ``BLOCKED`` package fail as if not installed.
+
+    It must be the first finder: pytest puts its assertion-rewriting hook
+    first, and that hook imports on its own the packages of every
+    installed plugin (hypothesis among them, ``-p no:`` or not), so
+    ``pytest_collection`` moves the blocker back in front."""
 
     def find_spec(self, name, path, target=None):
         if name.partition(".")[0] in BLOCKED:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
         return None
+
+    def pytest_collection(self, session):
+        sys.meta_path.remove(self)
+        sys.meta_path.insert(0, self)
 
 
 def run_traced(args):
@@ -161,7 +170,7 @@ def run_traced(args):
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(args)
+        status = pytest.main(args, plugins=[blocker])
     finally:
         sys.settrace(None)
         threading.settrace(None)
