@@ -17,10 +17,11 @@ from .freealg import (
     _Coords,
     _add_scaled,
     _check_element,
+    _check_type,
     _merge,
     _prefix_walk,
 )
-from .envelope import EnvElement, generated_algebra, left_mul, trace_class
+from .envelope import EnvElement, TraceClass, generated_algebra, left_mul, trace_class
 from .fox import fox_derivative, jacobian
 
 
@@ -138,8 +139,7 @@ class Derivation(_Coords):
     def star_extend(self, u):
         """The derivation D* of U with D*(L_a) = L_{D(a)}, D*(R_a) = R_{D(a)},
         applied to u (factor-wise Leibniz on the stored keys)."""
-        if not isinstance(u, EnvElement):
-            raise TypeError(f"expected EnvElement, got {type(u).__name__}")
+        _check_type(u, EnvElement)
         if u.variety.kind is not self.variety.kind or u.variety.rank != self.variety.rank:
             raise VarietyMismatch("envelope element from a different variety")
         var = u.variety
@@ -160,6 +160,7 @@ class Derivation(_Coords):
     def star_trace(self, tc):
         """D* descended to the trace codomain: lift each necklace to a
         representative word, extend, and re-normalize."""
+        _check_type(tc, TraceClass)
         return trace_class(self.star_extend(tc.lift()))
 
     jacobian = jacobian  # fox.jacobian, as a method
@@ -199,7 +200,8 @@ class DivergenceValue:
 
 def divergence(D):
     """div(D) = class of sum_i d(f_i)/dx_i in U/([U,U]+R)."""
-    acc = EnvElement.zero(D.variety)
+    _check_type(D, Derivation)
+    acc = {}
     for i, f in enumerate(D.coords):
-        acc = acc + fox_derivative(f, i)
-    return DivergenceValue(trace_class(acc))
+        _add_scaled(acc, 1, fox_derivative(f, i).coeffs)
+    return DivergenceValue(trace_class(EnvElement._raw(D.variety, acc)))

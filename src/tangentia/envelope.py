@@ -25,10 +25,10 @@ are those of the free algebra that the L_{x_i} generate
 (``generated_algebra``, which also carries the names U prints with: A's
 own, or t1..tn in the metabelian kind): ``env_mul`` multiplies with that
 algebra's product kernel, ``env_str`` prints with its ``key_printer``,
-and the push-forward along an endomorphism (``fox.env_push``) and the
-extension D* of a derivation (``Derivation.star_extend``) substitute into
-it or differentiate it.  Only the associative tensor pairs keep loops of
-their own, and a key printer that joins the printed words of both factors.
+and the push-forward of a matrix along an endomorphism (``fox.push_matrix``)
+and the extension D* of a derivation (``Derivation.star_extend``) substitute
+into it or differentiate it.  Only the associative tensor pairs keep loops
+of their own, and a key printer that joins the printed words of both factors.
 
 Radical registry: R = 0 for polynomial, free associative, and free Lie
 algebras (recorded as a modeling assumption for the tensor-of-free-algebra
@@ -43,7 +43,9 @@ from .freealg import (
     Kind,
     LinearCombination,
     Variety,
-    VarietyMismatch,
+    _add_scaled,
+    _check_element,
+    _check_type,
     _key_degree,
     _merge,
     _prefix_walk,
@@ -113,6 +115,7 @@ def generated_algebra(variety):
 
 def left_mul(a):
     """The operator L_a as an element of U(A)."""
+    _check_type(a, Element)
     var = a.variety
     kind = var.kind
     if kind is Kind.POLYNOMIAL or kind is Kind.FREE_LIE:
@@ -120,16 +123,13 @@ def left_mul(a):
     if kind is Kind.FREE_ASSOCIATIVE:
         return EnvElement(var, {(w, ()): c for w, c in a.coeffs.items()})
     # metabelian: L of any bracket lies in R, only the linear part survives
-    terms = {}
-    for mono, c in a.coeffs.items():
-        if len(mono) == 1:
-            key = tuple(1 if j == mono[0] else 0 for j in range(var.rank))
-            _merge(terms, key, c)
-    return EnvElement(var, terms)
+    t = generated_algebra(var)._gen_key
+    return EnvElement(var, {t(m[0]): c for m, c in a.coeffs.items() if len(m) == 1})
 
 
 def right_mul(a):
     """The operator R_a; in Lie varieties R_a = -L_a."""
+    _check_type(a, Element)
     kind = a.variety.kind
     if kind is Kind.POLYNOMIAL:
         return left_mul(a)
@@ -165,20 +165,18 @@ def env_apply(u, m):
     """
     if not isinstance(m, Element):
         raise TypeError("env_apply expects an algebra Element")
-    if (
-        m.variety.kind is not u.variety.kind
-        or m.variety.rank != u.variety.rank
-    ):
-        raise VarietyMismatch("operator and operand from different varieties")
+    _check_type(u, EnvElement)
+    _check_element(u.variety, m, "operator and operand from different varieties")
     var = m.variety
     kind = var.kind
-    out = var.zero()
     if kind is Kind.POLYNOMIAL:
         return Element(var, u.coeffs) * m
+    out = {}
     if kind is Kind.FREE_ASSOCIATIVE:
         for (a, b), c in u.coeffs.items():
-            out = out + (Element(var, {a: 1}) * m * Element(var, {b: 1})).scale(c)
-        return out
+            for w, cw in m.coeffs.items():
+                _merge(out, a + w + b, c * cw)
+        return Element._raw(var, out)
 
     # a key of U is a product of the L_{x_j}: the walk applies them to m
     # one at a time, the last letter of a word first
@@ -189,8 +187,8 @@ def env_apply(u, m):
     for key, c in u.coeffs.items():
         key = key[::-1] if kind is Kind.FREE_LIE else key
         acc = _prefix_walk(ukind, key, memo, step)
-        out = out + (m if acc is None else acc).scale(c)
-    return out
+        _add_scaled(out, c, (m if acc is None else acc).coeffs)
+    return Element._raw(var, out)
 
 
 class TraceClass(LinearCombination):
@@ -225,6 +223,7 @@ def trace_str(t):
 
 def trace_class(u):
     """Canonical image of u in U/([U,U]+R)."""
+    _check_type(u, EnvElement)
     kind = u.variety.kind
     if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
         return TraceClass(u.variety, dict(u.coeffs))

@@ -2,7 +2,8 @@
 
 The universal differential module is never materialized; only the
 coefficient extraction a -> (da/dx_1, ..., da/dx_n) is implemented, which
-is all the Jacobian and the divergence need.
+is all the Jacobian and the divergence need.  The chain rule composes with
+``morphism.compose`` and pushes a whole Jacobian in one substitution.
 """
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ from .freealg import (
     AlgebraError,
     Element,
     Kind,
-    VarietyMismatch,
+    _add_scaled,
+    _check_element,
+    _check_type,
     _merge,
     _substitute,
 )
@@ -25,6 +28,7 @@ def fox_derivative(a, i):
     a = sum_i (da/dx_i) x_i, so da/dx_i keeps the words ending in x_i
     with that letter removed.
     """
+    _check_type(a, Element)
     var = a.variety
     if not 0 <= i < var.rank:
         raise AlgebraError(f"generator index {i} out of range for rank {var.rank}")
@@ -78,8 +82,7 @@ def jacobian_of_tuple(coords, variety):
     if len(coords) != n:
         raise AlgebraError("coordinate tuple length differs from rank")
     for f in coords:
-        if f.variety != variety:
-            raise VarietyMismatch("coordinate lives in a different algebra")
+        _check_element(variety, f, "coordinate lives in a different algebra")
     return [[fox_derivative(f, j) for j in range(n)] for f in coords]
 
 
@@ -89,62 +92,60 @@ def jacobian(phi):
 
 
 def mat_mul(a, b):
-    n = len(a)
-    out = []
+    """The product of two square matrices over U, each entry summed in one dict."""
+    n, var = len(a), a[0][0].variety
+    out = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        row = []
         for k in range(n):
-            acc = None
             for j in range(n):
-                term = env_mul(a[i][j], b[j][k])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+                _add_scaled(out[i][k], 1, env_mul(a[i][j], b[j][k]).coeffs)
+    return [[EnvElement._raw(var, d) for d in row] for row in out]
 
 
 def mat_trace(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
+    acc = {}
+    for i, row in enumerate(a):
+        _add_scaled(acc, 1, row[i].coeffs)
+    return EnvElement._raw(a[0][0].variety, acc)
 
 
 def env_push(images, u):
     """Image of u in U under the endomorphism x_i -> images[i], applied
-    inside every tensor factor."""
-    var = u.variety
-    if len(images) != var.rank:
-        raise AlgebraError("image tuple length differs from rank")
-    if any(f.variety != var for f in images):
-        raise VarietyMismatch("images live in a different algebra")
-    if var.kind is Kind.FREE_ASSOCIATIVE:
-        # every word of every tensor factor, mapped in one batch
-        words = list(dict.fromkeys(w for pair in u.coeffs for w in pair))
-        image = dict(zip(words, _substitute([{w: 1} for w in words], images, None)))
-        out = {}
-        for (a, b), c in u.coeffs.items():
-            for wa, ca in image[a].items():
-                for wb, cb in image[b].items():
-                    _merge(out, (wa, wb), c * ca * cb)
-        return EnvElement(var, out)
-    # U is generated by the L_{x_i}, which go to the L_{images[i]}
-    base = generated_algebra(var)
-    args = [Element._raw(base, left_mul(f).coeffs) for f in images]
-    return EnvElement._raw(var, Element._raw(base, u.coeffs).substitute(args).coeffs)
+    inside every tensor factor: ``push_matrix`` of the 1x1 matrix."""
+    return push_matrix(images, [[u]])[0][0]
 
 
 def push_matrix(images, mat):
-    return [[env_push(images, entry) for entry in row] for row in mat]
+    """phi(mat) for phi: x_i -> images[i], applied inside every tensor factor
+    of every entry, in one ``_substitute`` call: the entries go into the
+    L_{images[i]}, or, in the associative kind, each distinct word of their
+    tensor factors, so a word shared across the matrix is mapped once."""
+    var = mat[0][0].variety
+    if len(images) != var.rank:
+        raise AlgebraError("image tuple length differs from rank")
+    for f in images:
+        _check_element(var, f, "images live in a different algebra")
+    entries = [u.coeffs for row in mat for u in row]
+    if var.kind is Kind.FREE_ASSOCIATIVE:
+        words = list(dict.fromkeys(w for u in entries for pair in u for w in pair))
+        image = dict(zip(words, _substitute([{w: 1} for w in words], images, None)))
+        pushed = [{} for _ in entries]
+        for out, u in zip(pushed, entries):
+            for (a, b), c in u.items():
+                for wa, ca in image[a].items():
+                    for wb, cb in image[b].items():
+                        _merge(out, (wa, wb), c * ca * cb)
+    else:  # U is generated by the L_{x_i}, which go to the L_{images[i]}
+        base = generated_algebra(var)
+        args = [Element._raw(base, left_mul(f).coeffs) for f in images]
+        pushed = _substitute(entries, args, None)
+    pushed = iter(pushed)
+    return [[EnvElement._raw(var, next(pushed)) for _ in row] for row in mat]
 
 
 def chain_rule_check(phi, psi):
     """Exact check of J(phi o psi) = phi(J(psi)) J(phi), where
     (phi o psi)(x_k) = phi(psi(x_k))."""
-    if phi.variety != psi.variety:
-        raise VarietyMismatch("endomorphisms from different varieties")
-    var = phi.variety
-    composed = _substitute([g.coeffs for g in psi.images], phi.images, None)
-    lhs = jacobian_of_tuple(tuple(Element._raw(var, f) for f in composed), var)
-    rhs = mat_mul(push_matrix(phi.images, jacobian(psi)), jacobian(phi))
-    return lhs == rhs
+    from .morphism import compose  # morphism imports deriv, which imports fox
+    lhs = jacobian(compose(phi, psi))
+    return lhs == mat_mul(push_matrix(phi.images, jacobian(psi)), jacobian(phi))

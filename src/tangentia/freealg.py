@@ -188,10 +188,15 @@ def _combine(row, dicts):
     return acc
 
 
+def _check_type(obj, cls):
+    """Raise ``TypeError`` unless ``obj`` is a ``cls``."""
+    if not isinstance(obj, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(obj).__name__}")
+
+
 def _check_element(variety, f, message):
     """Raise unless ``f`` is an ``Element`` of ``variety``'s algebra."""
-    if not isinstance(f, Element):
-        raise TypeError(f"expected Element, got {type(f).__name__}")
+    _check_type(f, Element)
     if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
         raise VarietyMismatch(message)
 
@@ -218,8 +223,7 @@ class _Coords:
         self.coords = coords
 
     def _check(self, other):
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        _check_type(other, type(self))
         if self.variety != other.variety:
             raise VarietyMismatch(self._MESSAGES[3])
 

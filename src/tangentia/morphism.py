@@ -25,6 +25,7 @@ from .freealg import (
     _add_mirrored,
     _add_scaled,
     _check_element,
+    _check_type,
     _coeff,
     _combine,
     _key_degree,
@@ -120,8 +121,7 @@ def compose(phi, psi, max_degree=None):
     terms: with a dense truncated inverse, ``compose(inv, phi)`` is the
     cheaper order.
     """
-    if not isinstance(phi, Endomorphism):
-        raise TypeError(f"expected Endomorphism, got {type(phi).__name__}")
+    _check_type(phi, Endomorphism)
     phi._check(psi)
     target = phi.images[0].variety  # the variety, named as phi's images are
     images = _substitute([g.coeffs for g in psi.images], phi.images, max_degree)

@@ -8,17 +8,23 @@ from tangentia import (
     Element,
     Endomorphism,
     EnvElement,
+    Kind,
     chain_rule_check,
     env_apply,
+    env_mul,
     fox_derivative,
     free_associative,
     free_lie,
     gradient,
     jacobian,
+    left_mul,
     metabelian_lie,
     monomials_of_degree,
     polynomial,
+    right_mul,
 )
+from tangentia import fox, freealg, morphism
+from tangentia.fox import env_push, push_matrix
 
 from conftest import ALL_VARIETIES, random_element, random_ia_endomorphism
 
@@ -139,3 +145,80 @@ def test_chain_rule_random(variety, rng):
         phi = random_ia_endomorphism(rng, variety, 1, 2)
         psi = random_ia_endomorphism(rng, variety, 1, 2)
         assert chain_rule_check(phi, psi)
+
+
+def _push_reference(images, u):
+    """phi(u) for phi: x_i -> images[i], summed term by term from env_mul
+    products: a tensor pair a(x)b is L_a R_b and goes to L_{phi(a)}
+    R_{phi(b)}; any other key is a product of the L_{x_j}, and each goes
+    to L_{images[j]}."""
+    var = u.variety
+    out = EnvElement.zero(var)
+    for key, c in u.coeffs.items():
+        if var.kind is Kind.FREE_ASSOCIATIVE:
+            a, b = (Element(var, {w: 1}).substitute(images) for w in key)
+            term = env_mul(left_mul(a), right_mul(b))
+        else:
+            if var.kind is not Kind.FREE_LIE:  # exponent vectors
+                key = [j for j, e in enumerate(key) for _ in range(e)]
+            term = EnvElement.one(var)
+            for j in key:
+                term = env_mul(term, left_mul(images[j]))
+        out = out + term.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_push_matrix_is_the_entrywise_push(variety, rng):
+    """Each entry of push_matrix(images, J) is the reference push of J's
+    entry, on seeded Jacobians and images (with constants in the unital
+    kinds), and env_push is its 1x1 case."""
+    low = 0 if variety.unital else 1
+    for _ in range(10):
+        images = tuple(random_element(rng, variety, low, 2) for _ in range(variety.rank))
+        mat = jacobian(random_ia_endomorphism(rng, variety, 1, 3))
+        pushed = push_matrix(images, mat)
+        for row, pushed_row in zip(mat, pushed):
+            for u, v in zip(row, pushed_row):
+                assert v == _push_reference(images, u)
+                assert env_push(images, u) == v
+
+
+def test_push_matrix_maps_words_shared_by_entries():
+    """An associative matrix whose entries share the words of their tensor
+    factors, and a word that is both a left and a right factor: each
+    entry is still its own push."""
+    A = free_associative(2)
+    x1, x2 = A.gens()
+    images = (x1 + x2 * x1 + A.one(), x2 - 2 * x1 * x1)
+    u, v = left_mul(x1 * x2), right_mul(x1)
+    mat = [
+        [env_mul(u, v), left_mul(x1) + right_mul(x1 * x2)],
+        [right_mul(x1 * x2) - u, env_mul(v, left_mul(x1)) + EnvElement.one(A)],
+    ]
+    pushed = push_matrix(images, mat)
+    for row, pushed_row in zip(mat, pushed):
+        for u, v in zip(row, pushed_row):
+            assert v == _push_reference(images, u)
+
+
+@pytest.mark.parametrize("variety", ALL_VARIETIES, ids=lambda v: v.kind.value)
+def test_one_substitution_per_push_and_per_composition(variety, rng, monkeypatch):
+    """A 3x3 push_matrix makes one _substitute call, and the chain rule
+    two: one in compose and one for the pushed Jacobian."""
+    calls = []
+
+    def counting(real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    for module in (fox, freealg, morphism):
+        monkeypatch.setattr(module, "_substitute", counting(module._substitute))
+    phi = random_ia_endomorphism(rng, variety, 1, 3)
+    psi = random_ia_endomorphism(rng, variety, 1, 3)
+    push_matrix(phi.images, jacobian(psi))
+    assert len(calls) == 1
+    assert chain_rule_check(phi, psi)
+    assert len(calls) == 3

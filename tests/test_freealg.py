@@ -505,7 +505,7 @@ def test_one_batched_substitution_maps_each_dict(variety, rng):
     ``substitute``.  The arguments have least degree 0 (unital kinds), 1, 2
     and 3, and one of them is zero: each bounds how deep Horner's rule
     reads a word.  Each batch holds ten random elements, and one dict per
-    word for twelve of their words, the shape ``fox.env_push`` maps."""
+    word for twelve of their words, the shape ``fox.push_matrix`` maps."""
     low = 0 if variety.unital else 1
     x = variety.gens()
     # each argument tuple with the top degree of the elements mapped

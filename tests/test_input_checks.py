@@ -17,16 +17,20 @@ from tangentia import (
     compose,
     compose_all,
     corpus,
+    divergence,
     elementary,
     env_apply,
     fox_derivative,
     free_associative,
     free_lie,
     jacobian_of_tuple,
+    left_mul,
     metabelian_lie,
     monomials_of_degree,
     polynomial,
     project_to_metabelian,
+    right_mul,
+    trace_class,
 )
 from tangentia.fox import env_push
 from tangentia.wildness import random_invertible_matrix
@@ -52,8 +56,20 @@ CHECKS = [
      "image tuple length differs from rank"),
     (lambda: env_push((a, b), EnvElement.one(P)), VarietyMismatch,
      "images live in a different algebra"),
+    # the chain rule composes with compose, whose message this now is;
+    # the id still names the case
     (lambda: chain_rule_check(Endomorphism.identity(P), Endomorphism.identity(A)),
-     VarietyMismatch, "endomorphisms from different varieties"),
+     VarietyMismatch, "endomorphisms over different varieties",
+     "endomorphisms from different varieties"),
+    # these used to raise AttributeError
+    (lambda: chain_rule_check(Endomorphism.identity(P), 3), TypeError,
+     "expected Endomorphism, got int", "chain_rule_check: expected Endomorphism, got int"),
+    (lambda: jacobian_of_tuple((1, 2), P), TypeError, "expected Element, got int",
+     "jacobian_of_tuple: expected Element, got int"),
+    (lambda: env_push((1, 2), EnvElement.one(P)), TypeError, "expected Element, got int",
+     "env_push: expected Element, got int"),
+    (lambda: fox_derivative(3, 0), TypeError, "expected Element, got int",
+     "fox_derivative: expected Element, got int"),
     # deriv
     (lambda: Derivation(P, (x,)), AlgebraError, "need one coordinate per generator"),
     (lambda: Derivation(P, (a, b)), VarietyMismatch,
@@ -80,6 +96,12 @@ CHECKS = [
      "envelope element from a different variety"),
     # this call used to raise AttributeError
     (lambda: Derivation.euler(P).star_extend(3), TypeError, "expected EnvElement, got int"),
+    # these used to raise AttributeError, and a trace class passed to
+    # env_apply acted as its lift
+    (lambda: Derivation.euler(P).star_trace(EnvElement.one(P)), TypeError,
+     "expected TraceClass, got EnvElement"),
+    (lambda: divergence(3), TypeError, "expected Derivation, got int",
+     "divergence: expected Derivation, got int"),
     # morphism
     (lambda: Endomorphism(P, (x,)), AlgebraError, "need one image per generator"),
     # these used to raise AttributeError and IndexError
@@ -129,6 +151,14 @@ CHECKS = [
      "env_apply expects an algebra Element"),
     (lambda: env_apply(EnvElement.one(P), a), VarietyMismatch,
      "operator and operand from different varieties"),
+    (lambda: env_apply(trace_class(EnvElement.one(P)), x), TypeError,
+     "expected EnvElement, got TraceClass"),
+    (lambda: left_mul(3), TypeError, "expected Element, got int",
+     "left_mul: expected Element, got int"),
+    (lambda: right_mul(3), TypeError, "expected Element, got int",
+     "right_mul: expected Element, got int"),
+    (lambda: trace_class(3), TypeError, "expected EnvElement, got int",
+     "trace_class: expected EnvElement, got int"),
     # wildness: an rng that draws only zeros draws only singular matrices
     (lambda: random_invertible_matrix(SimpleNamespace(randint=lambda lo, hi: 0), 2),
      AlgebraError, "failed to sample an invertible matrix"),
