@@ -13,7 +13,6 @@ from .freealg import (
     Element,
     Kind,
     LinearCombination,
-    VarietyMismatch,
     _Coords,
     _add_scaled,
     _check_element,
@@ -139,9 +138,7 @@ class Derivation(_Coords):
     def star_extend(self, u):
         """The derivation D* of U with D*(L_a) = L_{D(a)}, D*(R_a) = R_{D(a)},
         applied to u (factor-wise Leibniz on the stored keys)."""
-        _check_type(u, EnvElement)
-        if u.variety.kind is not self.variety.kind or u.variety.rank != self.variety.rank:
-            raise VarietyMismatch("envelope element from a different variety")
+        _check_element(self.variety, u, "envelope element from a different variety", EnvElement)
         var = u.variety
         if var.kind is Kind.FREE_ASSOCIATIVE:
             images = [f.coeffs for f in self.coords]

@@ -8,24 +8,24 @@ breaks.  Statement forms:
 * ``let NAME = EXPR`` -- bind an algebra element
 * ``NAME := auto(E1, ..., En)`` -- define an endomorphism
 * ``NAME := deriv(E1, ..., En)`` -- define a derivation
-* ``COMMAND ARGS [--flag VALUES]... [as NAME]`` -- a command from
-  ``COMMANDS``: ``eval``, ``apply``, ``ia-level``, ``tangent``,
-  ``jacobian``, ``divergence``, ``compose``, ``invert``, ``commutator``,
-  ``detect-wild``, ``build-polynilpotent``, ``span``
+* ``COMMAND ARGS [--flag VALUES]... [as NAME]`` -- a command: one key
+  of ``COMMANDS``
 
 ``COMMANDS`` declares, for each command, its positional form, each flag
 it takes with the type of its value (one integer, integers, one name,
-names, or none for a switch, with an integer's least value) and whether
-it binds its result with ``as NAME``.  The parser checks every command
-statement against it, so a handler receives its arguments and typed
-flags already checked.  A flag value ``-N``, with no space after the
-minus, is a negative integer.
+names, or none for a switch, with an integer's least value), whether
+it binds its result with ``as NAME`` and which flags it requires.  The
+parser checks every command statement against it, so a handler receives
+its arguments and typed flags already checked.  A flag value ``-N``,
+with no space after the minus, is a negative integer.
 
 Expressions support ``+``, ``-``, explicit ``*``, ``^`` (unital
 varieties), ``[a,b]`` brackets, parentheses, and rational literals
-``p/q``.  ``#`` starts a comment.  Parentheses, brackets and unary
-minus nest at most ``MAX_NESTING`` levels deep; deeper nesting is a
-script error, since the parser recurses once per level.
+``p/q``.  ``^`` binds tightest and applies left to right, then unary
+minus, then ``*``, then ``+`` and ``-``: ``2 * -3^2`` is -18.  ``#``
+starts a comment.  Parentheses, brackets and unary minus nest at most
+``MAX_NESTING`` levels deep; deeper nesting is a script error, since the
+parser recurses once per level.
 """
 from __future__ import annotations
 
@@ -79,8 +79,9 @@ class Token:
     end: int = 0  # end column, for adjacency checks
 
 
+# a token's kind is its group's name in capitals, its value the group's text (int if a number)
 _TOKEN_RE = re.compile(
-    r"""(?P<flag>--[A-Za-z][A-Za-z0-9-]*)
+    r"""--(?P<flag>[A-Za-z][A-Za-z0-9-]*)
       | (?P<assign>:=)
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<number>\d+)
@@ -101,20 +102,13 @@ def tokenize(source):
             m = _TOKEN_RE.match(line, pos)
             col = pos + 1
             pos = m.end()
-            if m.lastgroup == "ws":
+            kind, text = m.lastgroup, m.group(m.lastgroup)
+            if kind == "ws":
                 continue
-            if m.lastgroup == "bad":
-                raise DslError(f"unexpected character {m.group()!r}", lineno, col)
-            if m.lastgroup == "flag":
-                tokens.append(Token("FLAG", m.group()[2:], lineno, col, pos + 1))
-            elif m.lastgroup == "assign":
-                tokens.append(Token("ASSIGN", ":=", lineno, col, pos + 1))
-            elif m.lastgroup == "name":
-                tokens.append(Token("NAME", m.group(), lineno, col, pos + 1))
-            elif m.lastgroup == "number":
-                tokens.append(Token("NUMBER", int(m.group()), lineno, col, pos + 1))
-            else:
-                tokens.append(Token("OP", m.group(), lineno, col, pos + 1))
+            if kind == "bad":
+                raise DslError(f"unexpected character {text!r}", lineno, col)
+            value = int(text) if kind == "number" else text
+            tokens.append(Token(kind.upper(), value, lineno, col, pos + 1))
     return tokens
 
 
@@ -199,6 +193,7 @@ class CommandSpec(NamedTuple):
     args: str  # positional form: "expr", "map expr", or a key of _NAME_FORMS
     flags: dict  # flag name -> value type
     binds: bool  # takes a trailing ``as NAME``
+    required: tuple = ()  # flags the statement must give
 
 
 # every integer flag's least value: degrees and counts >= 0, nilpotency
@@ -222,15 +217,18 @@ COMMANDS = {
         {"context": NAME, "evidence": NAME, "class": _ints(1), "c": _ints(1, many=True),
          "min-degree": _ints(2), "tag": NAME, "max-degree": _ints(0)},
         False,
+        ("context",),
     ),
     "build-polynilpotent": CommandSpec(
-        "", {"c": _ints(1, many=True), "rank": _ints(3, most=MAX_RANK), "limit": _ints(0)}, True
+        "", {"c": _ints(1, many=True), "rank": _ints(3, most=MAX_RANK), "limit": _ints(0)},
+        True, ("c",),
     ),
     "span": CommandSpec(
         "",
         {"gens": NAMES, "degree": _ints(), "samples": _ints(0), "seed": _ints(),
          "conjugate": SWITCH},
         False,
+        ("gens",),
     ),
 }
 
@@ -430,6 +428,9 @@ def _parse_command(word, toks, i):
         if fname in flags:
             raise DslError(f"flag --{fname} given twice", line)
         flags[fname] = _flag_value(fname, spec.flags[fname], values, line)
+    for fname in spec.required:
+        if fname not in flags:
+            raise DslError(f"{word} needs --{fname}", line)
     return Command(word, args, flags, bind_as, line)
 
 
@@ -500,6 +501,20 @@ class _ExprParser:
         self.i += 1
         return t
 
+    def _accept(self, ops):
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        t = self._peek()
+        if t is None or t.kind != "OP" or t.value not in ops:
+            return None
+        self.i += 1
+        return t
+
+    def _close(self, op, message):
+        """Consume the operator ``op`` that closes a group, else raise."""
+        t = self._next()
+        if t.kind != "OP" or t.value != op:
+            raise DslError(message, t.line, t.col)
+
     def parse(self):
         v = self.expr()
         t = self._peek()
@@ -508,36 +523,21 @@ class _ExprParser:
         return v
 
     def expr(self):
-        t = self._peek()
-        if t is not None and t.kind == "OP" and t.value == "-":
-            self._next()
-            v = -self.term()
-        else:
-            v = self.term()
-        while True:
-            t = self._peek()
-            if t is None or t.kind != "OP" or t.value not in "+-":
-                return v
-            self._next()
+        v = self.term()
+        while t := self._accept("+-"):
             rhs = self.term()
             v = self._add(v, rhs if t.value == "+" else -rhs, t)
+        return v
 
     def term(self):
         v = self.power()
-        while True:
-            t = self._peek()
-            if t is None or t.kind != "OP" or t.value != "*":
-                return v
-            self._next()
+        while self._accept("*"):
             v = v * self.power()
+        return v
 
     def power(self):
         v = self.atom()
-        while True:
-            t = self._peek()
-            if t is None or t.kind != "OP" or t.value != "^":
-                return v
-            op = self._next()
+        while op := self._accept("^"):
             e = self._next()
             if e.kind != "NUMBER":
                 raise DslError("exponent must be a nonnegative integer", e.line, e.col)
@@ -548,13 +548,12 @@ class _ExprParser:
                     v = v.power(e.value)
                 except AlgebraError as exc:
                     raise DslError(str(exc), op.line, op.col) from exc
+        return v
 
     def atom(self):
         t = self._next()
         if t.kind == "NUMBER":
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "OP" and nxt.value == "/":
-                self._next()
+            if self._accept("/"):
                 d = self._next()
                 if d.kind != "NUMBER" or d.value == 0:
                     raise DslError("malformed rational literal", t.line, t.col)
@@ -571,21 +570,15 @@ class _ExprParser:
         self.depth += 1
         if t.value == "(":
             v = self.expr()
-            close = self._next()
-            if close.kind != "OP" or close.value != ")":
-                raise DslError("expected ')'", close.line, close.col)
+            self._close(")", "expected ')'")
         elif t.value == "[":
             a = self.expr()
-            comma = self._next()
-            if comma.kind != "OP" or comma.value != ",":
-                raise DslError("expected ',' in bracket", comma.line, comma.col)
+            self._close(",", "expected ',' in bracket")
             b = self.expr()
-            close = self._next()
-            if close.kind != "OP" or close.value != "]":
-                raise DslError("expected ']'", close.line, close.col)
+            self._close("]", "expected ']'")
             v = self._bracket(a, b, t)
-        else:
-            v = -self.atom()
+        else:  # unary minus binds below ^: -x^2 is -(x^2)
+            v = -self.power()
         self.depth -= 1
         return v
 
@@ -787,9 +780,7 @@ class Session:
         return {"names": args, "degree": k, "images": [str(f) for f in out.images]}, out
 
     def _context_from_flags(self, flags):
-        tag = flags.get("context")
-        if tag is None:
-            raise DslError("detect-wild needs --context")
+        tag = flags["context"]
         evidence = flags.get("evidence", "user")
         if evidence not in _EVIDENCE:
             raise DslError(
@@ -837,8 +828,6 @@ class Session:
         }, None
 
     def _cmd_build_polynilpotent(self, args, flags):
-        if "c" not in flags:
-            raise DslError("build-polynilpotent needs --c")
         rank = flags.get("rank", max(self.variety.rank, 3))
         limit = flags.get("limit", self.max_degree)
         u, psi, rep = wildness.build_polynilpotent_witness(tuple(flags["c"]), rank, limit)
@@ -859,8 +848,6 @@ class Session:
         return out, psi
 
     def _cmd_span(self, args, flags):
-        if "gens" not in flags:
-            raise DslError("span needs --gens")
         gens = [self.lookup(n, Endomorphism) for n in flags["gens"]]
         degree = flags.get("degree", 1)
         samples = flags.get("samples", 200)

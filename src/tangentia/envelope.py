@@ -205,6 +205,7 @@ def env_str(u):
     """Deterministic plain-text form of an EnvElement (deglex term order):
     a key prints as a monomial of ``generated_algebra``, a tensor pair as
     its two words joined by ``(x)``."""
+    _check_type(u, EnvElement)
     base = generated_algebra(u.variety)
     key_str = key_printer(base)
     if u.variety.kind is Kind.FREE_ASSOCIATIVE:
@@ -218,7 +219,8 @@ def env_str(u):
 
 def trace_str(t):
     """Deterministic plain-text form of a TraceClass, keys as in env_str."""
-    return env_str(t)
+    _check_type(t, TraceClass)
+    return env_str(EnvElement._raw(t.variety, t.coeffs))
 
 
 def trace_class(u):

@@ -11,6 +11,7 @@ from .freealg import (
     AlgebraError,
     Element,
     Kind,
+    _Coords,
     _add_scaled,
     _check_element,
     _check_type,
@@ -73,6 +74,7 @@ def fox_derivative(a, i):
 
 def gradient(a):
     """All Fox derivatives of a, as a tuple."""
+    _check_type(a, Element)
     return tuple(fox_derivative(a, i) for i in range(a.variety.rank))
 
 
@@ -88,6 +90,7 @@ def jacobian_of_tuple(coords, variety):
 
 def jacobian(phi):
     """Jacobian matrix of an endomorphism (or of a derivation's tuple)."""
+    _check_type(phi, _Coords, "Endomorphism or Derivation")
     return jacobian_of_tuple(phi.coords, phi.variety)
 
 

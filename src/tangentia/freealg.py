@@ -188,17 +188,23 @@ def _combine(row, dicts):
     return acc
 
 
-def _check_type(obj, cls):
-    """Raise ``TypeError`` unless ``obj`` is a ``cls``."""
+def _check_type(obj, cls, what=None):
+    """Raise ``TypeError`` unless ``obj`` is a ``cls`` (named ``what`` if given)."""
     if not isinstance(obj, cls):
-        raise TypeError(f"expected {cls.__name__}, got {type(obj).__name__}")
+        raise TypeError(f"expected {what or cls.__name__}, got {type(obj).__name__}")
 
 
-def _check_element(variety, f, message):
-    """Raise unless ``f`` is an ``Element`` of ``variety``'s algebra."""
-    _check_type(f, Element)
+def _check_element(variety, f, message=None, cls=None):
+    """Raise unless ``f`` is a ``cls`` (an ``Element`` by default) over
+    ``variety``'s kind and rank; the mismatch says ``message``, or else
+    names both algebras."""
+    _check_type(f, cls or Element)
     if f.variety.kind is not variety.kind or f.variety.rank != variety.rank:
-        raise VarietyMismatch(message)
+        raise VarietyMismatch(
+            message
+            or f"{variety.kind.value}(rank {variety.rank}) vs "
+            f"{f.variety.kind.value}(rank {f.variety.rank})"
+        )
 
 
 class _Coords:
@@ -530,18 +536,7 @@ class LinearCombination:
         return not self.coeffs
 
     def _check(self, other):
-        if type(other) is not type(self):
-            raise TypeError(
-                f"expected {type(self).__name__}, got {type(other).__name__}"
-            )
-        if (
-            other.variety.kind is not self.variety.kind
-            or other.variety.rank != self.variety.rank
-        ):
-            raise VarietyMismatch(
-                f"{self.variety.kind.value}(rank {self.variety.rank}) vs "
-                f"{other.variety.kind.value}(rank {other.variety.rank})"
-            )
+        _check_element(self.variety, other, None, type(self))
 
     def __add__(self, other):
         self._check(other)

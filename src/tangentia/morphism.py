@@ -133,6 +133,7 @@ def compose_all(maps, max_degree=None):
     if not maps:
         raise AlgebraError("need at least one map to compose")
     out = maps[0]
+    _check_type(out, Endomorphism)
     for m in maps[1:]:
         out = compose(out, m, max_degree=max_degree)
     return out

@@ -601,10 +601,9 @@ def test_long_word_substitution_exit_code_0(tmp_path, capsys):
     [
         # the opener past the budget is the (MAX_NESTING + 1)-th
         ("(" * 250 + "x1" + ")" * 250, 9 + MAX_NESTING),
-        # a leading minus belongs to the expression, not to an atom, so
-        # the one past the budget is the (MAX_NESTING + 2)-th, two columns
-        # per "- "
-        ("- " * 250 + "x1", 9 + 2 * (MAX_NESTING + 1)),
+        # every unary minus opens a level, so the one past the budget is
+        # the (MAX_NESTING + 1)-th, two columns per "- "
+        ("- " * 250 + "x1", 9 + 2 * MAX_NESTING),
     ],
     ids=["parentheses", "unary-minus"],
 )
@@ -626,7 +625,7 @@ def test_deep_nesting_exit_code_1(tmp_path, capsys, expr, column):
     "kind, expr, value",
     [
         ("polynomial", "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, "x1"),
-        ("polynomial", "- " * (MAX_NESTING + 1) + "x1", "-x1"),
+        ("polynomial", "- " * MAX_NESTING + "x1", "x1"),
         (
             "lie",
             "[x1, " * MAX_NESTING + "x2" + "]" * MAX_NESTING,

@@ -1,9 +1,19 @@
 """The script language: tokenizer, parser, evaluator, and commands."""
+import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from tangentia import AlgebraError, compose, corpus, truncated_inverse
+from tangentia import (
+    AlgebraError,
+    compose,
+    corpus,
+    free_associative,
+    free_lie,
+    polynomial,
+    truncated_inverse,
+)
 from tangentia.dsl import (
     DslError,
     LetBinding,
@@ -145,6 +155,140 @@ def test_printed_elements_reparse_to_themselves():
         first = outputs(f"variety {decl}\neval {expr}")[0]["value"]
         second = outputs(f"variety {decl}\neval {first}")[0]["value"]
         assert first == second
+
+
+# precedence levels of the rendered trees: an operand binds at least as
+# tightly as its slot asks, or is put in parentheses
+SUM, PRODUCT, UNARY, POWER, ATOM = range(5)
+
+
+def _random_tree(rng, depth, lie, element):
+    """A random expression tree of the given depth at most; ``element``
+    asks for an element-valued one, else it may be a scalar.  A Lie tree
+    has no ``^`` and no scalar in a sum."""
+    ops = ["leaf"] if depth == 0 else ["leaf", "neg", "+", "-", "*", "[]"] + ([] if lie else ["^"])
+    op = rng.choice(ops)
+    sub = depth - 1
+    if op == "leaf":
+        if element or rng.random() < 0.5:
+            return ("name", rng.choice("xy"))
+        return ("lit", Fraction(rng.randint(0, 5), rng.randint(1, 3)))
+    if op == "neg":
+        return ("neg", _random_tree(rng, sub, lie, element))
+    if op == "^":
+        return ("^", _random_tree(rng, sub, lie, element), rng.randint(0, 3))
+    if op == "[]":
+        return ("[]", _random_tree(rng, sub, lie, True), _random_tree(rng, sub, lie, True))
+    if op == "*":  # an element when one factor is
+        first = element and rng.random() < 0.5
+        second = element and not first
+    else:  # an element when one term is; a Lie sum has no scalar term
+        first, second = element or lie, lie
+    pair = [_random_tree(rng, sub, lie, first), _random_tree(rng, sub, lie, second)]
+    rng.shuffle(pair)
+    return (op, *pair)
+
+
+def _degree_bound(tree):
+    op = tree[0]
+    if op in ("name", "lit"):
+        return int(op == "name")
+    if op == "neg":
+        return _degree_bound(tree[1])
+    if op == "^":
+        return _degree_bound(tree[1]) * tree[2]
+    a, b = _degree_bound(tree[1]), _degree_bound(tree[2])
+    return max(a, b) if op in "+-" else a + b
+
+
+def _render(tree):
+    """The tree's text with the fewest parentheses the precedence allows,
+    and its level; a space follows each unary minus, since ``--y`` reads
+    as a flag."""
+
+    def at(sub, least):
+        text, level = _render(sub)
+        return text if level >= least else f"({text})"
+
+    op = tree[0]
+    if op == "name":
+        return tree[1], ATOM
+    if op == "lit":
+        return str(tree[1]), ATOM  # p/q, or p when q is 1
+    if op == "[]":
+        return f"[{at(tree[1], SUM)}, {at(tree[2], SUM)}]", ATOM
+    if op == "^":
+        return f"{at(tree[1], POWER)}^{tree[2]}", POWER
+    if op == "neg":
+        return "- " + at(tree[1], UNARY), UNARY
+    if op == "*":
+        return f"{at(tree[1], PRODUCT)} * {at(tree[2], UNARY)}", PRODUCT
+    return f"{at(tree[1], SUM)} {op} {at(tree[2], PRODUCT)}", SUM
+
+
+def _value(tree, variety):
+    """The tree's value by the algebra's own operators, a scalar beside
+    an element read as a constant, as the script language reads it."""
+    op = tree[0]
+    if op == "name":
+        return variety.gen("xy".index(tree[1]))
+    if op == "lit":
+        return tree[1]
+    if op == "neg":
+        return -_value(tree[1], variety)
+    if op == "^":
+        v = _value(tree[1], variety)
+        return v ** tree[2] if isinstance(v, Fraction) else v.power(tree[2])
+    a, b = _value(tree[1], variety), _value(tree[2], variety)
+    if op == "*":
+        return a * b
+    if op == "[]":
+        return a * b if variety.is_lie else a * b - b * a
+    if isinstance(a, Fraction) != isinstance(b, Fraction):
+        a, b = (variety.scalar(v) if isinstance(v, Fraction) else v for v in (a, b))
+    return a + b if op == "+" else a - b
+
+
+@pytest.mark.parametrize(
+    "variety",
+    [make(2, ("x", "y")) for make in (polynomial, free_associative, free_lie)],
+    ids=["polynomial", "assoc", "lie"],
+)
+def test_evaluator_agrees_with_the_algebra_operators(variety):
+    """Seeded random trees of depth at most 4, each printed with the
+    fewest parentheses the precedence allows: ``eval`` prints what the
+    algebra's operators compute.  Degrees stay at most 8, so no power
+    runs away."""
+    rng = random.Random(7)
+    trees = []
+    while len(trees) < 300:
+        tree = _random_tree(rng, 4, variety.is_lie, variety.is_lie)
+        if _degree_bound(tree) <= 8:
+            trees.append(tree)
+    source = f"variety {variety.kind.value}(2) vars x,y\n" + "".join(f"eval {_render(t)[0]}\n" for t in trees)
+    got = [out["value"] for out in outputs(source)]
+    want = []
+    for tree in trees:
+        v = _value(tree, variety)
+        want.append(str(variety.scalar(v) if isinstance(v, Fraction) else v))
+    mismatches = [(_render(t)[0], g, w) for t, g, w in zip(trees, got, want) if g != w]
+    assert not mismatches
+
+
+# unary minus binds below ^ and above *, wherever it stands
+UNARY_MINUS = [
+    ("polynomial", "2 * -3^2", "-18"),
+    ("polynomial", "x - -x^2", "x + x^2"),
+    ("polynomial", "x * -y^0", "-x"),
+    ("polynomial", "-x^2", "-x^2"),
+    ("polynomial", "(-x)^2", "x^2"),
+    ("lie", "[x,-y]", "-[x,y]"),
+]
+
+
+@pytest.mark.parametrize("kind, expr, value", UNARY_MINUS, ids=[e for _, e, _ in UNARY_MINUS])
+def test_unary_minus_binds_below_powers(kind, expr, value):
+    assert outputs(f"variety {kind}(2) vars x,y\neval {expr}")[0]["value"] == value
 
 
 def test_constants_rejected_in_lie_varieties():

@@ -20,9 +20,13 @@ from tangentia import (
     divergence,
     elementary,
     env_apply,
+    env_mul,
+    env_str,
     fox_derivative,
     free_associative,
     free_lie,
+    gradient,
+    jacobian,
     jacobian_of_tuple,
     left_mul,
     metabelian_lie,
@@ -31,6 +35,7 @@ from tangentia import (
     project_to_metabelian,
     right_mul,
     trace_class,
+    trace_str,
 )
 from tangentia.fox import env_push
 from tangentia.wildness import random_invertible_matrix
@@ -70,6 +75,9 @@ CHECKS = [
      "env_push: expected Element, got int"),
     (lambda: fox_derivative(3, 0), TypeError, "expected Element, got int",
      "fox_derivative: expected Element, got int"),
+    (lambda: gradient(3), TypeError, "expected Element, got int",
+     "gradient: expected Element, got int"),
+    (lambda: jacobian(3), TypeError, "expected Endomorphism or Derivation, got int"),
     # deriv
     (lambda: Derivation(P, (x,)), AlgebraError, "need one coordinate per generator"),
     (lambda: Derivation(P, (a, b)), VarietyMismatch,
@@ -110,6 +118,9 @@ CHECKS = [
     (lambda: elementary(P, 0, 1, 3), TypeError, "expected Element, got int",
      "elementary: expected Element, got int"),
     (lambda: compose_all([]), AlgebraError, "need at least one map to compose"),
+    # this call used to return 3
+    (lambda: compose_all([3]), TypeError, "expected Endomorphism, got int",
+     "compose_all: expected Endomorphism, got int"),
     (lambda: compose(Endomorphism.identity(P), Endomorphism.identity(A)), VarietyMismatch,
      "endomorphisms over different varieties"),
     # this call used to raise AttributeError
@@ -131,6 +142,10 @@ CHECKS = [
     (lambda: elementary(polynomial(3), 2, 1, x), VarietyMismatch,
      "added element lives in a different algebra"),
     # freealg
+    (lambda: x + 3, TypeError, "expected Element, got int", "Element + int"),
+    (lambda: x + free_associative(3).gen(0), VarietyMismatch,
+     "polynomial(rank 2) vs assoc(rank 3)"),
+    (lambda: x * EnvElement.one(P), TypeError, "expected Element, got EnvElement"),
     (lambda: Variety(Kind.POLYNOMIAL, 0), AlgebraError, "rank must be >= 1"),
     (lambda: polynomial(2, ("x",)), AlgebraError, "need exactly one name per generator"),
     (lambda: P.gen(5), AlgebraError, "generator index 5 out of range for rank 2"),
@@ -159,6 +174,17 @@ CHECKS = [
      "right_mul: expected Element, got int"),
     (lambda: trace_class(3), TypeError, "expected EnvElement, got int",
      "trace_class: expected EnvElement, got int"),
+    # these used to raise AttributeError, or print the other class's value
+    (lambda: env_str(3), TypeError, "expected EnvElement, got int",
+     "env_str: expected EnvElement, got int"),
+    (lambda: trace_str(3), TypeError, "expected TraceClass, got int"),
+    (lambda: env_str(trace_class(EnvElement.one(P))), TypeError,
+     "expected EnvElement, got TraceClass", "env_str: expected EnvElement, got TraceClass"),
+    (lambda: trace_str(EnvElement.one(P)), TypeError,
+     "expected TraceClass, got EnvElement", "trace_str: expected TraceClass, got EnvElement"),
+    # the operand check of sums and products, shared with the checks above
+    (lambda: env_mul(EnvElement.one(P), EnvElement.one(A)), VarietyMismatch,
+     "polynomial(rank 2) vs assoc(rank 2)"),
     # wildness: an rng that draws only zeros draws only singular matrices
     (lambda: random_invertible_matrix(SimpleNamespace(randint=lambda lo, hi: 0), 2),
      AlgebraError, "failed to sample an invertible matrix"),

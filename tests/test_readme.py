@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 from tangentia import corpus
-from tangentia.dsl import run_source
+from tangentia.dsl import COMMANDS, run_source
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -57,3 +57,34 @@ def test_corpus_snippet_prints_and_builds_its_maps():
         exec(_block("python", "### Script language"), namespace)
     assert out.getvalue() == corpus.script_source("nagata") + "\n"
     assert namespace["phi"] == corpus.build("bergman")
+
+
+def _table_flags(cell):
+    """The flags a command-table cell lists, each mapped to whether it is
+    marked ``(required)``: a code span that starts with ``--``, outside
+    any parenthesized note."""
+    flags = {}
+    depth = 0
+    for m in re.finditer(r"`([^`]*)`|[()]", cell):
+        if m.group() in "()":
+            depth += 1 if m.group() == "(" else -1
+        elif depth == 0 and m.group(1).startswith("--"):
+            name = m.group(1)[2:].split()[0]
+            flags[name] = cell[m.end():].startswith(" (required)")
+    return flags
+
+
+def test_command_table_matches_the_command_table_of_the_parser():
+    """README's command table has one row per ``COMMANDS`` key, listing
+    exactly that command's flags and marking ``(required)`` exactly the
+    ones its ``CommandSpec`` requires."""
+    start = README.index("| command | arguments | flags (default) | `as NAME` |")
+    rows = {}
+    for line in README[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        rows[cells[0].strip("`")] = _table_flags(cells[2])
+    assert list(rows) == list(COMMANDS)
+    for word, spec in COMMANDS.items():
+        assert rows[word] == {f: f in spec.required for f in spec.flags}, word
