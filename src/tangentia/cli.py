@@ -73,6 +73,20 @@ def _render_text(results, out):
 
 
 def main(argv=None):
+    """Run the command line on ``argv``; returns the exit code.  Python's
+    cap on the digits of an int printed as a string (from 3.11) is lifted
+    for the run, as the output is exact, and put back before returning:
+    the limit of a caller that runs ``main`` in its process stays its own."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(limit)
+
+
+def _run(argv):
     args = build_parser().parse_args(argv)
     if args.max_degree < 0:
         print(f"error: --max-degree must be >= 0, got {args.max_degree}", file=sys.stderr)

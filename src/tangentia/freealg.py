@@ -45,13 +45,16 @@ them.  ``_product`` is the one product kernel, with one loop per
 key format, and it builds each key with no iterator and no dict per
 pair: exponent vectors add by a function generated once per length
 (``_ADDERS``), words concatenate, free-Lie words as well as associative
-ones, and metabelian keys bracket in the loop itself, where a bracket on
-the left meets the right operand's generators only (a bracket of two
-brackets is zero).  It serves ``Element.mul_trunc``, which forms every
-element product (``__mul__`` included) and the free-Lie bracket as
-``ab - ba`` of words, substitution (``_substitute``), the homogeneous
-products of ``morphism.truncated_inverse`` (summed in place into one
-dict) and, for envelope keys that add or concatenate,
+ones, words coded as base-n ints (n the rank) concatenate as
+``code(u) n^|v| + code(v)``, and metabelian keys bracket in the loop
+itself, where a bracket on the left meets the right operand's
+generators only (a bracket of two brackets is zero).  It serves
+``Element.mul_trunc``, which forms every element product (``__mul__``
+included) and the free-Lie bracket as ``ab - ba`` of words,
+substitution (``_substitute``), the homogeneous products of
+``morphism.truncated_inverse`` (summed in place into one dict, on coded
+words in the word kinds, which are decoded once on its exit) and, for
+envelope keys that add or concatenate,
 ``envelope.env_mul``.  Its right operand comes as degree buckets,
 ``[(degree, [(key, coeff), ...]), ...]`` in ascending degree
 (``_degree_buckets``): a truncated product at degree ``k`` walks them for
@@ -146,29 +149,11 @@ def _merge(d, k, c):
 
 def _add_scaled(acc, c, part):
     """Add ``c`` times the dict ``part`` into the dict ``acc``, dropping the
-    keys that cancel.  The sparse sums of the package go through this,
-    ``_add_mirrored`` and ``_merge``, except the inner loops of
-    ``_product`` and ``lie_from_assoc``: a call per term would slow them."""
+    keys that cancel.  The sparse sums of the package go through this
+    and ``_merge``, except the inner loops of ``_product`` and
+    ``lie_from_assoc``: a call per term would slow them."""
     for key, v in part.items():
         n = acc.get(key, 0) + c * v
-        if n:
-            acc[key] = n
-        else:
-            acc.pop(key, None)
-
-
-def _add_mirrored(acc, half, sign):
-    """Add the word dict ``half`` plus ``sign`` times its reversal (each
-    word read backwards) into the dict ``acc``, dropping the keys that
-    cancel, in one pass over ``half`` and with no reversed copy."""
-    for key, v in half.items():
-        n = acc.get(key, 0) + v
-        if n:
-            acc[key] = n
-        else:
-            acc.pop(key, None)
-        key = key[::-1]
-        n = acc.get(key, 0) + sign * v
         if n:
             acc[key] = n
         else:
@@ -613,6 +598,11 @@ def _product(
     taken once per call from the left keys (the envelope's keys are as
     long as its rank).  Words concatenate, free-Lie words too:
     ``Element.mul_trunc`` makes their bracket from two such products.
+    With ``kind`` an int n, the keys are words coded as base-n ints (the
+    inverse rounds, ``morphism._online_rounds``): a word a_1 ... a_d codes
+    as sum a_i n^(d-i), so u v codes as code(u) n^|v| + code(v), and the
+    degree of a bucket is the length of its words.  A code does not know
+    its own length, so this loop keeps every pair: ``k`` must be None.
     Metabelian keys bracket in the loop itself, each pair giving its one
     or two basis terms with no dict: a bracket of two brackets is zero, so
     a bracket on the left stops after the right operand's degree-1
@@ -632,6 +622,19 @@ def _product(
                     break
                 for m2, c2 in terms:
                     m = add(m1, m2)
+                    n = out.get(m, 0) + c1 * c2
+                    if n:
+                        out[m] = n
+                    else:
+                        out.pop(m, None)
+        return out
+    if type(kind) is int:  # coded words
+        places = [(kind ** d, terms) for d, terms in graded]
+        for m1, c1 in a.items():
+            for place, terms in places:
+                m0 = m1 * place
+                for m2, c2 in terms:
+                    m = m0 + m2
                     n = out.get(m, 0) + c1 * c2
                     if n:
                         out[m] = n

@@ -1,10 +1,11 @@
 """Endomorphisms of a free algebra: composition, truncated inverses (the
 fixed point psi = L^-1 (x - h(psi)) over phi's short nonlinear part h,
 solved online: round m forms only the degree-m component of each prefix
-product of h's words, from components kept for the whole call; then an
-exact translation for constants), the IA filtration, tangent
-derivations, group commutators, conjugation of derivations, and the
-standard generators (linear / affine / elementary).
+product of h's words, from components kept for the whole call, with
+words coded as base-n ints in the two word kinds; then an exact
+translation for constants), the IA filtration, tangent derivations,
+group commutators, conjugation of derivations, and the standard
+generators (linear / affine / elementary).
 
 Composition convention, fixed once and used everywhere including the
 chain rule: ``compose(phi, psi)`` is the map ``x_k -> phi(psi(x_k))``,
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 from .freealg import (
     AlgebraError,
     Element,
-    Kind,
     _Coords,
-    _add_mirrored,
+    _WORD_KINDS,
     _add_scaled,
     _check_element,
     _check_type,
@@ -187,6 +187,7 @@ def ia_level(phi, max_degree=DEFAULT_MAX_DEGREE):
     """Least i with a nonzero degree-(i+1) deviation from the identity,
     looked for through degree ``max_degree``; ``AlgebraError`` if it is
     negative."""
+    _check_type(phi, Endomorphism)
     if max_degree < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {max_degree}")
     lowest = _deviation_degree(phi)
@@ -233,6 +234,7 @@ def truncated_inverse(phi, k):
     when integral (``_with_ints``).  Raises ``NotInvertible`` if L is
     singular and ``AlgebraError`` if k < 0.
     """
+    _check_type(phi, Endomorphism)
     if k < 0:
         raise AlgebraError(f"truncation degree must be >= 0, got {k}")
     var = phi.variety
@@ -270,8 +272,8 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
     psi_j is kept as its homogeneous components psi_j[d].  One table,
     sorted by degree, holds every key of h and every proper prefix of one
     (``_split_key``), each with its uses (the coordinates whose image has
-    the key, with -c) and a pair bit, and a prefix with a memo of the
-    components P(p)[d] of p(psi) for the whole call.  With p = p' x_j,
+    the key, with -c), and a prefix with a memo of the components P(p)[d]
+    of p(psi) for the whole call.  With p = p' x_j,
 
         P(p)[m] = sum over d of P(p')[d] psi_j[m - d],
 
@@ -283,27 +285,15 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
     itself.  Any other entry forms it in a dict of its own, kept in its
     memo if it is a prefix and added times -c into the accumulators its
     uses name.  A prefix that is no key is skipped at m = k, as no word
-    of degree <= k reads its degree-k component.  A
-    free-Lie map substitutes as the associative map on K<X> it restricts,
-    so its words multiply by concatenation, which ``_product`` does for
-    free-Lie keys as for associative ones.
+    of degree <= k reads its degree-k component.
 
-    A free-Lie map pairs each word with its reversal.  Let rho reverse
-    every word of K<X>.  It reverses products, and a Lie element P of
-    degree d has rho(P) = (-1)^(d-1) P (Reutenauer, Free Lie Algebras,
-    1993).  The images are Lie elements (``Element.check`` verifies it),
-    so rev(w) has the coefficient (-1)^(e-1) c_w in an image where a word
-    w of length e has c_w, and every psi_j[d] is a Lie element, so
-
-        rev(w)(psi)[m] = (-1)^(m-e) rho(w(psi)[m]).
-
-    So the pair's share of -h(psi)[m] is -c_w (P + (-1)^(m-1) rho(P)),
-    with P = w(psi)[m].  The pair is keyed by its lesser word, which has
-    the pair bit, and its greater word is no key.  The shares -c_w P of
-    the pairs go into a second accumulator per coordinate, added with
-    (-1)^(m-1) times its reversal into the right-hand side once per round,
-    in one pass (``_add_mirrored``).  A palindrome and every key of the
-    other kinds is added directly.
+    A free-Lie map substitutes as the associative map on K<X> it
+    restricts, so both word kinds run the same rounds on their stored
+    words.  There the components hold each word as a base-n int, n the
+    rank (``_product`` with ``kind`` n): psi's linear part is coded on
+    entry and each component decoded once on exit (``_decode``), so the
+    rounds build and hash no word tuple.  Exponent vectors and metabelian
+    keys stay tuples.
 
     The rounds stop early once psi is exact.  If psi's nonzero components
     so far end at degree D and h's words at degree deg(h), then h(psi) has
@@ -311,14 +301,17 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
     later component is zero.  So a map with a polynomial inverse, such as
     (x + y^2, y), costs the same at any large k, and a linear map (empty
     h) runs no round."""
-    paired = kind is Kind.FREE_LIE
     degree = _key_degree(kind)
+    coded = kind in _WORD_KINDS
+    key_format = len(ginv) if coded else kind  # of the components, for _product
+    if coded:  # a degree-1 word codes as its letter
+        linear_psi = [{w[0]: c for w, c in f.items()} for f in linear_psi]
     comps = [[{}, f] for f in linear_psi]
     # h's keys of degree 2..k (no higher one reaches psi) with their uses
     uses = {}
     for i, f in enumerate(images):
         for w, c in f.coeffs.items():
-            if 2 <= degree(w) <= k and not (paired and w > w[::-1]):
+            if 2 <= degree(w) <= k:
                 uses.setdefault(w, []).append((i, -c))
     memo, table = {}, []
     for p in uses:
@@ -334,8 +327,7 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
     table.sort(key=lambda t: t[0])  # shortest first
     prefixes = {q for _, _, q, _ in table}
     table = [
-        (e, memo[p] if p in prefixes else None, memo[q], comps[j],
-         uses.get(p, ()), paired and p != p[::-1])
+        (e, memo[p] if p in prefixes else None, memo[q], comps[j], uses.get(p, ()))
         for e, p, q, j in table
     ]
     h_degree = max(map(degree, uses), default=0)
@@ -343,43 +335,81 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
     for m in range(2, k + 1):
         if m > h_degree * psi_degree:  # h(psi) has no term of degree >= m
             break
-        # -h(psi)[m] (x has degree 1 only), and the pairs' share of it
-        # before mirroring
-        accs = ([{} for _ in images], [{} for _ in images])
-        for e, own, left, right, node_uses, pair in table:
+        accs = [{} for _ in images]  # -h(psi)[m] (x has degree 1 only)
+        for e, own, left, right, node_uses in table:
             if e > m:
                 break
             if own is None and len(node_uses) == 1:  # a key read once
                 i, c = node_uses[0]
-                _component(kind, left, right, m, accs[pair][i], c)
+                _component(key_format, left, right, m, accs[i], c)
                 continue
             if m == k and not node_uses:  # a prefix only: no word reads it
                 continue
-            part = _component(kind, left, right, m)
+            part = _component(key_format, left, right, m)
             if own is not None:
                 own.append(part)
             for i, c in node_uses:
-                _add_scaled(accs[pair][i], c, part)
-        sign = 1 if m % 2 else -1  # (-1)^(m-1)
-        for acc, half in zip(*accs):
-            if half:
-                _add_mirrored(acc, half, sign)
+                _add_scaled(accs[i], c, part)
         for row, comp in zip(ginv, comps):
-            comp.append(_combine(row, accs[0]))
+            comp.append(_combine(row, accs))
         if any(comp[m] for comp in comps):
             psi_degree = m
+    if coded:
+        return _decode(key_format, [comp[1:] for comp in comps])
     for comp in comps:  # each coordinate's components, in its empty degree-0 dict
         for part in comp[1:]:
             comp[0].update(part)
     return [comp[0] for comp in comps]
 
 
+def _decode(n, coords):
+    """The dicts of word tuples that the base-n coded components
+    ``coords`` hold (coords[j][d - 1] of degree d, as ``_online_rounds``
+    keeps them), one per coordinate, each word in its component's order.
+    Tables list the words of each length up to t in code order, t about
+    half the top degree while the table has at most 4096 words, so a word
+    decodes by one read of its length's table, two reads if it is at
+    most 2t long, and else one read per t letters: a code past 64 bits
+    is a Python int, exact."""
+    top = max(map(len, coords))
+    t = 1
+    while 2 * t < top and n ** (t + 1) <= 4096:
+        t += 1
+    tables = [[()]]
+    for _ in range(t):
+        tables.append([w + (a,) for w in tables[-1] for a in range(n)])
+    place, low = n ** t, tables[t]
+    out = []
+    for parts in coords:
+        words = {}
+        for d, part in enumerate(parts, 1):
+            if d <= t:
+                table = tables[d]
+                for c, v in part.items():
+                    words[table[c]] = v
+            elif d <= 2 * t:
+                high = tables[d - t]
+                for c, v in part.items():
+                    words[high[c // place] + low[c % place]] = v
+            else:
+                q, r = divmod(d, t)
+                for c, v in part.items():
+                    tail = ()
+                    for _ in range(q):
+                        c, lo = divmod(c, place)
+                        tail = low[lo] + tail
+                    words[tables[r][c] + tail] = v
+        out.append(words)
+    return out
+
+
 def _component(kind, left, right, m, out=None, c=1):
     """The degree-m component of a product from the components of its
     factors, ``sum(left[d] * right[m - d] for d < m)``, accumulated in one
-    dict by ``_product``; each factor's index is below m.  Given ``out``,
-    ``c`` times the component is added into that dict, which is returned:
-    c scales the smaller factor of each product."""
+    dict by ``_product``, whose key format ``kind`` names (a ``Kind``, or
+    the rank n for words coded base n); each factor's index is below m.
+    Given ``out``, ``c`` times the component is added into that dict,
+    which is returned: c scales the smaller factor of each product."""
     if out is None:
         out = {}
     for d in range(1, m):
@@ -400,6 +430,8 @@ def group_commutator(phi, psi, k):
     is cut at degree k, and a cut term evaluated at x + c lands in lower
     degrees.  So a map with a constant term raises ``AlgebraError``, as
     does k < 0 (from ``truncated_inverse``)."""
+    _check_type(phi, Endomorphism)
+    phi._check(psi)
     for which, m in (("first", phi), ("second", psi)):
         if any(m.constant_part()):
             raise AlgebraError(
@@ -481,6 +513,7 @@ def ia_correct(phi):
     singular.  A map that is the identity through degree 1 (no constant,
     identity linear part) is its own correction, since composing with the
     identity changes nothing, so it comes back as it is."""
+    _check_type(phi, Endomorphism)
     if phi.is_identity_through(1):
         return phi
     try:

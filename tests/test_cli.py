@@ -190,6 +190,23 @@ def test_internal_error_exit_code_2(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_values_past_the_int_string_limit_print(tmp_path, capsys):
+    """7^10000 has 8,451 digits, past the 4,300 that Python (from 3.11)
+    prints by default: ``main`` lifts that limit for its run and puts the
+    caller's back.  The digits are read back in chunks, under the limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+    rc = cli.main(["run", write(tmp_path, "variety polynomial(1) vars x\neval 7^10000\n")])
+    assert rc == 0
+    assert get_limit() == before
+    digits = capsys.readouterr().out.split("value: ")[1].strip()
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert len(digits) == 8451 and value == 7 ** 10000
+
+
 def test_stdin_script(monkeypatch, capsys):
     monkeypatch.setattr(
         cli.sys, "stdin", io.StringIO("variety polynomial(1) vars x\neval x + x\n")

@@ -26,6 +26,9 @@ from tangentia import (
     free_associative,
     free_lie,
     gradient,
+    group_commutator,
+    ia_correct,
+    ia_level,
     jacobian,
     jacobian_of_tuple,
     left_mul,
@@ -34,8 +37,10 @@ from tangentia import (
     polynomial,
     project_to_metabelian,
     right_mul,
+    tangent,
     trace_class,
     trace_str,
+    truncated_inverse,
 )
 from tangentia.fox import env_push
 from tangentia.wildness import random_invertible_matrix
@@ -128,6 +133,17 @@ CHECKS = [
      "expected Endomorphism, got int"),
     (lambda: compose(3, Endomorphism.identity(P)), TypeError,
      "expected Endomorphism, got int", "compose: a first argument that is no map"),
+    # these used to raise AttributeError
+    (lambda: truncated_inverse(3, 4), TypeError, "expected Endomorphism, got int",
+     "truncated_inverse: expected Endomorphism, got int"),
+    (lambda: group_commutator(Endomorphism.identity(P), 3, 4), TypeError,
+     "expected Endomorphism, got int", "group_commutator: expected Endomorphism, got int"),
+    (lambda: ia_level(3), TypeError, "expected Endomorphism, got int",
+     "ia_level: expected Endomorphism, got int"),
+    (lambda: tangent(3), TypeError, "expected Endomorphism, got int",
+     "tangent: expected Endomorphism, got int"),
+    (lambda: ia_correct(3), TypeError, "expected Endomorphism, got int",
+     "ia_correct: expected Endomorphism, got int"),
     # these used to raise AttributeError, and VarietyMismatch("cannot
     # substitute assoc values into a polynomial element")
     (lambda: Endomorphism.identity(P).apply(3), TypeError, "expected Element, got int",

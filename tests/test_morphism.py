@@ -372,30 +372,96 @@ def test_truncated_inverse_matches_the_naive_fixed_point(monkeypatch, rng):
     of all four kinds, coefficient types included: each is an int where
     it is integral, a ``Fraction`` elsewhere.  Both paths of the rounds
     run on every kind (a key read once forms its component in place, any
-    other entry in a dict of its own), and on free Lie the mirror of the
-    paired words runs too."""
-    paths, mirrors = set(), [0]
-    component, mirrored = morphism._component, morphism._add_mirrored
+    other entry in a dict of its own)."""
+    paths = set()
+    component = morphism._component
 
     def recording_component(kind, left, right, m, *args):
         paths.add("in place" if args else "own dict")
         return component(kind, left, right, m, *args)
 
-    def counting_mirrored(acc, half, sign):
-        mirrors[0] += 1
-        return mirrored(acc, half, sign)
-
     monkeypatch.setattr(morphism, "_component", recording_component)
-    monkeypatch.setattr(morphism, "_add_mirrored", counting_mirrored)
     k = 5
     for variety in ALL_VARIETIES:
         paths.clear()
-        mirrors[0] = 0
         for phi in _naive_oracle_maps(rng, variety):
             got = truncated_inverse(phi, k).images
             assert _typed(got) == _stored_form(_naive_inverse(phi, k)), (phi, k)
         assert paths == {"in place", "own dict"}, variety
-        assert (mirrors[0] > 0) == (variety.kind is Kind.FREE_LIE), variety
+
+
+def _check_coded_inverse(phi, k):
+    """``truncated_inverse(phi, k)`` against the naive fixed point, types
+    included, with the decode tables of its rounds."""
+    got = truncated_inverse(phi, k).images
+    assert _typed(got) == _stored_form(_naive_inverse(phi, k)), (phi, k)
+    return got
+
+
+def test_coded_rounds_on_rank_1():
+    """On assoc(1) every word of one degree codes to 0; the linear part 2
+    puts a ``Fraction`` in every degree past 1."""
+    A = free_associative(1)
+    (x,) = A.gens()
+    got = _check_coded_inverse(Endomorphism(A, (2 * x + x * x - 3 * x * x * x,)), 9)
+    assert len(got[0].coeffs) == 9
+    assert any(type(c) is Fraction for c in got[0].coeffs.values())
+
+
+def test_coded_rounds_on_letters_past_9():
+    """A rank-12 free-Lie map whose words use the letters 10 and 11, which
+    are single digits base 12; at k = 7 the decode tables cover three
+    letters a read, so degree 7 takes three reads."""
+    L = free_lie(12)
+    g = L.gens()
+    images = list(g)
+    images[0] = g[0] + g[10] * g[11]
+    images[10] = g[10] + g[11] * (g[11] * g[0])
+    got = _check_coded_inverse(Endomorphism(L, images), 7)
+    assert max(map(len, got[0].coeffs)) == 7
+    assert {10, 11} <= {a for w in got[0].coeffs for a in w}
+
+
+def test_coded_rounds_past_one_table_read():
+    """A rank-3 free-Lie inverse at k = 10, where words of degree 6 to 10
+    decode from two reads of the tables."""
+    L = free_lie(3)
+    x, y, z = L.gens()
+    phi = Endomorphism(L, (x + x * y + y * z, y + y * z, z))
+    got = _check_coded_inverse(phi, 10)
+    assert max(map(len, got[0].coeffs)) == 10
+
+
+def test_coded_rounds_then_the_translation():
+    """An assoc(3) map with a constant term: the translation x - c runs on
+    the decoded inverse."""
+    A = free_associative(3)
+    x, y, z = A.gens()
+    phi = Endomorphism(A, (x + y * z + A.scalar(2), y - x * x, z + z * x + A.scalar(-1)))
+    got = _check_coded_inverse(phi, 6)
+    assert got[0].constant_term() and got[2].constant_term()
+
+
+def test_coded_rounds_past_64_bits(monkeypatch):
+    """On free_associative(100), x1 -> x1 + x1 x2 has the inverse
+    sum (-1)^j x1 x2^j; at k = 12 the code of x1 x2^11, the sum of 100^i
+    over i < 11, is past 2^64, and decodes exactly."""
+    codes = []
+    decode = morphism._decode
+
+    def recording_decode(n, coords):
+        codes.extend(c for parts in coords for part in parts for c in part)
+        return decode(n, coords)
+
+    monkeypatch.setattr(morphism, "_decode", recording_decode)
+    A = free_associative(100)
+    g = A.gens()
+    phi = Endomorphism(A, (g[0] + g[0] * g[1],) + g[1:])
+    got = truncated_inverse(phi, 12).images
+    want = {(0,) + (1,) * j: (-1) ** j for j in range(12)}
+    assert _typed(got[:1]) == [{w: (int, c) for w, c in want.items()}]
+    assert got[1:] == g[1:]
+    assert max(codes) == sum(100 ** i for i in range(11)) > 2 ** 64
 
 
 def test_truncated_inverse_grows_degree_by_degree(rng):
@@ -837,8 +903,7 @@ def test_ia_placement_forms_no_element(monkeypatch, rng):
 
 def _as_associative(phi):
     """A free-Lie map's images as elements of the free associative algebra
-    on the same generators: the map on K<X> that phi restricts, whose
-    inverse rounds pair no words."""
+    on the same generators: the map on K<X> that phi restricts."""
     A = free_associative(phi.variety.rank)
     return Endomorphism(A, tuple(Element(A, f.coeffs) for f in phi.images))
 
@@ -902,27 +967,33 @@ def test_reversal_pairing_matches_the_associative_inverse(rng):
         assert [f.coeffs for f in lie] == [f.coeffs for f in want.images]
 
 
-def test_reversal_pairing_halves_the_inverse_products(monkeypatch):
-    """On the degree-8 benchmark maps, the paired rounds offer
-    ``_product`` well under two thirds of the term pairs that the unpaired
-    associative rounds offer (6,359 against 10,168 on the first map)."""
-    from tangentia import morphism
+def test_free_lie_rounds_are_the_associative_rounds(monkeypatch):
+    """On the degree-8 benchmark maps, the inverse rounds of the free-Lie
+    map and of the same images on the free associative algebra form the
+    same components, in the same order, and offer ``_product`` the same
+    term pairs, call by call."""
+    calls = []
+    component, product = morphism._component, morphism._product
 
-    offered = [0]
-    product = morphism._product
+    def recording_component(kind, left, right, m, *args):
+        out = component(kind, left, right, m, *args)
+        calls.append(("component", m, args[1:], dict(out)))
+        return out
 
-    def counting(kind, a, graded, k, out=None):
-        offered[0] += len(a) * sum(len(terms) for _, terms in graded)
-        return product(kind, a, graded, k, out)
+    def recording_product(kind, a, graded, k, *args):
+        calls.append(("product", len(a) * sum(len(terms) for _, terms in graded)))
+        return product(kind, a, graded, k, *args)
 
-    monkeypatch.setattr(morphism, "_product", counting)
+    monkeypatch.setattr(morphism, "_component", recording_component)
+    monkeypatch.setattr(morphism, "_product", recording_product)
     for phi in _benchmark_lie_maps():
-        counts = []
+        runs = []
         for m in (phi, _as_associative(phi)):
-            offered[0] = 0
+            calls.clear()
             truncated_inverse(m, 8)
-            counts.append(offered[0])
-        assert 3 * counts[0] < 2 * counts[1], counts
+            runs.append(list(calls))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) > 100
 
 
 def test_inverse_rounds_form_each_component_once(monkeypatch):
@@ -956,8 +1027,8 @@ def test_inverse_rounds_form_each_component_once(monkeypatch):
         assert len(set(formed)) == len(formed), (phi, k)
         counts.append((len(formed), offered[0]))
     assert counts == [
-        (2, 2), (20, 146), (38, 6359),
-        (2, 2), (20, 158), (38, 6750),
+        (4, 4), (34, 240), (64, 10168),
+        (4, 4), (34, 274), (64, 11800),
         (98, 166),
     ]
 

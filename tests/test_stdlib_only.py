@@ -234,10 +234,8 @@ def test_guard_flags_sparse_sums():
 
 
 def test_sparse_sums_live_in_freealg_only():
-    """The package adds into sparse dicts through ``freealg._merge``,
-    ``freealg._add_scaled`` and ``freealg._add_mirrored`` (a word dict
-    plus a multiple of its reversal, for the free-Lie inverse rounds).
-    Only the loops that a call per term would slow keep their sums
+    """The package adds into sparse dicts through ``freealg._merge`` and
+    ``freealg._add_scaled``.  Only the loops that a call per term would slow keep their sums
     inline: the product kernel ``_product`` and the elimination
     ``lie_from_assoc``."""
     found = {
@@ -248,7 +246,6 @@ def test_sparse_sums_live_in_freealg_only():
     assert found == {
         ("freealg.py", "_merge"),
         ("freealg.py", "_add_scaled"),
-        ("freealg.py", "_add_mirrored"),
         ("freealg.py", "_product"),
         ("freealg.py", "lie_from_assoc"),
     }
