@@ -30,7 +30,7 @@ parser recurses once per level.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,31 +112,90 @@ def tokenize(source):
     return tokens
 
 
-def split_statements(tokens):
-    """Group tokens into statements: ``;`` always separates; a line break
-    separates when no parenthesis or bracket is open."""
-    statements = []
-    cur = []
+def _split(tokens, sep, at_line_breaks=False):
+    """Cut ``tokens`` at each ``sep`` operator outside parentheses and
+    brackets, and with ``at_line_breaks`` at each line break there too.
+    The separators are dropped; every piece is kept, empty ones too."""
+    pieces = [[]]
     depth = 0
-    prev_line = None
     for tok in tokens:
-        if prev_line is not None and tok.line != prev_line and depth == 0 and cur:
-            statements.append(cur)
-            cur = []
-        prev_line = tok.line
-        if tok.kind == "OP" and tok.value in "([":
-            depth += 1
-        elif tok.kind == "OP" and tok.value in ")]":
-            depth -= 1
-        if tok.kind == "OP" and tok.value == ";" and depth == 0:
-            if cur:
-                statements.append(cur)
-                cur = []
-            continue
-        cur.append(tok)
-    if cur:
-        statements.append(cur)
-    return statements
+        if at_line_breaks and depth == 0 and pieces[-1] and tok.line != pieces[-1][-1].line:
+            pieces.append([])
+        if tok.kind == "OP":
+            if tok.value in "([":
+                depth += 1
+            elif tok.value in ")]":
+                depth -= 1
+            elif tok.value == sep and depth == 0:
+                pieces.append([])
+                continue
+        pieces[-1].append(tok)
+    return pieces
+
+
+def _is_op(tok, ops):
+    return tok is not None and tok.kind == "OP" and tok.value in ops
+
+
+# what a token of each kind is called when one is missing
+_KIND_WORDS = {"NAME": "a name", "NUMBER": "a number"}
+
+
+class _Reader:
+    """A cursor over the tokens of one statement or expression (``what``
+    names which in the error at its end)."""
+
+    def __init__(self, toks, what):
+        self.toks = toks
+        self.i = 0
+        self.what = what
+
+    def peek(self, ahead=0):
+        """The token ``ahead`` places past the cursor, or None past the end."""
+        i = self.i + ahead
+        return self.toks[i] if i < len(self.toks) else None
+
+    def next(self):
+        t = self.peek()
+        if t is None:
+            last = self.toks[-1]
+            raise DslError(f"unexpected end of {self.what}", last.line, last.end)
+        self.i += 1
+        return t
+
+    def accept(self, ops):
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        t = self.peek()
+        if t is None or t.kind != "OP" or t.value not in ops:
+            return None
+        self.i += 1
+        return t
+
+    def expect(self, kind, value=None, message=None):
+        """The next token, which must be of ``kind`` (and be ``value`` if
+        given); else raise ``message`` or one naming what was expected."""
+        t = self.next()
+        if t.kind != kind or (value is not None and t.value != value):
+            want = repr(value) if value is not None else _KIND_WORDS[kind]
+            raise DslError(message or f"expected {want}, got {t.value!r}", t.line, t.col)
+        if value is None and t.value == "as":  # it ends a command's arguments
+            raise DslError("'as' cannot name a value", t.line, t.col)
+        return t
+
+    def joined(self, ahead=0):
+        """Whether the token ``ahead`` places past the cursor starts where
+        the token before it ends, on the same line."""
+        i = self.i + ahead
+        if not 0 < i < len(self.toks):
+            return False
+        prev, t = self.toks[i - 1], self.toks[i]
+        return t.line == prev.line and t.col == prev.end
+
+    def rest(self):
+        """The tokens not read yet, all consumed."""
+        out = self.toks[self.i :]
+        self.i = len(self.toks)
+        return out
 
 
 # -- AST --------------------------------------------------------------------
@@ -242,186 +301,139 @@ _NAME_FORMS = {
 }
 
 
-def _merge_hyphenated(tokens, i):
-    """Read a possibly hyphenated keyword starting at index i; hyphens
-    count only when the tokens are adjacent in the source."""
-    parts = [tokens[i].value]
-    j = i + 1
-    while (
-        j + 1 < len(tokens)
-        and tokens[j].kind == "OP"
-        and tokens[j].value == "-"
-        and tokens[j + 1].kind == "NAME"
-        and tokens[j].line == tokens[i].line
-        and tokens[j].col == tokens[j - 1].end
-        and tokens[j + 1].col == tokens[j].end
-    ):
-        parts.append(tokens[j + 1].value)
-        j += 2
-    return "-".join(parts), j
-
-
 def parse(source):
     """A script's list of statements; raises DslError with positions."""
-    return [_parse_statement(stmt) for stmt in split_statements(tokenize(source))]
+    statements = _split(tokenize(source), ";", at_line_breaks=True)
+    return [_parse_statement(_Reader(toks, "statement")) for toks in statements if toks]
 
 
-def _parse_statement(toks):
-    head = toks[0]
+def _word(r):
+    """The name at the cursor with its hyphenated continuations: each
+    ``-`` and the name after it count only when joined to the token
+    before them."""
+    parts = [r.next().value]
+    while _is_op(r.peek(), "-") and r.joined() and r.joined(1) and r.peek(1).kind == "NAME":
+        r.next()
+        parts.append(r.next().value)
+    return "-".join(parts)
+
+
+def _parse_statement(r):
+    head = r.peek()
     if head.kind != "NAME":
         raise DslError(f"expected a statement keyword, got {head.value!r}", head.line, head.col)
     # NAME := auto(...) / deriv(...)
-    if len(toks) > 1 and toks[1].kind == "ASSIGN":
-        return _parse_mapdef(toks)
-    word, after = _merge_hyphenated(toks, 0)
+    if (t := r.peek(1)) is not None and t.kind == "ASSIGN":
+        return _parse_mapdef(r)
+    word = _word(r)
     if word == "variety":
-        return _parse_variety(toks, after)
+        return _parse_variety(r)
     if word == "let":
-        return _parse_let(toks, after)
+        return _parse_let(r)
     if word in COMMANDS:
-        return _parse_command(word, toks, after)
+        return _parse_command(word, r, head.line)
     raise DslError(f"unknown statement {word!r}", head.line, head.col)
 
 
-# what a token of each kind is called when one is missing
-_KIND_WORDS = {"NAME": "a name", "NUMBER": "a number"}
-
-
-def _expect(toks, i, kind, value=None):
-    if i >= len(toks):
-        last = toks[-1]
-        raise DslError(f"unexpected end of statement", last.line, last.end)
-    t = toks[i]
-    if t.kind != kind or (value is not None and t.value != value):
-        want = repr(value) if value is not None else _KIND_WORDS[kind]
-        raise DslError(f"expected {want}, got {t.value!r}", t.line, t.col)
-    if value is None and t.value == "as":  # it ends a command's arguments
-        raise DslError("'as' cannot name a value", t.line, t.col)
-    return t
-
-
-def _parse_variety(toks, i):
-    kt = _expect(toks, i, "NAME")
-    _expect(toks, i + 1, "OP", "(")
-    rk = _expect(toks, i + 2, "NUMBER")
+def _parse_variety(r):
+    kt = r.expect("NAME")
+    r.expect("OP", "(")
+    rk = r.expect("NUMBER")
     if rk.value > MAX_RANK:
         raise DslError(f"rank must be <= {MAX_RANK}, got {rk.value}", rk.line, rk.col)
-    _expect(toks, i + 3, "OP", ")")
-    i += 4
+    r.expect("OP", ")")
     names = []
-    if i < len(toks):
-        _expect(toks, i, "NAME", "vars")
-        i += 1
-        while i < len(toks):
-            names.append(_expect(toks, i, "NAME").value)
-            i += 1
-            if i < len(toks):
-                _expect(toks, i, "OP", ",")
-                i += 1
+    if r.peek():
+        r.expect("NAME", "vars")
+        while r.peek():
+            names.append(r.expect("NAME").value)
+            if r.peek():
+                r.expect("OP", ",")
     return VarietyDecl(kt.value, rk.value, tuple(names), kt.line)
 
 
-def _parse_let(toks, i):
-    name = _expect(toks, i, "NAME")
-    _expect(toks, i + 1, "OP", "=")
-    expr = toks[i + 2 :]
+def _parse_let(r):
+    name = r.expect("NAME")
+    r.expect("OP", "=")
+    expr = r.rest()
     if not expr:
         raise DslError("empty expression", name.line, name.col)
     return LetBinding(name.value, expr, name.line)
 
 
-def _parse_mapdef(toks):
-    name = _expect(toks, 0, "NAME")
-    kw = _expect(toks, 2, "NAME")
+def _parse_mapdef(r):
+    name = r.expect("NAME")
+    r.next()  # :=
+    kw = r.expect("NAME")
     if kw.value not in ("auto", "deriv"):
         raise DslError("expected auto(...) or deriv(...)", kw.line, kw.col)
-    _expect(toks, 3, "OP", "(")
-    if toks[-1].kind != "OP" or toks[-1].value != ")":
+    r.expect("OP", "(")
+    body = r.rest()
+    if not body or not _is_op(body[-1], ")"):
         raise DslError("unbalanced parentheses in definition", name.line, name.col)
-    args = _split_commas(toks[4:-1])
-    if not args or any(not a for a in args):
+    args = _split(body[:-1], ",")
+    if any(not a for a in args):
         raise DslError("empty coordinate in definition", kw.line, kw.col)
     return MapDef(name.value, kw.value, args, name.line)
-
-
-def _split_commas(toks):
-    out = [[]]
-    depth = 0
-    for t in toks:
-        if t.kind == "OP" and t.value in "([":
-            depth += 1
-        elif t.kind == "OP" and t.value in ")]":
-            depth -= 1
-        if t.kind == "OP" and t.value == "," and depth == 0:
-            out.append([])
-        else:
-            out[-1].append(t)
-    return out
 
 
 def _is_as(tok):
     return tok.kind == "NAME" and tok.value == "as"
 
 
-def _flag_literal(toks, i):
-    """The flag value starting at ``toks[i]`` and the index after it, or
-    None: a name (possibly hyphenated), a number, or a ``-`` directly
-    followed by a number, read as a negative integer."""
-    t = toks[i]
-    if t.kind == "NAME" and not _is_as(t):
-        return _merge_hyphenated(toks, i)
-    if t.kind == "NUMBER":
-        return t.value, i + 1
-    if (
-        t.kind == "OP"
-        and t.value == "-"
-        and i + 1 < len(toks)
-        and toks[i + 1].kind == "NUMBER"
-        and toks[i + 1].line == t.line
-        and toks[i + 1].col == t.end
-    ):
-        return -toks[i + 1].value, i + 2
-    return None
+def _starts_value(r, ahead):
+    """Whether a name, a number or a negative integer (a ``-`` with a
+    number joined to it) starts ``ahead`` places past the cursor."""
+    t = r.peek(ahead)
+    if t is None:
+        return False
+    if t.kind in ("NAME", "NUMBER"):
+        return True
+    nxt = r.peek(ahead + 1)
+    return _is_op(t, "-") and nxt is not None and nxt.kind == "NUMBER" and r.joined(ahead + 1)
 
 
-def _parse_command(word, toks, i):
+def _flag_values(r):
+    """The values of a flag, read up to the first token that is not one:
+    names (possibly hyphenated, never ``as``), numbers and negative
+    integers ``-N``.  A comma after a value is read when a name or a
+    value follows it."""
+    values = []
+    while _starts_value(r, 0) and not _is_as(r.peek()):
+        if r.peek().kind == "NAME":
+            values.append(_word(r))
+        else:
+            sign = -1 if r.accept("-") else 1
+            values.append(sign * r.next().value)
+        if _is_op(r.peek(), ",") and _starts_value(r, 1):
+            r.next()
+    return values
+
+
+def _parse_command(word, r, line):
     """Check a command statement against its entry in ``COMMANDS``."""
     spec = COMMANDS[word]
-    line = toks[0].line
     # positional arguments up to the first flag / 'as'
     pos = []
-    while i < len(toks) and toks[i].kind != "FLAG" and not _is_as(toks[i]):
-        pos.append(toks[i])
-        i += 1
+    while (t := r.peek()) is not None and t.kind != "FLAG" and not _is_as(t):
+        pos.append(r.next())
     args = _positional_args(word, spec.args, pos, line)
     # flags and the optional trailing 'as NAME', in any order
     flags = {}
     bind_as = None
-    while i < len(toks):
-        t = toks[i]
+    while r.peek():
+        t = r.next()
         if _is_as(t):
             if not spec.binds:
                 raise DslError(f"{word} has no result to bind with 'as'", line)
             if bind_as is not None:
                 raise DslError("'as' given twice", line)
-            bind_as = _expect(toks, i + 1, "NAME").value
-            i += 2
+            bind_as = r.expect("NAME").value
             continue
         if t.kind != "FLAG":
             raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
         fname = t.value
-        i += 1
-        values = []
-        while i < len(toks) and (read := _flag_literal(toks, i)):
-            value, i = read
-            values.append(value)
-            if (
-                i + 1 < len(toks)
-                and toks[i].kind == "OP"
-                and toks[i].value == ","
-                and (toks[i + 1].kind in ("NAME", "NUMBER") or _flag_literal(toks, i + 1))
-            ):
-                i += 1
+        values = _flag_values(r)
         if fname not in spec.flags:
             takes = ", ".join(f"--{f}" for f in spec.flags) or "no flags"
             raise DslError(f"{word} has no flag --{fname}; it takes {takes}", line)
@@ -447,7 +459,7 @@ def _positional_args(word, form, pos, line):
     for t in pos:
         if t.kind == "NAME":
             names.append(t.value)
-        elif t.kind != "OP" or t.value != ",":
+        elif not _is_op(t, ","):
             raise DslError(f"expected a name, got {t.value!r}", t.line, t.col)
     least, most, what = _NAME_FORMS[form]
     if len(names) < least or (most is not None and len(names) > most):
@@ -481,66 +493,38 @@ def _flag_value(fname, kind, values, line):
 # -- expression evaluation --------------------------------------------------
 
 
-class _ExprParser:
+class _ExprParser(_Reader):
     """Recursive-descent evaluator over a token list and an environment."""
 
     def __init__(self, toks, session):
-        self.toks = toks
-        self.i = 0
+        super().__init__(toks, "expression")
         self.session = session
         self.depth = 0
 
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _next(self):
-        t = self._peek()
-        if t is None:
-            last = self.toks[-1]
-            raise DslError("unexpected end of expression", last.line, last.end)
-        self.i += 1
-        return t
-
-    def _accept(self, ops):
-        """The next token, consumed, if it is one of the operators ``ops``."""
-        t = self._peek()
-        if t is None or t.kind != "OP" or t.value not in ops:
-            return None
-        self.i += 1
-        return t
-
-    def _close(self, op, message):
-        """Consume the operator ``op`` that closes a group, else raise."""
-        t = self._next()
-        if t.kind != "OP" or t.value != op:
-            raise DslError(message, t.line, t.col)
-
     def parse(self):
         v = self.expr()
-        t = self._peek()
+        t = self.peek()
         if t is not None:
             raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
         return v
 
     def expr(self):
         v = self.term()
-        while t := self._accept("+-"):
+        while t := self.accept("+-"):
             rhs = self.term()
             v = self._add(v, rhs if t.value == "+" else -rhs, t)
         return v
 
     def term(self):
         v = self.power()
-        while self._accept("*"):
+        while self.accept("*"):
             v = v * self.power()
         return v
 
     def power(self):
         v = self.atom()
-        while op := self._accept("^"):
-            e = self._next()
-            if e.kind != "NUMBER":
-                raise DslError("exponent must be a nonnegative integer", e.line, e.col)
+        while op := self.accept("^"):
+            e = self.expect("NUMBER", message="exponent must be a nonnegative integer")
             if isinstance(v, Fraction):
                 v = v ** e.value
             else:
@@ -551,10 +535,10 @@ class _ExprParser:
         return v
 
     def atom(self):
-        t = self._next()
+        t = self.next()
         if t.kind == "NUMBER":
-            if self._accept("/"):
-                d = self._next()
+            if self.accept("/"):
+                d = self.next()
                 if d.kind != "NUMBER" or d.value == 0:
                     raise DslError("malformed rational literal", t.line, t.col)
                 return Fraction(t.value, d.value)
@@ -570,12 +554,12 @@ class _ExprParser:
         self.depth += 1
         if t.value == "(":
             v = self.expr()
-            self._close(")", "expected ')'")
+            self.expect("OP", ")", "expected ')'")
         elif t.value == "[":
             a = self.expr()
-            self._close(",", "expected ',' in bracket")
+            self.expect("OP", ",", "expected ',' in bracket")
             b = self.expr()
-            self._close("]", "expected ']'")
+            self.expect("OP", "]", "expected ']'")
             v = self._bracket(a, b, t)
         else:  # unary minus binds below ^: -x^2 is -(x^2)
             v = -self.power()
@@ -831,16 +815,8 @@ class Session:
         rank = flags.get("rank", max(self.variety.rank, 3))
         limit = flags.get("limit", self.max_degree)
         u, psi, rep = wildness.build_polynilpotent_witness(tuple(flags["c"]), rank, limit)
-        out = {
-            "c": list(rep.c),
-            "degrees": rep.degrees,
-            "recursion_degrees": rep.recursion_degrees,
-            "product_bound": rep.product_bound,
-            "inequality_holds": rep.inequality_holds,
-            "leading_words": [list(w) for w in rep.leading_words],
-            "leading_recursion_ok": rep.leading_recursion_ok,
-            "materialized": rep.materialized,
-        }
+        out = {**asdict(rep), "c": list(rep.c),
+               "leading_words": [list(w) for w in rep.leading_words]}
         if not rep.materialized:
             return out, None
         out["u"] = str(u)

@@ -78,20 +78,11 @@ def gradient(a):
     return tuple(fox_derivative(a, i) for i in range(a.variety.rank))
 
 
-def jacobian_of_tuple(coords, variety):
-    """Entrywise Fox derivatives: entries[i][j] = d(coords[i])/dx_j."""
-    n = variety.rank
-    if len(coords) != n:
-        raise AlgebraError("coordinate tuple length differs from rank")
-    for f in coords:
-        _check_element(variety, f, "coordinate lives in a different algebra")
-    return [[fox_derivative(f, j) for j in range(n)] for f in coords]
-
-
 def jacobian(phi):
-    """Jacobian matrix of an endomorphism (or of a derivation's tuple)."""
+    """Jacobian matrix of an endomorphism or a derivation:
+    entries[i][j] = d(phi_i)/dx_j."""
     _check_type(phi, _Coords, "Endomorphism or Derivation")
-    return jacobian_of_tuple(phi.coords, phi.variety)
+    return [[fox_derivative(f, j) for j in range(phi.variety.rank)] for f in phi.coords]
 
 
 def mat_mul(a, b):
@@ -110,12 +101,6 @@ def mat_trace(a):
     for i, row in enumerate(a):
         _add_scaled(acc, 1, row[i].coeffs)
     return EnvElement._raw(a[0][0].variety, acc)
-
-
-def env_push(images, u):
-    """Image of u in U under the endomorphism x_i -> images[i], applied
-    inside every tensor factor: ``push_matrix`` of the 1x1 matrix."""
-    return push_matrix(images, [[u]])[0][0]
 
 
 def push_matrix(images, mat):

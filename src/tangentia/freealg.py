@@ -245,6 +245,7 @@ class Variety:
     names: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
+        _check_type(self.kind, Kind)
         if self.rank < 1:
             raise AlgebraError("rank must be >= 1")
         if not self.names:
@@ -505,6 +506,7 @@ class LinearCombination:
     __slots__ = ("variety", "coeffs")
 
     def __init__(self, variety, coeffs):
+        _check_type(variety, Variety)
         self.variety = variety
         self.coeffs = {m: _coeff(c) for m, c in coeffs.items() if c}
 

@@ -28,6 +28,7 @@ from .freealg import (
     Element,
     Kind,
     Variety,
+    _check_type,
     basis_coeffs,
     free_lie,
     monomials_of_degree,
@@ -70,6 +71,7 @@ class QuotientContext:
     induces_automorphism: str = EVIDENCE_USER
 
     def __post_init__(self):
+        _check_type(self.ambient, Variety)
         if self.min_degree < 2:
             raise AlgebraError("identity ideals start in degree >= 2")
         if self.induces_automorphism not in _EVIDENCE_LEVELS:

@@ -11,6 +11,8 @@ from tangentia import (
     Endomorphism,
     Kind,
     Element,
+    QuotientContext,
+    TraceClass,
     Variety,
     VarietyMismatch,
     chain_rule_check,
@@ -30,10 +32,10 @@ from tangentia import (
     ia_correct,
     ia_level,
     jacobian,
-    jacobian_of_tuple,
     left_mul,
     metabelian_lie,
     monomials_of_degree,
+    nilpotent_context,
     polynomial,
     project_to_metabelian,
     right_mul,
@@ -41,8 +43,9 @@ from tangentia import (
     trace_class,
     trace_str,
     truncated_inverse,
+    user_context,
 )
-from tangentia.fox import env_push
+from tangentia.fox import push_matrix
 from tangentia.wildness import random_invertible_matrix
 
 P = polynomial(2)
@@ -57,14 +60,9 @@ CHECKS = [
     # fox
     (lambda: fox_derivative(L3.gen(0), 3), AlgebraError,
      "generator index 3 out of range for rank 3"),
-    (lambda: jacobian_of_tuple((x,), P), AlgebraError,
-     "coordinate tuple length differs from rank"),
-    # this call used to return polynomial envelope entries
-    (lambda: jacobian_of_tuple(P.gens(), free_lie(2)), VarietyMismatch,
-     "coordinate lives in a different algebra"),
-    (lambda: env_push((x,), EnvElement.one(P)), AlgebraError,
+    (lambda: push_matrix((x,), [[EnvElement.one(P)]]), AlgebraError,
      "image tuple length differs from rank"),
-    (lambda: env_push((a, b), EnvElement.one(P)), VarietyMismatch,
+    (lambda: push_matrix((a, b), [[EnvElement.one(P)]]), VarietyMismatch,
      "images live in a different algebra"),
     # the chain rule composes with compose, whose message this now is;
     # the id still names the case
@@ -74,10 +72,8 @@ CHECKS = [
     # these used to raise AttributeError
     (lambda: chain_rule_check(Endomorphism.identity(P), 3), TypeError,
      "expected Endomorphism, got int", "chain_rule_check: expected Endomorphism, got int"),
-    (lambda: jacobian_of_tuple((1, 2), P), TypeError, "expected Element, got int",
-     "jacobian_of_tuple: expected Element, got int"),
-    (lambda: env_push((1, 2), EnvElement.one(P)), TypeError, "expected Element, got int",
-     "env_push: expected Element, got int"),
+    (lambda: push_matrix((1, 2), [[EnvElement.one(P)]]), TypeError,
+     "expected Element, got int", "push_matrix image: expected Element, got int"),
     (lambda: fox_derivative(3, 0), TypeError, "expected Element, got int",
      "fox_derivative: expected Element, got int"),
     (lambda: gradient(3), TypeError, "expected Element, got int",
@@ -163,6 +159,8 @@ CHECKS = [
      "polynomial(rank 2) vs assoc(rank 3)"),
     (lambda: x * EnvElement.one(P), TypeError, "expected Element, got EnvElement"),
     (lambda: Variety(Kind.POLYNOMIAL, 0), AlgebraError, "rank must be >= 1"),
+    # this call used to build a variety whose kind is 3
+    (lambda: Variety(3, 3), TypeError, "expected Kind, got int"),
     (lambda: polynomial(2, ("x",)), AlgebraError, "need exactly one name per generator"),
     (lambda: P.gen(5), AlgebraError, "generator index 5 out of range for rank 2"),
     (lambda: x.homogeneous_component(-1), AlgebraError, "degree must be >= 0"),
@@ -198,10 +196,22 @@ CHECKS = [
      "expected EnvElement, got TraceClass", "env_str: expected EnvElement, got TraceClass"),
     (lambda: trace_str(EnvElement.one(P)), TypeError,
      "expected TraceClass, got EnvElement", "trace_str: expected TraceClass, got EnvElement"),
+    # these calls used to build a value whose variety is 3
+    (lambda: EnvElement(3, {}), TypeError, "expected Variety, got int",
+     "EnvElement: expected Variety, got int"),
+    (lambda: TraceClass(3, {}), TypeError, "expected Variety, got int",
+     "TraceClass: expected Variety, got int"),
     # the operand check of sums and products, shared with the checks above
     (lambda: env_mul(EnvElement.one(P), EnvElement.one(A)), VarietyMismatch,
      "polynomial(rank 2) vs assoc(rank 2)"),
-    # wildness: an rng that draws only zeros draws only singular matrices
+    # wildness: these calls used to build a context whose ambient is 3
+    (lambda: QuotientContext(3, "t", 2), TypeError, "expected Variety, got int",
+     "QuotientContext: expected Variety, got int"),
+    (lambda: nilpotent_context(3, 1), TypeError, "expected Variety, got int",
+     "nilpotent_context: expected Variety, got int"),
+    (lambda: user_context(3, "t", 2), TypeError, "expected Variety, got int",
+     "user_context: expected Variety, got int"),
+    # an rng that draws only zeros draws only singular matrices
     (lambda: random_invertible_matrix(SimpleNamespace(randint=lambda lo, hi: 0), 2),
      AlgebraError, "failed to sample an invertible matrix"),
     # corpus

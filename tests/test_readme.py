@@ -35,7 +35,7 @@ def test_python_api_sketch_gives_its_commented_values():
         comment = lines[node.lineno - 1].split("#", 1)[1].strip()
         assert comment in (str(value), repr(value)), (code, value)
         checked.append(comment)
-    assert checked == ["IA(2)", "False", "'AbsolutelyWild'"]
+    assert checked == ["IA(3)", "False", "'AbsolutelyWild'"]
 
 
 def test_script_language_example_runs():

@@ -330,6 +330,20 @@ def test_polynilpotent_1_2_and_2_2():
     assert cert2.verdict == "AbsolutelyWild"
 
 
+def test_polynilpotent_cross_checks_its_leading_term(monkeypatch):
+    """The tracked leading term is checked against the materialized u: a
+    tracker that gets a sign wrong is caught, not reported."""
+
+    def flipped(a, b):
+        lt = _lt_bracket(a, b)
+        return LeadingTerm(lt.word, -lt.coeff)
+
+    monkeypatch.setattr(wildness, "_lt_bracket", flipped)
+    with pytest.raises(AlgebraError) as info:
+        build_polynilpotent_witness((1, 2), 3)
+    assert info.value.args == ("leading-term tracker disagrees with the expansion",)
+
+
 def test_polynilpotent_1_1_rejected():
     with pytest.raises(AlgebraError, match=r"inequality \(99\)"):
         build_polynilpotent_witness((1, 1), 3)

@@ -40,9 +40,6 @@ KNOWN = {
         "pipe, and the tracer does not see child processes",
     ("cli.py", "sys.exit(main())"):
         "the __main__ guard runs only as ``python -m tangentia.cli``",
-    ("wildness.py", 'raise AlgebraError("leading-term tracker disagrees with the expansion")'):
-        "a cross-check of _lt_bracket against the materialized element: it "
-        "fires only if the tracker is wrong",
 }
 
 
