@@ -589,10 +589,14 @@ class _ExprParser(_Reader):
 # -- execution --------------------------------------------------------------
 
 
-_EVIDENCE = {
-    "user": wildness.EVIDENCE_USER,
-    "truncation": wildness.EVIDENCE_TRUNCATION,
-    "builtin": wildness.EVIDENCE_BUILTIN,
+# each detect-wild context's factory and the flags it reads, with their
+# defaults (None: required), in the factory's argument order after the ambient
+_CONTEXTS = {
+    "metabelian": (wildness.metabelian_context, {"evidence": "user"}),
+    "nilpotent": (wildness.nilpotent_context, {"class": 2, "evidence": "user"}),
+    "var-m2k": (wildness.var_m2k_context, {"evidence": "user"}),
+    "polynilpotent": (wildness.polynilpotent_context, {"c": None, "evidence": "user"}),
+    "user": (wildness.user_context, {"tag": "unnamed", "min-degree": 2}),
 }
 
 
@@ -652,7 +656,7 @@ class Session:
         if self.variety is not None:
             raise DslError("variety already declared", stmt.line, None)
         try:
-            kind = Kind("assoc" if stmt.kind_name == "associative" else stmt.kind_name)
+            kind = Kind(stmt.kind_name)
         except ValueError:
             raise DslError(f"unknown variety kind {stmt.kind_name!r}", stmt.line, None) from None
         try:
@@ -764,28 +768,27 @@ class Session:
         return {"names": args, "degree": k, "images": [str(f) for f in out.images]}, out
 
     def _context_from_flags(self, flags):
-        tag = flags["context"]
-        evidence = flags.get("evidence", "user")
-        if evidence not in _EVIDENCE:
-            raise DslError(
-                f"flag --evidence must be one of {', '.join(_EVIDENCE)}, got {evidence!r}"
-            )
-        evidence = _EVIDENCE[evidence]
-        if tag == "metabelian":
-            return wildness.metabelian_context(self.variety, evidence)
-        if tag == "nilpotent":
-            return wildness.nilpotent_context(self.variety, flags.get("class", 2), evidence)
-        if tag == "var-m2k":
-            return wildness.var_m2k_context(self.variety, evidence)
-        if tag == "polynilpotent":
-            if "c" not in flags:
-                raise DslError("polynilpotent context needs --c")
-            return wildness.polynilpotent_context(self.variety, tuple(flags["c"]), evidence)
-        if tag == "user":
-            return wildness.user_context(
-                self.variety, flags.get("tag", "unnamed"), flags.get("min-degree", 2)
-            )
-        raise DslError(f"unknown context {tag!r}")
+        """The context --context names; a flag of another context is an error."""
+        name = flags["context"]
+        if name not in _CONTEXTS:
+            raise DslError(f"unknown context {name!r}")
+        factory, reads = _CONTEXTS[name]
+        for fname in flags:
+            if fname not in reads and any(fname in r for _, r in _CONTEXTS.values()):
+                takes = ", ".join(f"--{f}" for f in reads)
+                raise DslError(f"the {name} context does not read --{fname}; it reads {takes}")
+        values = []
+        for fname, default in reads.items():
+            value = flags.get(fname, default)
+            if value is None:
+                raise DslError(f"{name} context needs --{fname}")
+            if fname == "evidence":
+                if value not in wildness._EVIDENCE:
+                    raise DslError(f"flag --evidence must be one of "
+                                   f"{', '.join(wildness._EVIDENCE)}, got {value!r}")
+                value = wildness._EVIDENCE[value]
+            values.append(value)
+        return factory(self.variety, *values)
 
     def _cmd_detect_wild(self, args, flags):
         phi = self.lookup(args[0], Endomorphism)

@@ -140,6 +140,7 @@ def right_mul(a):
 
 def env_mul(u, v):
     """Associative product of U in the chosen representation."""
+    _check_type(u, EnvElement)
     u._check(v)
     kind = u.variety.kind
     if kind is Kind.FREE_ASSOCIATIVE:

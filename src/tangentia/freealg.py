@@ -1018,6 +1018,7 @@ def basis_coeffs(e):
     """Coordinates of ``e`` over its variety's basis (the keys that
     ``monomials_of_degree`` lists): a free-Lie element's stored words are
     rewritten in the Lyndon basis, other kinds store their basis keys."""
+    _check_type(e, Element)
     if e.variety.kind is Kind.FREE_LIE:
         return lie_from_assoc(e.coeffs)
     return e.coeffs
@@ -1029,6 +1030,7 @@ def project_to_metabelian(e):
     Dynkin-Specht-Wever, a Lie element of degree m in K<X> is 1/m times
     the sum of its words' left-normed brackets: one ``_substitute`` of
     the words, each scaled by 1/m, into the metabelian generators."""
+    _check_type(e, Element)
     if e.variety.kind is not Kind.FREE_LIE:
         raise VarietyMismatch("projection is defined on free Lie elements")
     target = metabelian_lie(e.variety.rank)
@@ -1038,6 +1040,7 @@ def project_to_metabelian(e):
 
 def monomials_of_degree(variety, d):
     """All canonical monomial keys of a given degree, deglex-sorted."""
+    _check_type(variety, Variety)
     if d < 0:
         raise AlgebraError("degree must be >= 0")
     n = variety.rank

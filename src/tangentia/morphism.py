@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .freealg import (
     AlgebraError,
     Element,
+    Variety,
     _Coords,
     _WORD_KINDS,
     _add_scaled,
@@ -452,6 +453,7 @@ def _check_square(variety, g):
 def linear(variety, g):
     """The linear endomorphism x_i -> sum_j g[i][j] x_j; ``AlgebraError``
     unless g is n x n for the variety's rank n."""
+    _check_type(variety, Variety)
     _check_square(variety, g)
     gens = [x.coeffs for x in variety.gens()]
     return Endomorphism(variety, (
@@ -462,6 +464,7 @@ def linear(variety, g):
 def affine(variety, g, consts):
     """x_i -> sum_j g[i][j] x_j + consts[i]; unital varieties only, and
     ``AlgebraError`` unless there is one constant per generator."""
+    _check_type(variety, Variety)
     if not variety.unital:
         raise AlgebraError("affine maps need constants; variety is not unital")
     if len(consts) != variety.rank:
@@ -488,6 +491,7 @@ def conjugate_derivation(g, D):
     """alpha D alpha^-1 as a derivation, for alpha = ``linear(var, g)``:
     x_k -> alpha(D(alpha^-1(x_k))); raises ``NotInvertible`` if g is
     singular."""
+    _check_type(D, Derivation)
     _check_square(D.variety, g)
     return _conjugate(g, _matrix_inverse(g, "conjugating matrix"), D)
 

@@ -12,14 +12,15 @@ Three detectors and one sampler:
 * a seeded tangent-span sampler with an independent exact-rank oracle for
   the divergence kernel.
 
-Certificates never claim more than the hypotheses support: a context
-with an unknown automorphism-evidence level cannot be built, and a
-too-small ideal degree downgrades the verdict to Inconclusive with an
-explicit reason.
+A too-small ideal degree downgrades the verdict to Inconclusive with a
+reason.  The automorphism-evidence level is a label that is recorded and
+never checked: any of the three levels is taken on trust, so a map that
+induces no automorphism of the quotient can be certified AbsolutelyWild.
 """
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -52,10 +53,10 @@ from .fox import fox_derivative
 from . import linalg
 
 
-EVIDENCE_USER = "user-asserted"
-EVIDENCE_TRUNCATION = "verified-by-truncation"
-EVIDENCE_BUILTIN = "builtin-construction"
-_EVIDENCE_LEVELS = (EVIDENCE_USER, EVIDENCE_TRUNCATION, EVIDENCE_BUILTIN)
+# the automorphism-evidence levels, keyed by the name a script gives each
+_EVIDENCE = {"user": "user-asserted", "truncation": "verified-by-truncation",
+             "builtin": "builtin-construction"}
+EVIDENCE_USER, EVIDENCE_TRUNCATION, EVIDENCE_BUILTIN = _EVIDENCE.values()
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,14 @@ class QuotientContext:
         _check_type(self.ambient, Variety)
         if self.min_degree < 2:
             raise AlgebraError("identity ideals start in degree >= 2")
-        if self.induces_automorphism not in _EVIDENCE_LEVELS:
-            levels = ", ".join(_EVIDENCE_LEVELS)
+        if self.induces_automorphism not in _EVIDENCE.values():
+            levels = ", ".join(_EVIDENCE.values())
             raise AlgebraError(f"automorphism evidence must be one of {levels}, "
                                f"got {self.induces_automorphism!r}")
 
 
 def _lie_ambient(ambient, context):
+    _check_type(ambient, Variety)
     if not ambient.is_lie:
         kind = ambient.kind.value
         raise AlgebraError(f"the {context} context needs a Lie ambient, not {kind}")
@@ -104,6 +106,7 @@ def var_m2k_context(ambient, evidence=EVIDENCE_USER):
     elements of degree <= 4.  In four or more the standard polynomial s_4
     is one (Amitsur-Levitzki): a free associative ambient of rank >= 4 is
     an ``AlgebraError``.  s_4 is not a Lie element and abelianizes to 0."""
+    _check_type(ambient, Variety)
     if ambient.kind is Kind.FREE_ASSOCIATIVE and ambient.rank >= 4:
         raise AlgebraError(
             "Var(M_2(K)) has the degree-4 identity s_4 in 4 or more variables; "
@@ -112,17 +115,22 @@ def var_m2k_context(ambient, evidence=EVIDENCE_USER):
     return QuotientContext(ambient, f"Var(M_2(K)) in {ambient.rank} vars", 5, evidence)
 
 
+def _polynilpotent_degree(c):
+    """The least identity degree of the polynilpotent tuple (c_1, ..., c_k),
+    each c_i >= 1: the product of the (c_i + 1)."""
+    if any(ci < 1 for ci in c):
+        raise AlgebraError("nilpotency parameters must be >= 1")
+    return math.prod(ci + 1 for ci in c)
+
+
 def polynilpotent_context(ambient, c, evidence=EVIDENCE_BUILTIN):
-    """Polynilpotent ideal for the tuple (c_1, ..., c_k): least identity
-    degree is the product of the (c_i + 1)."""
+    """Polynilpotent ideal for the tuple (c_1, ..., c_k), starting in
+    degree ``_polynilpotent_degree(c)``."""
     _lie_ambient(ambient, "polynilpotent")
     if not c:
         raise AlgebraError("need at least one nilpotency parameter")
-    if any(ci < 1 for ci in c):
-        raise AlgebraError("nilpotency parameters must be >= 1")
-    prod = math.prod(ci + 1 for ci in c)
     tag = "polynilpotent (" + ",".join(str(ci) for ci in c) + ")"
-    return QuotientContext(ambient, tag, prod, evidence)
+    return QuotientContext(ambient, tag, _polynilpotent_degree(c), evidence)
 
 
 def user_context(ambient, tag, min_degree):
@@ -146,25 +154,13 @@ class WildnessCertificate:
         return self.verdict == VERDICT_WILD
 
 
-def _hypothesis_check(ctx, level_i, trace):
-    reasons = []
-    if ctx.min_degree <= level_i + 1:
-        reasons.append(
-            f"ideal may contain elements of degree <= {level_i + 1} "
-            f"(registry min degree {ctx.min_degree})"
-        )
-    trace.append(
-        f"hypotheses: ideal '{ctx.ideal_tag}' min degree {ctx.min_degree}, "
-        f"automorphism evidence '{ctx.induces_automorphism}'"
-    )
-    return reasons
-
-
 def _certify(phi, ctx, max_degree, detector, witness):
     """The certificate of ``detector``: the ambient and IA checks, then
     ``witness(T, trace)`` on the tangent T, which appends its own trace
     lines and gives the witness and the reason to report if it is zero,
-    then the hypotheses.  ``AbsolutelyWild`` iff no reason is found."""
+    then the hypotheses.  Every reason is formed here, and the verdict is
+    ``AbsolutelyWild`` iff there is none."""
+    _check_type(ctx, QuotientContext)
     if phi.variety != ctx.ambient:
         raise AlgebraError("context ambient differs from the endomorphism's algebra")
     lev = ia_level(phi, max_degree)
@@ -172,15 +168,19 @@ def _certify(phi, ctx, max_degree, detector, witness):
         raise NotIA(f"{detector} detector needs an IA endomorphism with a tangent")
     trace = [f"ia level {lev.i}"]
     value, if_zero = witness(_tangent_at(phi, lev.i), trace)
-    reasons = _hypothesis_check(ctx, lev.i, trace)
-    if value.is_zero():
-        reasons.insert(0, if_zero)
+    trace.append(f"hypotheses: ideal '{ctx.ideal_tag}' min degree {ctx.min_degree}, "
+                 f"automorphism evidence '{ctx.induces_automorphism}'")
+    reasons = [if_zero] if value.is_zero() else []
+    if ctx.min_degree <= lev.i + 1:
+        reasons.append(f"ideal may contain elements of degree <= {lev.i + 1} "
+                       f"(registry min degree {ctx.min_degree})")
     verdict = VERDICT_INCONCLUSIVE if reasons else VERDICT_WILD
     return WildnessCertificate(verdict, value, ctx, reasons, trace)
 
 
 def detect_divergence_wild(eps, ctx, max_degree=DEFAULT_MAX_DEGREE):
     """Certificate from div(T(eps)) != 0 computed in the ambient U."""
+    _check_type(eps, Endomorphism)
 
     def witness(T, trace):
         trace.append(f"tangent = {T!r}")
@@ -194,6 +194,7 @@ def detect_divergence_wild(eps, ctx, max_degree=DEFAULT_MAX_DEGREE):
 def detect_rank2_associative(phi, ctx, max_degree=DEFAULT_MAX_DEGREE):
     """Certificate from T(phi)([x1,x2]) != 0 in the rank-2 free
     associative algebra."""
+    _check_type(phi, Endomorphism)
     var = phi.variety
     if var.kind is not Kind.FREE_ASSOCIATIVE or var.rank != 2:
         raise AlgebraError("rank-2 associative detector needs K<x1,x2>")
@@ -210,7 +211,8 @@ def detect_rank2_associative(phi, ctx, max_degree=DEFAULT_MAX_DEGREE):
 # ---------------------------------------------------------------------------
 # Polynilpotent witness construction
 #
-# u_1 = ad(x1)^{c_1}(x2), u_{t+1} = ad(u_t)^{c_{t+1}}(ad(x1)(u_t)).
+# u_1 = ad(x1)^{c_1}(x2), u_{t+1} = ad(u_t)^{c_{t+1}}(ad(x1)(u_t)), one
+# recursion (``_ad_powers``) for both the leading terms and the elements.
 # Degrees and leading words are certified by exact leading-term tracking
 # in the lexicographic order with x1 > x2 > ... > xn (greatest letter =
 # smallest index, so the leading word is the tuple-minimal one); leading
@@ -227,10 +229,6 @@ class LeadingTerm:
     word: tuple
     coeff: int
 
-    @property
-    def degree(self):
-        return len(self.word)
-
 
 def _lt_bracket(a, b):
     w1 = a.word + b.word
@@ -243,6 +241,20 @@ def _lt_bracket(a, b):
     raise LeadingTermIndeterminate(
         "leading concatenations coincide; full expansion required"
     )
+
+
+def _ad_powers(c, bracket, x1, x2):
+    """``[u_1, ..., u_{k-1}]`` for the tuple c = (c_1, ..., c_k), with
+    ``bracket`` as the Lie bracket of x1, x2 and what they generate."""
+    us = [x2]
+    for _ in range(c[0]):
+        us[0] = bracket(x1, us[0])
+    for ct in c[1:-1]:
+        cur = bracket(x1, us[-1])
+        for _ in range(ct):
+            cur = bracket(us[-1], cur)
+        us.append(cur)
+    return us
 
 
 @dataclass
@@ -271,30 +283,15 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
         raise AlgebraError("need at least two nilpotency parameters")
     if n < 3:
         raise AlgebraError("witness construction needs rank >= 3")
-    if any(ci < 1 for ci in c):
-        raise AlgebraError("nilpotency parameters must be >= 1")
+    product_bound = _polynilpotent_degree(c)
     if c == (1, 1):
         raise AlgebraError(
             "tuple (1,1) is the metabelian variety: inequality (99) fails"
         )
 
-    x1 = LeadingTerm((0,), 1)
-    x2 = LeadingTerm((1,), 1)
-    lt = x2
-    for _ in range(c[0]):
-        lt = _lt_bracket(x1, lt)
-    leads = [lt]
-    for t in range(1, k - 1):
-        cur = _lt_bracket(x1, leads[-1])
-        for _ in range(c[t]):
-            cur = _lt_bracket(leads[-1], cur)
-        leads.append(cur)
-
-    degrees = [lt.degree for lt in leads]
-    recursion = [c[0] + 1]
-    for t in range(1, k - 1):
-        recursion.append(recursion[-1] * (c[t] + 1) + 1)
-    product_bound = math.prod(ci + 1 for ci in c)
+    leads = _ad_powers(c, _lt_bracket, LeadingTerm((0,), 1), LeadingTerm((1,), 1))
+    degrees = [len(lt.word) for lt in leads]
+    recursion = _ad_powers(c, operator.add, 1, 1)  # a bracket's degree is the sum
     inequality_holds = degrees[-1] + 2 < product_bound
     assert inequality_holds, (
         "inequality (99) cannot fail: with P_t = (c_0 + 1)...(c_t + 1), "
@@ -321,26 +318,15 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
     if not report.materialized:
         return None, None, report
 
-    lie = free_lie(n)
-    g1, g2 = lie.gen(0), lie.gen(1)
-    u = g2
-    for _ in range(c[0]):
-        u = g1 * u
-    for t in range(1, k - 1):
-        cur = g1 * u
-        for _ in range(c[t]):
-            cur = u * cur
-        u = cur
+    gens = free_lie(n).gens()
+    u = _ad_powers(c, operator.mul, gens[0], gens[1])[-1]
     # cross-check the tracked leading term against the materialized element
     least = min(u.coeffs)
     if least != leads[-1].word or u.coeffs[least] != leads[-1].coeff:
         raise AlgebraError("leading-term tracker disagrees with the expansion")
 
-    args = (lie.gen(1), lie.gen(2)) + tuple(lie.gen(j) for j in range(2, n))
-    w = u.substitute(args[: n])
-    psi_images = list(lie.gens())
-    psi_images[0] = psi_images[0] + ((w * lie.gen(0)) * lie.gen(0))
-    psi = Endomorphism(lie, tuple(psi_images))
+    w = u.substitute(gens[1:3] + gens[2:])  # u(x2, x3)
+    psi = Endomorphism(u.variety, (gens[0] + (w * gens[0]) * gens[0],) + gens[1:])
     return u, psi, report
 
 
@@ -353,6 +339,7 @@ def derivation_vector(D):
     ``{(i, m): c}`` with c the coefficient of the basis key m
     (``basis_coeffs``) in D(x_i), so the columns sort by coordinate, then
     by basis key."""
+    _check_type(D, Derivation)
     return {(i, m): c for i, f in enumerate(D.coords) for m, c in basis_coeffs(f).items()}
 
 

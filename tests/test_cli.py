@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,16 @@ def test_unknown_evidence_exit_code_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_unknown_variety_kind_exit_code_1(tmp_path, capsys):
+    """The kinds are polynomial, assoc, lie and metabelian, as the script
+    language documents them: ``associative`` is not one."""
+    rc = cli.main(["run", write(tmp_path, "variety associative(3)\neval x1\n")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: line 1: unknown variety kind 'associative'\n"
+    assert captured.out == ""
+
+
 def test_repeated_generator_name_exit_code_1(tmp_path, capsys):
     rc = cli.main(["run", write(tmp_path, "variety polynomial(2) vars x,x\neval x\n")])
     captured = capsys.readouterr()
@@ -278,6 +289,27 @@ def test_usage_error_exit_code_1(tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "source, code, err",
+    [("variety polynomial(1) vars x; eval x^2\n", 0, ""),
+     ("variety polynomial(1) vars x; eval q\n", 1, "error: line 1, column 36: undefined name 'q'\n")],
+)
+def test_module_run_as_a_script_exits_with_mains_status(
+    tmp_path, capsys, monkeypatch, source, code, err
+):
+    """``python -m tangentia.cli run FILE`` exits with ``main``'s status,
+    run here in this process.  ``tangentia.cli`` is already imported, so
+    runpy warns that it runs a fresh copy of the module."""
+    monkeypatch.setattr(sys, "argv", ["tangentia", "run", write(tmp_path, source)])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("tangentia.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert exc.value.code == code
+    assert captured.err == err
+    assert captured.out == ("== eval\n  value: x^2\n" if code == 0 else "")
+
+
 def test_help_exit_code_0(capsys):
     for argv in (["--help"], ["run", "--help"]):
         with pytest.raises(SystemExit) as exc:
@@ -369,6 +401,44 @@ DEFECT_PRELUDE = (
         ("detect-wild a", "detect-wild needs --context"),
         ("detect-wild a --context polynilpotent", "polynilpotent context needs --c"),
         ("detect-wild a --context foo", "unknown context 'foo'"),
+        # a context flag that the chosen context does not read: each used to
+        # be dropped without a word; the first one in the statement is named
+        ("detect-wild a --context metabelian --class 3",
+         "the metabelian context does not read --class; it reads --evidence"),
+        ("detect-wild a --context metabelian --c 2,2",
+         "the metabelian context does not read --c; it reads --evidence"),
+        ("detect-wild a --context metabelian --min-degree 9",
+         "the metabelian context does not read --min-degree; it reads --evidence"),
+        ("detect-wild a --context metabelian --tag t",
+         "the metabelian context does not read --tag; it reads --evidence"),
+        ("detect-wild a --context nilpotent --c 2,2",
+         "the nilpotent context does not read --c; it reads --class, --evidence"),
+        ("detect-wild a --context nilpotent --min-degree 9",
+         "the nilpotent context does not read --min-degree; it reads --class, --evidence"),
+        ("detect-wild a --context nilpotent --tag t",
+         "the nilpotent context does not read --tag; it reads --class, --evidence"),
+        ("detect-wild a --context var-m2k --class 3",
+         "the var-m2k context does not read --class; it reads --evidence"),
+        ("detect-wild a --context var-m2k --c 2,2",
+         "the var-m2k context does not read --c; it reads --evidence"),
+        ("detect-wild a --context var-m2k --min-degree 9",
+         "the var-m2k context does not read --min-degree; it reads --evidence"),
+        ("detect-wild a --context var-m2k --tag t",
+         "the var-m2k context does not read --tag; it reads --evidence"),
+        ("detect-wild a --context polynilpotent --c 1,2 --class 3",
+         "the polynilpotent context does not read --class; it reads --c, --evidence"),
+        ("detect-wild a --context polynilpotent --c 1,2 --min-degree 9",
+         "the polynilpotent context does not read --min-degree; it reads --c, --evidence"),
+        ("detect-wild a --context polynilpotent --c 1,2 --tag t",
+         "the polynilpotent context does not read --tag; it reads --c, --evidence"),
+        ("detect-wild a --context user --evidence builtin",
+         "the user context does not read --evidence; it reads --tag, --min-degree"),
+        ("detect-wild a --context user --class 3",
+         "the user context does not read --class; it reads --tag, --min-degree"),
+        ("detect-wild a --context user --c 2,2",
+         "the user context does not read --c; it reads --tag, --min-degree"),
+        ("detect-wild a --min-degree 9 --context nilpotent --tag t",
+         "the nilpotent context does not read --min-degree; it reads --class, --evidence"),
         # eval reads a scalar as an element, as let does: it used to print
         # "value: 3/2" in a Lie variety
         ("eval 3/2", "no constants in the non-unital variety lie"),

@@ -1,9 +1,11 @@
 """The input checks of the Python API that no script reaches: each call
 below raises its own exception class with its own message."""
+import inspect
 from types import SimpleNamespace
 
 import pytest
 
+import tangentia
 from tangentia import (
     AlgebraError,
     Derivation,
@@ -227,3 +229,39 @@ def test_input_check_raises_its_own_message(call, error, message):
         call()
     assert type(info.value) is error
     assert info.value.args == (message,)
+
+
+# public callables the sweep below leaves out: record types, which store
+# what they are given, the factories that take an int, and the Kind enum
+SWEEP_EXEMPT = {
+    "DivergenceValue", "FiltrationLevel", "SpanReport", "WildnessCertificate",
+    "polynomial", "free_associative", "free_lie", "metabelian_lie", "Kind",
+}
+
+
+def test_every_public_callable_rejects_a_non_algebra_argument():
+    """Each public callable of ``tangentia.__all__`` called with ``3`` for
+    every required positional argument raises ``TypeError`` or an
+    ``AlgebraError``, not an ``AttributeError`` from deep inside.  Exception
+    classes are left out: calling one builds an exception and raises
+    nothing."""
+    swept, wrong = [], []
+    for name in tangentia.__all__:
+        obj = getattr(tangentia, name)
+        if (name in SWEEP_EXEMPT or not callable(obj)
+                or isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        required = [p for p in params if p.default is p.empty
+                    and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        swept.append(name)
+        try:
+            obj(*[3] * len(required))
+        except (TypeError, AlgebraError):
+            pass
+        except Exception as exc:
+            wrong.append(f"{name}: {type(exc).__name__}: {exc}")
+        else:
+            wrong.append(f"{name}: returned")
+    assert len(swept) > 40
+    assert wrong == []

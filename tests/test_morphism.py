@@ -920,12 +920,13 @@ def _benchmark_lie_maps():
     ]
 
 
-def _reversal_oracle_maps(rng):
-    """Free-Lie maps for the associative oracle of the reversal pairing:
-    the two degree-8 benchmark maps, maps whose words include odd
-    palindromes, and random maps with a linear part of determinant +-2,
-    so the inverses carry ``Fraction`` coefficients (rank 2: in rank 3
-    such inverses are dense, and slow to check through degree 8)."""
+def _associative_oracle_maps(rng):
+    """Free-Lie maps to compare with the same images on the free
+    associative algebra: the two degree-8 benchmark maps, maps whose
+    words include odd palindromes, and random maps with a linear part of
+    determinant +-2, so the inverses carry ``Fraction`` coefficients
+    (rank 2: in rank 3 such inverses are dense, and slow to check through
+    degree 8)."""
     maps = _benchmark_lie_maps()
     L2 = free_lie(2)
     a, b = L2.gens()
@@ -941,12 +942,13 @@ def _reversal_oracle_maps(rng):
     return maps
 
 
-def test_reversal_pairing_matches_the_associative_inverse(rng):
-    """The inverse rounds of a free-Lie map pair each word with its
-    reversal; the same images on the free associative algebra pair
-    nothing.  Both inverses (and group commutators) must have the same
-    words with the same coefficients."""
-    maps = _reversal_oracle_maps(rng)
+def test_free_lie_inverses_and_commutators_match_the_associative_ones(rng):
+    """The truncated inverses and group commutators of free-Lie maps have
+    the same words with the same coefficients as those of the same
+    images on the free associative algebra, through every degree up to
+    8 (commutators through 7), with palindromic words and Fraction
+    coefficients among them."""
+    maps = _associative_oracle_maps(rng)
     words = [w for phi in maps for f in phi.images for w in f.coeffs]
     assert any(len(w) == 3 and w == w[::-1] for w in words)
     assert any(len(w) == 5 and w == w[::-1] for w in words)

@@ -22,7 +22,6 @@ from tangentia import (
     corpus,
     detect_divergence_wild,
     detect_rank2_associative,
-    derivation_from_vector,
     derivation_vector,
     divergence,
     divergence_kernel_rank,
@@ -44,7 +43,9 @@ from tangentia import (
     var_m2k_context,
 )
 from tangentia import linalg, wildness
-from tangentia.wildness import EVIDENCE_BUILTIN, EVIDENCE_USER, LeadingTerm, _lt_bracket
+from tangentia.wildness import (
+    EVIDENCE_BUILTIN, EVIDENCE_USER, LeadingTerm, _lt_bracket, derivation_from_vector,
+)
 
 from conftest import check_scaled_inverse
 

@@ -38,8 +38,6 @@ KNOWN = {
         "main's BrokenPipeError handler: only the child process of "
         "test_closed_output_pipe_exits_1_without_a_traceback meets a closed "
         "pipe, and the tracer does not see child processes",
-    ("cli.py", "sys.exit(main())"):
-        "the __main__ guard runs only as ``python -m tangentia.cli``",
 }
 
 
