@@ -8,140 +8,22 @@ truncated inverses; and a detection laboratory for absolutely wild
 automorphisms, driven either from Python or from the ``tangentia`` CLI.
 """
 
-from .freealg import (
-    AlgebraError,
-    ConstantInLieVariety,
-    Element,
-    Kind,
-    Variety,
-    VarietyMismatch,
-    basis_coeffs,
-    free_associative,
-    free_lie,
-    metabelian_lie,
-    monomials_of_degree,
-    polynomial,
-    project_to_metabelian,
-)
-from .envelope import (
-    EnvElement,
-    TraceClass,
-    env_apply,
-    env_mul,
-    env_str,
-    left_mul,
-    necklace,
-    right_mul,
-    trace_class,
-    trace_str,
-)
-from .fox import (
-    chain_rule_check,
-    fox_derivative,
-    gradient,
-    jacobian,
-    mat_trace,
-)
-from .deriv import Derivation, DivergenceValue, divergence
-from .morphism import (
-    DEFAULT_MAX_DEGREE,
-    Endomorphism,
-    FiltrationLevel,
-    NotIA,
-    NotInvertible,
-    affine,
-    compose,
-    compose_all,
-    conjugate_derivation,
-    elementary,
-    group_commutator,
-    ia_correct,
-    ia_level,
-    linear,
-    tangent,
-    truncated_inverse,
-)
-from .wildness import (
-    QuotientContext,
-    SpanReport,
-    WildnessCertificate,
-    build_polynilpotent_witness,
-    derivation_vector,
-    detect_divergence_wild,
-    detect_rank2_associative,
-    divergence_kernel_rank,
-    metabelian_context,
-    nilpotent_context,
-    polynilpotent_context,
-    tangent_span,
-    user_context,
-    var_m2k_context,
-)
+from .freealg import *
+from .envelope import *
+from .fox import *
+from .deriv import *
+from .morphism import *
+from .wildness import *
 from . import corpus
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgebraError",
-    "ConstantInLieVariety",
-    "DEFAULT_MAX_DEGREE",
-    "Derivation",
-    "DivergenceValue",
-    "Element",
-    "Endomorphism",
-    "EnvElement",
-    "FiltrationLevel",
-    "Kind",
-    "NotIA",
-    "NotInvertible",
-    "QuotientContext",
-    "SpanReport",
-    "TraceClass",
-    "Variety",
-    "VarietyMismatch",
-    "WildnessCertificate",
-    "affine",
-    "basis_coeffs",
-    "build_polynilpotent_witness",
-    "chain_rule_check",
-    "compose",
-    "compose_all",
-    "conjugate_derivation",
+__all__ = sorted([
+    *freealg.__all__,
+    *envelope.__all__,
+    *fox.__all__,
+    *deriv.__all__,
+    *morphism.__all__,
+    *wildness.__all__,
     "corpus",
-    "derivation_vector",
-    "detect_divergence_wild",
-    "detect_rank2_associative",
-    "divergence",
-    "divergence_kernel_rank",
-    "elementary",
-    "env_apply",
-    "env_mul",
-    "env_str",
-    "fox_derivative",
-    "free_associative",
-    "free_lie",
-    "gradient",
-    "group_commutator",
-    "ia_correct",
-    "ia_level",
-    "jacobian",
-    "left_mul",
-    "linear",
-    "mat_trace",
-    "metabelian_context",
-    "metabelian_lie",
-    "monomials_of_degree",
-    "necklace",
-    "nilpotent_context",
-    "polynilpotent_context",
-    "polynomial",
-    "project_to_metabelian",
-    "right_mul",
-    "tangent",
-    "tangent_span",
-    "trace_class",
-    "trace_str",
-    "truncated_inverse",
-    "user_context",
-    "var_m2k_context",
-]
+])

@@ -23,6 +23,12 @@ from .freealg import (
 from .envelope import EnvElement, TraceClass, generated_algebra, left_mul, trace_class
 from .fox import fox_derivative, jacobian
 
+__all__ = [
+    "Derivation",
+    "DivergenceValue",
+    "divergence",
+]
+
 
 def _leibniz_words(coeffs, images):
     """The derivation with x_i -> images[i] applied to a dict of words:

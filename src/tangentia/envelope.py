@@ -54,6 +54,19 @@ from .freealg import (
     terms_str,
 )
 
+__all__ = [
+    "EnvElement",
+    "TraceClass",
+    "env_apply",
+    "env_mul",
+    "env_str",
+    "left_mul",
+    "necklace",
+    "right_mul",
+    "trace_class",
+    "trace_str",
+]
+
 
 def necklace(w):
     """Lexicographically minimal rotation of a word, in linear time: two
@@ -159,10 +172,11 @@ def env_mul(u, v):
 def env_apply(u, m):
     """Apply the operator u to an algebra element m.
 
-    For the Lie kinds the generators of U act via ad.  For the metabelian
-    kind the t_i are applied in ascending generator order; the action is a
-    genuine U/R-module action on the derived subalgebra (where the ad's
-    commute) and order-dependent only outside it.
+    The generators of U act by multiplication in the polynomial kind and
+    via ad in the Lie kinds.  For the metabelian kind the t_i are applied
+    in ascending generator order; the action is a genuine U/R-module
+    action on the derived subalgebra (where the ad's commute) and
+    order-dependent only outside it.
     """
     if not isinstance(m, Element):
         raise TypeError("env_apply expects an algebra Element")
@@ -170,8 +184,6 @@ def env_apply(u, m):
     _check_element(u.variety, m, "operator and operand from different varieties")
     var = m.variety
     kind = var.kind
-    if kind is Kind.POLYNOMIAL:
-        return Element(var, u.coeffs) * m
     out = {}
     if kind is Kind.FREE_ASSOCIATIVE:
         for (a, b), c in u.coeffs.items():

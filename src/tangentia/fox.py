@@ -20,6 +20,14 @@ from .freealg import (
 )
 from .envelope import EnvElement, env_mul, generated_algebra, left_mul
 
+__all__ = [
+    "chain_rule_check",
+    "fox_derivative",
+    "gradient",
+    "jacobian",
+    "mat_trace",
+]
+
 
 def fox_derivative(a, i):
     """The i-th Fox derivative da/dx_i as an element of U(A).

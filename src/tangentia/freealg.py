@@ -95,6 +95,22 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 
+__all__ = [
+    "AlgebraError",
+    "ConstantInLieVariety",
+    "Element",
+    "Kind",
+    "Variety",
+    "VarietyMismatch",
+    "basis_coeffs",
+    "free_associative",
+    "free_lie",
+    "metabelian_lie",
+    "monomials_of_degree",
+    "polynomial",
+    "project_to_metabelian",
+]
+
 
 class AlgebraError(ValueError):
     """Base class for exact-algebra usage errors."""

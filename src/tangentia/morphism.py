@@ -37,6 +37,25 @@ from .freealg import (
 from .deriv import Derivation
 from . import linalg
 
+__all__ = [
+    "DEFAULT_MAX_DEGREE",
+    "Endomorphism",
+    "FiltrationLevel",
+    "NotIA",
+    "NotInvertible",
+    "affine",
+    "compose",
+    "compose_all",
+    "conjugate_derivation",
+    "elementary",
+    "group_commutator",
+    "ia_correct",
+    "ia_level",
+    "linear",
+    "tangent",
+    "truncated_inverse",
+]
+
 
 class NotIA(AlgebraError):
     """The endomorphism has no tangent (it is not an IA map)."""

@@ -52,6 +52,23 @@ from .envelope import trace_class
 from .fox import fox_derivative
 from . import linalg
 
+__all__ = [
+    "QuotientContext",
+    "SpanReport",
+    "WildnessCertificate",
+    "build_polynilpotent_witness",
+    "derivation_vector",
+    "detect_divergence_wild",
+    "detect_rank2_associative",
+    "divergence_kernel_rank",
+    "metabelian_context",
+    "nilpotent_context",
+    "polynilpotent_context",
+    "tangent_span",
+    "user_context",
+    "var_m2k_context",
+]
+
 
 # the automorphism-evidence levels, keyed by the name a script gives each
 _EVIDENCE = {"user": "user-asserted", "truncation": "verified-by-truncation",
@@ -73,6 +90,7 @@ class QuotientContext:
 
     def __post_init__(self):
         _check_type(self.ambient, Variety)
+        _check_type(self.min_degree, int)
         if self.min_degree < 2:
             raise AlgebraError("identity ideals start in degree >= 2")
         if self.induces_automorphism not in _EVIDENCE.values():
@@ -96,6 +114,7 @@ def metabelian_context(ambient, evidence=EVIDENCE_BUILTIN):
 
 def nilpotent_context(ambient, c, evidence=EVIDENCE_BUILTIN):
     """Nilpotency class c+1: the ideal starts in degree c+2."""
+    _check_type(c, int)
     if c < 1:
         raise AlgebraError("nilpotency parameter must be >= 1")
     return QuotientContext(ambient, f"nilpotent class {c + 1}", c + 2, evidence)
@@ -118,8 +137,10 @@ def var_m2k_context(ambient, evidence=EVIDENCE_USER):
 def _polynilpotent_degree(c):
     """The least identity degree of the polynilpotent tuple (c_1, ..., c_k),
     each c_i >= 1: the product of the (c_i + 1)."""
-    if any(ci < 1 for ci in c):
-        raise AlgebraError("nilpotency parameters must be >= 1")
+    for ci in c:
+        _check_type(ci, int)
+        if ci < 1:
+            raise AlgebraError("nilpotency parameters must be >= 1")
     return math.prod(ci + 1 for ci in c)
 
 
@@ -277,7 +298,7 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
     are materialized only when deg(u) <= materialize_limit; the report
     (degrees, inequality, leading words) is always exact.
     """
-    c = tuple(int(ci) for ci in c)
+    c = tuple(c)
     k = len(c)
     if k < 2:
         raise AlgebraError("need at least two nilpotency parameters")

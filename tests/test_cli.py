@@ -654,6 +654,37 @@ def test_closed_output_pipe_exits_1_without_a_traceback(tmp_path):
     assert err == ""
 
 
+def test_closed_output_pipe_in_process_exits_1(tmp_path, monkeypatch):
+    """The same handler run in this process: an output whose flush meets a
+    closed pipe.  Its descriptor is a temporary file's, so the handler
+    points that file's descriptor, not this process's stdout, at devnull."""
+    opened = []
+
+    def record_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return out.fileno()
+
+        def flush(self):
+            raise BrokenPipeError
+
+    real_open = os.open
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(os, "open", record_open)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            rc = cli.main(["run", write(tmp_path, "variety polynomial(2)\neval x1^2\n")])
+        finally:
+            monkeypatch.undo()
+            for fd in opened:
+                os.close(fd)
+    assert rc == 1
+    assert len(opened) == 1
+
+
 @pytest.mark.parametrize("value", ["3/2", "-3/2", "0", "2"])
 def test_eval_of_a_scalar_in_a_unital_variety(tmp_path, capsys, value):
     """A scalar is an element of a unital variety, printed as before."""

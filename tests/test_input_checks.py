@@ -17,6 +17,7 @@ from tangentia import (
     TraceClass,
     Variety,
     VarietyMismatch,
+    build_polynilpotent_witness,
     chain_rule_check,
     compose,
     compose_all,
@@ -38,6 +39,7 @@ from tangentia import (
     metabelian_lie,
     monomials_of_degree,
     nilpotent_context,
+    polynilpotent_context,
     polynomial,
     project_to_metabelian,
     right_mul,
@@ -213,6 +215,16 @@ CHECKS = [
      "nilpotent_context: expected Variety, got int"),
     (lambda: user_context(3, "t", 2), TypeError, "expected Variety, got int",
      "user_context: expected Variety, got int"),
+    # these calls used to build min degrees 7.5, 3.5 and 2.5, and the
+    # builder truncated (1.5, 2) to (1, 2)
+    (lambda: polynilpotent_context(L3, (1.5, 2)), TypeError, "expected int, got float",
+     "polynilpotent_context: expected int, got float"),
+    (lambda: nilpotent_context(L3, 1.5), TypeError, "expected int, got float",
+     "nilpotent_context: expected int, got float"),
+    (lambda: user_context(L3, "t", 2.5), TypeError, "expected int, got float",
+     "user_context: expected int, got float"),
+    (lambda: build_polynilpotent_witness((1.5, 2), 3), TypeError, "expected int, got float",
+     "build_polynilpotent_witness: expected int, got float"),
     # an rng that draws only zeros draws only singular matrices
     (lambda: random_invertible_matrix(SimpleNamespace(randint=lambda lo, hi: 0), 2),
      AlgebraError, "failed to sample an invertible matrix"),

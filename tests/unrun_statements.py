@@ -33,12 +33,7 @@ SRC = ROOT / "src" / "tangentia"
 BLOCKED = ("sympy", "hypothesis")
 
 # (file, the block's first line, stripped) -> why the suite does not run it
-KNOWN = {
-    ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
-        "main's BrokenPipeError handler: only the child process of "
-        "test_closed_output_pipe_exits_1_without_a_traceback meets a closed "
-        "pipe, and the tracer does not see child processes",
-}
+KNOWN = {}
 
 
 def _code_lines(code):
