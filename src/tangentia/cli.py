@@ -76,7 +76,9 @@ def main(argv=None):
     """Run the command line on ``argv``; returns the exit code.  Python's
     cap on the digits of an int printed as a string (from 3.11) is lifted
     for the run, as the output is exact, and put back before returning:
-    the limit of a caller that runs ``main`` in its process stays its own."""
+    the limit of a caller that runs ``main`` in its process stays its own.
+    A closed output pipe leaves stdout's descriptor (fd 1, for a caller
+    whose stdout it is) on devnull, so that the flush at exit is silent."""
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     set_limit(0)
@@ -117,7 +119,9 @@ def _run(argv):
             _render_text(results, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, inside the try
     except BrokenPipeError:  # what is left, flushed at exit, goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

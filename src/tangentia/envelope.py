@@ -48,6 +48,7 @@ from .freealg import (
     _check_type,
     _key_degree,
     _merge,
+    _operand,
     _prefix_walk,
     _product,
     key_printer,
@@ -111,6 +112,11 @@ class EnvElement(LinearCombination):
         return env_mul(self, other)
 
 
+# the kind of U's keys: generated_algebra's, or a tensor factor's in assoc
+_U_KIND = {Kind.POLYNOMIAL: Kind.POLYNOMIAL, Kind.FREE_ASSOCIATIVE: Kind.FREE_ASSOCIATIVE,
+           Kind.FREE_LIE: Kind.FREE_ASSOCIATIVE, Kind.METABELIAN_LIE: Kind.POLYNOMIAL}
+
+
 def generated_algebra(variety):
     """The free algebra whose keys, product and names U has in every kind
     but the associative one (where A keys each tensor factor): U is
@@ -118,12 +124,10 @@ def generated_algebra(variety):
     freely commuting for the polynomial kind (A itself) and for the
     metabelian U/R (exponent vectors in t1..tn).  ``left_mul`` writes each
     L_a in these keys.  Never cached: ``Variety`` equality ignores names."""
-    rank = variety.rank
-    if variety.kind is Kind.FREE_LIE:
-        return Variety(Kind.FREE_ASSOCIATIVE, rank, variety.names)
+    rank, kind = variety.rank, _U_KIND[variety.kind]
     if variety.kind is Kind.METABELIAN_LIE:
-        return Variety(Kind.POLYNOMIAL, rank, tuple(f"t{i + 1}" for i in range(rank)))
-    return variety
+        return Variety(kind, rank, tuple(f"t{i + 1}" for i in range(rank)))
+    return variety if kind is variety.kind else Variety(kind, rank, variety.names)
 
 
 def left_mul(a):
@@ -163,10 +167,9 @@ def env_mul(u, v):
             for (c, d), c2 in v.coeffs.items():
                 _merge(out, (a + c, d + b), c1 * c2)
         return EnvElement._raw(u.variety, out)
-    if kind is Kind.METABELIAN_LIE:
-        kind = Kind.POLYNOMIAL  # U/R is keyed by exponent vectors
-    graded = ((0, v.coeffs.items()),)
-    return EnvElement._raw(u.variety, _product(kind, u.coeffs, graded, None))
+    kind = _U_KIND[kind]
+    out = _product(kind, u.coeffs, _operand(kind, v.coeffs, None), None)
+    return EnvElement._raw(u.variety, out)
 
 
 def env_apply(u, m):
@@ -196,7 +199,7 @@ def env_apply(u, m):
     def step(acc, _prefix, j):
         return var.gen(j) * (m if acc is None else acc)
 
-    ukind, memo = generated_algebra(var).kind, {}
+    ukind, memo = _U_KIND[kind], {}
     for key, c in u.coeffs.items():
         key = key[::-1] if kind is Kind.FREE_LIE else key
         acc = _prefix_walk(ukind, key, memo, step)

@@ -50,19 +50,20 @@ ones, words coded as base-n ints (n the rank) concatenate as
 itself, where a bracket on the left meets the right operand's
 generators only (a bracket of two brackets is zero).  It serves
 ``Element.mul_trunc``, which forms every element product (``__mul__``
-included) and the free-Lie bracket as ``ab - ba`` of words,
-substitution (``_substitute``), the homogeneous products of
+included) and the free-Lie bracket as ``ab - ba`` of words
+(``_bracket_words``, as ``lyndon_expand`` does), substitution
+(``_substitute``), the homogeneous products of
 ``morphism.truncated_inverse`` (summed in place into one dict, on coded
 words in the word kinds, which are decoded once on its exit) and, for
-envelope keys that add or concatenate,
-``envelope.env_mul``.  Its right operand comes as degree buckets,
-``[(degree, [(key, coeff), ...]), ...]`` in ascending degree
-(``_degree_buckets``): a truncated product at degree ``k`` walks them for
-each left term and stops at the first bucket past the room ``k`` leaves,
-so the pairs it drops are never visited.  Nothing keeps buckets on an
-element: ``_substitute`` groups each argument once per call, and the
-plain product passes the whole dict as a single bucket and pays no
-bucketing.  ``_Coords``, one ``Element`` per generator, is the core of
+envelope keys that add or concatenate, ``envelope.env_mul``.  Its right
+operand comes as degree buckets, ``[(degree, [(key, coeff), ...]),
+...]`` in ascending degree (``_degree_buckets``): a truncated product at
+degree ``k`` walks them for each left term and stops at the first bucket
+past the room ``k`` leaves, so the pairs it drops are never visited.
+Nothing keeps buckets on an element: ``_operand`` builds each right
+operand, the plain product's as the whole dict in one bucket, which
+pays no bucketing, and ``_substitute`` groups each argument once per
+call.  ``_Coords``, one ``Element`` per generator, is the core of
 endomorphisms and derivations, and ``_combine`` their linear change of
 coordinates.
 
@@ -291,6 +292,10 @@ class Variety:
             return tuple(1 if j == i else 0 for j in range(self.rank))
         return (i,)
 
+    def _unit_key(self):
+        """The unit's key: the zero exponent vector, or the empty word."""
+        return (0,) * self.rank if self.kind is Kind.POLYNOMIAL else ()
+
     def gens(self):
         return tuple(self.gen(i) for i in range(self.rank))
 
@@ -308,11 +313,7 @@ class Variety:
             raise ConstantInLieVariety(
                 f"no constants in the non-unital variety {self.kind.value}"
             )
-        if self.kind is Kind.POLYNOMIAL:
-            mono = (0,) * self.rank
-        else:
-            mono = ()
-        return Element._raw(self, {mono: c})
+        return Element._raw(self, {self._unit_key(): c})
 
 
 def polynomial(rank, names=()):
@@ -400,11 +401,8 @@ def lyndon_expand(w):
     if len(w) == 1:
         res = {w: 1}
     else:
-        # the commutator of the factors' expansions, as ``Element.mul_trunc``
         u, v = standard_factorization(w)
-        eu, ev = lyndon_expand(u), lyndon_expand(v)
-        res = _product(_FREE_LIE, eu, ((0, ev.items()),), None)
-        _product(_FREE_LIE, {b: -c for b, c in ev.items()}, ((0, eu.items()),), None, res)
+        res = _bracket_words(lyndon_expand(u), lyndon_expand(v), None)
     rec.expansion = res
     return res
 
@@ -610,13 +608,11 @@ def _product(
     ascending degree (``_degree_buckets``), without its terms of
     degree above ``k``.  For each left term the walk over the buckets stops
     at the first degree past the room ``k`` leaves, so the dropped pairs
-    are never visited.  The plain product (``k=None``) passes the whole
-    dict as one bucket, ``((0, b.items()),)``, and pays no bucketing.
-    Exponent vectors add, by the adder ``_ADDERS`` holds for their length,
-    taken once per call from the left keys (the envelope's keys are as
-    long as its rank).  Words concatenate, free-Lie words too:
-    ``Element.mul_trunc`` makes their bracket from two such products.
-    With ``kind`` an int n, the keys are words coded as base-n ints (the
+    are never visited; ``_operand`` builds the operand.  Exponent vectors
+    add, by the adder ``_ADDERS`` holds for their length, taken once per
+    call from the left keys (the envelope's keys are as long as its rank).
+    Words concatenate, free-Lie words too: ``_bracket_words`` makes their
+    bracket from two such products.  With ``kind`` an int n, the keys are words coded as base-n ints (the
     inverse rounds, ``morphism._online_rounds``): a word a_1 ... a_d codes
     as sum a_i n^(d-i), so u v codes as code(u) n^|v| + code(v), and the
     degree of a bucket is the length of its words.  A code does not know
@@ -732,6 +728,20 @@ def _degree_buckets(kind, coeffs):
     return sorted(parts.items())
 
 
+def _operand(kind, coeffs, k):
+    """``_product``'s right operand for ``coeffs``: its degree buckets, or
+    for the plain product (``k`` None) one bucket, which costs nothing."""
+    return ((0, coeffs.items()),) if k is None else _degree_buckets(kind, coeffs)
+
+
+def _bracket_words(a, b, k):
+    """The free-Lie bracket ``ab - ba`` of the word dicts ``a`` and ``b``
+    through degree ``k`` (None for all): ``b``'s negated terms times
+    ``a``'s add into the dict of ``ab``."""
+    out = _product(_FREE_LIE, a, _operand(_FREE_LIE, b, k), k)
+    return _product(_FREE_LIE, {m: -c for m, c in b.items()}, _operand(_FREE_LIE, a, k), k, out)
+
+
 def _substitute(dicts, args, max_degree):
     """The images of the coefficient dicts ``dicts`` under x_j -> args[j],
     as dicts in the args' algebra, without their terms above
@@ -761,12 +771,9 @@ def _substitute(dicts, args, max_degree):
       about twice as slow on their dense compositions."""
     target = args[0].variety
     kind = target.kind
-    if max_degree is None:
-        graded = [((0, a.coeffs.items()),) for a in args]
-    else:
-        graded = [_degree_buckets(kind, a.coeffs) for a in args]
-    if kind in _WORD_KINDS:
-        mins = [min(map(len, a.coeffs)) if a.coeffs else None for a in args]
+    graded = [_operand(kind, a.coeffs, max_degree) for a in args]
+    if kind in _WORD_KINDS:  # a zero image has no least degree: inf
+        mins = [min(map(len, a.coeffs), default=math.inf) for a in args]
         bound = math.inf if max_degree is None else max_degree
         return [_horner(kind, coeffs, graded, mins, bound) for coeffs in dicts]
     if max_degree is None:
@@ -809,16 +816,14 @@ def _horner(kind, coeffs, graded, mins, bound):
     time; the empty suffix's value, which starts as ``e``'s constant term,
     is the image.  A suffix is needed only through ``bound`` minus the
     least degrees ``mins[j]`` of its letters' images, so a word whose
-    letters' least degrees sum past ``bound``, or that has a letter with
-    a zero image (``mins[j]`` None), is skipped whole: a truncated image
-    reads no word past the bound.  Loops, not recursion: a long word only
-    makes more lengths."""
-    zero = None in mins and {j for j, m in enumerate(mins) if m is None}
+    letters' least degrees sum past ``bound`` is skipped whole: a
+    truncated image reads no word past the bound.  A zero image's least
+    degree is ``math.inf``, so a word with its letter has room -inf (NaN
+    if ``bound`` is too) and fails the same test.  Loops, not recursion:
+    a long word only makes more lengths."""
     # by length: suffix -> [its value so far, its bound]
     levels = [{(): [{}, bound]}]
     for w, c in coeffs.items():
-        if zero and not zero.isdisjoint(w):
-            continue
         room = bound - sum(map(mins.__getitem__, w))
         if room >= 0:
             while len(levels) <= len(w):
@@ -943,11 +948,7 @@ class Element(LinearCombination):
         )
 
     def constant_term(self):
-        if self.variety.kind is Kind.POLYNOMIAL:
-            return self.coeffs.get((0,) * self.variety.rank, 0)
-        if self.variety.kind is Kind.FREE_ASSOCIATIVE:
-            return self.coeffs.get((), 0)
-        return 0
+        return self.coeffs.get(self.variety._unit_key(), 0)
 
     def involves(self, i):
         """True iff generator i occurs in some monomial."""
@@ -966,18 +967,13 @@ class Element(LinearCombination):
     def mul_trunc(self, other, k):
         """``(self * other).truncate(k)`` without forming the dropped
         terms; ``k`` may be None for the plain product, which needs no
-        degree buckets.  The free-Lie bracket of words is ``ab - ba``: a
-        second word product, of ``b``'s negated terms by ``a``'s, adds
-        into the same dict."""
+        degree buckets.  The free-Lie bracket is ``_bracket_words``."""
         self._check(other)
         kind = self.variety.kind
         a, b = self.coeffs, other.coeffs
-        graded = ((0, b.items()),) if k is None else _degree_buckets(kind, b)
-        out = _product(kind, a, graded, k)
         if kind is _FREE_LIE:
-            graded = ((0, a.items()),) if k is None else _degree_buckets(kind, a)
-            _product(kind, {m: -c for m, c in b.items()}, graded, k, out)
-        return Element._raw(self.variety, out)
+            return Element._raw(self.variety, _bracket_words(a, b, k))
+        return Element._raw(self.variety, _product(kind, a, _operand(kind, b, k), k))
 
     def power(self, k):
         if self.variety.is_lie:
@@ -1062,9 +1058,7 @@ def monomials_of_degree(variety, d):
     n = variety.rank
     kind = variety.kind
     if d == 0:
-        if not variety.unital:
-            return []
-        return [(0,) * n] if kind is Kind.POLYNOMIAL else [()]
+        return [variety._unit_key()] if variety.unital else []
     if kind is Kind.POLYNOMIAL:  # stars and bars
         return sorted(
             tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + n - 1,)))

@@ -30,8 +30,8 @@ from .freealg import (
     _coeff,
     _combine,
     _key_degree,
+    _prefix_walk,
     _product,
-    _split_key,
     _substitute,
 )
 from .deriv import Derivation
@@ -291,7 +291,7 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
 
     psi_j is kept as its homogeneous components psi_j[d].  One table,
     sorted by degree, holds every key of h and every proper prefix of one
-    (``_split_key``), each with its uses (the coordinates whose image has
+    (``_prefix_walk``), each with its uses (the coordinates whose image has
     the key, with -c), and a prefix with a memo of the components P(p)[d]
     of p(psi) for the whole call.  With p = p' x_j,
 
@@ -333,23 +333,22 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
         for w, c in f.coeffs.items():
             if 2 <= degree(w) <= k:
                 uses.setdefault(w, []).append((i, -c))
-    memo, table = {}, []
+    prefixes, memo = set(), {}
+
+    def step(left, q, j):  # q x_j's degree, components and factors, from q's
+        prefixes.add(q)
+        if left is None:  # a generator's image is psi_j itself
+            return 1, comps[j], None
+        e = left[0] + 1  # its components are zero below e; one more per round
+        return e, [{}] * e, (left[1], comps[j])
+
     for p in uses:
-        while p not in memo:  # a loop over p's own prefixes, not recursion
-            q, j = _split_key(kind, p)
-            e = degree(p)
-            if e == 1:
-                memo[p] = comps[j]  # a generator's image is psi_j itself
-                break
-            memo[p] = [{}] * e  # zero below its degree; one more per round
-            table.append((e, p, q, j))
-            p = q
-    table.sort(key=lambda t: t[0])  # shortest first
-    prefixes = {q for _, _, q, _ in table}
-    table = [
-        (e, memo[p] if p in prefixes else None, memo[q], comps[j], uses.get(p, ()))
-        for e, p, q, j in table
-    ]
+        _prefix_walk(kind, p, memo, step)
+    table = sorted(  # shortest first
+        ((e, own if p in prefixes else None, *factors, uses.get(p, ()))
+         for p, (e, own, factors) in memo.items() if factors),
+        key=lambda t: t[0],
+    )
     h_degree = max(map(degree, uses), default=0)
     psi_degree = 1  # the highest degree of a nonzero component so far
     for m in range(2, k + 1):

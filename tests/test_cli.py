@@ -643,21 +643,22 @@ def test_closed_output_pipe_exits_1_without_a_traceback(tmp_path):
     path = write(tmp_path, "variety assoc(2) vars a,b\nlet w = (a+b)^15\neval w\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "tangentia.cli", "run", path],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(10) == b"== eval\n  "
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert proc.stdout.read(10) == b"== eval\n  "
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert err == ""
 
 
 def test_closed_output_pipe_in_process_exits_1(tmp_path, monkeypatch):
     """The same handler run in this process: an output whose flush meets a
     closed pipe.  Its descriptor is a temporary file's, so the handler
-    points that file's descriptor, not this process's stdout, at devnull."""
+    points that file's descriptor, not this process's stdout, at devnull,
+    and closes the devnull descriptor it opened for that."""
     opened = []
 
     def record_open(*args):
@@ -679,10 +680,10 @@ def test_closed_output_pipe_in_process_exits_1(tmp_path, monkeypatch):
             rc = cli.main(["run", write(tmp_path, "variety polynomial(2)\neval x1^2\n")])
         finally:
             monkeypatch.undo()
-            for fd in opened:
-                os.close(fd)
-    assert rc == 1
-    assert len(opened) == 1
+        assert rc == 1
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
 
 
 @pytest.mark.parametrize("value", ["3/2", "-3/2", "0", "2"])

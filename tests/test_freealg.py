@@ -456,6 +456,41 @@ def test_monomials_of_degree_counts():
     assert monomials_of_degree(polynomial(2), 0) == [(0, 0)]
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_constructor_takes_exactly_the_listed_basis(kind, rank):
+    """``Element(V, {key: 1})`` accepts a key of degree d <= 4 exactly when
+    ``monomials_of_degree(V, d)`` lists it.  The candidates are the words
+    of length <= 4 over ``rank + 1`` letters, one of them out of range,
+    and in the polynomial kind the exponent vectors of length ``rank`` and
+    ``rank + 1``."""
+    V = freealg.Variety(kind, rank)
+    candidates = {
+        w for d in range(5) for w in itertools.product(range(rank + 1), repeat=d)
+    }
+    if kind is Kind.POLYNOMIAL:
+        candidates |= {
+            v
+            for n in (rank, rank + 1)
+            for v in itertools.product(range(5), repeat=n)
+            if sum(v) <= 4
+        }
+    degree = sum if kind is Kind.POLYNOMIAL else len
+    listed = {d: set(monomials_of_degree(V, d)) for d in range(5)}
+    for d in range(5):
+        assert listed[d] <= candidates
+    for key in candidates:
+        if degree(key) > 4:
+            continue
+        try:
+            Element(V, {key: 1})
+        except AlgebraError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (key in listed[degree(key)]), key
+
+
 def test_printing_deterministic_deglex():
     P = polynomial(2, ("x", "y"))
     x, y = P.gens()
