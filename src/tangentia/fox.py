@@ -17,8 +17,9 @@ from .freealg import (
     _check_type,
     _merge,
     _substitute,
+    _unit_key,
 )
-from .envelope import EnvElement, env_mul, generated_algebra, left_mul
+from .envelope import _U_KIND, EnvElement, env_mul, generated_algebra, left_mul
 
 __all__ = [
     "chain_rule_check",
@@ -65,10 +66,11 @@ def fox_derivative(a, i):
     # by abelianizing words.  The projection kills every bracket of degree
     # >= 2, so [y_a, y_b, y_c3, ..., y_ck] has the derivative
     # (-1)^k t_c3...t_ck ([b = i] t_a - [a = i] t_b)
+    unit = _unit_key(_U_KIND[kind], var.rank)
     for mono, c in a.coeffs.items():
         if len(mono) == 1:
             if mono[0] == i:
-                _merge(terms, (0,) * var.rank, c)
+                _merge(terms, unit, c)
             continue
         sign = c if len(mono) % 2 == 0 else -c
         for letter, other, s in ((mono[1], mono[0], sign), (mono[0], mono[1], -sign)):

@@ -51,7 +51,8 @@ itself, where a bracket on the left meets the right operand's
 generators only (a bracket of two brackets is zero).  It serves
 ``Element.mul_trunc``, which forms every element product (``__mul__``
 included) and the free-Lie bracket as ``ab - ba`` of words
-(``_bracket_words``, as ``lyndon_expand`` does), substitution
+(``_bracket_words``; ``lyndon_expand``, whose factors are homogeneous,
+forms ``ab`` with no sum and subtracts ``ba`` here), substitution
 (``_substitute``), the homogeneous products of
 ``morphism.truncated_inverse`` (summed in place into one dict, on coded
 words in the word kinds, which are decoded once on its exit) and, for
@@ -80,8 +81,10 @@ bound leaves.
 
 One dict keyed by word, ``_WORDS``, holds False for a word that is not
 Lyndon and a record for a Lyndon word (its expansion, Lyndon part and
-bracket strings, each formed on first use).  ``element_str`` and the
-envelope's printers take one key printer per format from ``key_printer``.
+bracket strings, each formed on first use).  ``lie_from_assoc`` looks up
+only generators and the words that begin below their last letter, as no
+other word is Lyndon.  ``element_str`` and the envelope's printers take
+one key printer per format from ``key_printer``.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -244,6 +247,12 @@ class _Coords:
         return hash((self.variety, self.coords))
 
 
+def _unit_key(kind, rank):
+    """The unit's key in a variety of ``kind`` and ``rank``: the zero
+    exponent vector, or the empty word.  Needs no ``Variety``."""
+    return (0,) * rank if kind is Kind.POLYNOMIAL else ()
+
+
 def _default_names(kind, rank):
     prefix = "y" if kind is Kind.METABELIAN_LIE else "x"
     return tuple(f"{prefix}{i + 1}" for i in range(rank))
@@ -293,8 +302,8 @@ class Variety:
         return (i,)
 
     def _unit_key(self):
-        """The unit's key: the zero exponent vector, or the empty word."""
-        return (0,) * self.rank if self.kind is Kind.POLYNOMIAL else ()
+        """The unit's key (``_unit_key``)."""
+        return _unit_key(self.kind, self.rank)
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.rank))
@@ -377,8 +386,8 @@ class _Lyndon:
 
 
 class _Words(dict):
-    """One entry per word seen, made on first sight: False if the word is
-    not Lyndon, else its record.  Words carry no rank: entries serve all."""
+    """One entry per word looked up, made on first sight: False if the word
+    is not Lyndon, else its record.  Words carry no rank: entries serve all."""
 
     def __missing__(self, w):
         rec = self[w] = _Lyndon() if is_lyndon(w) else False
@@ -388,10 +397,37 @@ class _Words(dict):
 _WORDS = _Words()
 
 
+def _lyndon_words(n, d):
+    """The Lyndon words of length ``d`` >= 1 over ``range(n)``, sorted, by
+    Duval's generation (Theoret. Comput. Sci. 60, 1988).  It visits the
+    Lyndon words of length <= d in lexicographic order: each next one
+    repeats the last to length ``d``, drops its trailing greatest letters
+    and raises its last letter by one.  At one length, that order is
+    sorted order."""
+    out = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if m == d:
+            out.append(tuple(w))
+        else:
+            w = (w * (d // m + 1))[:d]
+        while w and w[-1] == n - 1:
+            w.pop()
+    return out
+
+
 def lyndon_expand(w):
     """Associative expansion of the standard bracketing of a Lyndon word,
     as a dict word -> int coefficient.  The word ``w`` itself is the
-    lexicographically least term and carries coefficient 1."""
+    lexicographically least term and carries coefficient 1.
+
+    For ``w = uv`` standard, the expansion is E(u)E(v) - E(v)E(u), with
+    the same keys in the same order as ``_bracket_words``.  Both factors
+    are homogeneous, so the words of E(u)E(v) are pairwise distinct: they
+    are formed in one comprehension, with no sum and no zero test, and
+    E(v)E(u) is subtracted into them by ``_product``."""
     rec = _WORDS[w]
     if not rec:
         raise AlgebraError(f"{w!r} is not a Lyndon word")
@@ -402,7 +438,10 @@ def lyndon_expand(w):
         res = {w: 1}
     else:
         u, v = standard_factorization(w)
-        res = _bracket_words(lyndon_expand(u), lyndon_expand(v), None)
+        eu, ev = lyndon_expand(u), lyndon_expand(v)
+        res = {a + b: ca * cb for a, ca in eu.items() for b, cb in ev.items()}
+        neg = {b: -cb for b, cb in ev.items()}
+        _product(_FREE_LIE, neg, _operand(_FREE_LIE, eu, None), None, res)
     rec.expansion = res
     return res
 
@@ -420,7 +459,10 @@ def lie_from_assoc(coeffs):
     bracketing; non-Lyndon words are never touched.  Those terms are the
     Lyndon part in the pivot's record, formed on first use as a pivot, as
     long words have large expansions.  Which words are Lyndon is read from
-    the same dict, ``_WORDS``: a word seen before is never rescanned.
+    the same dict, ``_WORDS``: a word seen before is never rescanned.  A
+    Lyndon word of length >= 2 begins strictly below its last letter, so
+    a word that fails that test is dropped, from the input and from a
+    pivot's expansion, before it is looked up or scanned.
 
     Precondition: ``coeffs`` is a Lie element.  Every operation that
     builds a free-Lie element (Lyndon expansion, commutator products,
@@ -428,7 +470,10 @@ def lie_from_assoc(coeffs):
     here; on other input the result is undefined.  ``Element.check``
     verifies it by expanding the coordinates back to ``coeffs``."""
     words = _WORDS
-    work = {w: c for w, c in coeffs.items() if words[w] is not False}
+    work = {
+        w: c for w, c in coeffs.items()
+        if (w[0] < w[-1] or len(w) == 1) and words[w] is not False
+    }
     heap = list(work)
     heapq.heapify(heap)
     out = {}
@@ -442,7 +487,8 @@ def lie_from_assoc(coeffs):
         part = rec.part
         if part is None:
             part = rec.part = tuple(
-                (v, cv) for v, cv in lyndon_expand(w).items() if v != w and is_lyndon(v)
+                (v, cv) for v, cv in lyndon_expand(w).items()
+                if v[0] < v[-1] and v != w and is_lyndon(v)
             )
         for v, cv in part:
             nv = work.get(v)
@@ -1067,9 +1113,7 @@ def monomials_of_degree(variety, d):
     if kind is Kind.FREE_ASSOCIATIVE:
         return sorted(itertools.product(range(n), repeat=d))
     if kind is Kind.FREE_LIE:
-        return sorted(
-            w for w in itertools.product(range(n), repeat=d) if is_lyndon(w)
-        )
+        return _lyndon_words(n, d)
     # metabelian
     if d == 1:
         return [(i,) for i in range(n)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tangentia import cli, corpus
+from tangentia import cli, corpus, freealg
 from tangentia.dsl import COMMANDS, MAX_NESTING, MAX_RANK
 
 
@@ -632,6 +632,25 @@ def test_every_declared_flag_keeps_its_text_report(tmp_path, capsys):
     dict (``per_level_counts``) and scalars."""
     rc = cli.main(["run", write(tmp_path, EVERY_FLAG_SCRIPT)])
     expected = (Path(__file__).parent / "data" / "every_flag.txt").read_text(encoding="utf-8")
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
+COLD_INVERT_SCRIPT = """\
+variety lie(3) vars x,y,z
+phi := auto(x + [y,z] + [[x,y],y], y + [z,x], z)
+invert phi --degree 10
+"""
+
+
+def test_cold_degree_10_inverse_keeps_its_report(tmp_path, capsys, monkeypatch):
+    """A free-Lie inverse at degree 10 with no Lyndon record formed yet:
+    the printout forms the records of every Lyndon word it reads (their
+    expansions, parts and bracket strings), a path no benchmark op runs
+    cold.  The text report is pinned byte for byte."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    rc = cli.main(["run", write(tmp_path, COLD_INVERT_SCRIPT)])
+    expected = (Path(__file__).parent / "data" / "invert_degree10.txt").read_text(encoding="utf-8")
     assert rc == 0
     assert capsys.readouterr().out == expected
 

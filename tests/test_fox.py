@@ -24,6 +24,7 @@ from tangentia import (
     right_mul,
 )
 from tangentia import fox, freealg, morphism
+from tangentia.envelope import generated_algebra
 from tangentia.fox import push_matrix
 
 from conftest import ALL_VARIETIES, random_element, random_ia_endomorphism
@@ -65,6 +66,14 @@ def test_metabelian_fox_of_bracket():
     f = y2 * y1  # [y2,y1]: d/dy1 = +L_{y2} = t2, d/dy2 = -L_{y1} = -t1
     assert fox_derivative(f, 0).coeffs == {(0, 1): 1}
     assert fox_derivative(f, 1).coeffs == {(1, 0): -1}
+
+
+def test_metabelian_fox_of_a_generator_by_itself_is_the_unit_of_u():
+    """dy_i/dy_i is 1 in U/R: the unit key of U/R's algebra."""
+    M = metabelian_lie(3)
+    one = generated_algebra(M).one().coeffs
+    for i, y in enumerate(M.gens()):
+        assert fox_derivative(y, i).coeffs == one
 
 
 def test_metabelian_fox_is_the_abelianized_free_lie_fox():

@@ -639,24 +639,29 @@ def _is_lyndon_by_rotation(w):
 
 
 def test_one_lyndon_cache_per_word(monkeypatch):
-    """``_WORDS`` keeps one entry per word: False for a word that is not
-    Lyndon; for a Lyndon word, its record, whose Lyndon part is None until
-    the word is a pivot, then that part.  ``lie_from_assoc`` enters every
-    word of its input (Lie element or not: only the entries are read
-    here).  On every word of length <= 7 over 3 letters the entries agree
-    with ``is_lyndon`` and with the rotation definition, and a Lyndon
-    word's part, formed once when the word's own bracketing makes it the
-    pivot, is the Lyndon terms of its bracketing other than itself."""
+    """``_WORDS`` keeps one entry per word looked up: False for a word that
+    is not Lyndon; for a Lyndon word, its record, whose Lyndon part is None
+    until the word is a pivot, then that part.  ``lie_from_assoc`` enters
+    the generators and the words that begin below their last letter, of
+    its input (Lie element or not: only the entries are read here) and of
+    the pivots' expansions, and no other word: a longer word that fails
+    that test is not Lyndon.  On every word of length <= 7 over 3 letters,
+    ``is_lyndon`` and the test agree with the rotation definition, checked
+    directly; a Lyndon word has a record, and a Lyndon word's part, formed
+    once when the word's own bracketing makes it the pivot, is the Lyndon
+    terms of its bracketing other than itself."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     cache = freealg._WORDS
     words = [w for n in range(8) for w in itertools.product(range(3), repeat=n)]
     assert len(words) == 3280
-    for n in range(8):
+    for n in range(1, 8):  # a Lie element has no empty word
         lie_from_assoc({w: 1 for w in itertools.product(range(3), repeat=n)})
-    assert set(cache) == set(words)
+    assert set(cache) == {w for w in words if len(w) == 1 or w and w[0] < w[-1]}
     for w in words:
         lyndon = _is_lyndon_by_rotation(w)
-        assert (cache[w] is not False) == is_lyndon(w) == lyndon, w
+        assert is_lyndon(w) == lyndon, w
+        assert not lyndon or len(w) == 1 or w[0] < w[-1], w
+        assert (cache.get(w, False) is not False) == lyndon, w
         if lyndon:
             assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
             part = cache[w].part
@@ -685,6 +690,57 @@ def test_lyndon_parts_are_formed_for_pivots_only(monkeypatch):
     assert all(cache[w].part is None for w in lyndon if w != pivot)
 
 
+# every Lyndon word of degree <= 8 at ranks 2 and 3, and <= 7 at rank 4
+_LYNDON_CASES = [(2, 8), (3, 8), (4, 7)]
+
+
+def _lyndon_words_through(rank, degree):
+    return [
+        w for d in range(1, degree + 1)
+        for w in itertools.product(range(rank), repeat=d) if is_lyndon(w)
+    ]
+
+
+@pytest.mark.parametrize("rank, degree", _LYNDON_CASES)
+def test_lyndon_expansion_is_the_bracket_of_its_factors(monkeypatch, rank, degree):
+    """A Lyndon word's expansion, formed with no per-pair sum in its first
+    half, is ``_bracket_words`` of its standard factors' expansions: the
+    same terms in the same insertion order."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    for w in _lyndon_words_through(rank, degree):
+        if len(w) == 1:
+            assert lyndon_expand(w) == {w: 1}
+            continue
+        u, v = standard_factorization(w)
+        bracket = freealg._bracket_words(lyndon_expand(u), lyndon_expand(v), None)
+        assert list(lyndon_expand(w).items()) == list(bracket.items()), w
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lyndon_words_of_one_degree_are_the_sorted_lyndon_filter(monkeypatch, rank):
+    """``monomials_of_degree`` on a free Lie algebra generates the Lyndon
+    words of one length; they are exactly the words ``is_lyndon`` keeps,
+    in sorted order."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    L = free_lie(rank)
+    for d in range(9):
+        words = itertools.product(range(rank), repeat=d)
+        assert monomials_of_degree(L, d) == sorted(filter(is_lyndon, words)), d
+
+
+@pytest.mark.parametrize("rank, degree", _LYNDON_CASES)
+def test_lyndon_part_is_the_lyndon_filter_of_the_expansion(monkeypatch, rank, degree):
+    """Once a word is a pivot, its Lyndon part is the terms of its
+    expansion that ``is_lyndon`` keeps, without the word itself, in the
+    expansion's order: the first-below-last test drops no Lyndon term."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    for w in _lyndon_words_through(rank, degree):
+        assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
+        assert freealg._WORDS[w].part == tuple(
+            (v, c) for v, c in lyndon_expand(w).items() if v != w and is_lyndon(v)
+        ), w
+
+
 def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
     """Words carry no rank: a word first seen in a rank-2 element keeps
     its answer when a rank-4 element reads it, and that answer is the one
@@ -692,10 +748,14 @@ def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     L2, L4 = free_lie(2), free_lie(4)
     e2 = random_element(rng, L2, 2, 6, terms=6) * random_element(rng, L2, 1, 2)
-    coords = lie_from_assoc(e2.coeffs)  # every word of e2 is first seen here
+    coords = lie_from_assoc(e2.coeffs)  # the words of e2 are first seen here
     # False for a word that is not Lyndon, else its part (None if unformed)
     seen = {w: rec and rec.part for w, rec in freealg._WORDS.items()}
-    assert set(e2.coeffs) <= set(seen)
+    # a word of length >= 2 that does not begin below its last letter is
+    # not Lyndon, and is never looked up
+    looked_up = {w for w in e2.coeffs if len(w) == 1 or w[0] < w[-1]}
+    assert looked_up <= set(seen)
+    assert not (set(e2.coeffs) - looked_up) & set(seen)
     e4 = Element(L4, coords) + random_element(rng, L4, 2, 6, terms=6)
     assert lie_from_assoc(e4.coeffs) == _full_word_elimination(e4.coeffs)
     assert basis_coeffs(Element(L4, coords)) == coords
