@@ -80,9 +80,15 @@ a time (``_horner``), which reads each dict only through the degrees its
 bound leaves.
 
 One dict keyed by word, ``_WORDS``, holds False for a word that is not
-Lyndon and a record for a Lyndon word (its expansion, Lyndon part and
-bracket strings, each formed on first use).  ``lie_from_assoc`` looks up
-only generators and the words that begin below their last letter, as no
+Lyndon and a record for a Lyndon word (its word, order key, expansion,
+Lyndon part and bracket strings, each formed on first use), and indexes
+the records by order key.  The order key is an int: the letters as
+digits as wide as the greatest letter needs, under a header that names
+the width, so keys differ across all words, and two words of one length
+and one letter content compare as their keys do.  A Lyndon part holds
+``(key, coeff)`` pairs, and ``lie_from_assoc`` eliminates on the keys
+alone: it hashes and compares ints, not words.  It looks up only
+generators and the words that begin below their last letter, as no
 other word is Lyndon.  ``element_str`` and the envelope's printers take
 one key printer per format from ``key_printer``.
 
@@ -373,25 +379,62 @@ def standard_factorization(w):
 
 
 class _Lyndon:
-    """What is known of one Lyndon word, each field formed on first use:
-    ``expansion``, the associative expansion of its standard bracketing
-    (``lyndon_expand``); ``part``, its terms ``((v, coeff), ...)`` on the
-    other Lyndon words, which alone move other Lyndon coordinates
-    (``lie_from_assoc``); ``strings``, its bracket string per names tuple."""
+    """What is known of one Lyndon word ``word``, each other field formed
+    on first use: ``key``, its order key (``_order_key``, indexed by
+    ``_Words.key``); ``expansion``, the associative expansion of its
+    standard bracketing (``lyndon_expand``); ``part``, its terms
+    ``((key, coeff), ...)`` on the other Lyndon words, by order key,
+    which alone move other Lyndon coordinates (``lie_from_assoc``);
+    ``strings``, its bracket string per names tuple."""
 
-    __slots__ = ("expansion", "part", "strings")
+    __slots__ = ("word", "key", "expansion", "part", "strings")
 
-    def __init__(self):
-        self.expansion = self.part = self.strings = None
+    def __init__(self, word):
+        self.word = word
+        self.key = self.expansion = self.part = self.strings = None
+
+
+def _order_key(w):
+    """The order key of a nonempty word: its letters as digits of b bits,
+    b the bit length of its greatest letter (1 for the letter 0), under a
+    header that names b: a sentinel 1, then b in Elias's gamma code (as
+    many 0s as b has bits after its leading 1, then b).  Read from the
+    top, a key gives b, then the number of digits, then the letters, so
+    keys differ across all words, with no bound on the letters.  Two
+    words of one length and one letter content have one greatest letter,
+    so one header and one width, and their keys compare as the words do
+    lexicographically.  A word over three letters of length <= 13 gets a
+    key below 2^30, one machine digit."""
+    width = max(w).bit_length() or 1
+    key = (1 << 2 * width.bit_length() - 1) | width
+    for a in w:
+        key = key << width | a
+    return key
 
 
 class _Words(dict):
     """One entry per word looked up, made on first sight: False if the word
-    is not Lyndon, else its record.  Words carry no rank: entries serve all."""
+    is not Lyndon, else its record.  Words carry no rank: entries serve all.
+    ``by_key`` maps each order key formed to its record, the same object
+    the word reaches, so a fresh ``_Words`` is a wholly cold store."""
+
+    __slots__ = ("by_key",)
+
+    def __init__(self):
+        super().__init__()
+        self.by_key = {}
 
     def __missing__(self, w):
-        rec = self[w] = _Lyndon() if is_lyndon(w) else False
+        rec = self[w] = _Lyndon(w) if is_lyndon(w) else False
         return rec
+
+    def key(self, rec):
+        """``rec``'s order key, formed and indexed on first use."""
+        k = rec.key
+        if k is None:
+            k = rec.key = _order_key(rec.word)
+            self.by_key[k] = rec
+        return k
 
 
 _WORDS = _Words()
@@ -464,41 +507,50 @@ def lie_from_assoc(coeffs):
     a word that fails that test is dropped, from the input and from a
     pivot's expansion, before it is looked up or scanned.
 
+    The elimination runs on order keys (``_order_key``), not on words:
+    each input word is looked up once, and from then on the heap and the
+    work dict hold ints, and a part names its terms by key.  A bracketing
+    is homogeneous in letter content, so the elimination only ever
+    compares words of one length and one content, which their keys order
+    as the words.  Keys pop in increasing order and a part names only
+    keys greater than its pivot's, so no key is pushed after it pops, and
+    a sum that cancels may stay in the work dict until its key pops.
+
     Precondition: ``coeffs`` is a Lie element.  Every operation that
     builds a free-Lie element (Lyndon expansion, commutator products,
     sums, scaling, substitution) keeps it one, so this is not checked
     here; on other input the result is undefined.  ``Element.check``
     verifies it by expanding the coordinates back to ``coeffs``."""
     words = _WORDS
-    work = {
-        w: c for w, c in coeffs.items()
-        if (w[0] < w[-1] or len(w) == 1) and words[w] is not False
-    }
+    key, records = words.key, words.by_key
+    push, pop = heapq.heappush, heapq.heappop
+    work = {}
+    for w, c in coeffs.items():
+        if (w[0] < w[-1] or len(w) == 1) and (rec := words[w]):
+            work[rec.key or key(rec)] = c
     heap = list(work)
     heapq.heapify(heap)
     out = {}
     while heap:
-        w = heapq.heappop(heap)
-        c = work.pop(w, 0)
+        k = pop(heap)
+        c = work.pop(k)
         if not c:
             continue
-        out[w] = c
-        rec = words[w]
+        rec = records[k]
+        out[rec.word] = c
         part = rec.part
         if part is None:
             part = rec.part = tuple(
-                (v, cv) for v, cv in lyndon_expand(w).items()
-                if v[0] < v[-1] and v != w and is_lyndon(v)
+                (key(rv), cv) for v, cv in lyndon_expand(rec.word).items()
+                if v[0] < v[-1] and (rv := words[v]) and rv is not rec
             )
         for v, cv in part:
             nv = work.get(v)
             if nv is None:
-                heapq.heappush(heap, v)
+                push(heap, v)
                 work[v] = -c * cv
-            elif nv := nv - c * cv:
-                work[v] = nv
             else:
-                del work[v]
+                work[v] = nv - c * cv
     return out
 
 

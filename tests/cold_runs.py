@@ -2,7 +2,7 @@
 
 Run from the repository root, for example:
 
-    python tests/cold_runs.py ../parent/src src script.tia 5
+    python tests/cold_runs.py ../parent/src src tests/data/invert_degree10.tia 5
 
 Each run is a fresh interpreter, ``python -m tangentia.cli run SCRIPT``
 with ``PYTHONPATH`` set to one of the two ``src`` directories, so no

@@ -636,21 +636,17 @@ def test_every_declared_flag_keeps_its_text_report(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
-COLD_INVERT_SCRIPT = """\
-variety lie(3) vars x,y,z
-phi := auto(x + [y,z] + [[x,y],y], y + [z,x], z)
-invert phi --degree 10
-"""
-
-
-def test_cold_degree_10_inverse_keeps_its_report(tmp_path, capsys, monkeypatch):
+def test_cold_degree_10_inverse_keeps_its_report(capsys, monkeypatch):
     """A free-Lie inverse at degree 10 with no Lyndon record formed yet:
     the printout forms the records of every Lyndon word it reads (their
-    expansions, parts and bracket strings), a path no benchmark op runs
-    cold.  The text report is pinned byte for byte."""
+    expansions, order keys, parts and bracket strings), a path no
+    benchmark op runs cold.  The script, ``tests/data/invert_degree10.tia``,
+    is also the one CI times cold with ``tests/cold_runs.py``; its text
+    report is pinned byte for byte."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
-    rc = cli.main(["run", write(tmp_path, COLD_INVERT_SCRIPT)])
-    expected = (Path(__file__).parent / "data" / "invert_degree10.txt").read_text(encoding="utf-8")
+    data = Path(__file__).parent / "data"
+    rc = cli.main(["run", str(data / "invert_degree10.tia")])
+    expected = (data / "invert_degree10.txt").read_text(encoding="utf-8")
     assert rc == 0
     assert capsys.readouterr().out == expected
 

@@ -648,8 +648,10 @@ def test_one_lyndon_cache_per_word(monkeypatch):
     that test is not Lyndon.  On every word of length <= 7 over 3 letters,
     ``is_lyndon`` and the test agree with the rotation definition, checked
     directly; a Lyndon word has a record, and a Lyndon word's part, formed
-    once when the word's own bracketing makes it the pivot, is the Lyndon
-    terms of its bracketing other than itself."""
+    once when the word's own bracketing makes it the pivot, names by
+    order key the Lyndon terms of its bracketing other than itself: read
+    back through the records the keys index, the same words with the same
+    coefficients."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     cache = freealg._WORDS
     words = [w for n in range(8) for w in itertools.product(range(3), repeat=n)]
@@ -665,11 +667,12 @@ def test_one_lyndon_cache_per_word(monkeypatch):
         if lyndon:
             assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
             part = cache[w].part
-            assert dict(part) == {
+            assert {cache.by_key[k].word: c for k, c in part} == {
                 v: c
                 for v, c in lyndon_expand(w).items()
                 if v != w and _is_lyndon_by_rotation(v)
             }, w
+            assert len({k for k, _ in part}) == len(part), w
             assert lie_from_assoc(lyndon_expand(w)) == {w: 1} and cache[w].part is part
             assert cache[w].expansion is lyndon_expand(w)
 
@@ -732,11 +735,14 @@ def test_lyndon_words_of_one_degree_are_the_sorted_lyndon_filter(monkeypatch, ra
 def test_lyndon_part_is_the_lyndon_filter_of_the_expansion(monkeypatch, rank, degree):
     """Once a word is a pivot, its Lyndon part is the terms of its
     expansion that ``is_lyndon`` keeps, without the word itself, in the
-    expansion's order: the first-below-last test drops no Lyndon term."""
+    expansion's order: the first-below-last test drops no Lyndon term.
+    The part names each term by its order key; the record that key
+    indexes is the term's own."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    records = freealg._WORDS.by_key
     for w in _lyndon_words_through(rank, degree):
         assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
-        assert freealg._WORDS[w].part == tuple(
+        assert tuple((records[k].word, c) for k, c in freealg._WORDS[w].part) == tuple(
             (v, c) for v, c in lyndon_expand(w).items() if v != w and is_lyndon(v)
         ), w
 
@@ -765,6 +771,153 @@ def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
         if type(entry) is tuple:
             assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
             assert freealg._WORDS[w].part == entry, w
+
+
+def _word_keyed_elimination(coeffs):
+    """The elimination ``lie_from_assoc`` ran before it moved to order
+    keys: the heap and the work dict keyed by words, each Lyndon part
+    formed from the expansion by the first-below-last test and
+    ``is_lyndon``.  The reference for the int-keyed one."""
+    work = {w: c for w, c in coeffs.items() if (w[0] < w[-1] or len(w) == 1) and is_lyndon(w)}
+    heap = list(work)
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)
+        c = work.pop(w, 0)
+        if not c:
+            continue
+        out[w] = c
+        for v, cv in lyndon_expand(w).items():
+            if not (v[0] < v[-1] and v != w and is_lyndon(v)):
+                continue
+            nv = work.get(v)
+            if nv is None:
+                heapq.heappush(heap, v)
+                work[v] = -c * cv
+            elif nv := nv - c * cv:
+                work[v] = nv
+            else:
+                del work[v]
+    return out
+
+
+def _relabelled(coeffs, letters):
+    """``coeffs`` with letter i of every word renamed ``letters[i]``."""
+    return {tuple(letters[a] for a in w): c for w, c in coeffs.items()}
+
+
+def test_int_keyed_elimination_matches_the_word_keyed_one(monkeypatch):
+    """Random Lie elements of ranks 1-4 through degree 8, on a fresh store
+    (every record cold) and again on the warm one; and free_lie(300)
+    elements on the letters 0, 255, 256 and 299, and on letters past 16
+    and 32 bits, whose keys take wider digits.  An increasing renaming of
+    the letters is a homomorphism that keeps the word order and the
+    Lyndon words, so it maps the coordinates too."""
+    rng = random.Random(37)
+    elements = []
+    for rank in (1, 2, 3, 4):
+        L = free_lie(rank)
+        for _ in range(3):
+            a = random_element(rng, L, 1, 4, terms=6)
+            b = random_element(rng, L, 1, 4, terms=6)
+            elements += [a, a * b, (a * b).scale(Fraction(5, 3)) + b]
+            if rank > 1:
+                elements.append(((a * b) * a).truncate(8))
+    assert max(e.degree() or 0 for e in elements) == 8
+    x, y, z = free_lie(3).gens()
+    phi = Endomorphism(free_lie(3), (x + y * z, y + (x * y) * y, z + x * (x * z)))
+    elements += truncated_inverse(phi, 8).images
+    dicts = [e.coeffs for e in elements]
+    e = random_element(rng, free_lie(4), 1, 6, terms=12)
+    e = e * random_element(rng, free_lie(4), 1, 2, terms=3) + e
+    for letters in [(0, 255, 256, 299), (7, 2**16 - 1, 2**16, 2**40), (0, 1, 2**32, 2**33)]:
+        dicts.append(_relabelled(e.coeffs, letters))
+        assert lie_from_assoc(dicts[-1]) == _relabelled(lie_from_assoc(e.coeffs), letters)
+    wide = Element(free_lie(300), {(0, 255, 256, 299): 2, (255, 299): -1, (0, 0, 256): 3})
+    dicts.append(wide.coeffs)
+    assert basis_coeffs(wide) == {(0, 255, 256, 299): 2, (255, 299): -1, (0, 0, 256): 3}
+    expected = [_word_keyed_elimination(d) for d in dicts]
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    for warm in (False, True):
+        assert bool(freealg._WORDS.by_key) is warm
+        for d, coords in zip(dicts, expected):
+            assert lie_from_assoc(d) == coords
+
+
+def test_order_keys_sort_each_block_as_its_words(monkeypatch):
+    """For every length <= 7 and every letter content at rank 3, the
+    Lyndon words sort by order key as by word; keys are distinct across
+    every record formed, wide letters included, and each is the key
+    ``_order_key`` gives the record's word."""
+    monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    store = freealg._WORDS
+    blocks = {}
+    for w in _lyndon_words_through(3, 7):
+        blocks.setdefault((len(w), tuple(sorted(w))), []).append(w)
+        assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
+    assert max(map(len, blocks.values())) > 10
+    for block in blocks.values():
+        keys = [store[w].key for w in block]
+        assert sorted(block) == [store.by_key[k].word for k in sorted(keys)]
+    for w in [(0, 2**16), (2**16 - 1, 2**16), (3, 2**31, 2**32), (1, 2**64)]:
+        assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
+    # a record formed by an expansion alone (here the wide generators)
+    # has no key until an elimination reads it
+    records = [rec for rec in store.values() if rec and rec.key is not None]
+    assert any(rec and rec.key is None for rec in store.values())
+    # the four wide words, and (3, 2^32, 2^31) from the part of (3, 2^31, 2^32)
+    assert len(records) == len(store.by_key) == 508 + 4 + 1
+    assert len({rec.key for rec in records}) == len(records)
+    assert all(rec.key == freealg._order_key(rec.word) for rec in records)
+
+
+def _decoded_order_key(key):
+    """The word ``key`` codes, read from the top: the sentinel 1, the
+    width b in Elias's gamma code, then the letters as b-bit digits."""
+    bits = bin(key)[2:]
+    zeros = bits.index("1", 1) - 1
+    width = int(bits[1 + zeros : 2 + 2 * zeros], 2)
+    digits = bits[2 + 2 * zeros :]
+    assert digits and len(digits) % width == 0
+    return tuple(int(digits[i : i + width], 2) for i in range(0, len(digits), width))
+
+
+def test_order_keys_decode_to_their_words():
+    """Every word of length <= 5 over 6 letters, and every word of length
+    <= 3 over letters on both sides of 2^8, 2^16 and 2^64, reads back
+    from its order key, so no two words share one.  Over three letters
+    a digit is 2 bits under the 4-bit header 1010."""
+    words = [w for n in range(1, 6) for w in itertools.product(range(6), repeat=n)]
+    wide = (0, 255, 256, 299, 2**16 - 1, 2**16, 2**64 - 1, 2**64)
+    words += [w for n in range(1, 4) for w in itertools.product(wide, repeat=n)]
+    keys = [freealg._order_key(w) for w in words]
+    assert [_decoded_order_key(k) for k in keys] == words
+    # (0,), (0, 0) and (0, 0, 0) are on both lists
+    assert len(set(keys)) == len(set(words)) == 9330 + 584 - 3
+    assert freealg._order_key((0, 1, 2)) == 0b1010_00_01_10
+    assert freealg._order_key((0, 1)) == 0b11_0_1
+    assert freealg._order_key((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2)) < 2**30
+
+
+def test_one_store_of_lyndon_records(monkeypatch):
+    """``_WORDS`` is the only store: a fresh ``_Words`` has no entry and
+    no key, and an elimination on it forms each record once, reached as
+    the same object by word and by order key.  A word of length >= 2
+    that does not begin below its last letter gets no entry, neither
+    from the input nor from a pivot's expansion."""
+    fresh = freealg._Words()
+    assert not fresh and not fresh.by_key
+    monkeypatch.setattr(freealg, "_WORDS", fresh)
+    x, y, z = free_lie(3).gens()
+    e = ((x * y) * z + (x * z) * y) * (x * (x * y)) + y * (y * z)
+    coords = lie_from_assoc(e.coeffs)
+    assert freealg._WORDS is fresh and fresh.by_key
+    assert all(fresh[rec.word] is rec for rec in fresh.by_key.values())
+    assert all(fresh.by_key[fresh[w].key] is fresh[w] for w in coords)
+    assert all(len(w) == 1 or w[0] < w[-1] for w in fresh)
+    expanded = {v for rec in fresh.by_key.values() for v in lyndon_expand(rec.word)}
+    assert any(len(v) > 1 and v[0] >= v[-1] for v in expanded)
 
 
 # ---------------------------------------------------------------------------
