@@ -15,6 +15,7 @@ from .freealg import (
     LinearCombination,
     _Coords,
     _add_scaled,
+    _cat,
     _check_element,
     _check_type,
     _merge,
@@ -30,14 +31,21 @@ __all__ = [
 ]
 
 
-def _leibniz_words(coeffs, images):
-    """The derivation with x_i -> images[i] applied to a dict of words:
-    D(l_1...l_m) = sum_j l_1...l_{j-1} D(l_j) l_{j+1}...l_m."""
+def _leibniz_words(b, coeffs, images):
+    """The derivation with x_i -> images[i] applied to a dict of words
+    coded at width ``b``: D(l_1...l_m) = sum_j l_1...l_{j-1} D(l_j)
+    l_{j+1}...l_m, read from the last letter: the prefix is what is left
+    above it, and the suffix, its s bits below, takes a sentinel."""
     out = {}
+    mask = (1 << b) - 1
     for w, c in coeffs.items():
-        for j, letter in enumerate(w):
+        p, s = w, 0
+        while p > 1:
+            letter, p = p & mask, p >> b
+            suffix = w & (1 << s) - 1 | 1 << s
             for img, ci in images[letter].items():
-                _merge(out, w[:j] + img + w[j + 1 :], c * ci)
+                _merge(out, _cat(_cat(p, img), suffix), c * ci)
+            s += b
     return out
 
 
@@ -110,7 +118,7 @@ class Derivation(_Coords):
             # free-Lie words are stored in U(L) = K<X>, where D acts as
             # the associative derivation with the same generator images
             images = [f.coeffs for f in self.coords]
-            return Element._raw(var, _leibniz_words(a.coeffs, images))
+            return Element._raw(var, _leibniz_words(var._format, a.coeffs, images))
         # polynomial and metabelian keys: D follows the prefix walk (the
         # closed form above stays for words, where memoising D of every
         # prefix of an m-letter word would cost O(m^3))
@@ -124,7 +132,7 @@ class Derivation(_Coords):
             return d * gens[j] + Element._raw(var, {prefix: 1}) * coords[j]
 
         for mono, c in a.coeffs.items():
-            d = _prefix_walk(kind, mono, memo, step)
+            d = _prefix_walk(var._format, mono, memo, step)
             if d is not None:
                 _add_scaled(out, c, d.coeffs)
         return Element._raw(var, out)
@@ -147,12 +155,12 @@ class Derivation(_Coords):
         _check_element(self.variety, u, "envelope element from a different variety", EnvElement)
         var = u.variety
         if var.kind is Kind.FREE_ASSOCIATIVE:
-            images = [f.coeffs for f in self.coords]
+            images, width = [f.coeffs for f in self.coords], var._format
             out = {}
             for (a, b), c in u.coeffs.items():
-                for wa, ca in _leibniz_words({a: c}, images).items():
+                for wa, ca in _leibniz_words(width, {a: c}, images).items():
                     _merge(out, (wa, b), ca)
-                for wb, cb in _leibniz_words({b: c}, images).items():
+                for wb, cb in _leibniz_words(width, {b: c}, images).items():
                     _merge(out, (a, wb), cb)
             return EnvElement(var, out)
         # U is generated by the L_{x_i}, and D* sends them to the L_{D(x_i)}

@@ -4,19 +4,22 @@ Representation of U(A) per variety:
 
 * polynomial        -- U is A itself (commutative); terms keyed by monomials
 * free associative  -- U = A (x) A^op; terms keyed by pairs (left word,
-                       right word), acting as m -> a*m*b; product rule
+                       right word), each coded as A codes its words,
+                       acting as m -> a*m*b; product rule
                        (a(x)b)(c(x)d) = (ac)(x)(db)
 * free Lie          -- U(L_n) is the free associative algebra on the same
-                       generators (PBW); terms keyed by words, L_a acting
-                       via ad.  A free-Lie element is stored as its image
-                       in U(L_n), so L_a has the same words as a
+                       generators (PBW); terms keyed by coded words, L_a
+                       acting via ad.  A free-Lie element is stored as its
+                       image in U(L_n), so L_a has the same words as a
 * metabelian Lie    -- values live in U/R = Q[t_1..t_n] with t_i the image
                        of L_{y_i}; terms keyed by exponent vectors.  R is
                        the ideal generated by all L_{[a,b]} (square zero)
 
 The trace codomain U/([U,U]+R) has a necklace normal form: every word key
 is replaced by its lexicographically minimal rotation (per tensor factor
-in the associative case); commutative cases pass through.
+in the associative case), a word tuple, decoded from U's code once
+(``trace_class``) and coded again only by ``TraceClass.lift``;
+commutative cases pass through.
 
 ``EnvElement`` and ``TraceClass`` are linear combinations of these keys
 and take their linear arithmetic from ``freealg.LinearCombination``; the
@@ -24,7 +27,8 @@ two classes never mix.  In every kind but the associative one, U's keys
 are those of the free algebra that the L_{x_i} generate
 (``generated_algebra``, which also carries the names U prints with: A's
 own, or t1..tn in the metabelian kind): ``env_mul`` multiplies with that
-algebra's product kernel, ``env_str`` prints with its ``key_printer``,
+algebra's product kernel, ``env_str`` prints with its ``key_printer``
+(words decoded first),
 and the push-forward of a matrix along an endomorphism (``fox.push_matrix``)
 and the extension D* of a derivation (``Derivation.star_extend``) substitute
 into it or differentiate it.  Only the associative tensor pairs keep loops
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import freealg
 from .freealg import (
     Element,
     Kind,
@@ -45,7 +50,10 @@ from .freealg import (
     Variety,
     _add_scaled,
     _check_element,
+    _cat,
     _check_type,
+    _decoder,
+    _encode,
     _key_degree,
     _merge,
     _operand,
@@ -103,7 +111,7 @@ class EnvElement(LinearCombination):
     @classmethod
     def one(cls, variety):
         if variety.kind is Kind.FREE_ASSOCIATIVE:
-            return cls(variety, {((), ()): 1})
+            return cls(variety, {(1, 1): 1})
         return cls(variety, generated_algebra(variety).one().coeffs)
 
     def __mul__(self, other):
@@ -112,9 +120,13 @@ class EnvElement(LinearCombination):
         return env_mul(self, other)
 
 
-# the kind of U's keys: generated_algebra's, or a tensor factor's in assoc
-_U_KIND = {Kind.POLYNOMIAL: Kind.POLYNOMIAL, Kind.FREE_ASSOCIATIVE: Kind.FREE_ASSOCIATIVE,
-           Kind.FREE_LIE: Kind.FREE_ASSOCIATIVE, Kind.METABELIAN_LIE: Kind.POLYNOMIAL}
+def _u_format(variety):
+    """The key format of U's keys (``Variety._format``): a tensor factor's
+    in assoc, else ``generated_algebra``'s, which has the variety's rank:
+    exponent vectors in the metabelian U/R."""
+    if variety.kind is Kind.METABELIAN_LIE:
+        return Kind.POLYNOMIAL
+    return variety._format
 
 
 def generated_algebra(variety):
@@ -124,10 +136,12 @@ def generated_algebra(variety):
     freely commuting for the polynomial kind (A itself) and for the
     metabelian U/R (exponent vectors in t1..tn).  ``left_mul`` writes each
     L_a in these keys.  Never cached: ``Variety`` equality ignores names."""
-    rank, kind = variety.rank, _U_KIND[variety.kind]
-    if variety.kind is Kind.METABELIAN_LIE:
-        return Variety(kind, rank, tuple(f"t{i + 1}" for i in range(rank)))
-    return variety if kind is variety.kind else Variety(kind, rank, variety.names)
+    rank, kind = variety.rank, variety.kind
+    if kind is Kind.METABELIAN_LIE:
+        return Variety(Kind.POLYNOMIAL, rank, tuple(f"t{i + 1}" for i in range(rank)))
+    if kind is Kind.FREE_LIE:
+        return Variety(Kind.FREE_ASSOCIATIVE, rank, variety.names)
+    return variety
 
 
 def left_mul(a):
@@ -138,7 +152,7 @@ def left_mul(a):
     if kind is Kind.POLYNOMIAL or kind is Kind.FREE_LIE:
         return EnvElement(var, dict(a.coeffs))
     if kind is Kind.FREE_ASSOCIATIVE:
-        return EnvElement(var, {(w, ()): c for w, c in a.coeffs.items()})
+        return EnvElement(var, {(w, 1): c for w, c in a.coeffs.items()})
     # metabelian: L of any bracket lies in R, only the linear part survives
     t = generated_algebra(var)._gen_key
     return EnvElement(var, {t(m[0]): c for m, c in a.coeffs.items() if len(m) == 1})
@@ -151,7 +165,7 @@ def right_mul(a):
     if kind is Kind.POLYNOMIAL:
         return left_mul(a)
     if kind is Kind.FREE_ASSOCIATIVE:
-        return EnvElement(a.variety, {((), w): c for w, c in a.coeffs.items()})
+        return EnvElement(a.variety, {(1, w): c for w, c in a.coeffs.items()})
     return -left_mul(a)
 
 
@@ -165,10 +179,10 @@ def env_mul(u, v):
         out = {}
         for (a, b), c1 in u.coeffs.items():
             for (c, d), c2 in v.coeffs.items():
-                _merge(out, (a + c, d + b), c1 * c2)
+                _merge(out, (_cat(a, c), _cat(d, b)), c1 * c2)
         return EnvElement._raw(u.variety, out)
-    kind = _U_KIND[kind]
-    out = _product(kind, u.coeffs, _operand(kind, v.coeffs, None), None)
+    fmt = _u_format(u.variety)
+    out = _product(fmt, u.coeffs, _operand(fmt, v.coeffs, None), None)
     return EnvElement._raw(u.variety, out)
 
 
@@ -191,7 +205,7 @@ def env_apply(u, m):
     if kind is Kind.FREE_ASSOCIATIVE:
         for (a, b), c in u.coeffs.items():
             for w, cw in m.coeffs.items():
-                _merge(out, a + w + b, c * cw)
+                _merge(out, _cat(_cat(a, w), b), c * cw)
         return Element._raw(var, out)
 
     # a key of U is a product of the L_{x_j}: the walk applies them to m
@@ -199,10 +213,14 @@ def env_apply(u, m):
     def step(acc, _prefix, j):
         return var.gen(j) * (m if acc is None else acc)
 
-    ukind, memo = _U_KIND[kind], {}
+    fmt, memo = _u_format(var), {}
     for key, c in u.coeffs.items():
-        key = key[::-1] if kind is Kind.FREE_LIE else key
-        acc = _prefix_walk(ukind, key, memo, step)
+        if kind is Kind.FREE_LIE:  # the reversed word, read off the code's last letters
+            key, rev = 1, key
+            while rev > 1:
+                key = key << fmt | rev & (1 << fmt) - 1
+                rev >>= fmt
+        acc = _prefix_walk(fmt, key, memo, step)
         _add_scaled(out, c, (m if acc is None else acc).coeffs)
     return Element._raw(var, out)
 
@@ -213,43 +231,79 @@ class TraceClass(LinearCombination):
     __slots__ = ()
 
     def lift(self):
-        """Some EnvElement representative (necklace keys read as words)."""
-        return EnvElement(self.variety, dict(self.coeffs))
+        """Some EnvElement representative (necklace keys coded as words)."""
+        var = self.variety
+        kind, b = var.kind, var._format
+        if kind is Kind.FREE_ASSOCIATIVE:
+            return EnvElement(var, {
+                (_encode(a, b), _encode(w, b)): c for (a, w), c in self.coeffs.items()
+            })
+        if kind is Kind.FREE_LIE:
+            return EnvElement(var, {_encode(w, b): c for w, c in self.coeffs.items()})
+        return EnvElement(var, dict(self.coeffs))
 
 
 def env_str(u):
     """Deterministic plain-text form of an EnvElement (deglex term order):
     a key prints as a monomial of ``generated_algebra``, a tensor pair as
-    its two words joined by ``(x)``."""
+    its two words joined by ``(x)``; coded words are decoded first
+    (``_decoded``)."""
     _check_type(u, EnvElement)
-    base = generated_algebra(u.variety)
-    key_str = key_printer(base)
-    if u.variety.kind is Kind.FREE_ASSOCIATIVE:
-        return terms_str(
-            u.coeffs,
-            lambda key: f"{key_str(key[0])}(x){key_str(key[1])}",
-            lambda key: len(key[0]) + len(key[1]),
-        )
-    return terms_str(u.coeffs, key_str, _key_degree(base.kind))
+    return _tuples_str(u.variety, _decoded(u.variety, u.coeffs))
 
 
 def trace_str(t):
     """Deterministic plain-text form of a TraceClass, keys as in env_str."""
     _check_type(t, TraceClass)
-    return env_str(EnvElement._raw(t.variety, t.coeffs))
+    return _tuples_str(t.variety, t.coeffs)
+
+
+def _decoded(variety, coeffs):
+    """U's coefficient dict ``coeffs`` with its coded words decoded into
+    word tuples (``freealg._decoder``), tensor factors one by one."""
+    kind = variety.kind
+    if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
+        return coeffs
+    decode = _decoder(variety._format)
+    if kind is Kind.FREE_LIE:
+        return {decode(w): c for w, c in coeffs.items()}
+    return {(decode(a), decode(b)): c for (a, b), c in coeffs.items()}
+
+
+def _tuples_str(variety, coeffs):
+    """``env_str`` of U's coefficient dict keyed by tuples."""
+    base = generated_algebra(variety)
+    key_str = key_printer(base)
+    if variety.kind is Kind.FREE_ASSOCIATIVE:
+        return terms_str(
+            coeffs,
+            lambda key: f"{key_str(key[0])}(x){key_str(key[1])}",
+            lambda key: len(key[0]) + len(key[1]),
+        )
+    return terms_str(coeffs, key_str, _key_degree(base.kind))
 
 
 def trace_class(u):
-    """Canonical image of u in U/([U,U]+R)."""
+    """Canonical image of u in U/([U,U]+R): each word's necklace, a word
+    tuple decoded from its code and rotated once per width's store
+    (``_necklace``)."""
     _check_type(u, EnvElement)
     kind = u.variety.kind
     if kind is Kind.POLYNOMIAL or kind is Kind.METABELIAN_LIE:
         return TraceClass(u.variety, dict(u.coeffs))
-    out = {}
+    store, out = freealg._WORDS[u.variety._format], {}
     if kind is Kind.FREE_ASSOCIATIVE:
         for (a, b), c in u.coeffs.items():
-            _merge(out, (necklace(a), necklace(b)), c)
+            _merge(out, (_necklace(store, a), _necklace(store, b)), c)
     else:
         for w, c in u.coeffs.items():
-            _merge(out, necklace(w), c)
+            _merge(out, _necklace(store, w), c)
     return TraceClass(u.variety, out)
+
+
+def _necklace(store, k):
+    """The necklace of the word coded ``k`` in ``store``, kept there."""
+    n = store.necklaces.get(k)
+    if n is None:
+        n = store.necklaces[k] = necklace(store.decode(k))
+    return n

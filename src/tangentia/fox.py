@@ -19,7 +19,7 @@ from .freealg import (
     _substitute,
     _unit_key,
 )
-from .envelope import _U_KIND, EnvElement, env_mul, generated_algebra, left_mul
+from .envelope import EnvElement, _u_format, env_mul, generated_algebra, left_mul
 
 __all__ = [
     "chain_rule_check",
@@ -36,7 +36,7 @@ def fox_derivative(a, i):
     Characterized by D(a) = sum_i (da/dx_i) y_i for the universal
     derivation D.  A free-Lie element is stored in U(L_n) = K<X>, where
     a = sum_i (da/dx_i) x_i, so da/dx_i keeps the words ending in x_i
-    with that letter removed.
+    with that letter removed: a code's low b bits are its last letter.
     """
     _check_type(a, Element)
     var = a.variety
@@ -50,23 +50,31 @@ def fox_derivative(a, i):
                 key = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
                 _merge(terms, key, c * exps[i])
         return EnvElement(var, terms)
+    b = var._format
     if kind is Kind.FREE_ASSOCIATIVE:
-        # d(u x_i v)/dx_i picks up u (x) v for every occurrence of x_i
+        # d(u x_i v)/dx_i picks up u (x) v for every occurrence of x_i,
+        # read from the last letter: u is what is left above it, and v,
+        # its s bits below, takes a sentinel of its own
+        mask = (1 << b) - 1
         for w, c in a.coeffs.items():
-            for j, letter in enumerate(w):
-                if letter == i:
-                    _merge(terms, (w[:j], w[j + 1 :]), c)
+            u, s = w, 0
+            while u > 1:
+                if u & mask == i:
+                    _merge(terms, (u >> b, w & (1 << s) - 1 | 1 << s), c)
+                u >>= b
+                s += b
         return EnvElement(var, terms)
     if kind is Kind.FREE_LIE:
+        mask = (1 << b) - 1
         return EnvElement._raw(
-            var, {w[:-1]: c for w, c in a.coeffs.items() if w[-1] == i}
+            var, {w >> b: c for w, c in a.coeffs.items() if w & mask == i}
         )
     # metabelian: lift each left-normed bracket to U(L_n) = K<X>, where
     # d[u, x_c]/dx_i = [c = i] u - x_c du/dx_i, and project to U/R = Q[t]
     # by abelianizing words.  The projection kills every bracket of degree
     # >= 2, so [y_a, y_b, y_c3, ..., y_ck] has the derivative
     # (-1)^k t_c3...t_ck ([b = i] t_a - [a = i] t_b)
-    unit = _unit_key(_U_KIND[kind], var.rank)
+    unit = _unit_key(_u_format(var), var.rank)
     for mono, c in a.coeffs.items():
         if len(mono) == 1:
             if mono[0] == i:

@@ -16,22 +16,35 @@ There is no floating point anywhere in this package.
 Stored keys per variety:
 
 * polynomial        -- exponent vector, a tuple of ``rank`` nonnegative ints
-* free associative  -- word, a tuple of generator indices (empty = 1)
-* free Lie          -- word of K<X>: an element is stored as its image
-                       under the injective embedding L(X) -> K<X>, so the
-                       bracket is the commutator of words.  Lyndon words
-                       (standard bracketing) stay the basis at the edges:
-                       ``Element(free_lie(n), d)`` takes Lyndon
-                       coordinates, and ``basis_coeffs`` gives them back
-                       for printing and coordinate vectors, by an
-                       elimination over the Lyndon words alone
-                       (``lie_from_assoc``).  That elimination assumes
-                       its input is a Lie element, which every operation
-                       here preserves; ``Element.check`` verifies it
+* free associative  -- word, coded as one int: with b = max(1, (rank -
+                       1).bit_length()) bits per letter, the letters as
+                       b-bit digits under a sentinel 1 bit, so (x1, x2, x3)
+                       codes as ``0b1_00_01_10`` and the empty word as 1.
+                       The degree is ``(k.bit_length() - 1) // b``, and at
+                       one width numeric order is deglex order
+* free Lie          -- coded word of K<X>, as above: an element is stored
+                       as its image under the injective embedding
+                       L(X) -> K<X>, so the bracket is the commutator of
+                       words.  Lyndon words (standard bracketing) stay the
+                       basis at the edges: ``Element(free_lie(n), d)``
+                       takes Lyndon coordinates, and ``basis_coeffs``
+                       gives them back for printing and coordinate
+                       vectors, by an elimination over the Lyndon words
+                       alone (``lie_from_assoc``).  That elimination
+                       assumes its input is a Lie element, which every
+                       operation here preserves; ``Element.check``
+                       verifies it
 * metabelian Lie    -- ``(i,)`` for the generator ``y_i``, or a flat tuple
                        ``(i1, i2, i3, ..., im)`` with ``i1 > i2 <= i3 <= ...``
                        encoding the left-normed bracket
                        ``[y_i1, y_i2, y_i3, ..., y_im]``
+
+A variety's ``_format`` names its key format for the key helpers and the
+kernel: the width b in the word kinds, else its ``Kind``.  Words are word
+tuples only at the edges: the constructor takes them (``_encode``), and
+``basis_coeffs``, ``monomials_of_degree``, printing, the envelope's trace
+classes, ``project_to_metabelian`` and the leading-term check of
+``wildness.build_polynilpotent_witness`` give them (``_decoder``).
 
 One sparse core serves the whole package.  ``LinearCombination`` holds a
 variety and a dict from canonical keys to nonzero rationals, and owns the
@@ -44,29 +57,27 @@ which drop the keys that cancel; only the inner loops of ``_product`` and
 them.  ``_product`` is the one product kernel, with one loop per
 key format, and it builds each key with no iterator and no dict per
 pair: exponent vectors add by a function generated once per length
-(``_ADDERS``), words concatenate, free-Lie words as well as associative
-ones, words coded as base-n ints (n the rank) concatenate as
-``code(u) n^|v| + code(v)``, and metabelian keys bracket in the loop
-itself, where a bracket on the left meets the right operand's
-generators only (a bracket of two brackets is zero).  It serves
-``Element.mul_trunc``, which forms every element product (``__mul__``
-included) and the free-Lie bracket as ``ab - ba`` of words
-(``_bracket_words``; ``lyndon_expand``, whose factors are homogeneous,
+(``_ADDERS``), coded words concatenate as ``(u - 1) 2^(b |v|) + v``,
+free-Lie words as well as associative ones, and metabelian keys bracket
+in the loop itself, where a bracket on the left meets the right
+operand's generators only (a bracket of two brackets is zero).  It
+serves ``Element.mul_trunc``, which forms every element product
+(``__mul__`` included) and the free-Lie bracket as ``ab - ba`` of words
+(``_bracket_words``; a Lyndon expansion, whose factors are homogeneous,
 forms ``ab`` with no sum and subtracts ``ba`` here), substitution
 (``_substitute``), the homogeneous products of
-``morphism.truncated_inverse`` (summed in place into one dict, on coded
-words in the word kinds, which are decoded once on its exit) and, for
-envelope keys that add or concatenate, ``envelope.env_mul``.  Its right
-operand comes as degree buckets, ``[(degree, [(key, coeff), ...]),
-...]`` in ascending degree (``_degree_buckets``): a truncated product at
-degree ``k`` walks them for each left term and stops at the first bucket
-past the room ``k`` leaves, so the pairs it drops are never visited.
-Nothing keeps buckets on an element: ``_operand`` builds each right
-operand, the plain product's as the whole dict in one bucket, which
-pays no bucketing, and ``_substitute`` groups each argument once per
-call.  ``_Coords``, one ``Element`` per generator, is the core of
-endomorphisms and derivations, and ``_combine`` their linear change of
-coordinates.
+``morphism.truncated_inverse`` (summed in place into one dict, on the
+stored codes) and, for envelope keys that add or concatenate,
+``envelope.env_mul``.  Its right operand comes as degree buckets,
+``[(degree, [(key, coeff), ...]), ...]`` in ascending degree
+(``_degree_buckets``): a truncated product at degree ``k`` walks them
+for each left term and stops at the first bucket past the room ``k``
+leaves, so the pairs it drops are never visited.  Nothing keeps buckets
+on an element: ``_operand`` builds each right operand, the plain
+product's as the whole dict in one bucket, which pays no bucketing, and
+``_substitute`` groups each argument once per call.  ``_Coords``, one
+``Element`` per generator, is the core of endomorphisms and derivations,
+and ``_combine`` their linear change of coordinates.
 
 The Leibniz action and the other maps built one generator at a time
 share one prefix walk: ``_split_key``, the only code that knows how a key
@@ -75,22 +86,23 @@ and ``_prefix_walk`` builds a key's value from its prefix's.
 ``_substitute`` is the one substitution: it takes a batch of dicts and
 one argument tuple, and keeps its state for that call.  It maps
 exponent vectors and metabelian keys by the prefix walk, with one memo
-of prefix images for the batch, and words by Horner's rule, one dict at
-a time (``_horner``), which reads each dict only through the degrees its
-bound leaves.
+of prefix images for the batch, and coded words by Horner's rule, one
+dict at a time (``_horner``), which walks their suffixes and reads each
+dict only through the degrees its bound leaves.
 
-One dict keyed by word, ``_WORDS``, holds False for a word that is not
-Lyndon and a record for a Lyndon word (its word, order key, expansion,
-Lyndon part and bracket strings, each formed on first use), and indexes
-the records by order key.  The order key is an int: the letters as
-digits as wide as the greatest letter needs, under a header that names
-the width, so keys differ across all words, and two words of one length
-and one letter content compare as their keys do.  A Lyndon part holds
-``(key, coeff)`` pairs, and ``lie_from_assoc`` eliminates on the keys
-alone: it hashes and compares ints, not words.  It looks up only
-generators and the words that begin below their last letter, as no
-other word is Lyndon.  ``element_str`` and the envelope's printers take
-one key printer per format from ``key_printer``.
+``_WORDS`` holds one store per width (``_Store``), made on first use, so
+installing a fresh ``_Words()`` empties every cache at once.  A store is
+a dict keyed by code: False for a word that is not Lyndon, a record for
+a Lyndon word (its expansion and Lyndon part, each formed on first
+use).  It also keeps the bracket strings, one dict by code per tuple of
+names, and the decoder's tables.  The code is the elimination's order
+key: a Lyndon part holds ``(code, coeff)`` pairs, and ``lie_from_assoc``
+hashes and compares ints, not words.  It looks up only generators and
+the words that begin below their last letter, as no other word is
+Lyndon.  ``element_str`` prints coded words in numeric order, which is
+deglex order, Lyndon words by their stored bracket strings; the
+envelope's printers take one tuple key printer per format from
+``key_printer``.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -103,7 +115,6 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
 __all__ = [
     "AlgebraError",
@@ -234,7 +245,7 @@ class _Coords:
             raise AlgebraError(count)
         for f in coords:
             _check_element(variety, f, algebra)
-            if variety.is_lie and () in f.coeffs:
+            if variety.is_lie and variety._unit_key() in f.coeffs:
                 raise AlgebraError(constant)
         self.variety = variety
         self.coords = coords
@@ -254,9 +265,31 @@ class _Coords:
 
 
 def _unit_key(kind, rank):
-    """The unit's key in a variety of ``kind`` and ``rank``: the zero
-    exponent vector, or the empty word.  Needs no ``Variety``."""
-    return (0,) * rank if kind is Kind.POLYNOMIAL else ()
+    """The unit's stored key in a variety of ``kind`` and ``rank``: the zero
+    exponent vector, the empty word's code 1, or the empty metabelian key
+    (which no element stores).  Needs no ``Variety``."""
+    if kind is Kind.POLYNOMIAL:
+        return (0,) * rank
+    return 1 if kind in _WORD_KINDS else ()
+
+
+def _width(rank):
+    """The bits per letter of the coded words over ``rank`` letters."""
+    return (rank - 1).bit_length() or 1
+
+
+def _encode(w, b):
+    """The code of the word tuple ``w`` at width ``b``: its letters as
+    b-bit digits under a sentinel 1 bit."""
+    k = 1
+    for a in w:
+        k = k << b | a
+    return k
+
+
+def _cat(u, v):
+    """The code of the word ``u v``: v's top bit is 2^(b |v|), at any width."""
+    return ((u - 1) << v.bit_length() - 1) + v
 
 
 def _default_names(kind, rank):
@@ -269,7 +302,9 @@ class Variety:
     """A free algebra's variety: kind plus number of generators.
 
     Generator names are cosmetic (used for printing only) and excluded
-    from equality.
+    from equality.  ``_format`` is the format of its stored keys, which
+    the kernel and the key helpers take: the width b of its coded words in
+    the two word kinds, else its ``Kind``.
     """
 
     kind: Kind
@@ -286,6 +321,8 @@ class Variety:
             raise AlgebraError("need exactly one name per generator")
         elif len(set(self.names)) != self.rank:
             raise AlgebraError(f"generator names repeat: {', '.join(self.names)}")
+        fmt = _width(self.rank) if self.kind in _WORD_KINDS else self.kind
+        object.__setattr__(self, "_format", fmt)
 
     @property
     def unital(self):
@@ -305,7 +342,9 @@ class Variety:
         """The stored key of the i-th generator."""
         if self.kind is Kind.POLYNOMIAL:
             return tuple(1 if j == i else 0 for j in range(self.rank))
-        return (i,)
+        if self.kind is Kind.METABELIAN_LIE:
+            return (i,)
+        return 1 << self._format | i
 
     def _unit_key(self):
         """The unit's key (``_unit_key``)."""
@@ -351,93 +390,133 @@ def metabelian_lie(rank, names=()):
 # Lyndon words
 
 
+def _own_code(w):
+    """``(code, width)`` of the word tuple ``w`` at the width of the least
+    rank whose letters hold ``w``'s: the code of a word given alone."""
+    b = _width(max(w, default=0) + 1)
+    return _encode(w, b), b
+
+
 def is_lyndon(w):
-    """True iff the word is strictly smaller than all its proper rotations:
-    Duval's linear scan (J. Algorithms 4, 1983), where ``k`` walks the
-    period of the prefix read so far, which must end up the whole word."""
-    if not w:
-        return False
-    k = 0
-    for b in w[1:]:
-        a = w[k]
-        if a > b:
+    """True iff the word tuple ``w`` is strictly smaller than all its proper
+    rotations (``_is_lyndon_code``)."""
+    return _is_lyndon_code(*_own_code(w))
+
+
+def _is_lyndon_code(k, b):
+    """True iff the word coded ``k`` at width ``b`` is Lyndon: nonempty and
+    strictly below each of its proper rotations, which, at one length,
+    compare as their codes do."""
+    n = k.bit_length() - 1
+    top = 1 << n
+    w, mask = k ^ top, top - 1
+    for s in range(b, n, b):
+        if (w << s & mask | w >> n - s) <= w:
             return False
-        k = k + 1 if a == b else 0
-    return k == 0
+    return n > 0
 
 
-def standard_factorization(w):
-    """Split a Lyndon word of length >= 2 as ``u v`` with ``v`` the
-    lexicographically least proper suffix; both parts are Lyndon and the
-    standard bracketing is ``[b(u), b(v)]``."""
-    assert len(w) >= 2
-    best = 1
-    for i in range(2, len(w)):
-        if w[i:] < w[best:]:
-            best = i
-    return w[:best], w[best:]
+def _factorization(k, b):
+    """The codes ``(u, v)`` of the standard factorization of the Lyndon
+    word coded ``k`` (length >= 2) at width ``b``: ``v`` is its least
+    proper suffix, which is its longest proper Lyndon suffix (Lothaire,
+    *Combinatorics on Words*, 1983, Prop. 5.1.3); both parts are Lyndon
+    and the standard bracketing is ``[b(u), b(v)]``."""
+    for s in range(k.bit_length() - 1 - b, 0, -b):
+        v = k & (1 << s) - 1 | 1 << s
+        if _is_lyndon_code(v, b):
+            return k >> s, v
 
 
 class _Lyndon:
-    """What is known of one Lyndon word ``word``, each other field formed
-    on first use: ``key``, its order key (``_order_key``, indexed by
-    ``_Words.key``); ``expansion``, the associative expansion of its
-    standard bracketing (``lyndon_expand``); ``part``, its terms
-    ``((key, coeff), ...)`` on the other Lyndon words, by order key,
-    which alone move other Lyndon coordinates (``lie_from_assoc``);
-    ``strings``, its bracket string per names tuple."""
+    """What is known of one Lyndon word, each field formed on first use:
+    ``expansion``, the associative expansion of its standard bracketing
+    (``_expansion``); ``part``, its terms ``((code, coeff), ...)`` on the
+    other Lyndon words, which alone move other Lyndon coordinates
+    (``lie_from_assoc``)."""
 
-    __slots__ = ("word", "key", "expansion", "part", "strings")
+    __slots__ = ("expansion", "part")
 
-    def __init__(self, word):
-        self.word = word
-        self.key = self.expansion = self.part = self.strings = None
+    def __init__(self):
+        self.expansion = self.part = None
 
 
-def _order_key(w):
-    """The order key of a nonempty word: its letters as digits of b bits,
-    b the bit length of its greatest letter (1 for the letter 0), under a
-    header that names b: a sentinel 1, then b in Elias's gamma code (as
-    many 0s as b has bits after its leading 1, then b).  Read from the
-    top, a key gives b, then the number of digits, then the letters, so
-    keys differ across all words, with no bound on the letters.  Two
-    words of one length and one letter content have one greatest letter,
-    so one header and one width, and their keys compare as the words do
-    lexicographically.  A word over three letters of length <= 13 gets a
-    key below 2^30, one machine digit."""
-    width = max(w).bit_length() or 1
-    key = (1 << 2 * width.bit_length() - 1) | width
-    for a in w:
-        key = key << width | a
-    return key
+class _DecodeTable(dict):
+    """The words of at most a chunk of letters by their codes at one width,
+    each decoded one letter at a time on first use: the tables of
+    ``_decoder``."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, k):
+        b, code, w = self.width, k, ()
+        while k > 1:
+            w = (k & (1 << b) - 1,) + w
+            k >>= b
+        self[code] = w
+        return w
+
+
+def _table_decoder(b):
+    """The decoder of codes at width ``b`` into word tuples: one read of a
+    ``_DecodeTable`` per chunk of letters (8 bits at most), from the
+    last letters up."""
+    words, bits = _DecodeTable(b), b * max(1, 8 // b)
+    mask = (1 << bits) - 1
+    short = 2 << bits  # the codes below it have at most a chunk of letters
+
+    def decode(k):
+        tail = ()
+        while k >= short:
+            tail = words[k & mask | mask + 1] + tail
+            k >>= bits
+        return words[k] + tail
+
+    return decode
+
+
+class _Store(dict):
+    """One width's store: an entry per coded word looked up, made on first
+    sight, False if the word is not Lyndon, else its record; ``strings``,
+    one dict of bracket strings by code per names tuple (``_lyndon_printer``);
+    ``necklaces``, the trace classes' word tuples by code
+    (``envelope.trace_class``); and ``decode``, the width's decoder
+    (``_table_decoder``).  Codes carry no rank: the entries serve every
+    rank of the width."""
+
+    __slots__ = ("width", "strings", "necklaces", "decode")
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
+        self.strings, self.necklaces = {}, {}
+        self.decode = _table_decoder(width)
+
+    def __missing__(self, k):
+        rec = self[k] = _Lyndon() if _is_lyndon_code(k, self.width) else False
+        return rec
 
 
 class _Words(dict):
-    """One entry per word looked up, made on first sight: False if the word
-    is not Lyndon, else its record.  Words carry no rank: entries serve all.
-    ``by_key`` maps each order key formed to its record, the same object
-    the word reaches, so a fresh ``_Words`` is a wholly cold store."""
+    """The stores by width, each made on first use, so a fresh ``_Words``
+    empties every cache at once."""
 
-    __slots__ = ("by_key",)
-
-    def __init__(self):
-        super().__init__()
-        self.by_key = {}
-
-    def __missing__(self, w):
-        rec = self[w] = _Lyndon(w) if is_lyndon(w) else False
-        return rec
-
-    def key(self, rec):
-        """``rec``'s order key, formed and indexed on first use."""
-        k = rec.key
-        if k is None:
-            k = rec.key = _order_key(rec.word)
-            self.by_key[k] = rec
-        return k
+    def __missing__(self, b):
+        store = self[b] = _Store(b)
+        return store
 
 
 _WORDS = _Words()
+
+
+def _decoder(b):
+    """The decoder of codes at width ``b`` into word tuples, kept in the
+    width's store (``_table_decoder``)."""
+    return _WORDS[b].decode
 
 
 def _lyndon_words(n, d):
@@ -461,36 +540,47 @@ def _lyndon_words(n, d):
     return out
 
 
-def lyndon_expand(w):
-    """Associative expansion of the standard bracketing of a Lyndon word,
-    as a dict word -> int coefficient.  The word ``w`` itself is the
-    lexicographically least term and carries coefficient 1.
+def _expansion(store, k):
+    """The associative expansion of the standard bracketing of the Lyndon
+    word coded ``k`` in ``store``, as a dict code -> int coefficient,
+    kept in its record.  The word itself is the least term and carries
+    coefficient 1.
 
-    For ``w = uv`` standard, the expansion is E(u)E(v) - E(v)E(u), with
+    For ``k = uv`` standard, the expansion is E(u)E(v) - E(v)E(u), with
     the same keys in the same order as ``_bracket_words``.  Both factors
     are homogeneous, so the words of E(u)E(v) are pairwise distinct: they
     are formed in one comprehension, with no sum and no zero test, and
     E(v)E(u) is subtracted into them by ``_product``."""
-    rec = _WORDS[w]
-    if not rec:
-        raise AlgebraError(f"{w!r} is not a Lyndon word")
+    rec = store[k]
     res = rec.expansion
     if res is not None:
         return res
-    if len(w) == 1:
-        res = {w: 1}
+    b = store.width
+    if k < 1 << 2 * b:  # one letter
+        res = {k: 1}
     else:
-        u, v = standard_factorization(w)
-        eu, ev = lyndon_expand(u), lyndon_expand(v)
-        res = {a + b: ca * cb for a, ca in eu.items() for b, cb in ev.items()}
-        neg = {b: -cb for b, cb in ev.items()}
-        _product(_FREE_LIE, neg, _operand(_FREE_LIE, eu, None), None, res)
+        u, v = _factorization(k, b)
+        eu, ev = _expansion(store, u), _expansion(store, v)
+        s = v.bit_length() - 1
+        res = {((x - 1) << s) + y: cx * cy for x, cx in eu.items() for y, cy in ev.items()}
+        neg = {y: -cy for y, cy in ev.items()}
+        _product(b, neg, (((u.bit_length() - 1) // b, eu.items()),), None, res)
     rec.expansion = res
     return res
 
 
-def lie_from_assoc(coeffs):
-    """Lyndon coordinates of a Lie element given by its words in K<X>.
+def lyndon_expand(w):
+    """The associative expansion of the standard bracketing of the Lyndon
+    word tuple ``w`` (``_expansion``), coded as ``w`` is by ``_own_code``."""
+    k, b = _own_code(w)
+    if not _WORDS[b][k]:
+        raise AlgebraError(f"{w!r} is not a Lyndon word")
+    return _expansion(_WORDS[b], k)
+
+
+def lie_from_assoc(coeffs, width):
+    """Lyndon coordinates of a Lie element given by its coded words in
+    K<X>, at width ``width``, as a dict code -> coefficient.
 
     The standard bracketing of a Lyndon word ``l`` is ``l`` plus greater
     words of the same length (Chen-Fox-Lyndon), so the coefficient of a
@@ -502,32 +592,31 @@ def lie_from_assoc(coeffs):
     bracketing; non-Lyndon words are never touched.  Those terms are the
     Lyndon part in the pivot's record, formed on first use as a pivot, as
     long words have large expansions.  Which words are Lyndon is read from
-    the same dict, ``_WORDS``: a word seen before is never rescanned.  A
-    Lyndon word of length >= 2 begins strictly below its last letter, so
+    the width's store in ``_WORDS``: a word seen before is never rescanned.
+    A Lyndon word of length >= 2 begins strictly below its last letter, so
     a word that fails that test is dropped, from the input and from a
     pivot's expansion, before it is looked up or scanned.
 
-    The elimination runs on order keys (``_order_key``), not on words:
-    each input word is looked up once, and from then on the heap and the
-    work dict hold ints, and a part names its terms by key.  A bracketing
-    is homogeneous in letter content, so the elimination only ever
-    compares words of one length and one content, which their keys order
-    as the words.  Keys pop in increasing order and a part names only
-    keys greater than its pivot's, so no key is pushed after it pops, and
-    a sum that cancels may stay in the work dict until its key pops.
+    The codes are the order keys: at one width, codes of one length
+    compare as their words, so the heap pops the Lyndon words in
+    increasing order.  Keys pop in increasing order and a part names only
+    greater keys than its pivot, so no key is pushed after it pops, and a
+    sum that cancels may stay in the work dict until its key pops.
 
     Precondition: ``coeffs`` is a Lie element.  Every operation that
     builds a free-Lie element (Lyndon expansion, commutator products,
     sums, scaling, substitution) keeps it one, so this is not checked
     here; on other input the result is undefined.  ``Element.check``
     verifies it by expanding the coordinates back to ``coeffs``."""
-    words = _WORDS
-    key, records = words.key, words.by_key
+    store = _WORDS[width]
     push, pop = heapq.heappush, heapq.heappop
+    high = 1 << width  # the sentinel above a first letter
+    mask, one, b1 = high - 1, high << width, width + 1
+    # the first letter, with the sentinel over it, is k >> (k.bit_length() - b1)
     work = {}
-    for w, c in coeffs.items():
-        if (w[0] < w[-1] or len(w) == 1) and (rec := words[w]):
-            work[rec.key or key(rec)] = c
+    for k, c in coeffs.items():
+        if (k < one or k >> k.bit_length() - b1 < k & mask | high) and store[k]:
+            work[k] = c
     heap = list(work)
     heapq.heapify(heap)
     out = {}
@@ -536,13 +625,14 @@ def lie_from_assoc(coeffs):
         c = work.pop(k)
         if not c:
             continue
-        rec = records[k]
-        out[rec.word] = c
+        out[k] = c
+        rec = store[k]
         part = rec.part
         if part is None:
+            first = k.bit_length() - b1  # the same shift for every term
             part = rec.part = tuple(
-                (key(rv), cv) for v, cv in lyndon_expand(rec.word).items()
-                if v[0] < v[-1] and (rv := words[v]) and rv is not rec
+                (v, cv) for v, cv in _expansion(store, k).items()
+                if v >> first < v & mask | high and v != k and store[v]
             )
         for v, cv in part:
             nv = work.get(v)
@@ -554,11 +644,13 @@ def lie_from_assoc(coeffs):
     return out
 
 
-def assoc_of_lie_coeffs(coeffs):
-    """Associative expansion of a Lie element given in the Lyndon basis."""
+def assoc_of_lie_coeffs(coeffs, width):
+    """Associative expansion of a Lie element given by its coded Lyndon
+    coordinates at width ``width``."""
+    store = _WORDS[width]
     out = {}
-    for w, c in coeffs.items():
-        _add_scaled(out, c, lyndon_expand(w))
+    for k, c in coeffs.items():
+        _add_scaled(out, c, _expansion(store, k))
     return out
 
 
@@ -566,21 +658,27 @@ def assoc_of_lie_coeffs(coeffs):
 # Elements
 
 
-def _key_degree(kind, _polynomial=Kind.POLYNOMIAL):
-    """The degree of a stored key as a builtin to map over keys: ``sum``
-    of an exponent vector, ``len`` of a word or a metabelian key."""
-    return sum if kind is _polynomial else len
+def _key_degree(fmt, _polynomial=Kind.POLYNOMIAL):
+    """The degree of a key of format ``fmt`` (a ``Variety._format``, or a
+    ``Kind`` for tuple keys) as a function to map over keys: a code's
+    length, which its top bit gives; ``sum`` of an exponent vector; ``len``
+    of a metabelian key or a word tuple."""
+    if type(fmt) is int:
+        return lambda k: (k.bit_length() - 1) // fmt
+    return sum if fmt is _polynomial else len
 
 
-def _split_key(kind, key, _polynomial=Kind.POLYNOMIAL):
+def _split_key(fmt, key, _polynomial=Kind.POLYNOMIAL):
     """``(prefix, j)`` with ``key`` the key ``prefix`` times x_j, or None for
-    the unit key.  A polynomial key gives up one unit of its last nonzero
-    exponent; a word its last letter, and so does a metabelian key, whose
-    last letter is the greatest of its sorted tail: the bracket ``[prefix,
-    y_j]`` is the key itself.  The empty key is the unit in Lie kinds too.
-    (The default binds ``Kind.POLYNOMIAL`` once: an Enum attribute lookup
-    costs as much as the rest of a split.)"""
-    if kind is not _polynomial:
+    the unit key, for keys of format ``fmt``.  A polynomial key gives up
+    one unit of its last nonzero exponent; a word its last letter, and so
+    does a metabelian key, whose last letter is the greatest of its sorted
+    tail: the bracket ``[prefix, y_j]`` is the key itself.  The empty key
+    is the unit in Lie kinds too.  (The default binds ``Kind.POLYNOMIAL``
+    once: an Enum attribute lookup costs as much as the rest of a split.)"""
+    if type(fmt) is int:  # a code: its low b bits are its last letter
+        return (key >> fmt, key & (1 << fmt) - 1) if key > 1 else None
+    if fmt is not _polynomial:
         return (key[:-1], key[-1]) if key else None
     for i in range(len(key) - 1, -1, -1):
         if key[i]:
@@ -588,14 +686,14 @@ def _split_key(kind, key, _polynomial=Kind.POLYNOMIAL):
     return None
 
 
-def _prefix_walk(kind, key, memo, step):
+def _prefix_walk(fmt, key, memo, step):
     """The value of ``key`` under a map built one generator at a time: from
     the longest prefix in ``memo``, one ``value = step(value, prefix, j)``
     per generator, each prefix's value kept in ``memo``.  The unit's value
     is None, so ``step(None, unit, j)`` is x_j's.  A loop, not recursion."""
     path = []
     val = memo.get(key)
-    while val is None and (split := _split_key(kind, key)):
+    while val is None and (split := _split_key(fmt, key)):
         path.append((key, split))
         key = split[0]
         val = memo.get(key)
@@ -697,35 +795,63 @@ class _Adders(dict):
 _ADDERS = _Adders()
 
 
-def _product(
-    kind, a, graded, k, out=None,
-    _polynomial=Kind.POLYNOMIAL, _metabelian=Kind.METABELIAN_LIE,
-):
+def _product(fmt, a, graded, k, out=None, _polynomial=Kind.POLYNOMIAL):
     """The product of a coefficient dict ``a`` and a right operand given as
     degree buckets ``graded``, ``[(degree, [(key, coeff), ...]), ...]`` in
     ascending degree (``_degree_buckets``), without its terms of
-    degree above ``k``.  For each left term the walk over the buckets stops
-    at the first degree past the room ``k`` leaves, so the dropped pairs
-    are never visited; ``_operand`` builds the operand.  Exponent vectors
-    add, by the adder ``_ADDERS`` holds for their length, taken once per
-    call from the left keys (the envelope's keys are as long as its rank).
-    Words concatenate, free-Lie words too: ``_bracket_words`` makes their
-    bracket from two such products.  With ``kind`` an int n, the keys are words coded as base-n ints (the
-    inverse rounds, ``morphism._online_rounds``): a word a_1 ... a_d codes
-    as sum a_i n^(d-i), so u v codes as code(u) n^|v| + code(v), and the
-    degree of a bucket is the length of its words.  A code does not know
-    its own length, so this loop keeps every pair: ``k`` must be None.
-    Metabelian keys bracket in the loop itself, each pair giving its one
-    or two basis terms with no dict: a bracket of two brackets is zero, so
-    a bracket on the left stops after the right operand's degree-1
-    bucket.  Given ``out``, the product is added into that dict, which is
-    returned, so a sum of products is formed without copying.  (The
-    defaults bind the ``Kind`` members once, as in ``_split_key``.)"""
+    degree above ``k``, for keys of format ``fmt`` (``Variety._format``).
+    For each left term the walk over the buckets stops at the first degree
+    past the room ``k`` leaves, so the dropped pairs are never visited;
+    ``_operand`` builds the operand.  Coded words concatenate, free-Lie
+    words too (``_bracket_words`` makes their bracket from two such
+    products): with b bits per letter, ``u v`` codes as
+    ``(u - 1) 2^(b |v|) + v``, where 2^(b |v|) is v's own top bit.  A
+    bucket of degree d >= 1 shifts by b d once per left term, as its words
+    have one length; bucket 0, the plain product's one bucket of every
+    length (or the empty word alone), shifts by each word's own top bit.
+    The same loop serves stored words and the inverse rounds
+    (``morphism._online_rounds``).  Exponent vectors add, by the adder
+    ``_ADDERS`` holds for their length, taken once per call from the left
+    keys (the envelope's keys are as long as its rank).  Metabelian keys
+    bracket in the loop itself, each pair giving its one or two basis
+    terms with no dict: a bracket of two brackets is zero, so a bracket on
+    the left stops after the right operand's degree-1 bucket.  Given
+    ``out``, the product is added into that dict, which is returned, so a
+    sum of products is formed without copying.  (The default binds
+    ``Kind.POLYNOMIAL`` once, as in ``_split_key``.)"""
     if k is None:
         k = math.inf
     if out is None:
         out = {}
-    if kind is _polynomial:
+    if type(fmt) is int:  # coded words, b = fmt bits per letter
+        # a pair is kept while its shift is at most the room, in bits
+        limit = fmt * k + 1
+        for m1, c1 in a.items():
+            room = limit - m1.bit_length()
+            m1 -= 1
+            for d, terms in graded:
+                s = fmt * d
+                if s > room:
+                    break
+                if s:
+                    m0 = m1 << s
+                    for m2, c2 in terms:
+                        m = m0 + m2
+                        n = out.get(m, 0) + c1 * c2
+                        if n:
+                            out[m] = n
+                        else:
+                            out.pop(m, None)
+                    continue
+                for m2, c2 in terms:  # bucket 0: each word its own shift
+                    m = (m1 << m2.bit_length() - 1) + m2
+                    n = out.get(m, 0) + c1 * c2
+                    if n:
+                        out[m] = n
+                    else:
+                        out.pop(m, None)
+        return out
+    if fmt is _polynomial:
         add = _ADDERS[len(next(iter(a), ()))]
         for m1, c1 in a.items():
             room = k - sum(m1)
@@ -734,33 +860,6 @@ def _product(
                     break
                 for m2, c2 in terms:
                     m = add(m1, m2)
-                    n = out.get(m, 0) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-        return out
-    if type(kind) is int:  # coded words
-        places = [(kind ** d, terms) for d, terms in graded]
-        for m1, c1 in a.items():
-            for place, terms in places:
-                m0 = m1 * place
-                for m2, c2 in terms:
-                    m = m0 + m2
-                    n = out.get(m, 0) + c1 * c2
-                    if n:
-                        out[m] = n
-                    else:
-                        out.pop(m, None)
-        return out
-    if kind is not _metabelian:  # words
-        for m1, c1 in a.items():
-            room = k - len(m1)
-            for d, terms in graded:
-                if d > room:
-                    break
-                for m2, c2 in terms:
-                    m = m1 + m2
                     n = out.get(m, 0) + c1 * c2
                     if n:
                         out[m] = n
@@ -815,51 +914,52 @@ def _product(
     return out
 
 
-def _degree_buckets(kind, coeffs):
+def _degree_buckets(fmt, coeffs):
     """The terms of ``coeffs`` grouped by degree, ``[(degree, [(key,
     coeff), ...]), ...]`` in ascending degree: the right operand of a
     truncated ``_product``."""
-    degree = _key_degree(kind)
+    degree = _key_degree(fmt)
     parts = {}
     for m, c in coeffs.items():
         parts.setdefault(degree(m), []).append((m, c))
     return sorted(parts.items())
 
 
-def _operand(kind, coeffs, k):
+def _operand(fmt, coeffs, k):
     """``_product``'s right operand for ``coeffs``: its degree buckets, or
     for the plain product (``k`` None) one bucket, which costs nothing."""
-    return ((0, coeffs.items()),) if k is None else _degree_buckets(kind, coeffs)
+    return ((0, coeffs.items()),) if k is None else _degree_buckets(fmt, coeffs)
 
 
-def _bracket_words(a, b, k):
-    """The free-Lie bracket ``ab - ba`` of the word dicts ``a`` and ``b``
-    through degree ``k`` (None for all): ``b``'s negated terms times
-    ``a``'s add into the dict of ``ab``."""
-    out = _product(_FREE_LIE, a, _operand(_FREE_LIE, b, k), k)
-    return _product(_FREE_LIE, {m: -c for m, c in b.items()}, _operand(_FREE_LIE, a, k), k, out)
+def _bracket_words(b, x, y, k):
+    """The free-Lie bracket ``xy - yx`` of the dicts ``x`` and ``y`` of
+    words coded at width ``b``, through degree ``k`` (None for all):
+    ``y``'s negated terms times ``x``'s add into the dict of ``xy``."""
+    out = _product(b, x, _operand(b, y, k), k)
+    return _product(b, {m: -c for m, c in y.items()}, _operand(b, x, k), k, out)
 
 
-def _substitute(dicts, args, max_degree):
+def _substitute(dicts, args, max_degree, width=None):
     """The images of the coefficient dicts ``dicts`` under x_j -> args[j],
     as dicts in the args' algebra, without their terms above
     ``max_degree`` (None keeps all of them: degrees only grow under
     products, so a term dropped early can never come back).
 
     The args are ``Element``s of one algebra and the dicts are keyed like
-    them, or by words into a metabelian target, where a word's image is
-    its left-normed bracket (``project_to_metabelian``); never by words
-    into a polynomial one.  The caller checks both.  All the state lives
-    in the call, and each argument is grouped by degree once.  The path
-    depends on the args' key format alone:
+    them (coded words at ``width``, the args' own width if None), or by
+    word tuples into a metabelian target, where a word's image is its
+    left-normed bracket (``project_to_metabelian``); never by words into a
+    polynomial one.  The caller checks both.  All the state lives in the
+    call, and each argument is grouped by degree once.  The path depends
+    on the args' key format alone:
 
-    * words (associative and free-Lie keys) go by Horner's rule, one dict
-      at a time (``_horner``): a dense dict, such as a truncated inverse
-      substituted into a sparse map, is read only through the degrees
-      its bound leaves, and no prefix image is kept past its use.  A
-      free-Lie homomorphism is the restriction of the associative one on
-      K<X>, and ``_product`` concatenates free-Lie words, so their stored
-      words substitute as they are;
+    * coded words (associative and free-Lie keys) go by Horner's rule, one
+      dict at a time (``_horner``): a dense dict, such as a truncated
+      inverse substituted into a sparse map, is read only through the
+      degrees its bound leaves, and no prefix image is kept past its use.
+      A free-Lie homomorphism is the restriction of the associative one
+      on K<X>, and ``_product`` concatenates free-Lie words, so their
+      stored words substitute as they are;
     * exponent vectors and metabelian keys go by the prefix walk: a key's
       image is its longest known prefix's image times one argument per
       missing generator (``_prefix_walk``), and one memo of key and
@@ -868,12 +968,14 @@ def _substitute(dicts, args, max_degree):
       Horner's rule, which sums each dict's suffixes on its own, was
       about twice as slow on their dense compositions."""
     target = args[0].variety
-    kind = target.kind
-    graded = [_operand(kind, a.coeffs, max_degree) for a in args]
-    if kind in _WORD_KINDS:  # a zero image has no least degree: inf
-        mins = [min(map(len, a.coeffs), default=math.inf) for a in args]
+    fmt = target._format
+    graded = [_operand(fmt, a.coeffs, max_degree) for a in args]
+    if type(fmt) is int:  # the least code has the least degree; a zero image, inf
+        degree = _key_degree(fmt)
+        mins = [degree(min(a.coeffs)) if a.coeffs else math.inf for a in args]
         bound = math.inf if max_degree is None else max_degree
-        return [_horner(kind, coeffs, graded, mins, bound) for coeffs in dicts]
+        width = fmt if width is None else width
+        return [_horner(width, fmt, coeffs, graded, mins, bound) for coeffs in dicts]
     if max_degree is None:
         gens = [a.coeffs for a in args]
     else:
@@ -882,13 +984,13 @@ def _substitute(dicts, args, max_degree):
         ]
 
     def step(img, _prefix, j):
-        return gens[j] if img is None else _product(kind, img, graded[j], max_degree)
+        return gens[j] if img is None else _product(fmt, img, graded[j], max_degree)
 
     memo, images = {}, []
     for coeffs in dicts:
         acc = {}
         for mono, c in coeffs.items():
-            term = _prefix_walk(kind, mono, memo, step)
+            term = _prefix_walk(fmt, mono, memo, step)
             if term is None:  # the unit key
                 term = target.one().coeffs
             _add_scaled(acc, c, term)
@@ -896,47 +998,60 @@ def _substitute(dicts, args, max_degree):
     return images
 
 
-def _horner(kind, coeffs, graded, mins, bound):
-    """The image of one word-keyed dict ``e`` under x_j -> phi_j, through
-    degree ``bound`` (``math.inf`` for all of it), by Horner's rule:
-    ``e(phi) = c 1 + sum_j (d_j e)(phi) phi_j``, where ``d_j e`` is the sum
-    of ``c_w p`` over the words ``w = p x_j`` of ``e``.
+def _horner(width, fmt, coeffs, graded, mins, bound):
+    """The image of one dict ``e`` of words coded at ``width`` under
+    x_j -> phi_j, through degree ``bound`` (``math.inf`` for all of it), by
+    Horner's rule: ``e(phi) = c 1 + sum_j (d_j e)(phi) phi_j``, where
+    ``d_j e`` is the sum of ``c_w p`` over the words ``w = p x_j`` of ``e``.
+    The images are coded at ``fmt``, their algebra's width.
 
     Unrolled, the rule runs over the suffixes of ``e``'s words.  The value
     of a suffix ``s`` is the sum of ``c_w p(phi)`` over the words
     ``w = p s``: ``c_s`` times the empty prefix plus, for each suffix
     ``x_j s``, that suffix's value times phi_j, one ``_product`` with
     phi_j's degree buckets ``graded[j]`` as the right operand.  The empty
-    word is the unit of concatenation in both word kinds, so the value of
-    a word starts as ``{(): c_w}``: that key meets phi_j in ``_product``
-    only, and never reaches an image in the Lie kinds, which lack a unit.
-    The values are summed from the longest suffixes down, one length at a
-    time; the empty suffix's value, which starts as ``e``'s constant term,
-    is the image.  A suffix is needed only through ``bound`` minus the
-    least degrees ``mins[j]`` of its letters' images, so a word whose
-    letters' least degrees sum past ``bound`` is skipped whole: a
-    truncated image reads no word past the bound.  A zero image's least
-    degree is ``math.inf``, so a word with its letter has room -inf (NaN
-    if ``bound`` is too) and fails the same test.  Loops, not recursion:
-    a long word only makes more lengths."""
+    word, coded 1 at every width, is the unit of concatenation in both
+    word kinds, so the value of a word starts as ``{1: c_w}``: that key
+    meets phi_j in ``_product`` only, and never reaches an image in the
+    Lie kinds, which lack a unit.  The values are summed from the longest
+    suffixes down, one length at a time: a suffix of length d drops its
+    first letter, the letter under the sentinel, as ``s`` with that
+    letter's bits cleared and the sentinel moved down onto them.  The
+    empty suffix's value, which starts as ``e``'s constant term, is the
+    image.  A suffix is needed only through ``bound`` minus the least
+    degrees ``mins[j]`` of its letters' images, read off the code's low
+    bits one letter at a time, so a word whose letters' least degrees sum
+    past ``bound`` is skipped whole: a truncated image reads no word past
+    the bound.  A zero image's least degree is ``math.inf``,
+    so a word with its letter has room -inf (NaN if ``bound`` is too) and
+    fails the same test.  Loops, not recursion: a long word only makes
+    more lengths."""
+    mask = (1 << width) - 1
     # by length: suffix -> [its value so far, its bound]
-    levels = [{(): [{}, bound]}]
+    levels = [{1: [{}, bound]}]
     for w, c in coeffs.items():
-        room = bound - sum(map(mins.__getitem__, w))
+        d = (w.bit_length() - 1) // width
+        used, x = 0, w
+        while x > 1:
+            used += mins[x & mask]
+            x >>= width
+        room = bound - used
         if room >= 0:
-            while len(levels) <= len(w):
+            while len(levels) <= d:
                 levels.append({})
-            levels[len(w)][w] = [{(): c}, room]
+            levels[d][w] = [{1: c}, room]
     for d in range(len(levels) - 1, 0, -1):
         shorter = levels[d - 1]
+        shift = width * (d - 1)
+        top = 1 << shift
         for s, (value, room) in levels.pop().items():
-            j, rest = s[0], s[1:]
+            j, rest = s >> shift & mask, s & top - 1 | top
             node = shorter.get(rest)
             if node is None:
                 node = shorter[rest] = [{}, room + mins[j]]
             if value:
-                _product(kind, value, graded[j], node[1], node[0])
-    return levels[0][()][0]
+                _product(fmt, value, graded[j], node[1], node[0])
+    return levels[0][1][0]
 
 
 _KEY_FORMS = {
@@ -969,14 +1084,40 @@ def _is_basis_key(variety, key):
     )
 
 
+def _terms_of_degrees(e, low, high):
+    """The dict of ``e``'s terms of degree ``low`` >= 0 to ``high``: for
+    coded words at width b, the codes from 2^(b low) up to below
+    2^(b (high + 1)), found with no call per term."""
+    fmt = e.variety._format
+    if type(fmt) is int:
+        first, last = 1 << fmt * low, 1 << fmt * max(high + 1, 0)
+        return {m: c for m, c in e.coeffs.items() if first <= m < last}
+    degree = _key_degree(fmt)
+    return {m: c for m, c in e.coeffs.items() if low <= degree(m) <= high}
+
+
+def _is_code(k, b, n):
+    """True iff ``k`` is a word's code at width ``b`` over ``n`` letters: an
+    int whose sentinel, its top bit, sits at a multiple of b, over digits
+    that are each below n."""
+    if type(k) is not int or k < 1 or (k.bit_length() - 1) % b:
+        return False
+    mask = (1 << b) - 1
+    while k > 1:
+        if k & mask >= n:
+            return False
+        k >>= b
+    return True
+
+
 class Element(LinearCombination):
     """An element of a free algebra: a linear combination of the
     variety's stored keys (see the module docstring).
 
     The constructor takes coordinates over the basis that
-    ``monomials_of_degree`` lists; free-Lie coordinates are Lyndon words,
-    expanded once into the stored words.  Internal code wraps stored
-    dicts with ``_raw``."""
+    ``monomials_of_degree`` lists, as tuples: words are coded, and
+    free-Lie coordinates, Lyndon words, are expanded once into the stored
+    words.  Internal code wraps stored dicts with ``_raw``."""
 
     __slots__ = ()
 
@@ -985,8 +1126,11 @@ class Element(LinearCombination):
             if not _is_basis_key(variety, key):
                 form = _KEY_FORMS[variety.kind].format(n=variety.rank)
                 raise AlgebraError(f"{variety.kind.value} key {key!r} is not {form}")
-        if variety.kind is Kind.FREE_LIE:
-            coeffs = assoc_of_lie_coeffs(coeffs)
+        if variety.kind in _WORD_KINDS:
+            b = variety._format
+            coeffs = {_encode(w, b): c for w, c in coeffs.items()}
+            if variety.kind is Kind.FREE_LIE:
+                coeffs = assoc_of_lie_coeffs(coeffs, b)
         super().__init__(variety, coeffs)
 
     # -- basic queries ------------------------------------------------------
@@ -995,44 +1139,43 @@ class Element(LinearCombination):
         """Maximal monomial degree, or None for the zero element."""
         if not self.coeffs:
             return None
-        return max(map(_key_degree(self.variety.kind), self.coeffs))
+        return max(map(_key_degree(self.variety._format), self.coeffs))
 
     def min_degree(self):
         if not self.coeffs:
             return None
-        return min(map(_key_degree(self.variety.kind), self.coeffs))
+        return min(map(_key_degree(self.variety._format), self.coeffs))
 
     def homogeneous_component(self, k):
         if k < 0:
             raise AlgebraError("degree must be >= 0")
-        degree = _key_degree(self.variety.kind)
-        return Element._raw(
-            self.variety, {m: c for m, c in self.coeffs.items() if degree(m) == k}
-        )
+        return Element._raw(self.variety, _terms_of_degrees(self, k, k))
 
     def homogeneous_components(self):
         """Dict degree -> homogeneous part; the parts sum back to self."""
         var = self.variety
         return {
             d: Element._raw(var, dict(terms))
-            for d, terms in _degree_buckets(var.kind, self.coeffs)
+            for d, terms in _degree_buckets(var._format, self.coeffs)
         }
 
     def check(self):
         """Assert the stored invariants: every key is canonical for the
-        variety (a nonempty word of K<X> for free Lie) and no coefficient
-        is zero.  A free-Lie element's words must form a Lie element, the
+        variety (the code of a word of K<X> at the variety's width, and a
+        nonempty one for free Lie: ``_is_code``) and no coefficient is
+        zero.  A free-Lie element's words must form a Lie element, the
         precondition of ``lie_from_assoc``: its Lyndon coordinates must
         expand back to exactly its words, else ``AlgebraError``."""
         var = self.variety
-        lie = var.kind is Kind.FREE_LIE
-        stored = free_associative(var.rank) if lie else var
+        fmt, lie = var._format, var.kind is Kind.FREE_LIE
         for m, c in self.coeffs.items():
-            assert _is_basis_key(stored, m) and (m or not lie), (
-                f"{var.kind.value} key {m!r} is not canonical"
-            )
+            if type(fmt) is int:
+                canonical = _is_code(m, fmt, var.rank) and (m != 1 or not lie)
+            else:
+                canonical = _is_basis_key(var, m)
+            assert canonical, f"{var.kind.value} key {m!r} is not canonical"
             assert c != 0, f"zero coefficient on {m!r}"
-        if lie and assoc_of_lie_coeffs(lie_from_assoc(self.coeffs)) != self.coeffs:
+        if lie and assoc_of_lie_coeffs(lie_from_assoc(self.coeffs, fmt), fmt) != self.coeffs:
             raise AlgebraError(
                 "associative element is not a Lie element "
                 "(its Lyndon coordinates do not expand back to its words)"
@@ -1040,19 +1183,25 @@ class Element(LinearCombination):
 
     def truncate(self, k):
         """Drop all terms of degree > k."""
-        degree = _key_degree(self.variety.kind)
-        return Element._raw(
-            self.variety, {m: c for m, c in self.coeffs.items() if degree(m) <= k}
-        )
+        return Element._raw(self.variety, _terms_of_degrees(self, 0, k))
 
     def constant_term(self):
         return self.coeffs.get(self.variety._unit_key(), 0)
 
     def involves(self, i):
         """True iff generator i occurs in some monomial."""
-        if self.variety.kind is Kind.POLYNOMIAL:
+        fmt = self.variety._format
+        if fmt is Kind.POLYNOMIAL:
             return any(m[i] for m in self.coeffs)
-        return any(i in m for m in self.coeffs)
+        if type(fmt) is not int:
+            return any(i in m for m in self.coeffs)
+        mask = (1 << fmt) - 1
+        for m in self.coeffs:  # the letters of a code, from its last
+            while m > 1:
+                if m & mask == i:
+                    return True
+                m >>= fmt
+        return False
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -1067,11 +1216,11 @@ class Element(LinearCombination):
         terms; ``k`` may be None for the plain product, which needs no
         degree buckets.  The free-Lie bracket is ``_bracket_words``."""
         self._check(other)
-        kind = self.variety.kind
-        a, b = self.coeffs, other.coeffs
-        if kind is _FREE_LIE:
-            return Element._raw(self.variety, _bracket_words(a, b, k))
-        return Element._raw(self.variety, _product(kind, a, _operand(kind, b, k), k))
+        var = self.variety
+        fmt, a, b = var._format, self.coeffs, other.coeffs
+        if var.kind is _FREE_LIE:
+            return Element._raw(var, _bracket_words(fmt, a, b, k))
+        return Element._raw(var, _product(fmt, a, _operand(fmt, b, k), k))
 
     def power(self, k):
         if self.variety.is_lie:
@@ -1109,7 +1258,8 @@ class Element(LinearCombination):
                 f"cannot substitute {target.kind.value} values into a "
                 f"{self.variety.kind.value} element"
             )
-        return Element._raw(target, _substitute([self.coeffs], args, max_degree)[0])
+        images = _substitute([self.coeffs], args, max_degree, self.variety._format)
+        return Element._raw(target, images[0])
 
     # -- printing -----------------------------------------------------------
 
@@ -1127,11 +1277,16 @@ class Element(LinearCombination):
 def basis_coeffs(e):
     """Coordinates of ``e`` over its variety's basis (the keys that
     ``monomials_of_degree`` lists): a free-Lie element's stored words are
-    rewritten in the Lyndon basis, other kinds store their basis keys."""
+    rewritten in the Lyndon basis, and coded words are decoded into word
+    tuples; the other kinds store their basis keys."""
     _check_type(e, Element)
-    if e.variety.kind is Kind.FREE_LIE:
-        return lie_from_assoc(e.coeffs)
-    return e.coeffs
+    var = e.variety
+    fmt = var._format
+    if type(fmt) is not int:
+        return e.coeffs
+    coeffs = lie_from_assoc(e.coeffs, fmt) if var.kind is _FREE_LIE else e.coeffs
+    decode = _decoder(fmt)
+    return {decode(k): c for k, c in coeffs.items()}
 
 
 def project_to_metabelian(e):
@@ -1139,24 +1294,29 @@ def project_to_metabelian(e):
     algebra of the same rank (kills the second derived subalgebra).  By
     Dynkin-Specht-Wever, a Lie element of degree m in K<X> is 1/m times
     the sum of its words' left-normed brackets: one ``_substitute`` of
-    the words, each scaled by 1/m, into the metabelian generators."""
+    the decoded words, each scaled by 1/m, into the metabelian generators."""
     _check_type(e, Element)
     if e.variety.kind is not Kind.FREE_LIE:
         raise VarietyMismatch("projection is defined on free Lie elements")
     target = metabelian_lie(e.variety.rank)
-    scaled = {w: Fraction(c, len(w)) for w, c in e.coeffs.items()}
+    decode = _decoder(e.variety._format)
+    scaled = {}
+    for k, c in e.coeffs.items():
+        w = decode(k)
+        scaled[w] = Fraction(c, len(w))
     return Element(target, _substitute([scaled], target.gens(), None)[0])
 
 
 def monomials_of_degree(variety, d):
-    """All canonical monomial keys of a given degree, deglex-sorted."""
+    """All canonical monomial keys of a given degree, deglex-sorted, as
+    tuples."""
     _check_type(variety, Variety)
     if d < 0:
         raise AlgebraError("degree must be >= 0")
     n = variety.rank
     kind = variety.kind
     if d == 0:
-        return [variety._unit_key()] if variety.unital else []
+        return [(0,) * n if kind is Kind.POLYNOMIAL else ()] if variety.unital else []
     if kind is Kind.POLYNOMIAL:  # stars and bars
         return sorted(
             tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + n - 1,)))
@@ -1180,30 +1340,39 @@ def monomials_of_degree(variety, d):
 # Deterministic printing (deglex term order, rationals in lowest terms)
 
 
-def _lyndon_str(names, w):
-    """A Lyndon word's standard bracketing, kept in its record per names."""
-    rec = _WORDS[w]
-    strings = rec.strings
+def _lyndon_printer(variety):
+    """The printer of ``variety``'s coded Lyndon words: each one's
+    standard bracketing, kept by code in its width's store, in one dict
+    per tuple of names."""
+    names, b = variety.names, variety._format
+    store = _WORDS[b]
+    strings = store.strings.get(names)
     if strings is None:
-        strings = rec.strings = {}
-    s = strings.get(names)
-    if s is None:
-        if len(w) == 1:
-            s = names[w[0]]
-        else:
-            u, v = standard_factorization(w)
-            s = f"[{_lyndon_str(names, u)},{_lyndon_str(names, v)}]"
-        strings[names] = s
-    return s
+        strings = store.strings[names] = {}
+    high, one = 1 << b, 1 << 2 * b  # codes below ``one`` have one letter
+
+    def show(k):
+        s = strings.get(k)
+        if s is None:
+            if k < one:
+                s = names[k ^ high]
+            else:
+                u, v = _factorization(k, b)
+                s = f"[{show(u)},{show(v)}]"
+            strings[k] = s
+        return s
+
+    return show
 
 
 def key_printer(variety):
-    """The printer of ``variety``'s basis keys, its names bound: one per
-    key format (exponent vector, word, Lyndon word by its standard
+    """The printer of ``variety``'s basis keys as tuples, its names bound:
+    one per key format (exponent vector, word, Lyndon word by its standard
     bracketing, left-normed metabelian key), picked once per printout."""
     names, kind = variety.names, variety.kind
     if kind is Kind.FREE_LIE:
-        return partial(_lyndon_str, names)
+        show, b = _lyndon_printer(variety), variety._format
+        return lambda w: show(_encode(w, b))
     if kind is Kind.FREE_ASSOCIATIVE:
         return lambda w: "*".join(map(names.__getitem__, w)) or "1"
     if kind is Kind.POLYNOMIAL:
@@ -1226,12 +1395,15 @@ def terms_str(coeffs, key_str, key_degree):
     ``key_str``; a coefficient of absolute value 1 is left out except on
     the key printed ``1``.  The order comes from two sorts, by key and
     then stably by degree, which compare in C when ``key_degree`` is a
-    builtin such as ``sum`` or ``len``: no ``(degree, key)`` pair is built."""
+    builtin such as ``sum`` or ``len``: no ``(degree, key)`` pair is built.
+    Codes of one width sort in deglex order by value alone: their
+    ``key_degree`` is None, and the second sort is skipped."""
     if not coeffs:
         return "0"
     parts = []
     keys = sorted(coeffs)
-    keys.sort(key=key_degree)
+    if key_degree is not None:
+        keys.sort(key=key_degree)
     for key in keys:
         c = coeffs[key]
         ks = key_str(key)
@@ -1249,7 +1421,15 @@ def terms_str(coeffs, key_str, key_degree):
 
 
 def element_str(e):
-    """``e`` as printed: its coordinates over the variety's basis
-    (``basis_coeffs``), each key printed by ``key_printer``."""
-    kind = e.variety.kind
-    return terms_str(basis_coeffs(e), key_printer(e.variety), _key_degree(kind))
+    """``e`` as printed: its coordinates over the variety's basis, each
+    key printed by ``key_printer``; coded words in numeric order, Lyndon
+    coordinates (``lie_from_assoc``) by ``_lyndon_printer`` and other
+    words decoded (``_decoder``)."""
+    var = e.variety
+    fmt = var._format
+    if type(fmt) is not int:
+        return terms_str(e.coeffs, key_printer(var), _key_degree(fmt))
+    if var.kind is _FREE_LIE:
+        return terms_str(lie_from_assoc(e.coeffs, fmt), _lyndon_printer(var), None)
+    decode, word_str = _decoder(fmt), key_printer(var)
+    return terms_str(e.coeffs, lambda k: word_str(decode(k)), None)

@@ -1,9 +1,8 @@
 """Endomorphisms of a free algebra: composition, truncated inverses (the
 fixed point psi = L^-1 (x - h(psi)) over phi's short nonlinear part h,
 solved online: round m forms only the degree-m component of each prefix
-product of h's words, from components kept for the whole call, with
-words coded as base-n ints in the two word kinds; then an exact
-translation for constants), the IA filtration, tangent derivations,
+product of h's words, from components kept for the whole call; then an
+exact translation for constants), the IA filtration, tangent derivations,
 group commutators, conjugation of derivations, and the standard
 generators (linear / affine / elementary).
 
@@ -23,7 +22,6 @@ from .freealg import (
     Element,
     Variety,
     _Coords,
-    _WORD_KINDS,
     _add_scaled,
     _check_element,
     _check_type,
@@ -190,7 +188,7 @@ def _deviation_degree(phi):
     so a degree-1 term other than 1 x_i, or a missing x_i, puts it at
     degree 1 or below."""
     var = phi.variety
-    degree = _key_degree(var.kind)
+    degree = _key_degree(var._format)
     lowest = None
     for i, f in enumerate(phi.images):
         x = var._gen_key(i)
@@ -261,7 +259,7 @@ def truncated_inverse(phi, k):
     ginv = _matrix_inverse(phi.linear_part(), "linear part")
     psi = [f.coeffs for f in linear(var, ginv).images] if k else [{}] * var.rank
     if k > 1:
-        psi = _online_rounds(var.kind, ginv, psi, phi.images, k)
+        psi = _online_rounds(var._format, ginv, psi, phi.images, k)
     inv = Endomorphism(var, (Element._raw(var, f) for f in psi))
     consts = phi.constant_part()
     if any(consts):
@@ -285,7 +283,7 @@ def _with_ints(value, *inputs):
     ))
 
 
-def _online_rounds(kind, ginv, linear_psi, images, k):
+def _online_rounds(fmt, ginv, linear_psi, images, k):
     """psi = L^-1 (x - h(psi)) through degree k, from psi's linear part,
     as coefficient dicts.
 
@@ -309,11 +307,9 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
 
     A free-Lie map substitutes as the associative map on K<X> it
     restricts, so both word kinds run the same rounds on their stored
-    words.  There the components hold each word as a base-n int, n the
-    rank (``_product`` with ``kind`` n): psi's linear part is coded on
-    entry and each component decoded once on exit (``_decode``), so the
-    rounds build and hash no word tuple.  Exponent vectors and metabelian
-    keys stay tuples.
+    words, the codes that every word product multiplies (``fmt``, the
+    variety's key format, is their width): the rounds build and hash no
+    word tuple.
 
     The rounds stop early once psi is exact.  If psi's nonzero components
     so far end at degree D and h's words at degree deg(h), then h(psi) has
@@ -321,11 +317,7 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
     later component is zero.  So a map with a polynomial inverse, such as
     (x + y^2, y), costs the same at any large k, and a linear map (empty
     h) runs no round."""
-    degree = _key_degree(kind)
-    coded = kind in _WORD_KINDS
-    key_format = len(ginv) if coded else kind  # of the components, for _product
-    if coded:  # a degree-1 word codes as its letter
-        linear_psi = [{w[0]: c for w, c in f.items()} for f in linear_psi]
+    degree = _key_degree(fmt)
     comps = [[{}, f] for f in linear_psi]
     # h's keys of degree 2..k (no higher one reaches psi) with their uses
     uses = {}
@@ -343,7 +335,7 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
         return e, [{}] * e, (left[1], comps[j])
 
     for p in uses:
-        _prefix_walk(kind, p, memo, step)
+        _prefix_walk(fmt, p, memo, step)
     table = sorted(  # shortest first
         ((e, own if p in prefixes else None, *factors, uses.get(p, ()))
          for p, (e, own, factors) in memo.items() if factors),
@@ -360,11 +352,11 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
                 break
             if own is None and len(node_uses) == 1:  # a key read once
                 i, c = node_uses[0]
-                _component(key_format, left, right, m, accs[i], c)
+                _component(fmt, left, right, m, accs[i], c)
                 continue
             if m == k and not node_uses:  # a prefix only: no word reads it
                 continue
-            part = _component(key_format, left, right, m)
+            part = _component(fmt, left, right, m)
             if own is not None:
                 own.append(part)
             for i, c in node_uses:
@@ -373,60 +365,17 @@ def _online_rounds(kind, ginv, linear_psi, images, k):
             comp.append(_combine(row, accs))
         if any(comp[m] for comp in comps):
             psi_degree = m
-    if coded:
-        return _decode(key_format, [comp[1:] for comp in comps])
     for comp in comps:  # each coordinate's components, in its empty degree-0 dict
         for part in comp[1:]:
             comp[0].update(part)
     return [comp[0] for comp in comps]
 
 
-def _decode(n, coords):
-    """The dicts of word tuples that the base-n coded components
-    ``coords`` hold (coords[j][d - 1] of degree d, as ``_online_rounds``
-    keeps them), one per coordinate, each word in its component's order.
-    Tables list the words of each length up to t in code order, t about
-    half the top degree while the table has at most 4096 words, so a word
-    decodes by one read of its length's table, two reads if it is at
-    most 2t long, and else one read per t letters: a code past 64 bits
-    is a Python int, exact."""
-    top = max(map(len, coords))
-    t = 1
-    while 2 * t < top and n ** (t + 1) <= 4096:
-        t += 1
-    tables = [[()]]
-    for _ in range(t):
-        tables.append([w + (a,) for w in tables[-1] for a in range(n)])
-    place, low = n ** t, tables[t]
-    out = []
-    for parts in coords:
-        words = {}
-        for d, part in enumerate(parts, 1):
-            if d <= t:
-                table = tables[d]
-                for c, v in part.items():
-                    words[table[c]] = v
-            elif d <= 2 * t:
-                high = tables[d - t]
-                for c, v in part.items():
-                    words[high[c // place] + low[c % place]] = v
-            else:
-                q, r = divmod(d, t)
-                for c, v in part.items():
-                    tail = ()
-                    for _ in range(q):
-                        c, lo = divmod(c, place)
-                        tail = low[lo] + tail
-                    words[tables[r][c] + tail] = v
-        out.append(words)
-    return out
-
-
-def _component(kind, left, right, m, out=None, c=1):
+def _component(fmt, left, right, m, out=None, c=1):
     """The degree-m component of a product from the components of its
     factors, ``sum(left[d] * right[m - d] for d < m)``, accumulated in one
-    dict by ``_product``, whose key format ``kind`` names (a ``Kind``, or
-    the rank n for words coded base n); each factor's index is below m.
+    dict by ``_product``, whose key format is ``fmt``; each factor's index
+    is below m.
     Given ``out``, ``c`` times the component is added into that dict,
     which is returned: c scales the smaller factor of each product."""
     if out is None:
@@ -439,7 +388,7 @@ def _component(kind, left, right, m, out=None, c=1):
                     a = {key: c * v for key, v in a.items()}
                 else:
                     b = {key: c * v for key, v in b.items()}
-            _product(kind, a, ((m - d, b.items()),), None, out)
+            _product(fmt, a, ((m - d, b.items()),), None, out)
     return out
 
 

@@ -30,6 +30,7 @@ from .freealg import (
     Kind,
     Variety,
     _check_type,
+    _decoder,
     basis_coeffs,
     free_lie,
     monomials_of_degree,
@@ -341,9 +342,11 @@ def build_polynilpotent_witness(c, n, materialize_limit=DEFAULT_MAX_DEGREE):
 
     gens = free_lie(n).gens()
     u = _ad_powers(c, operator.mul, gens[0], gens[1])[-1]
-    # cross-check the tracked leading term against the materialized element
+    # cross-check the tracked leading term against the materialized element:
+    # u is homogeneous, so its least code is its least word
     least = min(u.coeffs)
-    if least != leads[-1].word or u.coeffs[least] != leads[-1].coeff:
+    word = _decoder(u.variety._format)(least)
+    if word != leads[-1].word or u.coeffs[least] != leads[-1].coeff:
         raise AlgebraError("leading-term tracker disagrees with the expansion")
 
     w = u.substitute(gens[1:3] + gens[2:])  # u(x2, x3)

@@ -11,8 +11,10 @@ includes the process start.  Before the pairs, each side runs once
 untimed, so both read compiled bytecode.  Pair i runs the first side
 first when i is even and the second side first when it is odd.
 
-Prints, per side, the median wall time of its runs and the SHA-256 of
-its output (stdout), then whether the two outputs are the same bytes.
+Prints, per side, the median wall time of its runs, the median peak
+resident set size of its child processes (each child's ``ru_maxrss``,
+read from ``os.wait4`` as the child is reaped), and the SHA-256 of its
+output (stdout), then whether the two outputs are the same bytes.
 Standard library only.  The name of this file does not match
 ``test_*.py``, so pytest does not collect it.
 
@@ -30,13 +32,18 @@ from time import perf_counter
 
 def run(src, script):
     """One cold run of ``script`` on the package in ``src``: (seconds,
-    SHA-256 of stdout, exit code)."""
+    SHA-256 of stdout, exit code, peak RSS in MB).  The child is reaped by
+    ``os.wait4``, whose rusage holds its own peak (in KB on Linux)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     cmd = [sys.executable, "-m", "tangentia.cli", "run", script]
     t0 = perf_counter()
-    proc = subprocess.run(cmd, env=env, capture_output=True)
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     dt = perf_counter() - t0
-    return dt, hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+    return dt, hashlib.sha256(out).hexdigest(), proc.returncode, usage.ru_maxrss / 1024
 
 
 def main(argv=None):
@@ -48,18 +55,22 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sides = (args.src_a, args.src_b)
     times = {src: [] for src in sides}
+    peaks = {src: [] for src in sides}
     digests = {src: set() for src in sides}
     ok = True
     for i in range(-1, args.pairs):  # pair -1 is the untimed warm-up
         for src in sides if i % 2 == 0 else sides[::-1]:
-            dt, digest, code = run(src, args.script)
+            dt, digest, code, peak = run(src, args.script)
             ok = ok and code == 0
             digests[src].add(digest)
             if i >= 0:
                 times[src].append(dt)
+                peaks[src].append(peak)
     for src in sides:
         print(f"{src}: median {statistics.median(times[src]):.3f} s over "
-              f"{len(times[src])} runs, sha256 {', '.join(sorted(digests[src]))}")
+              f"{len(times[src])} runs, median peak RSS "
+              f"{statistics.median(peaks[src]):.1f} MB, "
+              f"sha256 {', '.join(sorted(digests[src]))}")
     same = digests[sides[0]] == digests[sides[1]] and len(digests[sides[0]]) == 1
     print("outputs identical" if same else "outputs differ")
     return 0 if ok and all(len(d) == 1 for d in digests.values()) else 1

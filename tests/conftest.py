@@ -10,6 +10,7 @@ from tangentia import (
     Derivation,
     Element,
     Endomorphism,
+    Kind,
     free_associative,
     free_lie,
     metabelian_lie,
@@ -17,6 +18,62 @@ from tangentia import (
     polynomial,
 )
 from tangentia import linalg
+from tangentia.envelope import EnvElement, TraceClass
+
+def width(rank):
+    """The bits per letter of the coded words over ``rank`` letters."""
+    return max(1, (rank - 1).bit_length())
+
+
+def code(w, b):
+    """The stored code of the word tuple ``w`` at width ``b``: its letters
+    as b-bit digits under a sentinel 1 bit."""
+    k = 1
+    for a in w:
+        k = (k << b) + a
+    return k
+
+
+def word(k, b):
+    """The word tuple that the code ``k`` stands for at width ``b``."""
+    bits = bin(k)[3:]
+    assert k >= 1 and len(bits) % b == 0, k
+    return tuple(int(bits[i : i + b], 2) for i in range(0, len(bits), b))
+
+
+def _word_keys(x):
+    """How ``x`` (an ``Element``, ``EnvElement`` or ``TraceClass``) keys its
+    coefficients: "words", "pairs" of words, or None for tuple keys."""
+    kind = x.variety.kind
+    if isinstance(x, TraceClass) or kind not in (Kind.FREE_ASSOCIATIVE, Kind.FREE_LIE):
+        return None
+    return "pairs" if kind is Kind.FREE_ASSOCIATIVE and isinstance(x, EnvElement) else "words"
+
+
+def stored_words(x):
+    """``x.coeffs`` with every stored word decoded into a tuple: the keys of
+    a word kind's ``Element``, a free-Lie ``EnvElement``, and both factors
+    of an associative ``EnvElement``'s pairs; other keys as they are."""
+    b, keys = width(x.variety.rank), _word_keys(x)
+    if keys == "words":
+        return {word(k, b): c for k, c in x.coeffs.items()}
+    if keys == "pairs":
+        return {(word(u, b), word(v, b)): c for (u, v), c in x.coeffs.items()}
+    return x.coeffs
+
+
+def coded(cls, variety, coeffs):
+    """The ``cls`` value over ``variety`` that stores ``coeffs``, given keyed
+    by word tuples: each stored word coded as ``stored_words`` decodes it.
+    An ``Element`` is wrapped with ``_raw``, as its constructor takes basis
+    keys; the other classes' constructors take stored keys."""
+    b, keys = width(variety.rank), _word_keys(cls._raw(variety, {}))
+    if keys == "words":
+        coeffs = {code(w, b): c for w, c in coeffs.items()}
+    elif keys == "pairs":
+        coeffs = {(code(u, b), code(v, b)): c for (u, v), c in coeffs.items()}
+    return cls._raw(variety, dict(coeffs)) if cls is Element else cls(variety, coeffs)
+
 
 ALL_VARIETIES = [
     polynomial(3),

@@ -23,7 +23,7 @@ from tangentia import (
     trace_str,
 )
 
-from conftest import ALL_VARIETIES, random_element
+from conftest import ALL_VARIETIES, coded, random_element, stored_words
 
 
 def _random_env(rng, variety, factors=2):
@@ -37,8 +37,8 @@ def _random_env(rng, variety, factors=2):
 def test_left_mul_examples():
     A = free_associative(2)
     x1, x2 = A.gens()
-    assert left_mul(x1).coeffs == {((0,), ()): 1}
-    assert right_mul(x1).coeffs == {((), (0,)): 1}
+    assert stored_words(left_mul(x1)) == {((0,), ()): 1}
+    assert stored_words(right_mul(x1)) == {((), (0,)): 1}
     P = polynomial(2)
     assert left_mul(P.gen(0) * P.gen(0)).coeffs == {(2, 0): 1}
     M = metabelian_lie(2)
@@ -51,10 +51,10 @@ def test_env_mul_tensor_composition():
     A = free_associative(2)
     x1, x2 = A.gens()
     l1, r2 = left_mul(x1), right_mul(x2)
-    assert env_mul(l1, r2).coeffs == {((0,), (1,)): 1}
+    assert stored_words(env_mul(l1, r2)) == {((0,), (1,)): 1}
     # right factors compose in the opposite order: R_a R_b = R_{ba}
     r1 = right_mul(x1)
-    assert env_mul(r1, r2).coeffs == {((), (1, 0)): 1}
+    assert stored_words(env_mul(r1, r2)) == {((), (1, 0)): 1}
 
 
 def test_metabelian_t_commute():
@@ -128,15 +128,15 @@ def test_necklace_matches_rotation_definition():
 
 def test_trace_class_examples():
     L = free_lie(2)
-    u = EnvElement(L, {(1, 0): Fraction(1)})
+    u = coded(EnvElement, L, {(1, 0): Fraction(1)})
     assert trace_class(u).coeffs == {(0, 1): 1}
     A = free_associative(3)
-    u = EnvElement(
-        A, {((0, 1), (2,)): Fraction(1), ((1, 0), (2,)): Fraction(-1)}
+    u = coded(
+        EnvElement, A, {((0, 1), (2,)): Fraction(1), ((1, 0), (2,)): Fraction(-1)}
     )
     assert trace_class(u).is_zero()
     # (x1x2x1x2) (x) 1 is its own minimal rotation
-    v = EnvElement(A, {((0, 1, 0, 1), ()): Fraction(1)})
+    v = coded(EnvElement, A, {((0, 1, 0, 1), ()): Fraction(1)})
     assert trace_class(v).coeffs == {((0, 1, 0, 1), ()): 1}
 
 

@@ -39,16 +39,42 @@ from tangentia.freealg import (
     is_lyndon,
     lie_from_assoc,
     lyndon_expand,
-    standard_factorization,
 )
 
-from conftest import ALL_VARIETIES, random_element
+from conftest import ALL_VARIETIES, code, coded, random_element, stored_words, width, word
+
+
+def standard_factorization(w):
+    """Split a Lyndon word of length >= 2 as ``u v`` with ``v`` the
+    lexicographically least proper suffix, on word tuples: the reference
+    for the package's factorization of codes."""
+    best = min(range(1, len(w)), key=lambda i: w[i:])
+    return w[:best], w[best:]
+
+
+def _expansion_words(w):
+    """``lyndon_expand(w)`` with its codes decoded: they are coded at the
+    width of the least rank whose letters hold ``w``'s."""
+    b = width(max(w) + 1)
+    return {word(k, b): c for k, c in lyndon_expand(w).items()}
+
+
+def _lyndon_coords(coeffs, b):
+    """``lie_from_assoc`` on the dict ``coeffs`` of word tuples, coded at
+    width ``b`` on the way in and decoded on the way out."""
+    out = lie_from_assoc({code(w, b): c for w, c in coeffs.items()}, b)
+    return {word(k, b): c for k, c in out.items()}
+
+
+def _coords(e):
+    """``_lyndon_coords`` of the words of the free-Lie element ``e``."""
+    return _lyndon_coords(stored_words(e), width(e.variety.rank))
 
 
 def test_word_concatenation():
     A = free_associative(2)
     x1, x2 = A.gens()
-    assert (x1 * x2).coeffs == {(0, 1): 1}
+    assert stored_words(x1 * x2) == {(0, 1): 1}
     assert x1 * x2 != x2 * x1
 
 
@@ -131,7 +157,7 @@ def _full_word_elimination(coeffs):
         if not is_lyndon(w):
             raise AlgebraError(f"least word {w} is not Lyndon")
         out[w] = c
-        for v, cv in lyndon_expand(w).items():
+        for v, cv in _expansion_words(w).items():
             if v == w:
                 continue
             if v not in work:
@@ -156,13 +182,13 @@ def test_lie_from_assoc_matches_full_word_elimination(degrees):
     for _ in range(3):
         coords = {w: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7])) for w in words}
         e = Element(L, coords)
-        assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
+        assert _coords(e) == _full_word_elimination(stored_words(e))
         assert basis_coeffs(e) == {w: c for w, c in coords.items() if c}
     a = random_element(rng, L, 1, 4, terms=8)
     b = random_element(rng, L, 3, 4, terms=8)
     e = a * b
     assert e.degree() >= 7
-    assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
+    assert _coords(e) == _full_word_elimination(stored_words(e))
     elements = []
     for rank in (2, 3, 4):
         L = free_lie(rank)
@@ -174,7 +200,7 @@ def test_lie_from_assoc_matches_full_word_elimination(degrees):
     phi = Endomorphism(free_lie(3), (x + y * z, y + x * (x * z), z + x * y))
     elements += truncated_inverse(phi, 7).images
     for e in elements:
-        assert lie_from_assoc(e.coeffs) == _full_word_elimination(e.coeffs)
+        assert _coords(e) == _full_word_elimination(stored_words(e))
 
 
 def test_check_finds_non_lie_element_with_lyndon_least_word():
@@ -182,21 +208,26 @@ def test_check_finds_non_lie_element_with_lyndon_least_word():
     elimination reads it as [x1,x2], whose expansion has x2 x1 too."""
     L = free_lie(2)
     with pytest.raises(AlgebraError, match="not a Lie element"):
-        Element._raw(L, {(0, 1): 1}).check()
+        coded(Element, L, {(0, 1): 1}).check()
     Element(L, {(0, 1): 1}).check()
 
 
 def test_lyndon_strings_follow_each_varietys_names(monkeypatch):
-    """The word's record keeps one bracket string per tuple of names, and
-    a second printing with the same names reads the stored one."""
+    """The width's store keeps one dict of bracket strings by code per
+    tuple of names, and a second printing with the same names reads the
+    stored one."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     w = (0, 0, 1)
     texts = {("a", "b"): "[a,[a,b]]", ("x", "y"): "[x,[x,y]]"}
     for names in [("a", "b"), ("x", "y"), ("a", "b")]:
         assert str(Element(free_lie(2, names), {w: 1})) == texts[names]
-    assert freealg._WORDS[w].strings == texts
-    assert freealg._WORDS[(0, 1)].strings == {("a", "b"): "[a,b]", ("x", "y"): "[x,y]"}
-    assert freealg._lyndon_str(("a", "b"), w) is freealg._WORDS[w].strings[("a", "b")]
+    strings = freealg._WORDS[1].strings
+    assert {names: strings[names][code(w, 1)] for names in strings} == texts
+    assert {names: strings[names][code((0, 1), 1)] for names in strings} == {
+        ("a", "b"): "[a,b]", ("x", "y"): "[x,y]"
+    }
+    show = freealg._lyndon_printer(free_lie(2, ("a", "b")))
+    assert show(code(w, 1)) is strings[("a", "b")][code(w, 1)]
 
 
 def test_repeated_generator_names_rejected():
@@ -266,7 +297,7 @@ def test_free_lie_bracket_is_the_commutator_of_words(rng):
     for _ in range(30):
         a = random_element(rng, L, 1, 3, terms=4)
         b = random_element(rng, L, 1, 3, terms=4)
-        wa, wb = Element(A, a.coeffs), Element(A, b.coeffs)
+        wa, wb = Element(A, stored_words(a)), Element(A, stored_words(b))
         full = wa * wb - wb * wa
         for k in [*range(a.degree() + b.degree() + 1), None]:
             got = a.mul_trunc(b, k)
@@ -297,9 +328,10 @@ def test_reversing_a_lie_element_multiplies_it_by_its_sign(rank, rng):
         for _ in range(3):
             term = _random_bracket(rng, gens, rng.randint(2, 7))
             f = f + term.scale(rng.choice([-2, -1, 1, 3]))
-        for w, c in f.coeffs.items():
+        words = stored_words(f)
+        for w, c in words.items():
             if w != w[::-1]:
-                assert f.coeffs.get(w[::-1]) == (-1) ** (len(w) - 1) * c, (f, w)
+                assert words.get(w[::-1]) == (-1) ** (len(w) - 1) * c, (f, w)
                 checked += 1
     assert checked > 500, checked
 
@@ -319,7 +351,7 @@ def test_truncated_products_by_a_descending_right_operand(variety, rng):
             for m in rng.sample(monos, min(2, len(monos))):
                 coeffs[m] = rng.choice([-2, -1, 1, 2])
         b = Element(variety, coeffs)
-        degrees = [sum(m) if variety.kind is Kind.POLYNOMIAL else len(m) for m in b.coeffs]
+        degrees = [sum(m) if variety.kind is Kind.POLYNOMIAL else len(m) for m in stored_words(b)]
         assert degrees == sorted(degrees, reverse=True) and degrees[-1] == lo
         full = a * b
         top = (a.degree() or 0) + 4
@@ -339,9 +371,9 @@ def test_check_finds_broken_invariants():
     with pytest.raises(AssertionError, match="zero coefficient"):
         Element._raw(P, {(1, 0): 0}).check()
     with pytest.raises(AssertionError, match="not canonical"):
-        Element._raw(L, {(): 1}).check()
+        coded(Element, L, {(): 1}).check()
     with pytest.raises(AlgebraError, match="not a Lie element"):
-        Element._raw(L, {(1, 0): 1}).check()
+        coded(Element, L, {(1, 0): 1}).check()
 
 
 @pytest.mark.parametrize(
@@ -430,12 +462,12 @@ def test_lyndon_machinery():
     assert is_lyndon((0, 1, 1))
     assert not is_lyndon((1, 0))
     assert not is_lyndon((0, 1, 0, 1))
-    assert standard_factorization((0, 0, 1)) == ((0,), (0, 1))
-    exp = lyndon_expand((0, 1))
+    assert freealg._factorization(code((0, 0, 1), 1), 1) == (code((0,), 1), code((0, 1), 1))
+    exp = _expansion_words((0, 1))
     assert exp == {(0, 1): 1, (1, 0): -1}
     # the Lyndon word itself is the least term with coefficient 1
     for w in [(0, 0, 1), (0, 1, 1), (0, 0, 1, 1)]:
-        e = lyndon_expand(w)
+        e = _expansion_words(w)
         assert min(e) == w and e[w] == 1
     for w in [(), (1, 0), (0, 1, 0, 1)]:
         with pytest.raises(AlgebraError, match="not a Lyndon word"):
@@ -521,9 +553,9 @@ def _image_by_products(e, args):
     target = args[0].variety
     if target.kind is Kind.FREE_LIE:
         target = free_associative(target.rank)
-        args = [Element(target, a.coeffs) for a in args]
+        args = [Element(target, stored_words(a)) for a in args]
     acc = target.zero()
-    for key, c in e.coeffs.items():
+    for key, c in stored_words(e).items():
         if e.variety.kind is Kind.POLYNOMIAL:
             key = [i for i, n in enumerate(key) for _ in range(n)]
         img = target.one() if not key else args[key[0]]
@@ -590,7 +622,7 @@ def _reference_projection(e):
         return gens[j] if b is None else b * gens[j]
 
     memo, acc = {}, {}
-    for w, c in e.coeffs.items():
+    for w, c in stored_words(e).items():
         for m, v in _prefix_walk(Kind.FREE_LIE, w, memo, step).coeffs.items():
             acc[m] = acc.get(m, 0) + Fraction(c * v, len(w))
     return Element(target, acc)
@@ -639,42 +671,41 @@ def _is_lyndon_by_rotation(w):
 
 
 def test_one_lyndon_cache_per_word(monkeypatch):
-    """``_WORDS`` keeps one entry per word looked up: False for a word that
-    is not Lyndon; for a Lyndon word, its record, whose Lyndon part is None
-    until the word is a pivot, then that part.  ``lie_from_assoc`` enters
-    the generators and the words that begin below their last letter, of
-    its input (Lie element or not: only the entries are read here) and of
-    the pivots' expansions, and no other word: a longer word that fails
-    that test is not Lyndon.  On every word of length <= 7 over 3 letters,
-    ``is_lyndon`` and the test agree with the rotation definition, checked
-    directly; a Lyndon word has a record, and a Lyndon word's part, formed
-    once when the word's own bracketing makes it the pivot, names by
-    order key the Lyndon terms of its bracketing other than itself: read
-    back through the records the keys index, the same words with the same
-    coefficients."""
+    """A width's store keeps one entry per code looked up: False for a word
+    that is not Lyndon; for a Lyndon word, its record, whose Lyndon part
+    is None until the word is a pivot, then that part.  ``lie_from_assoc``
+    enters the generators and the words that begin below their last
+    letter, of its input (Lie element or not: only the entries are read
+    here) and of the pivots' expansions, and no other word: a longer word
+    that fails that test is not Lyndon.  On every word of length <= 7 over
+    3 letters (width 2), ``is_lyndon`` and the test agree with the
+    rotation definition, checked directly; a Lyndon word has a record, and
+    a Lyndon word's part, formed once when the word's own bracketing makes
+    it the pivot, names by code the Lyndon terms of its bracketing other
+    than itself: decoded, the same words with the same coefficients."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
-    cache = freealg._WORDS
+    cache = freealg._WORDS[2]
     words = [w for n in range(8) for w in itertools.product(range(3), repeat=n)]
     assert len(words) == 3280
     for n in range(1, 8):  # a Lie element has no empty word
-        lie_from_assoc({w: 1 for w in itertools.product(range(3), repeat=n)})
-    assert set(cache) == {w for w in words if len(w) == 1 or w and w[0] < w[-1]}
+        _lyndon_coords({w: 1 for w in itertools.product(range(3), repeat=n)}, 2)
+    assert {word(k, 2) for k in cache} == {w for w in words if len(w) == 1 or w and w[0] < w[-1]}
     for w in words:
         lyndon = _is_lyndon_by_rotation(w)
         assert is_lyndon(w) == lyndon, w
         assert not lyndon or len(w) == 1 or w[0] < w[-1], w
-        assert (cache.get(w, False) is not False) == lyndon, w
+        k = code(w, 2)
+        assert (cache.get(k, False) is not False) == lyndon, w
         if lyndon:
-            assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
-            part = cache[w].part
-            assert {cache.by_key[k].word: c for k, c in part} == {
-                v: c
-                for v, c in lyndon_expand(w).items()
-                if v != w and _is_lyndon_by_rotation(v)
+            expansion = {word(v, 2): c for v, c in freealg._expansion(cache, k).items()}
+            assert _lyndon_coords(expansion, 2) == {w: 1}
+            part = cache[k].part
+            assert {word(v, 2): c for v, c in part} == {
+                v: c for v, c in expansion.items() if v != w and _is_lyndon_by_rotation(v)
             }, w
-            assert len({k for k, _ in part}) == len(part), w
-            assert lie_from_assoc(lyndon_expand(w)) == {w: 1} and cache[w].part is part
-            assert cache[w].expansion is lyndon_expand(w)
+            assert len({v for v, _ in part}) == len(part), w
+            assert _lyndon_coords(expansion, 2) == {w: 1} and cache[k].part is part
+            assert cache[k].expansion is freealg._expansion(cache, k)
 
 
 def test_lyndon_parts_are_formed_for_pivots_only(monkeypatch):
@@ -685,12 +716,12 @@ def test_lyndon_parts_are_formed_for_pivots_only(monkeypatch):
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     pivot = (0, 0, 0, 0, 1, 1, 1, 0, 1, 1)
     e = Element(free_lie(2), {pivot: 1})
-    lyndon = [w for w in e.coeffs if is_lyndon(w)]
+    lyndon = [w for w in stored_words(e) if is_lyndon(w)]
     assert len(lyndon) == 16
-    assert lie_from_assoc(e.coeffs) == {pivot: 1}
-    cache = freealg._WORDS
-    assert [w for w in cache if cache[w] and cache[w].part is not None] == [pivot]
-    assert all(cache[w].part is None for w in lyndon if w != pivot)
+    assert _coords(e) == {pivot: 1}
+    cache = freealg._WORDS[1]
+    assert [word(k, 1) for k in cache if cache[k] and cache[k].part is not None] == [pivot]
+    assert all(cache[code(w, 1)].part is None for w in lyndon if w != pivot)
 
 
 # every Lyndon word of degree <= 8 at ranks 2 and 3, and <= 7 at rank 4
@@ -708,15 +739,23 @@ def _lyndon_words_through(rank, degree):
 def test_lyndon_expansion_is_the_bracket_of_its_factors(monkeypatch, rank, degree):
     """A Lyndon word's expansion, formed with no per-pair sum in its first
     half, is ``_bracket_words`` of its standard factors' expansions: the
-    same terms in the same insertion order."""
+    same terms in the same insertion order.  The factors are the tuple
+    reference's, so the codes' factorization is checked too."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
+    b = width(rank)
+    store = freealg._WORDS[b]
+
+    def expand(w):
+        return freealg._expansion(store, code(w, b))
+
     for w in _lyndon_words_through(rank, degree):
         if len(w) == 1:
-            assert lyndon_expand(w) == {w: 1}
+            assert expand(w) == {code(w, b): 1}
             continue
         u, v = standard_factorization(w)
-        bracket = freealg._bracket_words(lyndon_expand(u), lyndon_expand(v), None)
-        assert list(lyndon_expand(w).items()) == list(bracket.items()), w
+        assert freealg._factorization(code(w, b), b) == (code(u, b), code(v, b))
+        bracket = freealg._bracket_words(b, expand(u), expand(v), None)
+        assert list(expand(w).items()) == list(bracket.items()), w
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -736,41 +775,49 @@ def test_lyndon_part_is_the_lyndon_filter_of_the_expansion(monkeypatch, rank, de
     """Once a word is a pivot, its Lyndon part is the terms of its
     expansion that ``is_lyndon`` keeps, without the word itself, in the
     expansion's order: the first-below-last test drops no Lyndon term.
-    The part names each term by its order key; the record that key
-    indexes is the term's own."""
+    The part names each term by its code, and the code's entry in the
+    store is the term's own record."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
-    records = freealg._WORDS.by_key
+    b = width(rank)
+    store = freealg._WORDS[b]
     for w in _lyndon_words_through(rank, degree):
-        assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
-        assert tuple((records[k].word, c) for k, c in freealg._WORDS[w].part) == tuple(
-            (v, c) for v, c in lyndon_expand(w).items() if v != w and is_lyndon(v)
+        expansion = {word(v, b): c for v, c in freealg._expansion(store, code(w, b)).items()}
+        assert _lyndon_coords(expansion, b) == {w: 1}
+        part = store[code(w, b)].part
+        assert tuple((word(v, b), c) for v, c in part) == tuple(
+            (v, c) for v, c in expansion.items() if v != w and is_lyndon(v)
         ), w
+        assert all(store[v] for v, _ in part)
 
 
 def test_lyndon_cache_answers_do_not_depend_on_rank(monkeypatch, rng):
-    """Words carry no rank: a word first seen in a rank-2 element keeps
-    its answer when a rank-4 element reads it, and that answer is the one
-    a fresh cache gives."""
+    """Codes carry no rank, only a width: a word first seen in a rank-3
+    element keeps its answer when a rank-4 element, of the same width 2,
+    reads it, and that answer is the one a fresh cache gives."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
-    L2, L4 = free_lie(2), free_lie(4)
-    e2 = random_element(rng, L2, 2, 6, terms=6) * random_element(rng, L2, 1, 2)
-    coords = lie_from_assoc(e2.coeffs)  # the words of e2 are first seen here
+    L3, L4 = free_lie(3), free_lie(4)
+    e3 = random_element(rng, L3, 2, 6, terms=6) * random_element(rng, L3, 1, 2)
+    coords = _coords(e3)  # the words of e3 are first seen here
     # False for a word that is not Lyndon, else its part (None if unformed)
-    seen = {w: rec and rec.part for w, rec in freealg._WORDS.items()}
+    store = freealg._WORDS[2]
+    seen = {word(k, 2): rec and rec.part for k, rec in store.items()}
     # a word of length >= 2 that does not begin below its last letter is
     # not Lyndon, and is never looked up
-    looked_up = {w for w in e2.coeffs if len(w) == 1 or w[0] < w[-1]}
+    words = stored_words(e3)
+    looked_up = {w for w in words if len(w) == 1 or w[0] < w[-1]}
     assert looked_up <= set(seen)
-    assert not (set(e2.coeffs) - looked_up) & set(seen)
+    assert not (set(words) - looked_up) & set(seen)
     e4 = Element(L4, coords) + random_element(rng, L4, 2, 6, terms=6)
-    assert lie_from_assoc(e4.coeffs) == _full_word_elimination(e4.coeffs)
+    assert freealg._WORDS[2] is store
+    assert _coords(e4) == _full_word_elimination(stored_words(e4))
     assert basis_coeffs(Element(L4, coords)) == coords
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     for w, entry in seen.items():
         assert (entry is not False) == is_lyndon(w), w
         if type(entry) is tuple:
-            assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
-            assert freealg._WORDS[w].part == entry, w
+            expansion = {word(v, 2): c for v, c in freealg._expansion(freealg._WORDS[2], code(w, 2)).items()}
+            assert _lyndon_coords(expansion, 2) == {w: 1}
+            assert freealg._WORDS[2][code(w, 2)].part == entry, w
 
 
 def _word_keyed_elimination(coeffs):
@@ -788,7 +835,7 @@ def _word_keyed_elimination(coeffs):
         if not c:
             continue
         out[w] = c
-        for v, cv in lyndon_expand(w).items():
+        for v, cv in _expansion_words(w).items():
             if not (v[0] < v[-1] and v != w and is_lyndon(v)):
                 continue
             nv = work.get(v)
@@ -811,7 +858,7 @@ def test_int_keyed_elimination_matches_the_word_keyed_one(monkeypatch):
     """Random Lie elements of ranks 1-4 through degree 8, on a fresh store
     (every record cold) and again on the warm one; and free_lie(300)
     elements on the letters 0, 255, 256 and 299, and on letters past 16
-    and 32 bits, whose keys take wider digits.  An increasing renaming of
+    and 32 bits, whose codes take wider digits.  An increasing renaming of
     the letters is a homomorphism that keeps the word order and the
     Lyndon words, so it maps the coordinates too."""
     rng = random.Random(37)
@@ -828,95 +875,99 @@ def test_int_keyed_elimination_matches_the_word_keyed_one(monkeypatch):
     x, y, z = free_lie(3).gens()
     phi = Endomorphism(free_lie(3), (x + y * z, y + (x * y) * y, z + x * (x * z)))
     elements += truncated_inverse(phi, 8).images
-    dicts = [e.coeffs for e in elements]
+    # each dict of word tuples with its width
+    dicts = [(stored_words(e), width(e.variety.rank)) for e in elements]
     e = random_element(rng, free_lie(4), 1, 6, terms=12)
     e = e * random_element(rng, free_lie(4), 1, 2, terms=3) + e
     for letters in [(0, 255, 256, 299), (7, 2**16 - 1, 2**16, 2**40), (0, 1, 2**32, 2**33)]:
-        dicts.append(_relabelled(e.coeffs, letters))
-        assert lie_from_assoc(dicts[-1]) == _relabelled(lie_from_assoc(e.coeffs), letters)
+        dicts.append((_relabelled(stored_words(e), letters), max(letters).bit_length()))
+        assert _lyndon_coords(*dicts[-1]) == _relabelled(_coords(e), letters)
     wide = Element(free_lie(300), {(0, 255, 256, 299): 2, (255, 299): -1, (0, 0, 256): 3})
-    dicts.append(wide.coeffs)
+    dicts.append((stored_words(wide), 9))
     assert basis_coeffs(wide) == {(0, 255, 256, 299): 2, (255, 299): -1, (0, 0, 256): 3}
-    expected = [_word_keyed_elimination(d) for d in dicts]
+    expected = [_word_keyed_elimination(d) for d, _ in dicts]
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
     for warm in (False, True):
-        assert bool(freealg._WORDS.by_key) is warm
-        for d, coords in zip(dicts, expected):
-            assert lie_from_assoc(d) == coords
+        assert bool(freealg._WORDS) is warm
+        for (d, b), coords in zip(dicts, expected):
+            assert _lyndon_coords(d, b) == coords
 
 
 def test_order_keys_sort_each_block_as_its_words(monkeypatch):
-    """For every length <= 7 and every letter content at rank 3, the
-    Lyndon words sort by order key as by word; keys are distinct across
-    every record formed, wide letters included, and each is the key
-    ``_order_key`` gives the record's word."""
+    """The codes are the elimination's order keys.  For every length <= 7
+    and every letter content at rank 3, the Lyndon words sort by code as
+    by word; and for every word of length <= 5 at ranks 2-5, numeric code
+    order is deglex word order (by length, then lexicographic).  Codes of
+    wide letters eliminate too, and the store's entries are the codes
+    looked up, each a record or False."""
     monkeypatch.setattr(freealg, "_WORDS", freealg._Words())
-    store = freealg._WORDS
     blocks = {}
     for w in _lyndon_words_through(3, 7):
         blocks.setdefault((len(w), tuple(sorted(w))), []).append(w)
-        assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
+        assert _lyndon_coords(_expansion_words(w), 2) == {w: 1}
     assert max(map(len, blocks.values())) > 10
     for block in blocks.values():
-        keys = [store[w].key for w in block]
-        assert sorted(block) == [store.by_key[k].word for k in sorted(keys)]
+        keys = [code(w, 2) for w in block]
+        assert sorted(block) == [word(k, 2) for k in sorted(keys)]
+    for rank in (2, 3, 4, 5):
+        b = width(rank)
+        words = [w for n in range(6) for w in itertools.product(range(rank), repeat=n)]
+        deglex = sorted(words, key=lambda w: (len(w), w))
+        assert [word(k, b) for k in sorted(code(w, b) for w in words)] == deglex
     for w in [(0, 2**16), (2**16 - 1, 2**16), (3, 2**31, 2**32), (1, 2**64)]:
-        assert lie_from_assoc(lyndon_expand(w)) == {w: 1}
-    # a record formed by an expansion alone (here the wide generators)
-    # has no key until an elimination reads it
-    records = [rec for rec in store.values() if rec and rec.key is not None]
-    assert any(rec and rec.key is None for rec in store.values())
-    # the four wide words, and (3, 2^32, 2^31) from the part of (3, 2^31, 2^32)
-    assert len(records) == len(store.by_key) == 508 + 4 + 1
-    assert len({rec.key for rec in records}) == len(records)
-    assert all(rec.key == freealg._order_key(rec.word) for rec in records)
-
-
-def _decoded_order_key(key):
-    """The word ``key`` codes, read from the top: the sentinel 1, the
-    width b in Elias's gamma code, then the letters as b-bit digits."""
-    bits = bin(key)[2:]
-    zeros = bits.index("1", 1) - 1
-    width = int(bits[1 + zeros : 2 + 2 * zeros], 2)
-    digits = bits[2 + 2 * zeros :]
-    assert digits and len(digits) % width == 0
-    return tuple(int(digits[i : i + width], 2) for i in range(0, len(digits), width))
+        b = width(max(w) + 1)
+        assert _lyndon_coords(_expansion_words(w), b) == {w: 1}
+        assert all(type(k) is int for k in freealg._WORDS[b])
+    records = [rec for rec in freealg._WORDS[2].values() if rec]
+    assert len(records) == len({id(rec) for rec in records}) == 508
 
 
 def test_order_keys_decode_to_their_words():
     """Every word of length <= 5 over 6 letters, and every word of length
-    <= 3 over letters on both sides of 2^8, 2^16 and 2^64, reads back
-    from its order key, so no two words share one.  Over three letters
-    a digit is 2 bits under the 4-bit header 1010."""
-    words = [w for n in range(1, 6) for w in itertools.product(range(6), repeat=n)]
+    <= 3 over letters on both sides of 2^8, 2^16 and 2^64, reads back from
+    its code through the package's table decoder, so no two words of one
+    width share one.  Over three letters a letter is 2 bits under the
+    sentinel; rank-3 words of length 16 and 31 have codes past 2^30 and
+    2^60."""
+    words = [w for n in range(0, 6) for w in itertools.product(range(6), repeat=n)]
+    decode = freealg._decoder(3)
+    assert [decode(freealg._encode(w, 3)) for w in words] == words
+    assert [freealg._encode(w, 3) for w in words] == [code(w, 3) for w in words]
+    assert len({code(w, 3) for w in words}) == len(words) == 9331
     wide = (0, 255, 256, 299, 2**16 - 1, 2**16, 2**64 - 1, 2**64)
-    words += [w for n in range(1, 4) for w in itertools.product(wide, repeat=n)]
-    keys = [freealg._order_key(w) for w in words]
-    assert [_decoded_order_key(k) for k in keys] == words
-    # (0,), (0, 0) and (0, 0, 0) are on both lists
-    assert len(set(keys)) == len(set(words)) == 9330 + 584 - 3
-    assert freealg._order_key((0, 1, 2)) == 0b1010_00_01_10
-    assert freealg._order_key((0, 1)) == 0b11_0_1
-    assert freealg._order_key((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2)) < 2**30
+    wide_words = [w for n in range(1, 4) for w in itertools.product(wide, repeat=n)]
+    decode = freealg._decoder(65)
+    assert [decode(freealg._encode(w, 65)) for w in wide_words] == wide_words
+    assert len({code(w, 65) for w in wide_words}) == len(wide_words) == 584
+    assert code((0, 1, 2), 2) == freealg._encode((0, 1, 2), 2) == 0b1_00_01_10
+    assert code((), 2) == freealg._encode((), 2) == 1
+    rng = random.Random(30)
+    decode = freealg._decoder(2)
+    for n, bound in ((16, 2**30), (31, 2**60)):
+        for _ in range(50):
+            w = tuple(rng.randrange(3) for _ in range(n))
+            k = freealg._encode(w, 2)
+            assert k >= bound and decode(k) == w == word(k, 2)
 
 
 def test_one_store_of_lyndon_records(monkeypatch):
-    """``_WORDS`` is the only store: a fresh ``_Words`` has no entry and
-    no key, and an elimination on it forms each record once, reached as
-    the same object by word and by order key.  A word of length >= 2
-    that does not begin below its last letter gets no entry, neither
-    from the input nor from a pivot's expansion."""
+    """``_WORDS`` is the only store: a fresh ``_Words`` has no width, and an
+    elimination on it makes the store of its width, which holds each
+    record once, reached as the same object by its code.  A word of
+    length >= 2 that does not begin below its last letter gets no entry,
+    neither from the input nor from a pivot's expansion."""
     fresh = freealg._Words()
-    assert not fresh and not fresh.by_key
+    assert not fresh
     monkeypatch.setattr(freealg, "_WORDS", fresh)
     x, y, z = free_lie(3).gens()
     e = ((x * y) * z + (x * z) * y) * (x * (x * y)) + y * (y * z)
-    coords = lie_from_assoc(e.coeffs)
-    assert freealg._WORDS is fresh and fresh.by_key
-    assert all(fresh[rec.word] is rec for rec in fresh.by_key.values())
-    assert all(fresh.by_key[fresh[w].key] is fresh[w] for w in coords)
-    assert all(len(w) == 1 or w[0] < w[-1] for w in fresh)
-    expanded = {v for rec in fresh.by_key.values() for v in lyndon_expand(rec.word)}
+    coords = lie_from_assoc(e.coeffs, 2)
+    assert freealg._WORDS is fresh and list(fresh) == [2]
+    store = fresh[2]
+    assert all(store[k] and store[k] is store[k] for k in coords)
+    assert all(len(w) == 1 or w[0] < w[-1] for w in map(lambda k: word(k, 2), store))
+    expanded = {word(v, 2) for k, rec in store.items() if rec and rec.expansion
+                for v in rec.expansion}
     assert any(len(v) > 1 and v[0] >= v[-1] for v in expanded)
 
 
@@ -1007,10 +1058,19 @@ def test_product_kernel_matches_the_per_pair_rules(rank):
     buckets as the inverse's rounds pass them, with and without a filled
     ``out`` that the product partly cancels, on int and Fraction
     coefficients; and the metabelian envelope's keys through
-    ``env_mul``.  A bracket on the left reads no bucket past degree 1."""
+    ``env_mul``.  A bracket on the left reads no bucket past degree 1.
+    The kernel multiplies words as codes, and its dict is decoded."""
     rng = random.Random(rank)
     for variety in (polynomial(rank), free_associative(rank), metabelian_lie(rank)):
-        kind = variety.kind
+        kind, bits = variety.kind, width(rank)
+        words = kind is Kind.FREE_ASSOCIATIVE
+
+        def coded_terms(terms):
+            return [(code(m, bits), c) for m, c in terms] if words else terms
+
+        def decoded(coeffs):
+            return {word(m, bits): c for m, c in coeffs.items()} if words else coeffs
+
         for trial in range(6):
             fractions = trial % 2 == 1
             a = _random_coeffs(rng, variety, 4, fractions, 8)
@@ -1026,8 +1086,14 @@ def test_product_kernel_matches_the_per_pair_rules(rank):
             for graded, k in cases:
                 for out in ({}, filled):
                     want = _product_by_definition(kind, a, graded, k, dict(out))
-                    got = freealg._product(kind, a, graded, k, dict(out) if out else None)
-                    assert _typed_items(got) == _typed_items(want), (kind, graded, k)
+                    got = freealg._product(
+                        variety._format,
+                        dict(coded_terms(a.items())),
+                        [(d, coded_terms(terms)) for d, terms in graded],
+                        k,
+                        dict(coded_terms(out.items())) if out else None,
+                    )
+                    assert _typed_items(decoded(got)) == _typed_items(want), (kind, graded, k)
             if kind is Kind.METABELIAN_LIE:
                 brackets = {m: c for m, c in a.items() if len(m) > 1}
                 for k in (None, 3, 6):
@@ -1109,7 +1175,7 @@ def _env_str_by_definition(u):
     base = generated_algebra(u.variety)
     if u.variety.kind is Kind.FREE_ASSOCIATIVE:
         return _terms_by_definition(
-            u.coeffs,
+            stored_words(u),
             lambda key: (
                 f"{_mono_str_by_definition(base, key[0])}(x)"
                 f"{_mono_str_by_definition(base, key[1])}"
@@ -1117,7 +1183,7 @@ def _env_str_by_definition(u):
             lambda key: len(key[0]) + len(key[1]),
         )
     return _terms_by_definition(
-        u.coeffs,
+        stored_words(u),
         lambda m: _mono_str_by_definition(base, m),
         sum if base.kind is Kind.POLYNOMIAL else len,
     )
@@ -1162,10 +1228,10 @@ def test_printing_matches_the_deglex_definition(make, rng):
             assert element_str(e) == _element_str_by_definition(e)
             if var.kind is Kind.FREE_ASSOCIATIVE:
                 pairs = [(a, b) for a in keys for b in keys if len(a) + len(b) <= 4]
-                u = EnvElement(var, dict(zip(pairs, itertools.cycle(_PRINT_COEFFS))))
+                u = coded(EnvElement, var, dict(zip(pairs, itertools.cycle(_PRINT_COEFFS))))
             else:
                 base_keys = [m for d in range(5) for m in monomials_of_degree(base, d)]
-                u = EnvElement(var, dict(zip(base_keys, itertools.cycle(_PRINT_COEFFS))))
+                u = coded(EnvElement, var, dict(zip(base_keys, itertools.cycle(_PRINT_COEFFS))))
             assert env_str(u) == _env_str_by_definition(u)
             assert trace_str(trace_class(u)) == _env_str_by_definition(trace_class(u))
     for rank in range(1, 5):
@@ -1182,12 +1248,12 @@ def test_printing_matches_the_deglex_definition(make, rng):
                 assert element_str(e) == str(e) == _element_str_by_definition(e)
                 if var.kind is Kind.FREE_ASSOCIATIVE:
                     words = [w for d in range(3) for w in monomials_of_degree(var, d)]
-                    u = EnvElement(var, {
+                    u = coded(EnvElement, var, {
                         (rng.choice(words), rng.choice(words)): rng.choice(_PRINT_COEFFS)
                         for _ in range(6)
                     })
                 else:
-                    u = EnvElement(var, _printable_coeffs(rng, base, 6))
+                    u = coded(EnvElement, var, _printable_coeffs(rng, base, 6))
                 u = u + EnvElement.one(var).scale(rng.choice(_PRINT_COEFFS))
                 t = trace_class(u)
                 assert env_str(u) == _env_str_by_definition(u)

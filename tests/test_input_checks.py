@@ -52,6 +52,8 @@ from tangentia import (
 from tangentia.fox import push_matrix
 from tangentia.wildness import random_invertible_matrix
 
+from conftest import coded
+
 P = polynomial(2)
 A = free_associative(2)
 L3 = free_lie(3)
@@ -101,7 +103,7 @@ CHECKS = [
      "Derivation coordinate: expected Element, got int"),
     # a constant coordinate, which no public constructor builds in a Lie
     # kind: this check used to cover endomorphisms only
-    (lambda: Derivation(L2, (L2.gen(0), Element._raw(L2, {(): 1}))), AlgebraError,
+    (lambda: Derivation(L2, (L2.gen(0), coded(Element, L2, {(): 1}))), AlgebraError,
      "constant coordinate in a Lie variety", "Derivation on lie(2): constant coordinate"),
     (lambda: Derivation(M2, (M2.gen(0), Element._raw(M2, {(): 1}))), AlgebraError,
      "constant coordinate in a Lie variety", "Derivation on metabelian(2): constant coordinate"),

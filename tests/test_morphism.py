@@ -36,10 +36,13 @@ from tangentia.wildness import random_invertible_matrix
 from conftest import (
     ALL_VARIETIES,
     check_scaled_inverse,
+    code,
+    coded,
     random_derivation,
     random_element,
     random_homogeneous_derivation,
     random_ia_endomorphism,
+    stored_words,
 )
 
 
@@ -418,8 +421,8 @@ def test_coded_rounds_on_letters_past_9():
     images[0] = g[0] + g[10] * g[11]
     images[10] = g[10] + g[11] * (g[11] * g[0])
     got = _check_coded_inverse(Endomorphism(L, images), 7)
-    assert max(map(len, got[0].coeffs)) == 7
-    assert {10, 11} <= {a for w in got[0].coeffs for a in w}
+    assert max(map(len, stored_words(got[0]))) == 7
+    assert {10, 11} <= {a for w in stored_words(got[0]) for a in w}
 
 
 def test_coded_rounds_past_one_table_read():
@@ -429,7 +432,7 @@ def test_coded_rounds_past_one_table_read():
     x, y, z = L.gens()
     phi = Endomorphism(L, (x + x * y + y * z, y + y * z, z))
     got = _check_coded_inverse(phi, 10)
-    assert max(map(len, got[0].coeffs)) == 10
+    assert max(map(len, stored_words(got[0]))) == 10
 
 
 def test_coded_rounds_then_the_translation():
@@ -442,26 +445,19 @@ def test_coded_rounds_then_the_translation():
     assert got[0].constant_term() and got[2].constant_term()
 
 
-def test_coded_rounds_past_64_bits(monkeypatch):
+def test_coded_rounds_past_64_bits():
     """On free_associative(100), x1 -> x1 + x1 x2 has the inverse
-    sum (-1)^j x1 x2^j; at k = 12 the code of x1 x2^11, the sum of 100^i
-    over i < 11, is past 2^64, and decodes exactly."""
-    codes = []
-    decode = morphism._decode
-
-    def recording_decode(n, coords):
-        codes.extend(c for parts in coords for part in parts for c in part)
-        return decode(n, coords)
-
-    monkeypatch.setattr(morphism, "_decode", recording_decode)
+    sum (-1)^j x1 x2^j; at k = 12 the code of x1 x2^11, 7 bits a letter
+    under the sentinel, is past 2^64, and decodes exactly."""
     A = free_associative(100)
     g = A.gens()
     phi = Endomorphism(A, (g[0] + g[0] * g[1],) + g[1:])
     got = truncated_inverse(phi, 12).images
     want = {(0,) + (1,) * j: (-1) ** j for j in range(12)}
-    assert _typed(got[:1]) == [{w: (int, c) for w, c in want.items()}]
+    typed = {w: (type(c), c) for w, c in stored_words(got[0]).items()}
+    assert typed == {w: (int, c) for w, c in want.items()}
     assert got[1:] == g[1:]
-    assert max(codes) == sum(100 ** i for i in range(11)) > 2 ** 64
+    assert max(got[0].coeffs) == code((0,) + (1,) * 11, 7) > 2 ** 64
 
 
 def test_truncated_inverse_grows_degree_by_degree(rng):
@@ -546,7 +542,7 @@ def test_corrupted_inverse_fails_on_both_sides(variety, rng):
 def test_constant_key_rejected_in_lie_kinds():
     for variety in (free_lie(2), metabelian_lie(2)):
         x1, x2 = variety.gens()
-        with_constant = Element._raw(variety, {**x2.coeffs, (): 1})
+        with_constant = x2 + coded(Element, variety, {(): 1})
         with pytest.raises(AlgebraError, match="constant image part"):
             Endomorphism(variety, (x1, with_constant))
 
@@ -905,7 +901,7 @@ def _as_associative(phi):
     """A free-Lie map's images as elements of the free associative algebra
     on the same generators: the map on K<X> that phi restricts."""
     A = free_associative(phi.variety.rank)
-    return Endomorphism(A, tuple(Element(A, f.coeffs) for f in phi.images))
+    return Endomorphism(A, tuple(Element(A, stored_words(f)) for f in phi.images))
 
 
 def _benchmark_lie_maps():
@@ -949,7 +945,7 @@ def test_free_lie_inverses_and_commutators_match_the_associative_ones(rng):
     8 (commutators through 7), with palindromic words and Fraction
     coefficients among them."""
     maps = _associative_oracle_maps(rng)
-    words = [w for phi in maps for f in phi.images for w in f.coeffs]
+    words = [w for phi in maps for f in phi.images for w in stored_words(f)]
     assert any(len(w) == 3 and w == w[::-1] for w in words)
     assert any(len(w) == 5 and w == w[::-1] for w in words)
     fractions = False
